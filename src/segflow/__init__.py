@@ -47,7 +47,6 @@ from .limits import (
     lil_run,
     martingale_increments,
     phi_f,
-    phi_hat_f,
     quadratic_variation,
     qv_lln_check,
     rescaled_path_nodes,

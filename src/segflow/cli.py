@@ -248,7 +248,8 @@ def _run_clt(cfg: ExperimentConfig, model, num):
         "d_f": report.d_f,
         "replicas": report.replicas,
     }
-    if report.statistics[-1] > report.statistics[0] + 2.0 * math.hypot(report.ses[0], report.ses[-1]):
+    # written as "not <=" so a NaN statistic or standard error fails the check
+    if not report.statistics[-1] <= report.statistics[0] + 2.0 * math.hypot(report.ses[0], report.ses[-1]):
         failures.append("distribution distance failed to decay along the time grid")
     bound0 = report.statistics[0] * report.times[0] ** 0.25
     rows = [

@@ -17,17 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericBlowupError, ShapeError
+from .errors import ShapeError
 from .metric import DEFAULT_ASSIGNMENT_CAP, EmpiricalMeasure, MetricParams, wasserstein
 from .rng import RngStream
-from .segments import (
-    ModelSpec,
-    Segment,
-    _BatchCoefficients,
-    batch_sup_norms,
-    step_windows,
-    sup_norm,
-)
+from .segments import ModelSpec, Segment, batch_sup_norms, record, sup_norm
 from .stats import ols_line
 
 __all__ = [
@@ -39,7 +32,6 @@ __all__ = [
     "ergodicity_curve",
     "moment_curve",
     "exp_moment_probe",
-    "collect_snapshots",
     "coupled_snapshots",
 ]
 
@@ -124,26 +116,6 @@ def _grid_index(t: float, step: float, name: str = "time") -> int:
     return k
 
 
-def collect_snapshots(
-    model: ModelSpec,
-    initial_values: np.ndarray,
-    step_indices: Sequence[int],
-    step: float,
-    rng: RngStream,
-) -> list[np.ndarray]:
-    """Run one batch and copy the segment windows at the requested step indices."""
-    wanted = sorted(set(int(k) for k in step_indices))
-    if wanted and wanted[0] < 0:
-        raise ValueError("step indices must be non-negative")
-    out = {}
-    last = wanted[-1] if wanted else 0
-    for j, window in step_windows(model, initial_values, last, step, rng):
-        if wanted and j == wanted[0]:
-            out[j] = window.copy()
-            wanted.pop(0)
-    return [out[int(k)] for k in sorted(out)]
-
-
 def sample_invariant(
     model: ModelSpec, cfg: EnsembleConfig, initial: Segment
 ) -> EmpiricalMeasure:
@@ -162,8 +134,10 @@ def sample_invariant(
     initials = np.broadcast_to(
         initial.values, (cfg.n_traj,) + initial.values.shape
     ).copy()
-    snaps = collect_snapshots(model, initials, indices, step, cfg.stream().child(0))
-    atoms = np.stack(snaps, axis=1)  # (n_traj, n_snap, m+1, d)
+    snaps, _ = record(
+        model, initials, indices[-1], step, cfg.stream().child(0), sample_at=indices
+    )
+    atoms = snaps.transpose(1, 0, 2, 3)  # (n_traj, n_snap, m+1, d)
     n_traj, n_snap = atoms.shape[0], atoms.shape[1]
     values = atoms.reshape(n_traj * n_snap, atoms.shape[2], atoms.shape[3])
     groups = np.repeat(np.arange(n_traj), n_snap)
@@ -228,53 +202,26 @@ def coupled_snapshots(
 
     Trajectory i of each ensemble consumes the same noise, realizing the
     synchronous coupling: each marginal stays exact while paired states
-    contract under the dissipative drift.  Returns (A, B) window copies at
-    the requested step indices.
+    contract under the dissipative drift.  Both ensembles run as one
+    shared-noise batch; returns (A, B) windows at the sorted distinct step
+    indices.
     """
     a = np.asarray(initial_a, dtype=float)
     b = np.asarray(initial_b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError("coupled ensembles must have identical shapes")
     wanted = sorted(set(int(k) for k in step_indices))
-    last = wanted[-1] if wanted else 0
+    snaps, _ = record(
+        model,
+        np.concatenate([a, b]),
+        wanted[-1] if wanted else 0,
+        step,
+        rng,
+        sample_at=wanted,
+        shared_noise=True,
+    )
     n = a.shape[0]
-    out = {}
-    coeffs = _BatchCoefficients(model, model.delay, step)
-    gen = rng.generator()
-    sq = math.sqrt(step)
-    m = a.shape[1] - 1
-    rows = max(2 * (m + 1), int(4_000_000 // max(1, 2 * n * model.dim)))
-    # one buffer of width 2n: rows [0:n] are ensemble A, rows [n:2n] ensemble B
-    buf = np.empty((min(rows, last + m + 1) + m + 1, 2 * n, model.dim))
-    buf[: m + 1] = np.concatenate([a, b], axis=0).transpose(1, 0, 2)
-    head = m
-    z = np.empty((n, model.dim))
-    zz = np.empty((2 * n, model.dim))
-    if 0 in wanted:
-        win = buf[head - m : head + 1].transpose(1, 0, 2)
-        out[0] = (win[:n].copy(), win[n:].copy())
-    for j in range(1, last + 1):
-        if head + 1 >= buf.shape[0]:
-            buf[: m + 1] = buf[head - m : head + 1]
-            head = m
-        window = buf[head - m : head + 1]
-        segs = window.transpose(1, 0, 2)
-        drift = coeffs.drift(segs)
-        gen.standard_normal((n, model.dim), out=z)
-        np.multiply(z, sq, out=z)
-        zz[:n] = z
-        zz[n:] = z
-        noise = coeffs.noise(segs, zz)
-        nxt = buf[head + 1]
-        np.add(window[-1], noise, out=nxt)
-        nxt += drift * step
-        head += 1
-        if not math.isfinite(float(nxt.sum())):
-            raise NumericBlowupError("state became non-finite in coupled run", j * step)
-        if j in wanted:
-            win = buf[head - m : head + 1].transpose(1, 0, 2)
-            out[j] = (win[:n].copy(), win[n:].copy())
-    return [out[k] for k in sorted(out)]
+    return [(snap[:n], snap[n:]) for snap in snaps]
 
 
 def _noise_floor(ref: EmpiricalMeasure, mp: MetricParams, block: int, cap: int) -> float:
@@ -358,9 +305,10 @@ def ergodicity_curve(
                 snap_a, snap_b, model.delay, step, mp, block, cap
             )
     else:
-        snaps_a = collect_snapshots(model, initials_a, indices, step, root.child(1))
+        last = indices[-1]
+        snaps_a, _ = record(model, initials_a, last, step, root.child(1), sample_at=indices)
         if mode == "evolved":
-            snaps_b = collect_snapshots(model, initials_b, indices, step, root.child(2))
+            snaps_b, _ = record(model, initials_b, last, step, root.child(2), sample_at=indices)
             refs = [EmpiricalMeasure(s, model.delay, step) for s in snaps_b]
         else:
             refs = [initial_b] * len(indices)
@@ -433,7 +381,7 @@ def moment_curve(
     step = initial.step
     indices = [_grid_index(t, step) for t in times]
     initials = np.broadcast_to(initial.values, (replicas,) + initial.values.shape).copy()
-    snaps = collect_snapshots(model, initials, indices, step, rng.child(0))
+    snaps, _ = record(model, initials, max(indices), step, rng.child(0), sample_at=indices)
     values = np.empty(times.size)
     ses = np.empty(times.size)
     for i, snap in enumerate(snaps):
@@ -503,9 +451,11 @@ def exp_moment_probe(
 
     # ||X_t||_inf over a unit window equals the running max of the pointwise
     # norm over [k - delay, k+1]; keep every pointwise norm.
-    norms = np.empty((n_steps + 1, replicas))
-    for j, window in step_windows(model, initials, n_steps, step, rng.child(0)):
-        norms[j] = np.sqrt((window[:, -1, :] ** 2).sum(axis=1))
+    norms, _ = record(
+        model, initials, n_steps, step, rng.child(0),
+        sample_at=range(n_steps + 1),
+        sample=lambda window: np.sqrt((window[:, -1, :] ** 2).sum(axis=1)),
+    )
     hist = np.sqrt((initial.values**2).sum(axis=1)).max()
 
     window_sq = np.empty((window_count, replicas))

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, EstimatorInconsistencyError
 from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
-from .segments import ModelSpec, Segment, Trajectory, segment_at, step_windows
+from .segments import ModelSpec, Segment, Trajectory, record, segment_at
 from .semigroup import (
     GridProfile,
     IidChain,
@@ -238,20 +238,12 @@ def _time_average_checkpoints(
 ) -> np.ndarray:
     """Per-replica time averages A_t at the checkpoint steps, shape (n_check, R)."""
     dt = xi.step
-    checks = {int(s): i for i, s in enumerate(check_steps)}
-    out = np.empty((len(check_steps), replicas))
     init = np.broadcast_to(xi.values, (replicas,) + xi.values.shape).copy()
-    partial = np.zeros(replicas)
-    prev = None
-    for j, window in step_windows(model, init, max(checks), dt, rng):
-        vals = f.values(window)
-        if prev is not None:
-            partial += 0.5 * (prev + vals) * dt
-        prev = vals.copy()
-        if j in checks:
-            t = j * dt
-            out[checks[j]] = partial / t if t > 0 else 0.0
-    return out
+    _, integrals = record(
+        model, init, max(check_steps), dt, rng, integrate_at=check_steps, integrand=f.values
+    )
+    t = np.asarray(check_steps, dtype=float)[:, None] * dt
+    return np.divide(integrals, t, out=np.zeros_like(integrals), where=t > 0)
 
 
 def slln_variance_decay(
@@ -425,59 +417,40 @@ def _choose_truncation(
     return len(grid) - 1
 
 
-def _corrector_halves(
-    sg: SemigroupEvaluator,
-    f: AnyObservable,
-    states: np.ndarray,
-    cfg: CorrectorConfig,
-    dt: float,
-    rng: RngStream,
-) -> _HalfValues:
+def _halves(f: AnyObservable, states: np.ndarray, cfg, rng: RngStream, profile, tail) -> _HalfValues:
+    """Corrector values at ``states`` from two independent half budgets.
+
+    ``profile(f, states, replicas, rng)`` is one half-budget semigroup
+    profile (see :func:`_quadrature` and :func:`_partial_sums`) and ``tail``
+    the matching :class:`RateFit` bound, scaled by the observable's norm hint
+    and used by :func:`_choose_truncation`.
+    """
     fit = cfg.require_rate_fit()
+    half = max(1, cfg.replicas // 2)
+    pa = profile(f, states, half, rng.child(0))
+    pb = profile(f, states, half, rng.child(1))
+    scale = _norm_hint(f)
+    bound = lambda x: scale * tail(fit, x.item())
+    idx = _choose_truncation(pa, pb, bound, cfg.auto_truncate, cfg.tail_fraction)
+    return _HalfValues(
+        a=pa.values[:, idx],
+        b=pb.values[:, idx],
+        se_a=pa.ses[:, idx],
+        se_b=pb.ses[:, idx],
+        tail_bound=bound(pa.grid[idx]),
+        truncation=float(pa.grid[idx]),
+    )
+
+
+def _quadrature(sg: SemigroupEvaluator, cfg: CorrectorConfig, dt: float):
+    """Continuous-corrector profile: trapezoid of ``P_t f`` up to ``cfg.t_max``."""
     quad = cfg.quad_step if cfg.quad_step is not None else dt
-    half = max(1, cfg.replicas // 2)
-    pa = sg.integral_profile(f, states, cfg.t_max, quad, half, rng.child(0))
-    pb = sg.integral_profile(f, states, cfg.t_max, quad, half, rng.child(1))
-    scale = _norm_hint(f)
-    idx = _choose_truncation(
-        pa, pb, lambda t: scale * fit.tail_integral_bound(t), cfg.auto_truncate, cfg.tail_fraction
-    )
-    t_used = float(pa.grid[idx])
-    return _HalfValues(
-        a=pa.values[:, idx],
-        b=pb.values[:, idx],
-        se_a=pa.ses[:, idx],
-        se_b=pb.ses[:, idx],
-        tail_bound=scale * fit.tail_integral_bound(t_used),
-        truncation=t_used,
-    )
+    return lambda f, states, half, rng: sg.integral_profile(f, states, cfg.t_max, quad, half, rng)
 
 
-def _discrete_halves(
-    sg: SemigroupEvaluator,
-    f: AnyObservable,
-    states: np.ndarray,
-    cfg: DiscreteCorrectorConfig,
-    rng: RngStream,
-    k_from: int = 0,
-) -> _HalfValues:
-    fit = cfg.require_rate_fit()
-    half = max(1, cfg.replicas // 2)
-    pa = sg.discrete_profile(f, states, k_from, cfg.k_max, half, rng.child(0))
-    pb = sg.discrete_profile(f, states, k_from, cfg.k_max, half, rng.child(1))
-    scale = _norm_hint(f)
-    idx = _choose_truncation(
-        pa, pb, lambda k: scale * fit.tail_sum_bound(int(k)), cfg.auto_truncate, cfg.tail_fraction
-    )
-    k_used = int(pa.grid[idx])
-    return _HalfValues(
-        a=pa.values[:, idx],
-        b=pb.values[:, idx],
-        se_a=pa.ses[:, idx],
-        se_b=pb.ses[:, idx],
-        tail_bound=scale * fit.tail_sum_bound(k_used),
-        truncation=float(k_used),
-    )
+def _partial_sums(sg: SemigroupEvaluator, cfg: DiscreteCorrectorConfig, k_from: int = 0):
+    """Unit-lag corrector profile: sums of ``P_k f`` for k = k_from .. ``cfg.k_max``."""
+    return lambda f, states, half, rng: sg.discrete_profile(f, states, k_from, cfg.k_max, half, rng)
 
 
 def _default_sg(model: ModelSpec, dt: float, sg: Optional[SemigroupEvaluator]) -> SemigroupEvaluator:
@@ -497,7 +470,9 @@ def corrector(
     random numbers across the grid, truncated where the fitted-rate tail bound
     falls below ``cfg.tail_fraction`` of the running value.
     """
-    halves = _corrector_halves(sg, f, xi.values[None], cfg, xi.step, rng)
+    halves = _halves(
+        f, xi.values[None], cfg, rng, _quadrature(sg, cfg, xi.step), RateFit.tail_integral_bound
+    )
     return CorrectorEstimate(
         value=float(halves.mean()[0]),
         se=float(halves.mean_se()[0]),
@@ -514,7 +489,7 @@ def discrete_corrector(
     rng: RngStream,
 ) -> CorrectorEstimate:
     """Partial sum ``sum_{k=0}^{K} P_k f(xi)`` with a geometric tail bound."""
-    halves = _discrete_halves(sg, f, xi.values[None], cfg, rng, k_from=0)
+    halves = _halves(f, xi.values[None], cfg, rng, _partial_sums(sg, cfg), RateFit.tail_sum_bound)
     return CorrectorEstimate(
         value=float(halves.mean()[0]),
         se=float(halves.mean_se()[0]),
@@ -541,21 +516,12 @@ def _unit_run(
     per_unit = int(round(1.0 / dt))
     if abs(per_unit * dt - 1.0) > 1e-9:
         raise ValueError(f"dt={dt!r} must divide the unit time")
-    snaps = {}
-    wanted = set(int(s) for s in snapshot_steps)
-    integral = np.zeros(start_values.shape[0])
-    prev = None
-    final = None
-    for j, window in step_windows(model, start_values, per_unit, dt, rng):
-        vals = np.array(f.values(window), dtype=float)  # may alias the ring buffer
-        if prev is not None:
-            integral += 0.5 * (prev + vals) * dt
-        prev = vals
-        if j in wanted:
-            snaps[j] = window.copy()
-        if j == per_unit:
-            final = window.copy()
-    return integral, final, snaps
+    wanted = sorted(set(int(s) for s in snapshot_steps))
+    windows, integrals = record(
+        model, start_values, per_unit, dt, rng,
+        sample_at=wanted + [per_unit], integrate_at=[per_unit], integrand=f.values,
+    )
+    return integrals[0], windows[-1], dict(zip(wanted, windows))
 
 
 @dataclass(frozen=True)
@@ -593,10 +559,12 @@ def _phi_core(
     snapshot_steps: Sequence[int] = (),
 ) -> _PhiCore:
     sg = _default_sg(model, dt, sg)
-    base = _corrector_halves(sg, f, xi_values[None], cfg, dt, rng.child(0))
+    profile = _quadrature(sg, cfg, dt)
+    tail = RateFit.tail_integral_bound
+    base = _halves(f, xi_values[None], cfg, rng.child(0), profile, tail)
     starts = np.broadcast_to(xi_values, (outer,) + xi_values.shape).copy()
     integrals, ends, snaps = _unit_run(model, f, starts, dt, rng.child(1), snapshot_steps)
-    end = _corrector_halves(sg, f, ends, cfg, dt, rng.child(2))
+    end = _halves(f, ends, cfg, rng.child(2), profile, tail)
     inc_a = integrals + end.a - base.a[0]
     inc_b = integrals + end.b - base.b[0]
     return _PhiCore(
@@ -640,40 +608,6 @@ def phi_f(
         se=math.hypot(se, se_common),
         truncation=core.base_halves.truncation,
         tail_bound=core.base_halves.tail_bound,
-        replicas=replicas,
-    )
-
-
-def phi_hat_f(
-    chain: Chain,
-    f: CenteredObservable,
-    xi_values: np.ndarray,
-    replicas: int,
-    cfg: DiscreteCorrectorConfig,
-    rng: RngStream,
-    sg: Optional[SemigroupEvaluator] = None,
-) -> PhiEstimate:
-    """Discrete variance functional: ``E|f(xi) + Rhat(X_1) - Rhat(xi)|^2``."""
-    sg = sg if sg is not None else chain.evaluator()
-    base = _discrete_halves(sg, f, xi_values[None], cfg, rng.child(0), k_from=0)
-    starts = np.broadcast_to(xi_values, (replicas,) + xi_values.shape).copy()
-    ends = chain.unit_states(starts, 1, rng.child(1))[1]
-    end = _discrete_halves(sg, f, ends, cfg, rng.child(2), k_from=0)
-    f0 = float(f.values(xi_values[None])[0])
-    inc_a = f0 + end.a - base.a[0]
-    inc_b = f0 + end.b - base.b[0]
-    prod = inc_a * inc_b
-    value = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(replicas))
-    se_common = math.hypot(
-        abs(float(inc_b.mean())) * float(base.se_a[0]),
-        abs(float(inc_a.mean())) * float(base.se_b[0]),
-    )
-    return PhiEstimate(
-        value=value,
-        se=math.hypot(se, se_common),
-        truncation=base.truncation,
-        tail_bound=base.tail_bound,
         replicas=replicas,
     )
 
@@ -727,26 +661,23 @@ def _variance_pipeline(
     if discrete:
         chain = model_or_chain if not isinstance(model_or_chain, ModelSpec) else SdeChain(model_or_chain, dt)
         sg = sg if sg is not None else chain.evaluator()
+        profile, tail = _partial_sums(sg, cfg), RateFit.tail_sum_bound
     else:
         model = model_or_chain
         sg = _default_sg(model, dt, sg)
+        profile, tail = _quadrature(sg, cfg, dt), RateFit.tail_integral_bound
 
     # corrector halves at every atom (reused by both sides of the identity)
-    if discrete:
-        base = _discrete_halves(sg, f, atoms.values, cfg, rng.child(0), k_from=0)
-    else:
-        base = _corrector_halves(sg, f, atoms.values, cfg, dt, rng.child(0))
+    base = _halves(f, atoms.values, cfg, rng.child(0), profile, tail)
 
     # one-step transitions: all atoms' outer replicas in one batch
     starts = np.repeat(atoms.values, outer, axis=0)
     if discrete:
         ends = chain.unit_states(starts, 1, rng.child(1))[1]
-        f0 = np.repeat(f.values(atoms.values), outer)
-        integ = f0
-        end = _discrete_halves(sg, f, ends, cfg, rng.child(2), k_from=0)
+        integ = np.repeat(f.values(atoms.values), outer)
     else:
         integ, ends, _ = _unit_run(model, f, starts, dt, rng.child(1))
-        end = _corrector_halves(sg, f, ends, cfg, dt, rng.child(2))
+    end = _halves(f, ends, cfg, rng.child(2), profile, tail)
 
     inc_a = integ + end.a - np.repeat(base.a, outer)
     inc_b = integ + end.b - np.repeat(base.b, outer)
@@ -897,7 +828,9 @@ def vph_residual(
     fr[-1] = f.values(core.end_states) * core.end_halves.mean()
     for i, step_idx in enumerate(interior):
         snap = core.snapshots[step_idx]
-        halves = _corrector_halves(sg_eval, f, snap, cfg, dt, rng.child(10 + i))
+        halves = _halves(
+            f, snap, cfg, rng.child(10 + i), _quadrature(sg_eval, cfg, dt), RateFit.tail_integral_bound
+        )
         fr[i + 1] = f.values(snap) * halves.mean()
     ds = 1.0 / (s_nodes - 1)
     per_path = np.trapezoid(fr, dx=ds, axis=0)
@@ -1054,7 +987,7 @@ def martingale_increments(
     sg = sg if sg is not None else chain.evaluator()
     states = chain.unit_states(xi.values[None], n, rng.child(0))[:, 0]  # (n+1, m+1, d)
     f_vals = f.values(states)
-    q = _discrete_halves(sg, f, states, cfg, rng.child(1), k_from=1)
+    q = _halves(f, states, cfg, rng.child(1), _partial_sums(sg, cfg, k_from=1), RateFit.tail_sum_bound)
     z_a = f_vals[1:] + q.a[1:] - q.a[:-1]
     z_b = f_vals[1:] + q.b[1:] - q.b[:-1]
     z = 0.5 * (z_a + z_b)
@@ -1179,8 +1112,9 @@ def qv_lln_check(
     states = chain.unit_states(starts, n, rng.child(1))  # (n+1, R, m+1, d)
     f_all = np.stack([f.values(states[k]) for k in range(n)])  # k = 0..n-1
     sum_f = f_all.sum(axis=0)
-    r_end = _discrete_halves(sg, f, states[n], cfg, rng.child(2), k_from=0)
-    r_base = _discrete_halves(sg, f, xi.values[None], cfg, rng.child(3), k_from=0)
+    profile, tail = _partial_sums(sg, cfg), RateFit.tail_sum_bound
+    r_end = _halves(f, states[n], cfg, rng.child(2), profile, tail)
+    r_base = _halves(f, xi.values[None], cfg, rng.child(3), profile, tail)
     m_a = sum_f + r_end.a - r_base.a[0]
     m_b = sum_f + r_end.b - r_base.b[0]
     prod = m_a * m_b / n
@@ -1263,17 +1197,16 @@ def lil_run(
         raise ValueError("checkpoints must lie within [n_min, n_max]")
 
     chain = _as_chain(model_or_chain, xi.step)
-    f_vals = np.empty(n_max + 1)
     if isinstance(chain, SdeChain):
-        per_unit = chain.per_unit
-        for j, window in step_windows(
-            chain.model, xi.values[None], n_max * per_unit, chain.dt, rng.child(0)
-        ):
-            if j % per_unit == 0:
-                f_vals[j // per_unit] = f.values(window)[0]
+        n_steps = n_max * chain.per_unit
+        f_vals, _ = record(
+            chain.model, xi.values[None], n_steps, chain.dt, rng.child(0),
+            sample_at=range(0, n_steps + 1, chain.per_unit),
+            sample=lambda window: f.values(window)[0],
+        )
     else:
         states = chain.unit_states(xi.values[None], n_max, rng.child(0))[:, 0]
-        f_vals[:] = f.values(states)
+        f_vals = np.asarray(f.values(states), dtype=float)
 
     csum = np.cumsum(f_vals[1:])  # csum[j] = sum_{l=1}^{j+1} f(X_l)
 

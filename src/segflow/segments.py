@@ -18,13 +18,21 @@ may provide batched coefficient callbacks operating on arrays of segments,
 which is what makes the statistical estimators in the rest of the package
 affordable.  Batched arrays of segments always have shape ``(n, m+1, d)``:
 batch index, then time node (oldest first), then coordinate.
+
+:func:`record` is the one driver every estimator runs through: it steps a
+batch and returns copies of the windows (or of an observable of them) at
+chosen steps, plus running trapezoid integrals of an observable.  With
+``shared_noise`` the batch is two equal halves driven by the same Gaussian
+increments, the synchronous coupling of two ensembles.  The Euler loop
+itself lives in :func:`step_windows`, whose recycled ring buffer never
+leaves this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +46,7 @@ __all__ = [
     "sup_norm",
     "segment_at",
     "simulate",
+    "record",
     "constant_segment",
 ]
 
@@ -309,6 +318,7 @@ def step_windows(
     step: float,
     rng: RngStream,
     chunk: Optional[int] = None,
+    shared_noise: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Drive a batch of trajectories, yielding each new segment window.
 
@@ -319,6 +329,8 @@ def step_windows(
     rng: stream owning every draw of this batch.
     chunk: ring-buffer block length; memory stays O(chunk * n * d).  The
         default adapts to the batch width, targeting tens of megabytes.
+    shared_noise: the batch is two equal halves, and trajectory ``i`` of each
+        half consumes the same normal draw at every step.
 
     Yields
     ------
@@ -329,6 +341,7 @@ def step_windows(
 
     Raises
     ------
+    ShapeError: ``shared_noise`` with an odd batch width.
     NumericBlowupError: the first time a state goes non-finite, with the time.
     """
     init = np.asarray(initial_values, dtype=float)
@@ -338,6 +351,8 @@ def step_windows(
     m = nodes - 1
     if d != model.dim:
         raise ShapeError(f"initial segments have dim {d}, model has {model.dim}")
+    if shared_noise and n % 2:
+        raise ShapeError(f"a shared-noise batch needs two equal halves, got width {n}")
     coeffs = _BatchCoefficients(model, model.delay, step)
     gen = rng.generator()
     sq = math.sqrt(step)
@@ -355,10 +370,12 @@ def step_windows(
 
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is identical either way (values come off the stream in order)
-    zblock = max(1, 4096 // max(1, n * d)) if n * d <= 256 else 1
-    zbuf = np.empty((zblock, n, d)) if zblock > 1 else None
+    nz = n // 2 if shared_noise else n
+    zblock = max(1, 4096 // max(1, nz * d)) if nz * d <= 256 else 1
+    zbuf = np.empty((zblock, nz, d)) if zblock > 1 else None
     zoff = zblock  # force a refill on first use
-    z = np.empty((n, d))
+    zdraw = np.empty((nz, d))
+    zz = np.empty((n, d)) if shared_noise else None
     scalar_state = n * d == 1
 
     yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
@@ -371,13 +388,17 @@ def step_windows(
         segs = window.transpose(1, 0, 2)
         drift = coeffs.drift(segs)
         if zbuf is None:
-            gen.standard_normal((n, d), out=z)
+            z = gen.standard_normal((nz, d), out=zdraw)
         else:
             if zoff >= zblock:
                 gen.standard_normal(zbuf.shape, out=zbuf)
                 zoff = 0
             z = zbuf[zoff]
             zoff += 1
+        if shared_noise:
+            zz[:nz] = z
+            zz[nz:] = z
+            z = zz
         nxt = buf[head + 1]
         noise = coeffs.noise(segs, z * sq)
         np.add(window[-1], noise, out=nxt)
@@ -389,6 +410,84 @@ def step_windows(
                 raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
             raise NumericBlowupError("state became non-finite", j * step)
         yield j, buf[head - m : head + 1].transpose(1, 0, 2)
+
+
+def record(
+    model: ModelSpec,
+    initial_values: np.ndarray,
+    n_steps: int,
+    step: float,
+    rng: RngStream,
+    *,
+    sample_at: Sequence[int] = (),
+    sample: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    integrate_at: Sequence[int] = (),
+    integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    shared_noise: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Run one batch for ``n_steps`` steps and keep what the caller asks for.
+
+    Parameters
+    ----------
+    initial_values, n_steps, step, rng, shared_noise: as for
+        :func:`step_windows`.
+    sample_at: steps (0 = initial state) at which to keep ``sample(window)``.
+    sample: map of the (n, m+1, d) window batch to an array; default keeps
+        the window itself.
+    integrate_at: steps at which to keep the running integral.
+    integrand: map of the window batch to per-trajectory values; it is
+        evaluated at every step and integrated by the trapezoid rule with
+        spacing ``step``.  Required when ``integrate_at`` is non-empty.
+
+    Returns
+    -------
+    (samples, integrals): ``samples[i]`` is a copy of ``sample(window)`` at
+    step ``sample_at[i]``, stacked along a new leading axis (an empty array
+    when nothing is sampled); ``integrals[i]`` is the integral from step 0
+    to step ``integrate_at[i]`` (None without an integrand).
+
+    Raises
+    ------
+    ValueError: a requested step outside ``[0, n_steps]``, or
+        ``integrate_at`` without an integrand.
+    NumericBlowupError: as for :func:`step_windows`.
+    """
+    sample_at = [int(k) for k in sample_at]
+    integrate_at = [int(k) for k in integrate_at]
+    if any(not 0 <= k <= n_steps for k in sample_at + integrate_at):
+        raise ValueError(f"recorded steps must lie in [0, {n_steps}]")
+    if integrate_at and integrand is None:
+        raise ValueError("integrate_at needs an integrand")
+    sample_rows: dict[int, list[int]] = {}
+    for i, k in enumerate(sample_at):
+        sample_rows.setdefault(k, []).append(i)
+    integral_rows: dict[int, list[int]] = {}
+    for i, k in enumerate(integrate_at):
+        integral_rows.setdefault(k, []).append(i)
+
+    samples = integrals = partial = prev = None
+    # step_windows is looked up as a module global on each call, so a wrapper
+    # installed on this module sees every step
+    for j, window in step_windows(
+        model, initial_values, n_steps, step, rng, shared_noise=shared_noise
+    ):
+        if integrand is not None:
+            vals = np.array(integrand(window), dtype=float)  # may alias the ring buffer
+            if prev is None:
+                partial = np.zeros(vals.shape)
+                integrals = np.empty((len(integrate_at),) + vals.shape)
+            else:
+                partial += 0.5 * (prev + vals) * step
+            prev = vals
+            for i in integral_rows.get(j, ()):
+                integrals[i] = partial
+        if j in sample_rows:
+            value = window if sample is None else sample(window)
+            if samples is None:
+                samples = np.empty((len(sample_at),) + np.shape(value))
+            for i in sample_rows[j]:
+                samples[i] = value
+    return (np.empty(0) if samples is None else samples), integrals
 
 
 def simulate(
@@ -423,10 +522,9 @@ def simulate(
     if abs(initial.step - step) > _GRID_RTOL * max(1.0, step):
         raise ShapeError("initial segment grid step differs from the integration step")
     n_steps = _steps_for(horizon, step)
-    m = initial.n_nodes - 1
-    states = np.empty((m + 1 + n_steps, 1, initial.dim))
-    states[: m + 1] = initial.values[:, None, :]
-    for j, window in step_windows(model, initial.values[None], n_steps, step, rng):
-        if j > 0:
-            states[m + j] = window[:, -1, :]
-    return Trajectory(model, step, n_steps * step, states[:, 0, :], rng)
+    ends, _ = record(
+        model, initial.values[None], n_steps, step, rng,
+        sample_at=range(1, n_steps + 1), sample=lambda window: window[0, -1],
+    )
+    states = np.concatenate([initial.values, ends])
+    return Trajectory(model, step, n_steps * step, states, rng)

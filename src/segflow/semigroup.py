@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import Observable
 from .rng import RngStream
-from .segments import ModelSpec, step_windows
+from .segments import ModelSpec, record
 
 __all__ = [
     "GridProfile",
@@ -56,6 +56,18 @@ def _steps(t: float, dt: float, what: str) -> int:
     if k < 1 or abs(t - k * dt) > 1e-6 * max(1.0, abs(t)):
         raise ValueError(f"{what} {t!r} must be a positive multiple of dt={dt!r}")
     return k
+
+
+def _running_trapezoid(nodes: np.ndarray, h: float) -> np.ndarray:
+    """Overwrite the rows of ``nodes`` with their cumulative trapezoid sums
+    (spacing ``h``), accumulated from 0.0 in row order."""
+    prev = nodes[0].copy()
+    nodes[0] = 0.0
+    for k in range(1, nodes.shape[0]):
+        panel = 0.5 * (prev + nodes[k]) * h
+        prev[:] = nodes[k]
+        np.add(nodes[k - 1], panel, out=nodes[k])
+    return nodes
 
 
 class SemigroupEvaluator(ABC):
@@ -110,16 +122,15 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         states = np.asarray(states, dtype=float)
         n = states.shape[0]
         group = max(1, self.max_width // max(1, replicas))
-        rec = {int(s): i for i, s in enumerate(record_steps)}
         out = np.empty((n, len(record_steps), replicas))
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
             init = np.repeat(states[g0:g1], replicas, axis=0)
-            for j, window in step_windows(
-                self.model, init, n_steps, self.dt, rng.child(g0)
-            ):
-                if j in rec:
-                    out[g0:g1, rec[j]] = f.values(window).reshape(g1 - g0, replicas)
+            vals, _ = record(
+                self.model, init, n_steps, self.dt, rng.child(g0),
+                sample_at=record_steps, sample=f.values,
+            )
+            out[g0:g1] = vals.reshape(len(record_steps), g1 - g0, replicas).transpose(1, 0, 2)
         return out
 
     def values_on_grid(self, f, states, times, replicas, rng):
@@ -135,23 +146,6 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         n_steps -= n_steps % stride
         n_q = n_steps // stride  # quadrature nodes past t=0
 
-        class _Trapezoid:
-            def __init__(self, width):
-                self.partial = np.zeros(width)
-                self.prev = None
-                self.cums = np.empty((n_q + 1, width))
-
-            def step(self, j, vals):
-                if j % stride:
-                    return
-                if self.prev is not None:
-                    self.partial += 0.5 * (self.prev + vals) * (stride * dt)
-                self.prev = vals.copy()
-                self.cums[j // stride] = self.partial
-
-            def result(self):
-                return self.cums.transpose(1, 0)
-
         states = np.asarray(states, dtype=float)
         n = states.shape[0]
         grid = np.arange(n_q + 1) * (stride * dt)
@@ -161,10 +155,11 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
             init = np.repeat(states[g0:g1], replicas, axis=0)
-            acc = _Trapezoid((g1 - g0) * replicas)
-            for j, window in step_windows(self.model, init, n_steps, dt, rng.child(g0)):
-                acc.step(j, f.values(window))
-            cums = acc.result().reshape(g1 - g0, replicas, n_q + 1)
+            nodes, _ = record(
+                self.model, init, n_steps, dt, rng.child(g0),
+                sample_at=range(0, n_steps + 1, stride), sample=f.values,
+            )
+            cums = _running_trapezoid(nodes, stride * dt).T.reshape(g1 - g0, replicas, n_q + 1)
             values[g0:g1] = cums.mean(axis=1)
             ses[g0:g1] = cums.std(axis=1, ddof=1) / math.sqrt(replicas)
         return GridProfile(grid, values, ses)
@@ -290,14 +285,12 @@ class SdeChain:
         self, start_values: np.ndarray, n_units: int, rng: RngStream
     ) -> np.ndarray:
         """Run ``n_units`` unit steps; returns states (n_units+1, n, m+1, d)."""
-        start_values = np.asarray(start_values, dtype=float)
-        out = np.empty((n_units + 1,) + start_values.shape)
-        for j, window in step_windows(
-            self.model, start_values, n_units * self.per_unit, self.dt, rng
-        ):
-            if j % self.per_unit == 0:
-                out[j // self.per_unit] = window
-        return out
+        n_steps = n_units * self.per_unit
+        states, _ = record(
+            self.model, start_values, n_steps, self.dt, rng,
+            sample_at=range(0, n_steps + 1, self.per_unit),
+        )
+        return states
 
     def evaluator(self, max_width: int = 4096) -> SemigroupEvaluator:
         return MonteCarloSemigroup(self.model, self.dt, max_width=max_width)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segflow import cli
 from segflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -14,6 +15,7 @@ from segflow.cli import (
     run_experiment,
 )
 from segflow.config import parse_config_dict
+from segflow.limits import CltReport
 
 
 def write_cfg(tmp_path: Path, data: dict, name="cfg.json") -> str:
@@ -128,6 +130,33 @@ class TestFailurePaths:
         assert report["failures"]
         # structured failure record still contains the variance payload
         assert "variance" in report["payload"] or "error" in report["payload"]
+
+    def test_clt_nan_statistic_fails_closed(self, tmp_path, monkeypatch):
+        # a NaN compares False against any bound, so the decay check must be
+        # phrased to fail on it rather than let it pass
+        def nan_clt_test(model, f, xi, times, replicas, d_f, rng, n_boot=200):
+            times = np.asarray(times, dtype=float)
+            stats = np.array([0.05, np.nan])
+            return CltReport(times, stats, np.full(2, 0.01), d_f, replicas, degenerate=False)
+
+        monkeypatch.setattr(cli, "clt_test", nan_clt_test)
+        cfg = {
+            "kind": "clt",
+            "seed": 15,
+            "model": {"name": "linear_delay_ou"},
+            "numerics": {
+                "stat_n_traj": 8,
+                "samples_per_traj": 2,
+                "rate_n_traj": 32,
+                "rate_t_grid": [0.5, 1.0, 1.5, 2.0],
+                "inner_replicas": 8,
+                "outer_replicas": 4,
+                "max_atoms": 8,
+                "t_max": 2.0,
+            },
+        }
+        record = run_experiment(parse_config_dict(cfg), threads=1, out_dir=str(tmp_path / "o"))
+        assert record.failures == ["distribution distance failed to decay along the time grid"]
 
     def test_degenerate_noise_fails_assumptions(self, tmp_path):
         # the decay model declares no inverse diffusion bound: the ellipticity
