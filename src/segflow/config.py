@@ -1,7 +1,8 @@
 """Experiment configuration: strict JSON parsing, defaults, and echo.
 
 Configs are strict: unknown keys are rejected by name at every level, and
-every numeric knob is range-checked here rather than deep in a pipeline.
+every numeric knob is range-checked, and checked against the built model
+and the step grid, here rather than deep in a pipeline.
 ``echo`` returns the fully defaulted configuration, which is embedded in the
 report so a run can be reproduced exactly from its own output.
 """
@@ -200,6 +201,17 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 
 _TOP_KEYS = {"kind", "seed", "model", "observable", "metric", "numerics", "output_dir"}
 
+# Numerics the pipelines step to exactly, per kind: each must be a whole
+# number of steps numerics.dt, within the slack the pipelines allow.
+_DT_GRID_KEYS = {
+    "ergodicity": ("thinning", "t_grid"),
+    "slln": ("thinning",),
+    "clt": ("thinning", "rate_t_grid", "t_max"),
+    "lil": ("thinning", "rate_t_grid"),
+}
+# Kinds whose pipelines advance in unit-time steps.
+_UNIT_STEP_KINDS = ("clt", "lil", "full-suite")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -258,6 +270,29 @@ def _parse_named_block(raw: Any, key: str, required_name: bool = True) -> tuple[
     if not isinstance(params, dict):
         _fail(f"{key}.params", "expected an object")
     return name, dict(params)
+
+
+def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
+    """Cross-field checks that a pipeline would otherwise only fail mid-run."""
+    dt = num["dt"]
+    spans = [("model delay", model.delay)]
+    if kind in _UNIT_STEP_KINDS:
+        spans.append(("unit time", 1.0))
+    for what, span in spans:
+        ratio = span / dt
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            _fail("numerics.dt", f"step {dt!r} must divide the {what} {span!r}")
+    for key in _DT_GRID_KEYS.get(kind, ()):
+        for t in num[key] if isinstance(num[key], list) else [num[key]]:
+            k = round(t / dt)
+            if k < 1 or abs(t - k * dt) > 1e-6 * max(1.0, t):
+                _fail(f"numerics.{key}", f"{t!r} is not a whole number of steps dt={dt!r}")
+    if kind == "lil":
+        n_min, n_max, checkpoints = num["n_min"], num["n_max"], num["checkpoints"]
+        if n_min > n_max:
+            _fail("numerics.n_min", f"{n_min} exceeds n_max={n_max}")
+        if checkpoints and (checkpoints[0] < n_min or checkpoints[-1] > n_max):
+            _fail("numerics.checkpoints", f"entries must lie within [n_min, n_max] = [{n_min}, {n_max}]")
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
@@ -328,7 +363,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         output_dir=out_dir,
     )
     # building validates model/observable names and parameter ranges eagerly
-    cfg.build_model()
+    _check_against_model(kind, cfg.build_model(), numerics)
     cfg.build_observable()
     return cfg
 

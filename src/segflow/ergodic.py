@@ -167,26 +167,22 @@ def _coupled_blocked_wasserstein(
     """Blocked transport cost for two coupled clouds of equal width.
 
     Coupled partners must share a block, otherwise the assignment cannot see
-    the pathwise contraction; blocks therefore stride over a canonical order
-    of the *pairs* (lexicographic on the concatenated pair values), which
-    keeps partners together and makes the reduction a function of the pair
+    the pathwise contraction; blocks are therefore the strided blocks of the
+    *pairs* (one measure on the concatenated pair values), which keeps
+    partners together and makes the reduction a function of the pair
     multiset alone.
     """
-    n = a_vals.shape[0]
-    joint = np.concatenate([a_vals, b_vals], axis=1).reshape(n, -1)
-    order = np.lexsort(joint.T[::-1])
-    k = max(1, n // block)
-    vals = []
-    for i in range(min(k, n)):
-        ids = order[i::k][:block]
-        vals.append(
-            wasserstein(
-                EmpiricalMeasure(a_vals[ids], delay, step),
-                EmpiricalMeasure(b_vals[ids], delay, step),
-                mp,
-                cap=cap,
-            )
+    m1 = a_vals.shape[1]
+    pairs = EmpiricalMeasure(np.concatenate([a_vals, b_vals], axis=1), delay, step)
+    vals = [
+        wasserstein(
+            EmpiricalMeasure(blk.values[:, :m1], delay, step),
+            EmpiricalMeasure(blk.values[:, m1:], delay, step),
+            mp,
+            cap=cap,
         )
+        for blk in pairs.strided_blocks(block)
+    ]
     return float(np.mean(vals))
 
 

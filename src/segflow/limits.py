@@ -9,6 +9,10 @@ Estimator conventions
   computed from two independent half-estimates (``A`` and ``B`` streams):
   ``E[(Z + a)(Z + b)] = E[Z^2]`` when the half-noises ``a, b`` are independent
   and centered, so variance-type quantities carry no noise-squared bias.
+  The corrector config's type picks the scheme: a :class:`CorrectorConfig`
+  integrates ``P_t f`` in continuous time, a :class:`DiscreteCorrectorConfig`
+  sums ``P_k f`` at unit lags.  :func:`_increments` is the one place the
+  split one-step increment ``integral + end.{a,b} - base.{a,b}`` is built.
 * Truncation.  Corrector tails are bounded through a fitted decay rate; the
   truncation point is the earliest checkpoint where that bound drops below a
   fraction of the running estimate (capped by the configured maximum).
@@ -33,13 +37,7 @@ from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
 from .segments import ModelSpec, Segment, Trajectory, record, segment_at
-from .semigroup import (
-    GridProfile,
-    IidChain,
-    MonteCarloSemigroup,
-    SdeChain,
-    SemigroupEvaluator,
-)
+from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -175,6 +173,9 @@ class DiscreteCorrectorConfig:
         if self.rate_fit is None or not math.isfinite(self.rate_fit.beta_hat):
             raise ConfigurationError("discrete corrector needs a usable RateFit")
         return self.rate_fit
+
+
+AnyCorrectorConfig = Union[CorrectorConfig, DiscreteCorrectorConfig]
 
 
 def _norm_hint(f: AnyObservable) -> float:
@@ -399,80 +400,68 @@ class _HalfValues:
         return 0.5 * np.sqrt(self.se_a**2 + self.se_b**2)
 
 
-def _choose_truncation(
-    profile_a: GridProfile,
-    profile_b: GridProfile,
-    tail_at,
-    auto: bool,
-    tail_fraction: float,
-) -> int:
-    grid = profile_a.grid
-    if not auto:
-        return len(grid) - 1
-    running = 0.5 * (np.abs(profile_a.values) + np.abs(profile_b.values))
-    scale = np.median(running, axis=0)  # per grid point, across states
-    for i in range(1, len(grid)):
-        if tail_at(grid[i]) <= tail_fraction * max(scale[i], 1e-300):
-            return i
-    return len(grid) - 1
-
-
-def _halves(f: AnyObservable, states: np.ndarray, cfg, rng: RngStream, profile, tail) -> _HalfValues:
+def _halves(
+    f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
+    dt: float, rng: RngStream, k_from: int = 0,
+) -> _HalfValues:
     """Corrector values at ``states`` from two independent half budgets.
 
-    ``profile(f, states, replicas, rng)`` is one half-budget semigroup
-    profile (see :func:`_quadrature` and :func:`_partial_sums`) and ``tail``
-    the matching :class:`RateFit` bound, scaled by the observable's norm hint
-    and used by :func:`_choose_truncation`.
+    The type of ``cfg`` picks the scheme.  A :class:`CorrectorConfig`
+    integrates ``t -> P_t f`` by trapezoid quadrature up to ``cfg.t_max``
+    (quad step ``cfg.quad_step``, default ``dt``) with the
+    :meth:`RateFit.tail_integral_bound`; a :class:`DiscreteCorrectorConfig`
+    sums ``P_k f`` for k = ``k_from`` .. ``cfg.k_max`` with the
+    :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
+    checkpoint where that tail, scaled by the observable's norm hint, falls
+    below ``cfg.tail_fraction`` of the running value (median across states).
     """
     fit = cfg.require_rate_fit()
     half = max(1, cfg.replicas // 2)
-    pa = profile(f, states, half, rng.child(0))
-    pb = profile(f, states, half, rng.child(1))
+    if isinstance(cfg, DiscreteCorrectorConfig):
+        profile = lambda r: sg.discrete_profile(f, states, k_from, cfg.k_max, half, r)
+        tail = fit.tail_sum_bound
+    else:
+        quad = cfg.quad_step if cfg.quad_step is not None else dt
+        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, quad, half, r)
+        tail = fit.tail_integral_bound
+    pa = profile(rng.child(0))
+    pb = profile(rng.child(1))
     scale = _norm_hint(f)
-    bound = lambda x: scale * tail(fit, x.item())
-    idx = _choose_truncation(pa, pb, bound, cfg.auto_truncate, cfg.tail_fraction)
+    bound = lambda x: scale * tail(x.item())
+    grid = pa.grid
+    idx = len(grid) - 1
+    if cfg.auto_truncate:
+        running = np.median(0.5 * (np.abs(pa.values) + np.abs(pb.values)), axis=0)
+        for i in range(1, len(grid)):
+            if bound(grid[i]) <= cfg.tail_fraction * max(running[i], 1e-300):
+                idx = i
+                break
     return _HalfValues(
         a=pa.values[:, idx],
         b=pb.values[:, idx],
         se_a=pa.ses[:, idx],
         se_b=pb.ses[:, idx],
-        tail_bound=bound(pa.grid[idx]),
-        truncation=float(pa.grid[idx]),
+        tail_bound=bound(grid[idx]),
+        truncation=float(grid[idx]),
     )
-
-
-def _quadrature(sg: SemigroupEvaluator, cfg: CorrectorConfig, dt: float):
-    """Continuous-corrector profile: trapezoid of ``P_t f`` up to ``cfg.t_max``."""
-    quad = cfg.quad_step if cfg.quad_step is not None else dt
-    return lambda f, states, half, rng: sg.integral_profile(f, states, cfg.t_max, quad, half, rng)
-
-
-def _partial_sums(sg: SemigroupEvaluator, cfg: DiscreteCorrectorConfig, k_from: int = 0):
-    """Unit-lag corrector profile: sums of ``P_k f`` for k = k_from .. ``cfg.k_max``."""
-    return lambda f, states, half, rng: sg.discrete_profile(f, states, k_from, cfg.k_max, half, rng)
-
-
-def _default_sg(model: ModelSpec, dt: float, sg: Optional[SemigroupEvaluator]) -> SemigroupEvaluator:
-    return sg if sg is not None else MonteCarloSemigroup(model, dt)
 
 
 def corrector(
     sg: SemigroupEvaluator,
     f: AnyObservable,
     xi: Segment,
-    cfg: CorrectorConfig,
+    cfg: AnyCorrectorConfig,
     rng: RngStream,
 ) -> CorrectorEstimate:
     """Estimate the integrated semigroup deviation at one state.
 
     Trapezoid quadrature of ``t -> P_t f(xi)`` over the quad grid, with common
     random numbers across the grid, truncated where the fitted-rate tail bound
-    falls below ``cfg.tail_fraction`` of the running value.
+    falls below ``cfg.tail_fraction`` of the running value.  A
+    :class:`DiscreteCorrectorConfig` gives the unit-lag partial sum instead
+    (see :func:`discrete_corrector`).
     """
-    halves = _halves(
-        f, xi.values[None], cfg, rng, _quadrature(sg, cfg, xi.step), RateFit.tail_integral_bound
-    )
+    halves = _halves(f, xi.values[None], cfg, sg, xi.step, rng)
     return CorrectorEstimate(
         value=float(halves.mean()[0]),
         se=float(halves.mean_se()[0]),
@@ -489,13 +478,7 @@ def discrete_corrector(
     rng: RngStream,
 ) -> CorrectorEstimate:
     """Partial sum ``sum_{k=0}^{K} P_k f(xi)`` with a geometric tail bound."""
-    halves = _halves(f, xi.values[None], cfg, rng, _partial_sums(sg, cfg), RateFit.tail_sum_bound)
-    return CorrectorEstimate(
-        value=float(halves.mean()[0]),
-        se=float(halves.mean_se()[0]),
-        tail_bound=halves.tail_bound,
-        truncation=halves.truncation,
-    )
+    return corrector(sg, f, xi, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +507,68 @@ def _unit_run(
     return integrals[0], windows[-1], dict(zip(wanted, windows))
 
 
+def _as_chain(model_or_chain, dt: float) -> Chain:
+    if isinstance(model_or_chain, ModelSpec):
+        return SdeChain(model_or_chain, dt)
+    return model_or_chain
+
+
+@dataclass(frozen=True)
+class _Increments:
+    """Split-half one-step martingale increments from a batch of base states.
+
+    ``a``/``b`` hold ``outer`` increments per base state, state-major.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    base: _HalfValues  # corrector at the base states
+    end: _HalfValues  # corrector at the one-step states
+    end_states: np.ndarray
+    snapshots: dict
+
+
+def _increments(
+    model_or_chain,
+    f: AnyObservable,
+    states: np.ndarray,
+    outer: int,
+    cfg: AnyCorrectorConfig,
+    dt: float,
+    rng: RngStream,
+    sg: Optional[SemigroupEvaluator],
+    snapshot_steps: Sequence[int] = (),
+) -> _Increments:
+    """The one place the increment ``integral + end.{a,b} - base.{a,b}`` is built.
+
+    Each base state takes ``outer`` one-step transitions.  With a
+    :class:`CorrectorConfig` the step is one unit of the SDE and the integral
+    is ``integral_0^1 f(X_s) ds`` along it (``snapshot_steps`` records
+    interior windows); with a :class:`DiscreteCorrectorConfig` the step is
+    one unit of the chain and the integral is ``f`` at the base state.
+    Streams: base halves on ``rng.child(0)``, transitions on
+    ``rng.child(1)``, end halves on ``rng.child(2)``.
+    """
+    if sg is None:
+        sg = _as_chain(model_or_chain, dt).evaluator()
+    base = _halves(f, states, cfg, sg, dt, rng.child(0))
+    starts = np.repeat(states, outer, axis=0)
+    if isinstance(cfg, DiscreteCorrectorConfig):
+        ends = _as_chain(model_or_chain, dt).unit_states(starts, 1, rng.child(1))[1]
+        integrals, snaps = np.repeat(f.values(states), outer), {}
+    else:
+        integrals, ends, snaps = _unit_run(model_or_chain, f, starts, dt, rng.child(1), snapshot_steps)
+    end = _halves(f, ends, cfg, sg, dt, rng.child(2))
+    return _Increments(
+        a=integrals + end.a - np.repeat(base.a, outer),
+        b=integrals + end.b - np.repeat(base.b, outer),
+        base=base,
+        end=end,
+        end_states=ends,
+        snapshots=snaps,
+    )
+
+
 @dataclass(frozen=True)
 class PhiEstimate:
     value: float
@@ -531,52 +576,6 @@ class PhiEstimate:
     truncation: float
     tail_bound: float
     replicas: int
-
-
-@dataclass(frozen=True)
-class _PhiCore:
-    """Intermediate products of the one-step variance estimate at one state."""
-
-    products: np.ndarray  # (outer,) cross products
-    inc_a: np.ndarray
-    inc_b: np.ndarray
-    base_halves: _HalfValues  # corrector at the base state
-    end_halves: _HalfValues  # corrector at the one-step states
-    unit_integrals: np.ndarray
-    end_states: np.ndarray
-    snapshots: dict
-
-
-def _phi_core(
-    model: ModelSpec,
-    f: AnyObservable,
-    xi_values: np.ndarray,
-    outer: int,
-    cfg: CorrectorConfig,
-    dt: float,
-    rng: RngStream,
-    sg: Optional[SemigroupEvaluator],
-    snapshot_steps: Sequence[int] = (),
-) -> _PhiCore:
-    sg = _default_sg(model, dt, sg)
-    profile = _quadrature(sg, cfg, dt)
-    tail = RateFit.tail_integral_bound
-    base = _halves(f, xi_values[None], cfg, rng.child(0), profile, tail)
-    starts = np.broadcast_to(xi_values, (outer,) + xi_values.shape).copy()
-    integrals, ends, snaps = _unit_run(model, f, starts, dt, rng.child(1), snapshot_steps)
-    end = _halves(f, ends, cfg, rng.child(2), profile, tail)
-    inc_a = integrals + end.a - base.a[0]
-    inc_b = integrals + end.b - base.b[0]
-    return _PhiCore(
-        products=inc_a * inc_b,
-        inc_a=inc_a,
-        inc_b=inc_b,
-        base_halves=base,
-        end_halves=end,
-        unit_integrals=integrals,
-        end_states=ends,
-        snapshots=snaps,
-    )
 
 
 def phi_f(
@@ -594,20 +593,21 @@ def phi_f(
     is the product of two half-estimates with independent corrector noise, so
     the estimate is free of inner-noise-squared bias.
     """
-    core = _phi_core(model, f, xi.values, replicas, corrector_cfg, xi.step, rng, sg)
-    value = float(core.products.mean())
-    se = float(core.products.std(ddof=1) / math.sqrt(replicas))
+    inc = _increments(model, f, xi.values[None], replicas, corrector_cfg, xi.step, rng, sg)
+    products = inc.a * inc.b
+    value = float(products.mean())
+    se = float(products.std(ddof=1) / math.sqrt(replicas))
     # the base-state corrector noise is shared across replicas; its first-order
     # effect scales with the mean increment, which is zero in expectation
     se_common = math.hypot(
-        abs(float(core.inc_b.mean())) * float(core.base_halves.se_a[0]),
-        abs(float(core.inc_a.mean())) * float(core.base_halves.se_b[0]),
+        abs(float(inc.b.mean())) * float(inc.base.se_a[0]),
+        abs(float(inc.a.mean())) * float(inc.base.se_b[0]),
     )
     return PhiEstimate(
         value=value,
         se=math.hypot(se, se_common),
-        truncation=core.base_halves.truncation,
-        tail_bound=core.base_halves.tail_bound,
+        truncation=inc.base.truncation,
+        tail_bound=inc.base.tail_bound,
         replicas=replicas,
     )
 
@@ -644,10 +644,9 @@ def _variance_pipeline(
     f: CenteredObservable,
     stationary: EmpiricalMeasure,
     outer: int,
-    cfg,
+    cfg: AnyCorrectorConfig,
     rng: RngStream,
     sg: Optional[SemigroupEvaluator],
-    discrete: bool,
     max_atoms: Optional[int],
 ) -> VarianceReport:
     atoms = stationary
@@ -656,32 +655,12 @@ def _variance_pipeline(
         idx = np.unique((np.arange(max_atoms) * stride).astype(int))
         atoms = stationary.take(idx)
     n = atoms.n
-    dt = atoms.step
+    discrete = isinstance(cfg, DiscreteCorrectorConfig)
 
-    if discrete:
-        chain = model_or_chain if not isinstance(model_or_chain, ModelSpec) else SdeChain(model_or_chain, dt)
-        sg = sg if sg is not None else chain.evaluator()
-        profile, tail = _partial_sums(sg, cfg), RateFit.tail_sum_bound
-    else:
-        model = model_or_chain
-        sg = _default_sg(model, dt, sg)
-        profile, tail = _quadrature(sg, cfg, dt), RateFit.tail_integral_bound
-
-    # corrector halves at every atom (reused by both sides of the identity)
-    base = _halves(f, atoms.values, cfg, rng.child(0), profile, tail)
-
-    # one-step transitions: all atoms' outer replicas in one batch
-    starts = np.repeat(atoms.values, outer, axis=0)
-    if discrete:
-        ends = chain.unit_states(starts, 1, rng.child(1))[1]
-        integ = np.repeat(f.values(atoms.values), outer)
-    else:
-        integ, ends, _ = _unit_run(model, f, starts, dt, rng.child(1))
-    end = _halves(f, ends, cfg, rng.child(2), profile, tail)
-
-    inc_a = integ + end.a - np.repeat(base.a, outer)
-    inc_b = integ + end.b - np.repeat(base.b, outer)
-    phi_atom = (inc_a * inc_b).reshape(n, outer).mean(axis=1)
+    # the base-state corrector halves are reused by both sides of the identity
+    inc = _increments(model_or_chain, f, atoms.values, outer, cfg, atoms.step, rng, sg)
+    base = inc.base
+    phi_atom = (inc.a * inc.b).reshape(n, outer).mean(axis=1)
 
     f_atom = f.values(atoms.values)
     cross_atom = 2.0 * f_atom * base.mean()
@@ -736,9 +715,7 @@ def variance_D(
     :class:`EstimatorInconsistencyError` when the variance estimate is
     negative beyond two standard errors.
     """
-    return _variance_pipeline(
-        model, f, stationary, outer_replicas, cfg, rng, sg, discrete=False, max_atoms=max_atoms
-    )
+    return _variance_pipeline(model, f, stationary, outer_replicas, cfg, rng, sg, max_atoms)
 
 
 def variance_D_discrete(
@@ -752,9 +729,7 @@ def variance_D_discrete(
     max_atoms: Optional[int] = None,
 ) -> VarianceReport:
     """Unit-lag analogue of :func:`variance_D` for the integer-time pipeline."""
-    return _variance_pipeline(
-        model_or_chain, f, stationary, outer_replicas, cfg, rng, sg, discrete=True, max_atoms=max_atoms
-    )
+    return _variance_pipeline(model_or_chain, f, stationary, outer_replicas, cfg, rng, sg, max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -803,34 +778,32 @@ def vph_residual(
         raise ValueError("s_nodes - 1 must divide the unit step count")
     stride = per_unit // (s_nodes - 1)
     interior = [k * stride for k in range(1, s_nodes - 1)]
-    core = _phi_core(
-        model, f, xi.values, replicas, cfg, dt, rng, sg, snapshot_steps=interior
-    )
-    phi_val = float(core.products.mean())
-    phi_se = float(core.products.std(ddof=1) / math.sqrt(replicas))
+    sg = sg if sg is not None else MonteCarloSemigroup(model, dt)
+    inc = _increments(model, f, xi.values[None], replicas, cfg, dt, rng, sg, snapshot_steps=interior)
+    products = inc.a * inc.b
+    phi_val = float(products.mean())
+    phi_se = float(products.std(ddof=1) / math.sqrt(replicas))
 
     # P_1(R^2): half-product at the one-step states
-    sq_end = core.end_halves.a * core.end_halves.b
+    sq_end = inc.end.a * inc.end.b
     step_sq = float(sq_end.mean())
     step_sq_se = float(sq_end.std(ddof=1) / math.sqrt(replicas))
 
-    base_sq = float(core.base_halves.a[0] * core.base_halves.b[0])
+    base = inc.base
+    base_sq = float(base.a[0] * base.b[0])
     base_sq_se = math.hypot(
-        float(core.base_halves.a[0]) * float(core.base_halves.se_b[0]),
-        float(core.base_halves.b[0]) * float(core.base_halves.se_a[0]),
+        float(base.a[0]) * float(base.se_b[0]),
+        float(base.b[0]) * float(base.se_a[0]),
     )
 
     # f * R along the path at the s-grid; corrector halves at interior nodes
-    sg_eval = _default_sg(model, dt, sg)
     fr = np.empty((s_nodes, replicas))
     f_xi = float(f.values(xi.values[None])[0])
-    fr[0] = f_xi * float(core.base_halves.mean()[0])
-    fr[-1] = f.values(core.end_states) * core.end_halves.mean()
+    fr[0] = f_xi * float(base.mean()[0])
+    fr[-1] = f.values(inc.end_states) * inc.end.mean()
     for i, step_idx in enumerate(interior):
-        snap = core.snapshots[step_idx]
-        halves = _halves(
-            f, snap, cfg, rng.child(10 + i), _quadrature(sg_eval, cfg, dt), RateFit.tail_integral_bound
-        )
+        snap = inc.snapshots[step_idx]
+        halves = _halves(f, snap, cfg, sg, dt, rng.child(10 + i))
         fr[i + 1] = f.values(snap) * halves.mean()
     ds = 1.0 / (s_nodes - 1)
     per_path = np.trapezoid(fr, dx=ds, axis=0)
@@ -897,7 +870,7 @@ def clt_statistic(samples: np.ndarray, d_f: float) -> float:
     standard deviation ``d_f``.  ``d_f = 0``: the weighted sup-distance
     ``sup_z (1 and |z|) |F_emp(z) - 1_{z>=0}(z)|`` to the point mass at zero.
     """
-    if d_f < 0:
+    if not d_f >= 0:
         raise ValueError("d_f must be non-negative")
     if d_f == 0.0:
         return weighted_degenerate_statistic(samples)
@@ -921,7 +894,7 @@ def clt_test(
     be non-increasing in ``t`` up to Monte Carlo noise.  At least 500
     replicas are required for the distribution distance to mean anything.
     """
-    if d_f < 0:
+    if not d_f >= 0:
         raise ValueError("d_f must be non-negative")
     if replicas < 500:
         raise ValueError("clt_test needs at least 500 replicas")
@@ -938,12 +911,6 @@ def clt_test(
 # ---------------------------------------------------------------------------
 # discrete martingale pipeline
 # ---------------------------------------------------------------------------
-
-
-def _as_chain(model_or_chain, dt: float) -> Chain:
-    if isinstance(model_or_chain, ModelSpec):
-        return SdeChain(model_or_chain, dt)
-    return model_or_chain
 
 
 @dataclass(frozen=True)
@@ -987,7 +954,7 @@ def martingale_increments(
     sg = sg if sg is not None else chain.evaluator()
     states = chain.unit_states(xi.values[None], n, rng.child(0))[:, 0]  # (n+1, m+1, d)
     f_vals = f.values(states)
-    q = _halves(f, states, cfg, rng.child(1), _partial_sums(sg, cfg, k_from=1), RateFit.tail_sum_bound)
+    q = _halves(f, states, cfg, sg, xi.step, rng.child(1), k_from=1)
     z_a = f_vals[1:] + q.a[1:] - q.a[:-1]
     z_b = f_vals[1:] + q.b[1:] - q.b[:-1]
     z = 0.5 * (z_a + z_b)
@@ -1112,9 +1079,8 @@ def qv_lln_check(
     states = chain.unit_states(starts, n, rng.child(1))  # (n+1, R, m+1, d)
     f_all = np.stack([f.values(states[k]) for k in range(n)])  # k = 0..n-1
     sum_f = f_all.sum(axis=0)
-    profile, tail = _partial_sums(sg, cfg), RateFit.tail_sum_bound
-    r_end = _halves(f, states[n], cfg, rng.child(2), profile, tail)
-    r_base = _halves(f, xi.values[None], cfg, rng.child(3), profile, tail)
+    r_end = _halves(f, states[n], cfg, sg, xi.step, rng.child(2))
+    r_base = _halves(f, xi.values[None], cfg, sg, xi.step, rng.child(3))
     m_a = sum_f + r_end.a - r_base.a[0]
     m_b = sum_f + r_end.b - r_base.b[0]
     prod = m_a * m_b / n
@@ -1186,7 +1152,7 @@ def lil_run(
     ``d_hat`` must be the positive discrete variance constant; ``n_min >= 16``
     keeps the double logarithm comfortably positive.
     """
-    if d_hat <= 0:
+    if not d_hat > 0:
         raise ValueError("d_hat must be positive")
     if n_max < 16:
         raise ValueError("n_max must be at least 16")

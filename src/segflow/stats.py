@@ -62,7 +62,7 @@ def kolmogorov_statistic(samples: np.ndarray, sd: float) -> float:
     max_i of max(i/n - F(z_(i)), F(z_(i)) - (i-1)/n), exact for a step
     function against a continuous CDF.
     """
-    if sd <= 0:
+    if not sd > 0:
         raise ValueError("sd must be positive; use the weighted statistic for sd=0")
     z = np.sort(np.asarray(samples, dtype=float))
     n = z.size

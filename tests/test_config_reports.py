@@ -100,6 +100,37 @@ class TestParseConfig:
         path = write_cfg(tmp_path, minimal(kind="lil", numerics={"checkpoints": [64, 32]}))
         with pytest.raises(ConfigError):
             parse_config(path)
+        # cross-field: n_min <= n_max and checkpoints within [n_min, n_max]
+        for numerics, key in (
+            ({"n_max": 64, "checkpoints": [16, 128]}, "numerics.checkpoints"),
+            ({"n_min": 32, "checkpoints": [16, 64]}, "numerics.checkpoints"),
+            ({"n_min": 128, "n_max": 64}, "numerics.n_min"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(minimal(kind="lil", numerics=numerics))
+            assert err.value.key == key
+
+    def test_dt_grid_validated_against_model(self):
+        # dt must divide the model delay and, for unit-step kinds, the unit time
+        delay_06 = {"model": {"name": "linear_delay_ou", "params": {"r0": 0.6}}}
+        for kind, extra, numerics, key in (
+            ("slln", {}, {"dt": 0.3}, "numerics.dt"),
+            ("ergodicity", {}, {"dt": 0.3}, "numerics.dt"),
+            ("lil", delay_06, {"dt": 0.3}, "numerics.dt"),
+            ("clt", delay_06, {"dt": 0.3}, "numerics.dt"),
+            ("full-suite", delay_06, {"dt": 0.3}, "numerics.dt"),
+            ("slln", {}, {"thinning": 1.001}, "numerics.thinning"),
+            ("ergodicity", {}, {"t_grid": [0.5, 1.003]}, "numerics.t_grid"),
+            ("clt", {}, {"rate_t_grid": [0.5, 1.0, 1.001]}, "numerics.rate_t_grid"),
+            ("lil", {}, {"rate_t_grid": [0.001, 1.0, 2.0]}, "numerics.rate_t_grid"),
+            ("clt", {}, {"t_max": 4.001}, "numerics.t_max"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))
+            assert err.value.key == key
+        # kinds that never step to these values accept them
+        parse_config_dict(minimal(kind="slln", numerics={"dt": 0.3, "thinning": 0.6}, **delay_06))
+        parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
 
 
 class TestReportRecord:

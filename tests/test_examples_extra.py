@@ -94,12 +94,16 @@ class TestCltDegenerate:
     def test_replica_floor_enforced(self, ref_model, f_centered):
         with pytest.raises(ValueError):
             clt_test(ref_model, f_centered, constant_segment(0.0, R0, DT), [1.0], 100, 0.5, RngStream(4))
+        with pytest.raises(ValueError):
+            clt_test(ref_model, f_centered, constant_segment(0.0, R0, DT), [1.0], 500, math.nan, RngStream(4))
 
 
 class TestLilDomainErrors:
     def test_nonpositive_d_hat_rejected(self, ref_model, f_centered):
         with pytest.raises(ValueError):
             lil_run(ref_model, f_centered, constant_segment(0.0, R0, DT), 64, 0.0, [16, 64], RngStream(5))
+        with pytest.raises(ValueError):
+            lil_run(ref_model, f_centered, constant_segment(0.0, R0, DT), 64, math.nan, [16, 64], RngStream(5))
 
     def test_small_n_max_rejected(self, ref_model, f_centered):
         with pytest.raises(ValueError):

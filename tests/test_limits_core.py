@@ -229,6 +229,10 @@ class TestCltStatistics:
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):
             clt_statistic(np.zeros(10), -1.0)
+        with pytest.raises(ValueError):
+            clt_statistic(np.zeros(10), math.nan)
+        with pytest.raises(ValueError):
+            kolmogorov_statistic(np.zeros(10), math.nan)
 
 
 class TestCameronMartin:

@@ -10,6 +10,7 @@ from segflow import (
     CenteredObservable,
     CorrectorConfig,
     DiscreteCorrectorConfig,
+    EmpiricalMeasure,
     IidChain,
     MonteCarloSemigroup,
     RngStream,
@@ -56,6 +57,18 @@ class TestPhiF:
         a = phi_f(ref_model, f_centered, xi, 24, corrector_cfg, rng)
         b = phi_f(ref_model, f_centered.scaled(-1.0), xi, 24, corrector_cfg, rng)
         assert a.value == b.value
+
+    def test_one_atom_variance_equals_phi(self, ref_model, f_centered, corrector_cfg):
+        # variance_D and phi_f build the same split-half increments: on a
+        # one-atom measure at the same stream they agree bit for bit
+        xi = constant_segment(0.2, R0, DT)
+        rng = RngStream(SEED).child(9)
+        atom = EmpiricalMeasure(xi.values[None], R0, DT)
+        var = variance_D(ref_model, f_centered, atom, corrector_cfg, rng, outer_replicas=16)
+        phi = phi_f(ref_model, f_centered, xi, 16, corrector_cfg, rng)
+        assert var.d_sq == phi.value
+        assert var.truncation == phi.truncation
+        assert var.tail_bound == phi.tail_bound
 
     def test_positive_and_stable_under_replica_doubling(self, ref_model, f_centered, corrector_cfg):
         xi = constant_segment(0.0, R0, DT)
