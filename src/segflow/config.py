@@ -20,6 +20,7 @@ from .errors import ConfigError
 from .metric import MetricParams
 from .registry import build_model, build_observable
 from .segments import ModelSpec
+from .semigroup import _steps
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_dict", "EXPERIMENT_KINDS"]
 
@@ -275,13 +276,14 @@ def _parse_named_block(raw: Any, key: str, required_name: bool = True) -> tuple[
 def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
     """Cross-field checks that a pipeline would otherwise only fail mid-run."""
     dt = num["dt"]
-    spans = [("model delay", model.delay)]
+    ratio = model.delay / dt
+    if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        _fail("numerics.dt", f"step {dt!r} must divide the model delay {model.delay!r}")
     if kind in _UNIT_STEP_KINDS:
-        spans.append(("unit time", 1.0))
-    for what, span in spans:
-        ratio = span / dt
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            _fail("numerics.dt", f"step {dt!r} must divide the {what} {span!r}")
+        try:
+            _steps(1.0, dt, "unit time")  # the rule every unit-step pipeline applies
+        except ValueError as exc:
+            _fail("numerics.dt", str(exc))
     for key in _DT_GRID_KEYS.get(kind, ()):
         for t in num[key] if isinstance(num[key], list) else [num[key]]:
             k = round(t / dt)

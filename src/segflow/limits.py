@@ -37,7 +37,7 @@ from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
 from .segments import ModelSpec, Segment, Trajectory, record, segment_at
-from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
+from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator, _steps
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -496,9 +496,7 @@ def _unit_run(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """One unit of time for a batch: returns (unit integrals of f, final
     states, snapshots at requested intermediate steps)."""
-    per_unit = int(round(1.0 / dt))
-    if abs(per_unit * dt - 1.0) > 1e-9:
-        raise ValueError(f"dt={dt!r} must divide the unit time")
+    per_unit = _steps(1.0, dt, "unit time")
     wanted = sorted(set(int(s) for s in snapshot_steps))
     windows, integrals = record(
         model, start_values, per_unit, dt, rng,

@@ -136,9 +136,6 @@ class EmpiricalMeasure:
     def atom(self, i: int) -> Segment:
         return Segment(self.values[i], self.delay, self.step)
 
-    def sup_norms(self) -> np.ndarray:
-        return batch_sup_norms(self.values)
-
     def take(self, indices: np.ndarray) -> "EmpiricalMeasure":
         g = None if self.groups is None else self.groups[indices]
         return EmpiricalMeasure(self.values[indices], self.delay, self.step, g)

@@ -37,22 +37,15 @@ def _linear_delay_ou(a: float = 2.0, b: float = 0.1, r0: float = 0.5, sigma: flo
     a, b, sigma = float(a), float(b), float(sigma)
     sig_mat = sigma * np.eye(dim)
 
-    def drift(seg: Segment) -> np.ndarray:
-        return -a * seg.values[-1] + b * seg.values[0]
-
-    def drift_batch(segs: np.ndarray) -> np.ndarray:
-        return -a * segs[:, -1, :] + b * segs[:, 0, :]
-
     return ModelSpec(
         dim=dim,
         delay=r0,
-        drift=drift,
+        drift_ends=lambda now, oldest: -a * now + b * oldest,
         diffusion=lambda seg: sig_mat,
         lambda1=2.0 * a - abs(b),
         lambda2=abs(b),
         sigma_bound=abs(sigma),
         sigma_inv_bound=1.0 / abs(sigma),
-        drift_batch=drift_batch,
         diffusion_is_constant=True,
         name="linear_delay_ou",
     )
@@ -68,12 +61,6 @@ def _tanh_diffusion(a: float = 2.0, b: float = 0.1, r0: float = 0.5, dim: int = 
     """
     a, b = float(a), float(b)
 
-    def drift(seg: Segment) -> np.ndarray:
-        return -a * seg.values[-1] + b * np.sin(seg.values[0])
-
-    def drift_batch(segs: np.ndarray) -> np.ndarray:
-        return -a * segs[:, -1, :] + b * np.sin(segs[:, 0, :])
-
     def diffusion(seg: Segment) -> np.ndarray:
         return np.diag(1.0 + 0.5 * np.tanh(seg.values[-1]))
 
@@ -83,13 +70,12 @@ def _tanh_diffusion(a: float = 2.0, b: float = 0.1, r0: float = 0.5, dim: int = 
     return ModelSpec(
         dim=dim,
         delay=r0,
-        drift=drift,
+        drift_ends=lambda now, oldest: -a * now + b * np.sin(oldest),
         diffusion=diffusion,
         lambda1=2.0 * a - abs(b),
         lambda2=abs(b),
         sigma_bound=1.5,
         sigma_inv_bound=2.0,
-        drift_batch=drift_batch,
         diffusion_batch=diffusion_batch,
         name="tanh_diffusion",
     )
@@ -105,22 +91,15 @@ def _deterministic_decay(rate: float = 1.0, r0: float = 0.5, dim: int = 1) -> Mo
         raise ConfigError("rate must be positive")
     zero = np.zeros((dim, dim))
 
-    def drift(seg: Segment) -> np.ndarray:
-        return -rate * seg.values[-1]
-
-    def drift_batch(segs: np.ndarray) -> np.ndarray:
-        return -rate * segs[:, -1, :]
-
     return ModelSpec(
         dim=dim,
         delay=r0,
-        drift=drift,
+        drift_ends=lambda now, oldest: -rate * now,
         diffusion=lambda seg: zero,
         lambda1=2.0 * rate,
         lambda2=0.0,
         sigma_bound=0.0,
         sigma_inv_bound=None,
-        drift_batch=drift_batch,
         diffusion_is_constant=True,
         name="deterministic_decay",
     )

@@ -25,7 +25,9 @@ chosen steps, plus running trapezoid integrals of an observable.  With
 ``shared_noise`` the batch is two equal halves driven by the same Gaussian
 increments, the synchronous coupling of two ensembles.  The Euler loop
 itself lives in :func:`step_windows`, whose recycled ring buffer never
-leaves this module.
+leaves this module.  A single one-dimensional path runs on Python floats
+with the same operation order, so it is bit-identical to the batched loop
+at width 1 and several times faster.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ __all__ = [
 
 # Relative slack when testing that step divides delay (one representable unit).
 _GRID_RTOL = 1e-9
+# Normal draws per generator call on narrow batches.
+_ZBLOCK = 4096
+# Ring-buffer rows of a single path: one precomputed window view per row.
+_SCALAR_ROWS = 4096
 
 
 def _history_nodes(delay: float, step: float) -> int:
@@ -135,15 +141,25 @@ def batch_sup_norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt((values**2).sum(axis=2)).max(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelSpec:
     """Coefficients of a path-dependent SDE plus its declared constants.
+
+    Every field is keyword-only.
 
     Parameters
     ----------
     dim, delay: state dimension and history-window length.
     drift, diffusion: coefficient maps on single segments.  ``drift`` returns
         a length-``dim`` vector, ``diffusion`` a ``(dim, dim)`` matrix.
+        ``drift`` may be omitted when ``drift_ends`` is given.
+    drift_ends: optional drift written as an elementwise function
+        ``drift_ends(now, oldest)`` of the window's current node and its
+        oldest node.  The same expression must serve Python floats and numpy
+        arrays and give bit for bit the same value on both: the width-1
+        integrator calls it on floats, and ``drift`` and ``drift_batch``,
+        when not given, are derived from it on arrays.  An arithmetic error
+        raised on floats counts as a non-finite drift.
     lambda1, lambda2: declared dissipativity constants.  Construction checks
         the side condition ``lambda1 > lambda2 * exp(lambda1 * delay)``.
     sigma_bound, sigma_inv_bound: declared uniform operator-norm bounds on the
@@ -160,12 +176,13 @@ class ModelSpec:
 
     dim: int
     delay: float
-    drift: Callable[[Segment], np.ndarray]
+    drift: Optional[Callable[[Segment], np.ndarray]] = None
     diffusion: Callable[[Segment], np.ndarray]
     lambda1: float
     lambda2: float
     sigma_bound: float
     sigma_inv_bound: Optional[float]
+    drift_ends: Optional[Callable] = None
     drift_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     diffusion_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     diffusion_is_constant: bool = False
@@ -186,6 +203,16 @@ class ModelSpec:
                 f"dissipativity side condition violated: lambda1={self.lambda1} must exceed "
                 f"lambda2*exp(lambda1*delay)={self.lambda2 * math.exp(self.lambda1 * self.delay):.6g}"
             )
+        ends = self.drift_ends
+        if ends is not None:
+            if self.drift is None:
+                object.__setattr__(self, "drift", lambda seg: ends(seg.values[-1], seg.values[0]))
+            if self.drift_batch is None:
+                object.__setattr__(
+                    self, "drift_batch", lambda segs: ends(segs[:, -1, :], segs[:, 0, :])
+                )
+        elif self.drift is None:
+            raise ValueError("a model needs drift or drift_ends")
         if not (0 <= self.sigma_bound < math.inf):
             raise ValueError("sigma_bound must be finite and non-negative")
         if self.sigma_inv_bound is not None and not (0 < self.sigma_inv_bound < math.inf):
@@ -286,17 +313,23 @@ class _BatchCoefficients:
             out[i] = self.model.drift(Segment(segs[i], self.delay, self.step))
         return out
 
+    def constant_scalar(self, segs: np.ndarray) -> Optional[float]:
+        """The diffusion as one float when it is a constant scalar, else None."""
+        if not self.model.diffusion_is_constant:
+            return None
+        if self._const_sigma is None:
+            sig = np.asarray(
+                self.model.diffusion(Segment(segs[0], self.delay, self.step)), dtype=float
+            )
+            self._const_sigma = sig
+            if sig.ndim == 0 or (sig.ndim == 2 and sig.shape == (1, 1)):
+                self._const_scalar = float(np.ravel(sig)[0])
+        return self._const_scalar
+
     def noise(self, segs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Apply the diffusion matrix to scaled normal draws ``z`` of shape (n, d)."""
         if self.model.diffusion_is_constant:
-            if self._const_sigma is None:
-                sig = np.asarray(
-                    self.model.diffusion(Segment(segs[0], self.delay, self.step)), dtype=float
-                )
-                self._const_sigma = sig
-                if sig.ndim == 0 or (sig.ndim == 2 and sig.shape == (1, 1)):
-                    self._const_scalar = float(np.ravel(sig)[0])
-            if self._const_scalar is not None:
+            if self.constant_scalar(segs) is not None:
                 return self._const_scalar * z
             return z @ self._const_sigma.T
         if self.model.diffusion_batch is not None:
@@ -359,7 +392,8 @@ def step_windows(
 
     # Time-major ring buffer: rows are grid times, windows are contiguous views.
     if chunk is None:
-        chunk = max(2 * (m + 1), int(4_000_000 // max(1, n * d)))
+        # a single path keeps one precomputed view per row, so its ring stays short
+        chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else int(4_000_000 // max(1, n * d)))
     rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
     buf = np.empty((rows + m + 1, n, d))
     buf[: m + 1] = init.transpose(1, 0, 2)
@@ -367,16 +401,18 @@ def step_windows(
 
     if not np.isfinite(buf[: m + 1]).all():
         raise NumericBlowupError("non-finite initial segment", 0.0)
+    if n * d == 1:
+        yield from _scalar_windows(coeffs, buf, m, n_steps, step, gen)
+        return
 
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is identical either way (values come off the stream in order)
     nz = n // 2 if shared_noise else n
-    zblock = max(1, 4096 // max(1, nz * d)) if nz * d <= 256 else 1
+    zblock = max(1, _ZBLOCK // max(1, nz * d)) if nz * d <= 256 else 1
     zbuf = np.empty((zblock, nz, d)) if zblock > 1 else None
     zoff = zblock  # force a refill on first use
     zdraw = np.empty((nz, d))
     zz = np.empty((n, d)) if shared_noise else None
-    scalar_state = n * d == 1
 
     yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
 
@@ -404,12 +440,81 @@ def step_windows(
         np.add(window[-1], noise, out=nxt)
         nxt += drift * step
         head += 1
-        total = nxt[0, 0] if scalar_state else float(nxt.sum())
+        total = float(nxt.sum())
         if not math.isfinite(total):  # NaN/Inf propagate through the sum
             if not np.isfinite(drift).all() or not np.isfinite(noise).all():
                 raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
             raise NumericBlowupError("state became non-finite", j * step)
         yield j, buf[head - m : head + 1].transpose(1, 0, 2)
+
+
+def _scalar_windows(
+    coeffs: _BatchCoefficients,
+    buf: np.ndarray,
+    m: int,
+    n_steps: int,
+    step: float,
+    gen: np.random.Generator,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`step_windows` for a single one-dimensional path, on Python floats.
+
+    The state update keeps the batched loop's operation order,
+    ``x = (x + c*(z*sqrt(dt))) + drift*dt``, and the normals come off the
+    stream in the same blocks, so every state is bit-identical to the
+    batched loop at width 1.  ``drift_ends`` is called on floats when the
+    diffusion is a constant scalar; any other model gets its own batched
+    callbacks on the current window.  ``buf`` is the (rows, 1, 1) ring buffer
+    whose first ``m+1`` rows hold the initial segment; the windows yielded
+    are precomputed read-only views of it.
+    """
+    flat = buf.reshape(-1)
+    path = flat.tolist()  # float copy of the ring, read by drift_ends
+    views = [buf[h - m : h + 1].transpose(1, 0, 2) for h in range(m, flat.size)]
+    for view in views:
+        view.flags.writeable = False
+    sq = math.sqrt(step)
+    c = coeffs.constant_scalar(views[0])
+    ends = coeffs.model.drift_ends if c is not None else None
+    zarr = np.empty((1, 1))
+    zs, zoff = [], _ZBLOCK
+    head = m
+    x = path[head]
+
+    yield 0, views[0]
+
+    for j in range(1, n_steps + 1):
+        if head + 1 == flat.size:
+            flat[: m + 1] = flat[head - m : head + 1]
+            path[: m + 1] = path[head - m : head + 1]
+            head = m
+        if zoff == _ZBLOCK:
+            zs = gen.standard_normal(_ZBLOCK).tolist()
+            zoff = 0
+        z = zs[zoff]
+        zoff += 1
+        if ends is not None:
+            try:
+                drift = ends(x, path[head - m])
+            except ArithmeticError:  # where numpy returns inf or nan
+                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
+            noise = c * (z * sq)
+        else:
+            window = views[head - m]
+            drift = coeffs.drift(window).item()
+            if c is not None:
+                noise = c * (z * sq)
+            else:
+                zarr[0, 0] = z * sq
+                noise = coeffs.noise(window, zarr).item()
+        x = (x + noise) + drift * step
+        head += 1
+        flat[head] = x
+        path[head] = x
+        if not math.isfinite(x):
+            if not (math.isfinite(drift) and math.isfinite(noise)):
+                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
+            raise NumericBlowupError("state became non-finite", j * step)
+        yield j, views[head - m]
 
 
 def record(

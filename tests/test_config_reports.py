@@ -9,6 +9,10 @@ import pytest
 
 from segflow import ConfigError
 from segflow.config import parse_config, parse_config_dict
+from segflow.limits import _unit_run
+from segflow.registry import build_model, build_observable
+from segflow.rng import RngStream
+from segflow.semigroup import SdeChain
 from segflow.reports import (
     CSV_SCHEMAS,
     ReportRecord,
@@ -131,6 +135,34 @@ class TestParseConfig:
         # kinds that never step to these values accept them
         parse_config_dict(minimal(kind="slln", numerics={"dt": 0.3, "thinning": 0.6}, **delay_06))
         parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
+
+    def test_one_unit_step_rule(self):
+        # dt a hair off 1/128 (the delay is exactly 64 steps): inside the unit
+        # time's 1e-6 slack the config, _unit_run and SdeChain all accept it,
+        # outside it they all reject it
+        f = build_observable("eval0")
+        for eps, accepted in ((1e-7, True), (1e-5, False)):
+            dt = (1.0 + eps) / 128.0
+            model_block = {"name": "linear_delay_ou", "params": {"r0": 64 * dt}}
+            model = build_model("linear_delay_ou", {"r0": 64 * dt})
+            outcomes = []
+            for kind in ("clt", "lil"):
+                try:
+                    parse_config_dict(minimal(kind=kind, model=model_block, numerics={"dt": dt}))
+                    outcomes.append(True)
+                except ConfigError as err:
+                    assert err.key == "numerics.dt"
+                    outcomes.append(False)
+            for run in (
+                lambda: _unit_run(model, f, np.zeros((2, 65, 1)), dt, RngStream(0)),
+                lambda: SdeChain(model, dt),
+            ):
+                try:
+                    run()
+                    outcomes.append(True)
+                except ValueError:
+                    outcomes.append(False)
+            assert outcomes == [accepted] * 4
 
 
 class TestReportRecord:

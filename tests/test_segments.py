@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_lyapunov
 
 from oracles import method_of_steps
 from segflow import (
@@ -19,7 +22,7 @@ from segflow import (
     sup_norm,
 )
 from segflow.ergodic import coupled_snapshots
-from segflow.registry import build_model, build_observable
+from segflow.registry import MODEL_BUILDERS, build_model, build_observable
 from segflow.segments import _BatchCoefficients, record, step_windows
 from segflow.semigroup import MonteCarloSemigroup
 
@@ -448,3 +451,226 @@ class TestIntegralProfile:
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid[1] == quad
+
+
+# -- the width-1 float kernel -------------------------------------------------
+
+
+def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
+    """step_windows' batched Euler loop without shared noise, run at any width:
+    the reference the width-1 float kernel must match bit for bit."""
+    init = np.asarray(initial_values, dtype=float)
+    if init.ndim == 2:
+        init = init[None]
+    n, nodes, d = init.shape
+    m = nodes - 1
+    coeffs = _BatchCoefficients(model, model.delay, step)
+    gen = rng.generator()
+    sq = math.sqrt(step)
+
+    # Time-major ring buffer: rows are grid times, windows are contiguous views.
+    if chunk is None:
+        chunk = max(2 * (m + 1), int(4_000_000 // max(1, n * d)))
+    rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
+    buf = np.empty((rows + m + 1, n, d))
+    buf[: m + 1] = init.transpose(1, 0, 2)
+    head = m  # buffer row of the current state
+
+    if not np.isfinite(buf[: m + 1]).all():
+        raise NumericBlowupError("non-finite initial segment", 0.0)
+
+    # narrow batches amortize the generator call over many steps; the draw
+    # sequence is identical either way (values come off the stream in order)
+    nz = n
+    zblock = max(1, 4096 // max(1, nz * d)) if nz * d <= 256 else 1
+    zbuf = np.empty((zblock, nz, d)) if zblock > 1 else None
+    zoff = zblock  # force a refill on first use
+    zdraw = np.empty((nz, d))
+    scalar_state = n * d == 1
+
+    yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
+
+    for j in range(1, n_steps + 1):
+        if head + 1 >= buf.shape[0]:
+            buf[: m + 1] = buf[head - m : head + 1]
+            head = m
+        window = buf[head - m : head + 1]
+        segs = window.transpose(1, 0, 2)
+        drift = coeffs.drift(segs)
+        if zbuf is None:
+            z = gen.standard_normal((nz, d), out=zdraw)
+        else:
+            if zoff >= zblock:
+                gen.standard_normal(zbuf.shape, out=zbuf)
+                zoff = 0
+            z = zbuf[zoff]
+            zoff += 1
+        nxt = buf[head + 1]
+        noise = coeffs.noise(segs, z * sq)
+        np.add(window[-1], noise, out=nxt)
+        nxt += drift * step
+        head += 1
+        total = nxt[0, 0] if scalar_state else float(nxt.sum())
+        if not math.isfinite(total):  # NaN/Inf propagate through the sum
+            if not np.isfinite(drift).all() or not np.isfinite(noise).all():
+                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
+            raise NumericBlowupError("state became non-finite", j * step)
+        yield j, buf[head - m : head + 1].transpose(1, 0, 2)
+
+
+def callback_model(state_noise=False):
+    """A model given by per-segment callbacks only: the linear drift, and unit
+    or tanh_diffusion's state-dependent noise."""
+
+    def diffusion(seg):
+        return np.diag(1.0 + 0.5 * np.tanh(seg.values[-1])) if state_noise else np.eye(1)
+
+    return ModelSpec(
+        dim=1,
+        delay=0.5,
+        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * seg.values[0],
+        diffusion=diffusion,
+        lambda1=3.9,
+        lambda2=0.1,
+        sigma_bound=1.5,
+        sigma_inv_bound=2.0,
+        diffusion_is_constant=not state_noise,
+    )
+
+
+def ends_model(drift_ends, delay=0.5):
+    """A noise-free one-dimensional model given by its drift_ends alone."""
+    return ModelSpec(
+        dim=1,
+        delay=delay,
+        drift_ends=drift_ends,
+        diffusion=lambda seg: np.zeros((1, 1)),
+        lambda1=1.0,
+        lambda2=0.0,
+        sigma_bound=0.0,
+        sigma_inv_bound=None,
+        diffusion_is_constant=True,
+    )
+
+
+def run_windows(driver, *args, **kwargs):
+    """Copies of every window a driver yields."""
+    return [window.copy() for _, window in driver(*args, **kwargs)]
+
+
+def blowup(driver, *args, **kwargs):
+    with pytest.raises(NumericBlowupError) as err:
+        for _ in driver(*args, **kwargs):
+            pass
+    return str(err.value), err.value.time
+
+
+class TestScalarKernel:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_model("linear_delay_ou", {"sigma": 0.7}),
+            lambda: build_model("tanh_diffusion"),
+            lambda: build_model("deterministic_decay"),
+            callback_model,
+            lambda: callback_model(state_noise=True),
+        ],
+        ids=["drift_ends", "tanh", "decay", "scalar-drift", "scalar-drift-and-diffusion"],
+    )
+    # chunk 40 with 17 nodes: the ring buffer wraps every 23 steps
+    @pytest.mark.parametrize("chunk", [None, 40])
+    def test_matches_batched_loop(self, make, chunk):
+        model = make()
+        init = spread_initials(1, seed=9)
+        rng = RngStream(31, 2)
+        ours = run_windows(step_windows, model, init, 5000, DT, rng, chunk=chunk)
+        ref = run_windows(batched_windows, model, init, 5000, DT, rng, chunk=chunk)
+        assert len(ours) == len(ref) == 5001
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a, b)
+
+    def test_windows_are_read_only_views(self):
+        init = spread_initials(1)
+        for _, window in step_windows(build_model("linear_delay_ou"), init, 50, DT, RngStream(0)):
+            assert window.shape == (1, 17, 1)
+            assert not window.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.parametrize(
+        "drift_ends, delay, step, oldest, now, message",
+        [
+            # NaN from log(0) once the initial current node (0) becomes the oldest
+            (lambda now, oldest: -now + 0.0 * np.log(oldest), 0.5, DT, 5.0, 0.0,
+             "drift/diffusion produced non-finite output"),
+            # x <- 3x at step 2: the state overflows while the drift stays finite
+            (lambda now, oldest: now, 4.0, 2.0, 1e300, 1e300, "state became non-finite"),
+            # a cube that overflows: inf on arrays, OverflowError on floats
+            (lambda now, oldest: now ** 3 * 1e3, 0.5, 0.25, 5.0, 5.0,
+             "drift/diffusion produced non-finite output"),
+        ],
+        ids=["nan-drift", "state-overflow", "cube-overflow"],
+    )
+    def test_blowup_matches_batched_loop(self, drift_ends, delay, step, oldest, now, message):
+        model = ends_model(drift_ends, delay)
+        init = np.linspace(oldest, now, int(round(delay / step)) + 1)[None, :, None]
+        ours = blowup(step_windows, model, init, 2000, step, RngStream(0))
+        ref = blowup(batched_windows, model, init, 2000, step, RngStream(0))
+        assert ours == ref
+        assert ours[0].startswith(message + " (at t=") and ours[1] > step
+
+
+finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
+
+
+class TestDriftEnds:
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    @settings(max_examples=60, deadline=None)
+    @given(ends=st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+    def test_floats_match_drift_batch_bitwise(self, name, ends):
+        model = build_model(name)
+        segs = np.zeros((len(ends), 17, 1))
+        segs[:, -1, 0] = [now for now, _ in ends]
+        segs[:, 0, 0] = [oldest for _, oldest in ends]
+        batch = model.drift_batch(segs)
+        floats = np.array([[model.drift_ends(now, oldest)] for now, oldest in ends], dtype=float)
+        assert batch.shape == floats.shape
+        assert batch.tobytes() == floats.tobytes()
+
+    def test_drift_is_derived(self):
+        model = build_model("linear_delay_ou", {"a": 1.5, "b": -0.25})
+        seg = Segment(np.linspace(2.0, -1.0, 17)[:, None], 0.5, DT)
+        assert np.array_equal(model.drift(seg), [-1.5 * -1.0 + -0.25 * 2.0])
+        with pytest.raises(ValueError):
+            ModelSpec(
+                dim=1, delay=0.5, diffusion=lambda seg: np.eye(1),
+                lambda1=1.0, lambda2=0.0, sigma_bound=1.0, sigma_inv_bound=1.0,
+            )
+
+
+def euler_chain_variance(a, b, sigma, m, dt):
+    """Stationary variance of x_{k+1} = x_k + dt(-a x_k + b x_{k-m}) + sigma sqrt(dt) z_k,
+    from a discrete Lyapunov solve on the order-(m+1) companion form."""
+    companion = np.zeros((m + 1, m + 1))
+    companion[0, 0] = 1.0 - a * dt
+    companion[0, m] = b * dt
+    companion[1:, :-1] = np.eye(m)
+    kick = np.zeros((m + 1, m + 1))
+    kick[0, 0] = sigma**2 * dt
+    return float(solve_discrete_lyapunov(companion, kick)[0, 0])
+
+
+class TestExactOracle:
+    def test_stationary_variance_of_the_euler_chain(self):
+        dt = 1.0 / 128.0
+        exact = euler_chain_variance(2.0, 0.1, 1.0, 64, dt)
+        assert exact == pytest.approx(0.25690, abs=5e-6)
+        model = build_model("linear_delay_ou")
+        traj = simulate(model, constant_segment(0.0, 0.5, dt), 2020.0, dt, RngStream(4, 1))
+        burn = traj.n_history + int(round(20.0 / dt))
+        squares = traj.states[burn + 1 :, 0] ** 2  # the stationary mean is 0
+        batches = squares[: squares.size // 20 * 20].reshape(20, -1).mean(axis=1)
+        estimate = batches.mean()
+        se = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert abs(estimate - exact) < 4 * se
