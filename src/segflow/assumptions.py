@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EllipticityViolationError, NumericBlowupError
 from .rng import RngStream
-from .segments import ModelSpec, Segment, sup_norm
+from .segments import ModelSpec, Segment, _history_nodes, sup_norm
 
 __all__ = [
     "DissipativityReport",
@@ -35,7 +35,7 @@ def gaussian_segment_sampler(
     model: ModelSpec, step: float, scale: float = 1.0
 ) -> SegmentSampler:
     """Sampler of rough segments with i.i.d. normal nodes of the given scale."""
-    m = int(round(model.delay / step))
+    m = _history_nodes(model.delay, step)
 
     def sample(gen: np.random.Generator) -> Segment:
         return Segment(scale * gen.standard_normal((m + 1, model.dim)), model.delay, step)

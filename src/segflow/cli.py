@@ -93,21 +93,6 @@ def _rate_fit(cfg: ExperimentConfig, model, num, stationary) -> RateFit:
     )
 
 
-def _ratefit_payload(fit: RateFit) -> dict:
-    return {
-        "c_hat": fit.c_hat,
-        "beta_hat": fit.beta_hat,
-        "r_squared": fit.r_squared,
-        "se_beta": fit.se_beta,
-        "times": fit.times,
-        "values": fit.values,
-        "noise_floor": fit.noise_floor,
-        "n_dropped": fit.n_dropped,
-        "flagged": fit.flagged,
-        "note": fit.note,
-    }
-
-
 def _run_assumptions(cfg: ExperimentConfig, model, num):
     rng = RngStream(cfg.seed).child(4)
     pair_sampler = gaussian_pair_sampler(model, num["dt"], scale=num["sample_scale"])
@@ -152,7 +137,7 @@ def _run_ergodicity(cfg: ExperimentConfig, model, num):
         floor_factor=num["floor_factor"],
     )
     payload = {
-        "rate_fit": _ratefit_payload(fit),
+        "rate_fit": vars(fit),
         "stationary_atoms": stationary.n,
         "ensemble": num["n_traj"],
     }
@@ -213,41 +198,44 @@ def _run_slln(cfg: ExperimentConfig, model, num):
     return payload, {"slln": rows}, failures
 
 
-def _run_clt(cfg: ExperimentConfig, model, num):
+def _variance_stage(cfg: ExperimentConfig, model, num, discrete: bool):
+    """The opening clt and lil share: stationary sample, centered observable,
+    rate fit and the variance constant (continuous corrector for clt, unit-lag
+    for lil).  Returns (f, payload, var); var is None when the rate fit is
+    flagged, and then the payload holds only the rate fit."""
     stationary, _ = _stationary_sample(cfg, model, num)
     f = _centered_observable(cfg, stationary)
     rate = _rate_fit(cfg, model, num, stationary)
-    failures = []
+    payload = {"rate_fit": vars(rate)}
     if rate.flagged:
-        return (
-            {"rate_fit": _ratefit_payload(rate)},
-            {"clt": []},
-            [f"rate fit unusable: {rate.note}"],
-        )
-    ccfg = CorrectorConfig(
-        rate_fit=rate,
-        t_max=num["t_max"],
-        replicas=num["inner_replicas"],
-        tail_fraction=num["tail_fraction"],
-    )
-    var = variance_D(
+        return f, payload, None
+    knobs = dict(rate_fit=rate, replicas=num["inner_replicas"], tail_fraction=num["tail_fraction"])
+    if discrete:
+        ccfg, estimate = DiscreteCorrectorConfig(k_max=num["k_max"], **knobs), variance_D_discrete
+    else:
+        ccfg, estimate = CorrectorConfig(t_max=num["t_max"], **knobs), variance_D
+    var = estimate(
         model, f, stationary, ccfg, RngStream(cfg.seed).child(3),
         outer_replicas=num["outer_replicas"], max_atoms=num["max_atoms"],
     )
+    payload["variance"] = jsonable(vars(var))
+    return f, payload, var
+
+
+def _run_clt(cfg: ExperimentConfig, model, num):
+    f, payload, var = _variance_stage(cfg, model, num, discrete=False)
+    if var is None:
+        return payload, {"clt": []}, [f"rate fit unusable: {payload['rate_fit']['note']}"]
     xi = _initial_segment(model, num)
     report = clt_test(
         model, f, xi, num["t_grid"], num["replicas"], var.d_f,
         RngStream(cfg.seed).child(2), n_boot=num["n_boot"],
     )
-    payload = {
-        "rate_fit": _ratefit_payload(rate),
-        "variance": jsonable(vars(var)),
-        "times": report.times,
-        "statistics": report.statistics,
-        "ses": report.ses,
-        "d_f": report.d_f,
-        "replicas": report.replicas,
-    }
+    payload.update(
+        times=report.times, statistics=report.statistics, ses=report.ses,
+        d_f=report.d_f, replicas=report.replicas,
+    )
+    failures = []
     # written as "not <=" so a NaN statistic or standard error fails the check
     if not report.statistics[-1] <= report.statistics[0] + 2.0 * math.hypot(report.ses[0], report.ses[-1]):
         failures.append("distribution distance failed to decay along the time grid")
@@ -270,26 +258,9 @@ def _default_checkpoints(n_min: int, n_max: int) -> list[int]:
 
 
 def _run_lil(cfg: ExperimentConfig, model, num):
-    stationary, _ = _stationary_sample(cfg, model, num)
-    f = _centered_observable(cfg, stationary)
-    rate = _rate_fit(cfg, model, num, stationary)
-    if rate.flagged:
-        return (
-            {"rate_fit": _ratefit_payload(rate)},
-            {"lil": []},
-            [f"rate fit unusable: {rate.note}"],
-        )
-    dcfg = DiscreteCorrectorConfig(
-        rate_fit=rate,
-        k_max=num["k_max"],
-        replicas=num["inner_replicas"],
-        tail_fraction=num["tail_fraction"],
-    )
-    var = variance_D_discrete(
-        model, f, stationary, dcfg, RngStream(cfg.seed).child(3),
-        outer_replicas=num["outer_replicas"], max_atoms=num["max_atoms"],
-    )
-    payload = {"rate_fit": _ratefit_payload(rate), "variance": jsonable(vars(var))}
+    f, payload, var = _variance_stage(cfg, model, num, discrete=True)
+    if var is None:
+        return payload, {"lil": []}, [f"rate fit unusable: {payload['rate_fit']['note']}"]
     if not (var.d_sq > 0):
         payload["error"] = f"discrete variance estimate not positive: {var.d_sq:g}"
         return payload, {"lil": []}, ["discrete variance constant is not positive"]

@@ -19,8 +19,7 @@ from typing import Any, Optional
 from .errors import ConfigError
 from .metric import MetricParams
 from .registry import build_model, build_observable
-from .segments import ModelSpec
-from .semigroup import _steps
+from .segments import ModelSpec, _history_nodes, grid_steps
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_dict", "EXPERIMENT_KINDS"]
 
@@ -202,15 +201,16 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 
 _TOP_KEYS = {"kind", "seed", "model", "observable", "metric", "numerics", "output_dir"}
 
-# Numerics the pipelines step to exactly, per kind: each must be a whole
-# number of steps numerics.dt, within the slack the pipelines allow.
+# Numerics the pipelines step to exactly, per kind: each must pass the
+# time-grid rule (segments.grid_steps) for numerics.dt.
 _DT_GRID_KEYS = {
     "ergodicity": ("thinning", "t_grid"),
-    "slln": ("thinning",),
-    "clt": ("thinning", "rate_t_grid", "t_max"),
+    "slln": ("thinning", "t_grid"),
+    "clt": ("thinning", "rate_t_grid", "t_max", "t_grid"),
     "lil": ("thinning", "rate_t_grid"),
 }
-# Kinds whose pipelines advance in unit-time steps.
+# Kinds whose pipelines advance in unit-time steps (slln too when its
+# pathwise statistic runs: that samples whole times).
 _UNIT_STEP_KINDS = ("clt", "lil", "full-suite")
 
 
@@ -273,22 +273,23 @@ def _parse_named_block(raw: Any, key: str, required_name: bool = True) -> tuple[
     return name, dict(params)
 
 
+def _on_grid(key: str, rule, *args) -> None:
+    """Apply a segments grid rule; its ValueError becomes a ConfigError on ``key``."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        _fail(key, str(exc))
+
+
 def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
     """Cross-field checks that a pipeline would otherwise only fail mid-run."""
     dt = num["dt"]
-    ratio = model.delay / dt
-    if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-        _fail("numerics.dt", f"step {dt!r} must divide the model delay {model.delay!r}")
-    if kind in _UNIT_STEP_KINDS:
-        try:
-            _steps(1.0, dt, "unit time")  # the rule every unit-step pipeline applies
-        except ValueError as exc:
-            _fail("numerics.dt", str(exc))
+    _on_grid("numerics.dt", _history_nodes, model.delay, dt)
+    if kind in _UNIT_STEP_KINDS or num.get("pathwise_horizon", 0.0) > 0:
+        _on_grid("numerics.dt", grid_steps, 1.0, dt, "unit time")
     for key in _DT_GRID_KEYS.get(kind, ()):
         for t in num[key] if isinstance(num[key], list) else [num[key]]:
-            k = round(t / dt)
-            if k < 1 or abs(t - k * dt) > 1e-6 * max(1.0, t):
-                _fail(f"numerics.{key}", f"{t!r} is not a whole number of steps dt={dt!r}")
+            _on_grid(f"numerics.{key}", grid_steps, t, dt, key)
     if kind == "lil":
         n_min, n_max, checkpoints = num["n_min"], num["n_max"], num["checkpoints"]
         if n_min > n_max:

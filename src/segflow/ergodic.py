@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import DEFAULT_ASSIGNMENT_CAP, EmpiricalMeasure, MetricParams, wasserstein
 from .rng import RngStream
-from .segments import ModelSpec, Segment, batch_sup_norms, record, sup_norm
+from .segments import ModelSpec, Segment, batch_sup_norms, grid_steps, record, sup_norm
 from .stats import ols_line
 
 __all__ = [
@@ -109,13 +109,6 @@ class RateFit:
         return self.c_hat * r ** (k_max + 1) / (1.0 - r)
 
 
-def _grid_index(t: float, step: float, name: str = "time") -> int:
-    k = int(round(t / step))
-    if abs(t - k * step) > 1e-6 * max(1.0, abs(t)):
-        raise ValueError(f"{name} {t!r} is not on the step grid (step={step!r})")
-    return k
-
-
 def sample_invariant(
     model: ModelSpec, cfg: EnsembleConfig, initial: Segment
 ) -> EmpiricalMeasure:
@@ -129,7 +122,7 @@ def sample_invariant(
     """
     step = cfg.step
     burn_idx = int(math.ceil(cfg.burn_in / step - 1e-9))
-    stride = max(1, _grid_index(cfg.thinning, step, "thinning"))
+    stride = grid_steps(cfg.thinning, step, "thinning")
     indices = [burn_idx + (j + 1) * stride for j in range(cfg.samples_per_traj)]
     initials = np.broadcast_to(
         initial.values, (cfg.n_traj,) + initial.values.shape
@@ -278,7 +271,7 @@ def ergodicity_curve(
     if times.size == 0 or (np.diff(times) <= 0).any():
         raise ValueError("times must be non-empty and strictly increasing")
     step = cfg.step
-    indices = [_grid_index(t, step) for t in times]
+    indices = [grid_steps(t, step, "time") for t in times]
 
     block = block or cap
     block = min(block, cfg.n_traj, initial_b.n // 2, cap)
@@ -375,7 +368,7 @@ def moment_curve(
         raise ValueError("p must be >= 1")
     times = np.asarray(list(times), dtype=float)
     step = initial.step
-    indices = [_grid_index(t, step) for t in times]
+    indices = [grid_steps(t, step, "time") for t in times]
     initials = np.broadcast_to(initial.values, (replicas,) + initial.values.shape).copy()
     snaps, _ = record(model, initials, max(indices), step, rng.child(0), sample_at=indices)
     values = np.empty(times.size)
@@ -440,7 +433,7 @@ def exp_moment_probe(
     if deltas.size == 0 or (deltas <= 0).any():
         raise ValueError("delta grid must contain positive values")
     step = initial.step
-    per_unit = _grid_index(1.0, step, "unit window")
+    per_unit = grid_steps(1.0, step, "unit window")
     n_steps = window_count * per_unit
     m = initial.n_nodes - 1
     initials = np.broadcast_to(initial.values, (replicas,) + initial.values.shape).copy()

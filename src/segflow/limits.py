@@ -36,8 +36,8 @@ from .errors import ConfigurationError, EstimatorInconsistencyError
 from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
-from .segments import ModelSpec, Segment, Trajectory, record, segment_at
-from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator, _steps
+from .segments import ModelSpec, Segment, Trajectory, grid_steps, record, segment_at
+from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -148,7 +148,6 @@ class CorrectorConfig:
 
     rate_fit: Optional[RateFit] = None
     t_max: float = 8.0
-    quad_step: Optional[float] = None
     replicas: int = 64
     auto_truncate: bool = True
     tail_fraction: float = 0.1
@@ -225,8 +224,6 @@ class SllnReport:
     passed: bool
     zero_signal: bool
     replicas: int
-    eps: Optional[float] = None
-    exceedance_quantiles: Optional[dict] = None
 
 
 def _time_average_checkpoints(
@@ -266,8 +263,7 @@ def slln_variance_decay(
     times = np.asarray(list(times), dtype=float)
     if times.size < 2 or times.max() / times.min() < 10.0:
         raise ValueError("times must span at least one decade")
-    dt = xi.step
-    steps = [int(round(t / dt)) for t in times]
+    steps = [grid_steps(t, xi.step, "time") for t in times]
     averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng.child(0))
     sq = averages**2
     sq_errors = sq.mean(axis=1)
@@ -332,13 +328,12 @@ def slln_pathwise(
     """
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    dt = xi.step
     if checkpoints is None:
         checkpoints = _default_checkpoints(horizon)
     times = np.asarray(sorted(set(float(t) for t in checkpoints)), dtype=float)
     if times[0] < 1.0:
         raise ValueError("checkpoints must start at t >= 1")
-    steps = [int(round(t / dt)) for t in times]
+    steps = [grid_steps(t, xi.step, "checkpoint") for t in times]
     averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng.child(0))
     weights = times ** (0.5 - eps)
     stats = np.abs(averages) * weights[:, None]  # (n_check, R)
@@ -407,11 +402,10 @@ def _halves(
     """Corrector values at ``states`` from two independent half budgets.
 
     The type of ``cfg`` picks the scheme.  A :class:`CorrectorConfig`
-    integrates ``t -> P_t f`` by trapezoid quadrature up to ``cfg.t_max``
-    (quad step ``cfg.quad_step``, default ``dt``) with the
-    :meth:`RateFit.tail_integral_bound`; a :class:`DiscreteCorrectorConfig`
-    sums ``P_k f`` for k = ``k_from`` .. ``cfg.k_max`` with the
-    :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
+    integrates ``t -> P_t f`` by trapezoid quadrature at step ``dt`` up to
+    ``cfg.t_max`` with the :meth:`RateFit.tail_integral_bound`; a
+    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = ``k_from`` ..
+    ``cfg.k_max`` with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
     """
@@ -421,8 +415,7 @@ def _halves(
         profile = lambda r: sg.discrete_profile(f, states, k_from, cfg.k_max, half, r)
         tail = fit.tail_sum_bound
     else:
-        quad = cfg.quad_step if cfg.quad_step is not None else dt
-        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, quad, half, r)
+        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, dt, half, r)
         tail = fit.tail_integral_bound
     pa = profile(rng.child(0))
     pb = profile(rng.child(1))
@@ -496,7 +489,7 @@ def _unit_run(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """One unit of time for a batch: returns (unit integrals of f, final
     states, snapshots at requested intermediate steps)."""
-    per_unit = _steps(1.0, dt, "unit time")
+    per_unit = grid_steps(1.0, dt, "unit time")
     wanted = sorted(set(int(s) for s in snapshot_steps))
     windows, integrals = record(
         model, start_values, per_unit, dt, rng,
@@ -771,7 +764,7 @@ def vph_residual(
     estimate folded into the combined error.
     """
     dt = xi.step
-    per_unit = int(round(1.0 / dt))
+    per_unit = grid_steps(1.0, dt, "unit time")
     if (s_nodes - 1) < 2 or per_unit % (s_nodes - 1) != 0:
         raise ValueError("s_nodes - 1 must divide the unit step count")
     stride = per_unit // (s_nodes - 1)
@@ -855,8 +848,7 @@ def normalized_average_samples(
 ) -> np.ndarray:
     """Replica samples of ``sqrt(t) * A_t`` at each checkpoint, shape (n_t, R)."""
     times = np.asarray(list(times), dtype=float)
-    dt = xi.step
-    steps = [int(round(t / dt)) for t in times]
+    steps = [grid_steps(t, xi.step, "time") for t in times]
     averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng)
     return averages * np.sqrt(times)[:, None]
 

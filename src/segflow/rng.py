@@ -53,9 +53,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.stream_index)
         return np.random.Generator(np.random.Philox(seq))
 
-    def label(self) -> str:
-        return f"{self.master_seed}/" + ".".join(str(i) for i in self.stream_index)
-
 
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Collapse a stream address into a fresh 64-bit master seed.

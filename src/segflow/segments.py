@@ -28,6 +28,13 @@ itself lives in :func:`step_windows`, whose recycled ring buffer never
 leaves this module.  A single one-dimensional path runs on Python floats
 with the same operation order, so it is bit-identical to the batched loop
 at width 1 and several times faster.
+
+Two grid rules live here, each in one place.  :func:`grid_steps` is the one
+time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
+quadrature end, the unit time) must be a whole number of steps, and it
+returns that number or raises naming the offending input.  The segment-grid
+rule, that ``delay/step`` is whole, fixes every segment's node layout and
+lives in ``_history_nodes``.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ __all__ = [
     "segment_at",
     "simulate",
     "record",
+    "grid_steps",
     "constant_segment",
 ]
 
@@ -58,6 +66,18 @@ _GRID_RTOL = 1e-9
 _ZBLOCK = 4096
 # Ring-buffer rows of a single path: one precomputed window view per row.
 _SCALAR_ROWS = 4096
+
+
+def grid_steps(t: float, step: float, what: str) -> int:
+    """Number of steps ``step`` in the time ``t``: the one time-grid rule.
+
+    ``t`` must be 0 or a positive whole number of steps, within
+    ``1e-6 * max(1, |t|)``; otherwise raise ValueError naming ``what``.
+    """
+    k = int(round(t / step))
+    if (k < 1 and t != 0) or abs(t - k * step) > 1e-6 * max(1.0, abs(t)):
+        raise ValueError(f"{what} {t!r} must be a whole number of steps of {step!r}")
+    return k
 
 
 def _history_nodes(delay: float, step: float) -> int:
@@ -285,14 +305,6 @@ def segment_at(traj: Trajectory, t: float) -> Segment:
     idx = np.arange(lo, lo + m + 1)
     window = (1.0 - frac) * traj.states[idx] + frac * traj.states[idx + 1]
     return Segment(window, traj.model.delay, traj.step)
-
-
-def _steps_for(horizon: float, step: float) -> int:
-    ratio = horizon / step
-    n = int(round(ratio))
-    if n < 1 or abs(ratio - n) > 1e-6 * max(1.0, ratio):
-        raise ValueError(f"horizon {horizon!r} must be a positive multiple of step {step!r}")
-    return n
 
 
 class _BatchCoefficients:
@@ -608,7 +620,7 @@ def simulate(
     ----------
     initial: starting segment; must match the model's dim and delay, and its
         grid step must equal ``step``.
-    horizon: final time T > 0, a multiple of ``step``.
+    horizon: final time T >= 0, a whole number of steps (:func:`grid_steps`).
     rng: the stream that owns every Gaussian increment of this trajectory.
 
     Returns
@@ -626,10 +638,10 @@ def simulate(
         raise ShapeError("initial segment delay differs from the model's")
     if abs(initial.step - step) > _GRID_RTOL * max(1.0, step):
         raise ShapeError("initial segment grid step differs from the integration step")
-    n_steps = _steps_for(horizon, step)
+    n_steps = grid_steps(horizon, step, "horizon")
     ends, _ = record(
         model, initial.values[None], n_steps, step, rng,
-        sample_at=range(1, n_steps + 1), sample=lambda window: window[0, -1],
+        sample_at=range(n_steps + 1), sample=lambda window: window[0, -1],
     )
-    states = np.concatenate([initial.values, ends])
+    states = np.concatenate([initial.values[:-1], ends])
     return Trajectory(model, step, n_steps * step, states, rng)

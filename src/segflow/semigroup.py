@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import Observable
 from .rng import RngStream
-from .segments import ModelSpec, record
+from .segments import ModelSpec, grid_steps, record
 
 __all__ = [
     "GridProfile",
@@ -51,11 +51,8 @@ class GridProfile:
     ses: np.ndarray
 
 
-def _steps(t: float, dt: float, what: str) -> int:
-    k = int(round(t / dt))
-    if k < 1 or abs(t - k * dt) > 1e-6 * max(1.0, abs(t)):
-        raise ValueError(f"{what} {t!r} must be a positive multiple of dt={dt!r}")
-    return k
+# Paths per simulated batch: states are grouped so replicas x states fits.
+_MAX_WIDTH = 4096
 
 
 def _running_trapezoid(nodes: np.ndarray, h: float) -> np.ndarray:
@@ -111,17 +108,16 @@ class MonteCarloSemigroup(SemigroupEvaluator):
     simultaneously; standard errors are across-replica.
     """
 
-    def __init__(self, model: ModelSpec, dt: float, max_width: int = 4096):
+    def __init__(self, model: ModelSpec, dt: float):
         self.model = model
         self.dt = dt
-        self.max_width = max_width
 
     def _run(self, f, states, n_steps, record_steps, replicas, rng):
         """Simulate replicas per state; return f-values (n, n_rec, replicas)
         sampled at the (distinct) record_steps."""
         states = np.asarray(states, dtype=float)
         n = states.shape[0]
-        group = max(1, self.max_width // max(1, replicas))
+        group = max(1, _MAX_WIDTH // max(1, replicas))
         out = np.empty((n, len(record_steps), replicas))
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
@@ -135,21 +131,21 @@ class MonteCarloSemigroup(SemigroupEvaluator):
 
     def values_on_grid(self, f, states, times, replicas, rng):
         times = np.asarray(times, dtype=float)
-        steps = [0 if t == 0 else _steps(t, self.dt, "time") for t in times]
+        steps = [grid_steps(t, self.dt, "time") for t in times]
         samples = self._run(f, states, max(steps), steps, replicas, rng)
         return samples.mean(axis=2), samples.std(axis=2, ddof=1) / math.sqrt(replicas)
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         dt = self.dt
-        stride = _steps(quad_step, dt, "quad_step")
-        n_steps = _steps(t_max, dt, "t_max")
+        stride = grid_steps(quad_step, dt, "quad_step")
+        n_steps = grid_steps(t_max, dt, "t_max")
         n_steps -= n_steps % stride
         n_q = n_steps // stride  # quadrature nodes past t=0
 
         states = np.asarray(states, dtype=float)
         n = states.shape[0]
         grid = np.arange(n_q + 1) * (stride * dt)
-        group = max(1, self.max_width // max(1, replicas))
+        group = max(1, _MAX_WIDTH // max(1, replicas))
         values = np.empty((n, n_q + 1))
         ses = np.empty((n, n_q + 1))
         for g0 in range(0, n, group):
@@ -167,7 +163,7 @@ class MonteCarloSemigroup(SemigroupEvaluator):
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         if k_from < 0 or k_max < k_from:
             raise ValueError("need 0 <= k_from <= k_max")
-        per_unit = _steps(1.0, self.dt, "unit time")
+        per_unit = grid_steps(1.0, self.dt, "unit time")
         record = [k * per_unit for k in range(k_from, k_max + 1)]
         samples = self._run(f, states, k_max * per_unit, record, replicas, rng)
         cums = samples.cumsum(axis=1)  # (n, K, replicas)
@@ -198,7 +194,7 @@ class ExpDecayKernel(SemigroupEvaluator):
         return vals, np.zeros_like(vals)
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        n_q = int(round(t_max / quad_step))
+        n_q = grid_steps(t_max, quad_step, "t_max")
         grid = np.arange(n_q + 1) * quad_step
         shape = np.exp(-self.rate * grid)
         # trapezoid of the decay shape, cumulative over the quad grid
@@ -279,7 +275,7 @@ class SdeChain:
     def __init__(self, model: ModelSpec, dt: float):
         self.model = model
         self.dt = dt
-        self.per_unit = _steps(1.0, dt, "unit time")
+        self.per_unit = grid_steps(1.0, dt, "unit time")
 
     def unit_states(
         self, start_values: np.ndarray, n_units: int, rng: RngStream
@@ -292,8 +288,8 @@ class SdeChain:
         )
         return states
 
-    def evaluator(self, max_width: int = 4096) -> SemigroupEvaluator:
-        return MonteCarloSemigroup(self.model, self.dt, max_width=max_width)
+    def evaluator(self) -> SemigroupEvaluator:
+        return MonteCarloSemigroup(self.model, self.dt)
 
 
 class IidChain:
@@ -317,7 +313,7 @@ class IidChain:
             out[k] = draw
         return out
 
-    def evaluator(self, max_width: int = 4096) -> SemigroupEvaluator:
+    def evaluator(self) -> SemigroupEvaluator:
         return IidKernel(self.stationary_mean)
 
 

@@ -9,10 +9,13 @@ import pytest
 
 from segflow import ConfigError
 from segflow.config import parse_config, parse_config_dict
-from segflow.limits import _unit_run
+from segflow.ergodic import EnsembleConfig, ergodicity_curve, sample_invariant
+from segflow.limits import CenteredObservable, _unit_run, slln_variance_decay
+from segflow.metric import MetricParams
 from segflow.registry import build_model, build_observable
 from segflow.rng import RngStream
-from segflow.semigroup import SdeChain
+from segflow.segments import constant_segment, simulate
+from segflow.semigroup import MonteCarloSemigroup, SdeChain
 from segflow.reports import (
     CSV_SCHEMAS,
     ReportRecord,
@@ -128,12 +131,18 @@ class TestParseConfig:
             ("clt", {}, {"rate_t_grid": [0.5, 1.0, 1.001]}, "numerics.rate_t_grid"),
             ("lil", {}, {"rate_t_grid": [0.001, 1.0, 2.0]}, "numerics.rate_t_grid"),
             ("clt", {}, {"t_max": 4.001}, "numerics.t_max"),
+            ("slln", {}, {"t_grid": [0.5, 1.0, 2.0, 5.003]}, "numerics.t_grid"),
+            ("slln", {}, {"t_grid": [0.001, 0.5, 1.0, 2.0]}, "numerics.t_grid"),
+            ("clt", {}, {"t_grid": [16.003, 64.0]}, "numerics.t_grid"),
+            ("slln", delay_06, {"dt": 0.3, "pathwise_horizon": 8.0}, "numerics.dt"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))
             assert err.value.key == key
         # kinds that never step to these values accept them
-        parse_config_dict(minimal(kind="slln", numerics={"dt": 0.3, "thinning": 0.6}, **delay_06))
+        parse_config_dict(minimal(
+            kind="slln", numerics={"dt": 0.3, "thinning": 0.6, "t_grid": [0.6, 1.2, 2.4, 6.0]}, **delay_06
+        ))
         parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
 
     def test_one_unit_step_rule(self):
@@ -163,6 +172,38 @@ class TestParseConfig:
                 except ValueError:
                     outcomes.append(False)
             assert outcomes == [accepted] * 4
+
+    def test_one_time_grid_rule(self):
+        # a time a hair off 256 steps: inside the 1e-6 relative slack every
+        # pipeline and the config accept it, outside it they all reject it
+        dt = 1.0 / 128.0
+        model = build_model("linear_delay_ou", {})
+        xi = constant_segment(0.0, model.delay, dt)
+        f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
+        ens = EnsembleConfig(n_traj=4, burn_in=0.0, thinning=1.0, step=dt, master_seed=3, samples_per_traj=2)
+        reference = sample_invariant(model, ens, xi)
+        for eps, accepted in ((1e-7, True), (1e-5, False)):
+            t = (1.0 + eps) * 256 * dt
+            runs = (
+                lambda: simulate(model, xi, t, dt, RngStream(0)),
+                lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), ens, cap=4),
+                lambda: MonteCarloSemigroup(model, dt).integral_profile(f, xi.values[None], t, dt, 2, RngStream(1)),
+                lambda: slln_variance_decay(model, xi, f, [0.125, t], 2, RngStream(2)),
+            )
+            outcomes = []
+            for run in runs:
+                try:
+                    run()
+                    outcomes.append(True)
+                except ValueError:
+                    outcomes.append(False)
+            try:
+                parse_config_dict(minimal(numerics={"t_grid": [0.125, 0.25, 0.5, t]}))
+                outcomes.append(True)
+            except ConfigError as err:
+                assert err.key == "numerics.t_grid"
+                outcomes.append(False)
+            assert outcomes == [accepted] * 5
 
 
 class TestReportRecord:
