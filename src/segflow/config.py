@@ -205,12 +205,12 @@ _TOP_KEYS = {"kind", "seed", "model", "observable", "metric", "numerics", "outpu
 # time-grid rule (segments.grid_steps) for numerics.dt.
 _DT_GRID_KEYS = {
     "ergodicity": ("thinning", "t_grid"),
-    "slln": ("thinning", "t_grid"),
+    "slln": ("thinning", "t_grid", "pathwise_horizon"),
     "clt": ("thinning", "rate_t_grid", "t_max", "t_grid"),
     "lil": ("thinning", "rate_t_grid"),
 }
 # Kinds whose pipelines advance in unit-time steps (slln too when its
-# pathwise statistic runs: that samples whole times).
+# pathwise statistic runs: that samples whole times up to its horizon).
 _UNIT_STEP_KINDS = ("clt", "lil", "full-suite")
 
 

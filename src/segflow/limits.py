@@ -261,7 +261,9 @@ def slln_variance_decay(
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     times = np.asarray(list(times), dtype=float)
-    if times.size < 2 or times.max() / times.min() < 10.0:
+    if times.size < 2 or not (times.min() > 0):
+        raise ValueError("times must be at least two positive values")
+    if times.max() / times.min() < 10.0:
         raise ValueError("times must span at least one decade")
     steps = [grid_steps(t, xi.step, "time") for t in times]
     averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng.child(0))
@@ -300,14 +302,18 @@ class PathwiseReport:
 
 
 def _default_checkpoints(horizon: float) -> np.ndarray:
-    """Roughly geometric checkpoint times in [1, horizon] (half-decade steps)."""
+    """Roughly geometric checkpoint times in [1, horizon] (half-decade steps).
+
+    The interior points are rounded to whole times; the horizon itself is
+    kept as given.
+    """
     ts = []
     t = 1.0
     while t < horizon * (1 - 1e-9):
         ts.append(t)
         t *= math.sqrt(2.0)
-    ts.append(horizon)
-    return np.unique(np.round(np.asarray(ts)))
+    interior = np.unique(np.round(np.asarray(ts)))
+    return np.append(interior[interior < horizon], horizon)
 
 
 def slln_pathwise(

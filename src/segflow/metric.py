@@ -5,9 +5,13 @@ The distance used throughout is
     rho(x, y) = (1 and ||x - y||_inf^gamma) * sqrt(1 + ||x||_inf^p + ||y||_inf^p)
 
 with grid-level uniform norms.  It is symmetric and separates points but does
-*not* satisfy the triangle inequality, so nothing here assumes one.  The
-transport distance between two equal-size empirical measures reduces to a
-minimum-cost assignment, solved exactly.
+*not* satisfy the triangle inequality, so nothing here assumes one.  For
+d = 1 the uniform distance is the exact max of ``|x_k - y_k|`` over the
+nodes, so distinct atoms keep a positive distance however close they are;
+for d > 1 the node norms ``sqrt(sum of squares)`` underflow to 0 once the
+differences fall below ~1e-162.  The transport distance between two
+equal-size empirical measures reduces to a minimum-cost assignment, solved
+exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import CapacityError, MetricError, ShapeError
 from .rng import RngStream
@@ -180,21 +185,29 @@ def rho(x: Segment, y: Segment, mp: MetricParams) -> float:
 def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
     """Pairwise quasi-distances between two batches of segments.
 
-    Returns the (na, nb) matrix rho(a_i, b_j); rows are chunked so the
-    transient (chunk, nb, m+1) difference array stays small.
+    Returns the (na, nb) matrix rho(a_i, b_j).  For d = 1 the uniform
+    distance is one Chebyshev ``cdist`` over the nodes, so nothing larger than
+    (na, nb) is formed.  For d > 1 rows are chunked so the transient
+    (chunk, nb, m+1, d) difference array stays small; a per-node Euclidean
+    ``cdist`` would sum the d squares in another order from d = 8 on and
+    move results by an ulp.
     """
     _compatible(a_vals, b_vals)
     na, nb = a_vals.shape[0], b_vals.shape[0]
     norm_a = batch_sup_norms(a_vals)
     norm_b = batch_sup_norms(b_vals)
     weight = np.sqrt(1.0 + norm_a[:, None] ** mp.p + norm_b[None, :] ** mp.p)
-    out = np.empty((na, nb))
-    chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
-    for lo in range(0, na, chunk):
-        hi = min(na, lo + chunk)
-        diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
-        dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
-        out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
+    if a_vals.shape[2] == 1:
+        dist = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
+        out = np.minimum(1.0, dist**mp.gamma)
+    else:
+        out = np.empty((na, nb))
+        chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
+        for lo in range(0, na, chunk):
+            hi = min(na, lo + chunk)
+            diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
+            dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
+            out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
     out *= weight
     return out
 

@@ -135,6 +135,7 @@ class TestParseConfig:
             ("slln", {}, {"t_grid": [0.001, 0.5, 1.0, 2.0]}, "numerics.t_grid"),
             ("clt", {}, {"t_grid": [16.003, 64.0]}, "numerics.t_grid"),
             ("slln", delay_06, {"dt": 0.3, "pathwise_horizon": 8.0}, "numerics.dt"),
+            ("slln", {}, {"pathwise_horizon": 10.501}, "numerics.pathwise_horizon"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))
@@ -144,6 +145,7 @@ class TestParseConfig:
             kind="slln", numerics={"dt": 0.3, "thinning": 0.6, "t_grid": [0.6, 1.2, 2.4, 6.0]}, **delay_06
         ))
         parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
+        parse_config_dict(minimal(kind="slln", numerics={"pathwise_horizon": 10.5}))
 
     def test_one_unit_step_rule(self):
         # dt a hair off 1/128 (the delay is exactly 64 steps): inside the unit

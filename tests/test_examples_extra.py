@@ -97,11 +97,13 @@ class TestCltDegenerate:
             clt_test(ref_model, f_centered, constant_segment(0.0, R0, DT), [1.0], 100, 0.5, RngStream(4))
         with pytest.raises(ValueError):
             clt_test(ref_model, f_centered, constant_segment(0.0, R0, DT), [1.0], 500, math.nan, RngStream(4))
-        # checkpoints off the dt grid are rejected, not rounded to a nearby step
+        # checkpoints off the dt grid are rejected, not rounded to a nearby step;
+        # so is a time average at t = 0
         xi = constant_segment(0.0, R0, DT)
         for run in (
             lambda: clt_test(ref_model, f_centered, xi, [1.0, 4.003], 500, 0.5, RngStream(4)),
             lambda: slln_variance_decay(ref_model, xi, f_centered, [1.0, 4.0, 16.003], 100, RngStream(4)),
+            lambda: slln_variance_decay(ref_model, xi, f_centered, [0.0, 1.0, 2.0], 100, RngStream(4)),
             lambda: slln_pathwise(ref_model, xi, f_centered, 0.25, 8.0, 16, RngStream(4), [1.0, 2.0, 4.003]),
         ):
             with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from segflow import (
     slln_variance_decay,
     variance_D,
 )
+from segflow.limits import _default_checkpoints
 from segflow.registry import build_observable
 
 DT = 1.0 / 128.0
@@ -225,6 +226,22 @@ class TestSllnPathwise:
         # larger eps means larger weight t^(1/2-eps)... smaller exponent: the
         # statistic with eps'=0.30 uses weight t^0.2 <= t^0.4 at t >= 1
         assert np.all(r_big.sup_statistics <= r_small.sup_statistics + 1e-12)
+
+    def test_default_checkpoints_keep_the_horizon(self):
+        # whole horizons: rounded half-decade points, the horizon last
+        assert np.array_equal(_default_checkpoints(10.0), [1, 2, 3, 4, 6, 8, 10])
+        assert np.array_equal(
+            _default_checkpoints(64.0), [1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64]
+        )
+        # a fractional horizon is sampled at itself, not at its rounding
+        assert np.array_equal(_default_checkpoints(10.5), [1, 2, 3, 4, 6, 8, 10.5])
+        assert np.array_equal(_default_checkpoints(0.5), [0.5])
+
+    def test_fractional_horizon_reported_as_sampled(self, ref_model, f_centered):
+        rep = slln_pathwise(
+            ref_model, constant_segment(1.0, R0, DT), f_centered, 0.25, 10.5, 4, RngStream(SEED).child(17)
+        )
+        assert rep.horizon == rep.checkpoint_times[-1] == 10.5
 
 
 class TestCltSymmetry:

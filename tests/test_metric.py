@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import brute_force_assignment_cost
 from segflow import (
@@ -20,6 +23,7 @@ from segflow import (
     wasserstein,
 )
 from segflow.metric import rho_matrix
+from segflow.segments import batch_sup_norms
 
 R0, STEP = 0.5, 0.25
 
@@ -79,6 +83,119 @@ class TestRho:
         x = seg(0.1, 0.2, 0.3)
         y = seg(0.1, 0.2, 0.30001)
         assert rho(x, y, mp) > 0.0
+
+
+def chunked_rho_matrix(a_vals, b_vals, mp):
+    """The difference-array kernel ``rho_matrix`` used for every d, kept as the reference."""
+    na, nb = a_vals.shape[0], b_vals.shape[0]
+    norm_a = batch_sup_norms(a_vals)
+    norm_b = batch_sup_norms(b_vals)
+    weight = np.sqrt(1.0 + norm_a[:, None] ** mp.p + norm_b[None, :] ** mp.p)
+    out = np.empty((na, nb))
+    chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
+    for lo in range(0, na, chunk):
+        hi = min(na, lo + chunk)
+        diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
+        dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
+        out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
+    out *= weight
+    return out
+
+
+class TestRhoKernel:
+    params = [MetricParams(p, g) for p in (1.0, 2.0, 3.0) for g in (0.3, 0.5, 1.0)]
+
+    def assert_matches_reference(self, a, b):
+        for mp in self.params:
+            assert np.array_equal(rho_matrix(a, b, mp), chunked_rho_matrix(a, b, mp))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_batches(self, d):
+        gen = RngStream(41).generator()
+        for scale in (1e-3, 0.3, 1.5):
+            self.assert_matches_reference(
+                scale * gen.standard_normal((7, 9, d)), scale * gen.standard_normal((5, 9, d))
+            )
+        self.assert_matches_reference(gen.standard_normal((1, 9, d)), gen.standard_normal((1, 9, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_and_zero_atoms(self, d):
+        gen = RngStream(42).generator()
+        a = gen.standard_normal((4, 9, d))
+        zeros = np.zeros((3, 9, d))
+        self.assert_matches_reference(a, a)
+        self.assert_matches_reference(a, zeros)
+        self.assert_matches_reference(zeros, zeros)
+        assert np.all(np.diag(rho_matrix(a, a, MetricParams())) == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tiny_differences(self, d):
+        # squares of differences in [1e-150, 1e-100] are still normal numbers
+        gen = RngStream(43).generator()
+        tiny = lambda n: gen.choice([-1.0, 1.0], (n, 9, d)) * 10.0 ** gen.uniform(-150, -100, (n, 9, d))
+        self.assert_matches_reference(tiny(6), tiny(4))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_beyond_one_reference_chunk(self, d):
+        gen = RngStream(44).generator()
+        a = 0.05 * gen.standard_normal((300, 65, d))
+        b = 0.05 * gen.standard_normal((300, 65, d))
+        mp = MetricParams(2.0, 1.0)
+        assert np.array_equal(rho_matrix(a, b, mp), chunked_rho_matrix(a, b, mp))
+
+    def test_scalar_distance_exact_below_square_underflow(self):
+        # for d = 1 the node distance is |x| itself, not sqrt(x**2), which
+        # underflows to 0 here and would make distinct atoms coincide
+        gen = RngStream(45).generator()
+        x = 1e-165 * gen.standard_normal((3, 9, 1))
+        zero = np.zeros((1, 9, 1))
+        mp = MetricParams(2.0, 1.0)
+        weight = np.sqrt(1.0 + batch_sup_norms(x) ** mp.p)
+        got = rho_matrix(x, zero, mp)[:, 0]
+        assert np.array_equal(got, np.abs(x).max(axis=(1, 2)) * weight)
+        assert np.all(got > 0.0)
+
+
+node_values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestMetricProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        na=st.integers(1, 6),
+        nb=st.integers(1, 6),
+        nodes=st.integers(1, 5),
+        d=st.sampled_from([1, 2]),
+        mp=st.sampled_from(TestRhoKernel.params),
+    )
+    def test_rho_matrix_symmetric(self, data, na, nb, nodes, d, mp):
+        a = data.draw(arrays(np.float64, (na, nodes, d), elements=node_values))
+        b = data.draw(arrays(np.float64, (nb, nodes, d), elements=node_values))
+        ab = rho_matrix(a, b, mp)
+        ba = rho_matrix(b, a, mp).T
+        # the moment weight sums (1 + |a|^p) + |b|^p, so the transpose may
+        # differ in the last bits of the weight, never more
+        assert np.allclose(ab, ba, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(ab == 0.0, ba == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 9),
+        d=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wasserstein_permutation_invariant(self, data, n, d, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((n, 3, d))
+        b = gen.standard_normal((n, 3, d))
+        pa = np.asarray(data.draw(st.permutations(range(n))))
+        pb = np.asarray(data.draw(st.permutations(range(n))))
+        mp = MetricParams(2.0, 1.0)
+        w = wasserstein(EmpiricalMeasure(a, R0, STEP), EmpiricalMeasure(b, R0, STEP), mp)
+        assert w == wasserstein(EmpiricalMeasure(a[pa], R0, STEP), EmpiricalMeasure(b, R0, STEP), mp)
+        assert w == wasserstein(EmpiricalMeasure(a, R0, STEP), EmpiricalMeasure(b[pb], R0, STEP), mp)
 
 
 class TestWasserstein:
