@@ -287,6 +287,8 @@ def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
     _on_grid("numerics.dt", _history_nodes, model.delay, dt)
     if kind in _UNIT_STEP_KINDS or num.get("pathwise_horizon", 0.0) > 0:
         _on_grid("numerics.dt", grid_steps, 1.0, dt, "unit time")
+    if 0 < num.get("pathwise_horizon", 0.0) < 1:
+        _fail("numerics.pathwise_horizon", "must be 0 (off) or at least 1: pathwise checkpoints start at t = 1")
     for key in _DT_GRID_KEYS.get(kind, ()):
         for t in num[key] if isinstance(num[key], list) else [num[key]]:
             _on_grid(f"numerics.{key}", grid_steps, t, dt, key)

@@ -362,10 +362,13 @@ def moment_curve(
     with ``K = ||initial||_inf^p``: ``beta`` comes from a log-linear fit of
     the decay toward the tail mean and ``c`` is the smallest constant whose
     envelope dominates every point.  The verdict fails when values are
-    non-finite or the tail of the series still grows.
+    non-finite or the tail of the series still grows.  ``replicas`` must be
+    at least 2: the growth test is scaled by the standard error.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2 for a standard error")
     times = np.asarray(list(times), dtype=float)
     step = initial.step
     indices = [grid_steps(t, step, "time") for t in times]
@@ -392,8 +395,9 @@ def moment_curve(
     k_init = sup_norm(initial) ** p
     envelope_shape = 1.0 + np.exp(-beta_hat * times) * k_init
     c_hat = float(np.max(values / envelope_shape))
-    growing = times.size >= 4 and ols_line(times[times.size // 2 :], values[times.size // 2 :]).slope > 3.0 * float(
-        ses[-1] / max(times[-1] - times[times.size // 2], 1e-9)
+    growing = times.size >= 4 and not (
+        ols_line(times[times.size // 2 :], values[times.size // 2 :]).slope
+        <= 3.0 * float(ses[-1] / max(times[-1] - times[times.size // 2], 1e-9))
     )
     passed = bool(np.isfinite(c_hat) and not growing)
     return MomentCurveReport(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric import Observable
-from .segments import ModelSpec, Segment, batch_sup_norms
+from .segments import ModelSpec, batch_sup_norms
 
 __all__ = [
     "build_model",
@@ -61,22 +61,15 @@ def _tanh_diffusion(a: float = 2.0, b: float = 0.1, r0: float = 0.5, dim: int = 
     """
     a, b = float(a), float(b)
 
-    def diffusion(seg: Segment) -> np.ndarray:
-        return np.diag(1.0 + 0.5 * np.tanh(seg.values[-1]))
-
-    def diffusion_batch(segs: np.ndarray) -> np.ndarray:
-        return 1.0 + 0.5 * np.tanh(segs[:, -1, :])  # diagonal convention
-
     return ModelSpec(
         dim=dim,
         delay=r0,
         drift_ends=lambda now, oldest: -a * now + b * np.sin(oldest),
-        diffusion=diffusion,
+        diffusion_ends=lambda now, oldest: 1.0 + 0.5 * np.tanh(now),
         lambda1=2.0 * a - abs(b),
         lambda2=abs(b),
         sigma_bound=1.5,
         sigma_inv_bound=2.0,
-        diffusion_batch=diffusion_batch,
         name="tanh_diffusion",
     )
 

@@ -27,7 +27,10 @@ increments, the synchronous coupling of two ensembles.  The Euler loop
 itself lives in :func:`step_windows`, whose recycled ring buffer never
 leaves this module.  A single one-dimensional path runs on Python floats
 with the same operation order, so it is bit-identical to the batched loop
-at width 1 and several times faster.
+at width 1 and several times faster.  It calls the model's coefficients on
+floats when they are written as elementwise ``drift_ends`` and either a
+constant scalar diffusion or ``diffusion_ends``; other models are stepped
+through their batched callbacks on the current window.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
 time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
@@ -172,7 +175,8 @@ class ModelSpec:
     dim, delay: state dimension and history-window length.
     drift, diffusion: coefficient maps on single segments.  ``drift`` returns
         a length-``dim`` vector, ``diffusion`` a ``(dim, dim)`` matrix.
-        ``drift`` may be omitted when ``drift_ends`` is given.
+        ``drift`` may be omitted when ``drift_ends`` is given, ``diffusion``
+        when ``diffusion_ends`` is.
     drift_ends: optional drift written as an elementwise function
         ``drift_ends(now, oldest)`` of the window's current node and its
         oldest node.  The same expression must serve Python floats and numpy
@@ -180,6 +184,12 @@ class ModelSpec:
         integrator calls it on floats, and ``drift`` and ``drift_batch``,
         when not given, are derived from it on arrays.  An arithmetic error
         raised on floats counts as a non-finite drift.
+    diffusion_ends: optional diagonal diffusion written the same way, as an
+        elementwise ``diffusion_ends(now, oldest)`` returning the diagonal,
+        under the same bit-for-bit contract and arithmetic-error rule.
+        ``diffusion`` (its ``np.diag``) and ``diffusion_batch`` (diagonal
+        convention), when not given, are derived from it; with
+        ``drift_ends`` the width-1 integrator stays on floats.
     lambda1, lambda2: declared dissipativity constants.  Construction checks
         the side condition ``lambda1 > lambda2 * exp(lambda1 * delay)``.
     sigma_bound, sigma_inv_bound: declared uniform operator-norm bounds on the
@@ -197,12 +207,13 @@ class ModelSpec:
     dim: int
     delay: float
     drift: Optional[Callable[[Segment], np.ndarray]] = None
-    diffusion: Callable[[Segment], np.ndarray]
+    diffusion: Optional[Callable[[Segment], np.ndarray]] = None
     lambda1: float
     lambda2: float
     sigma_bound: float
     sigma_inv_bound: Optional[float]
     drift_ends: Optional[Callable] = None
+    diffusion_ends: Optional[Callable] = None
     drift_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     diffusion_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     diffusion_is_constant: bool = False
@@ -233,6 +244,18 @@ class ModelSpec:
                 )
         elif self.drift is None:
             raise ValueError("a model needs drift or drift_ends")
+        sig_ends = self.diffusion_ends
+        if sig_ends is not None:
+            if self.diffusion is None:
+                object.__setattr__(
+                    self, "diffusion", lambda seg: np.diag(sig_ends(seg.values[-1], seg.values[0]))
+                )
+            if self.diffusion_batch is None:
+                object.__setattr__(
+                    self, "diffusion_batch", lambda segs: sig_ends(segs[:, -1, :], segs[:, 0, :])
+                )
+        elif self.diffusion is None:
+            raise ValueError("a model needs diffusion or diffusion_ends")
         if not (0 <= self.sigma_bound < math.inf):
             raise ValueError("sigma_bound must be finite and non-negative")
         if self.sigma_inv_bound is not None and not (0 < self.sigma_inv_bound < math.inf):
@@ -474,19 +497,23 @@ def _scalar_windows(
     ``x = (x + c*(z*sqrt(dt))) + drift*dt``, and the normals come off the
     stream in the same blocks, so every state is bit-identical to the
     batched loop at width 1.  ``drift_ends`` is called on floats when the
-    diffusion is a constant scalar; any other model gets its own batched
-    callbacks on the current window.  ``buf`` is the (rows, 1, 1) ring buffer
-    whose first ``m+1`` rows hold the initial segment; the windows yielded
-    are precomputed read-only views of it.
+    diffusion is a constant scalar or given by ``diffusion_ends``, which is
+    then called on floats too (``c = float(diffusion_ends(x, oldest))``);
+    any other model gets its own batched callbacks on the current window.
+    ``buf`` is the (rows, 1, 1) ring buffer whose first ``m+1`` rows hold the
+    initial segment; the windows yielded are precomputed read-only views of
+    it.
     """
     flat = buf.reshape(-1)
-    path = flat.tolist()  # float copy of the ring, read by drift_ends
+    path = flat.tolist()  # float copy of the ring, read by the *_ends callbacks
     views = [buf[h - m : h + 1].transpose(1, 0, 2) for h in range(m, flat.size)]
     for view in views:
         view.flags.writeable = False
     sq = math.sqrt(step)
+    model = coeffs.model
     c = coeffs.constant_scalar(views[0])
-    ends = coeffs.model.drift_ends if c is not None else None
+    sig_ends = None if model.diffusion_is_constant else model.diffusion_ends
+    ends = model.drift_ends if c is not None or sig_ends is not None else None
     zarr = np.empty((1, 1))
     zs, zoff = [], _ZBLOCK
     head = m
@@ -505,8 +532,13 @@ def _scalar_windows(
         z = zs[zoff]
         zoff += 1
         if ends is not None:
+            oldest = path[head - m]
             try:
-                drift = ends(x, path[head - m])
+                drift = ends(x, oldest)
+                if sig_ends is not None:
+                    # numpy ufuncs return numpy scalars; float() is exact and
+                    # keeps x a Python float
+                    drift, c = float(drift), float(sig_ends(x, oldest))
             except ArithmeticError:  # where numpy returns inf or nan
                 raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
             noise = c * (z * sq)

@@ -136,6 +136,7 @@ class TestParseConfig:
             ("clt", {}, {"t_grid": [16.003, 64.0]}, "numerics.t_grid"),
             ("slln", delay_06, {"dt": 0.3, "pathwise_horizon": 8.0}, "numerics.dt"),
             ("slln", {}, {"pathwise_horizon": 10.501}, "numerics.pathwise_horizon"),
+            ("slln", {}, {"pathwise_horizon": 0.5}, "numerics.pathwise_horizon"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))

@@ -154,6 +154,11 @@ class TestMomentCurve:
         assert np.allclose(rep.values, 0.0)
         assert rep.passed
 
+    def test_single_replica_rejected(self, ref_model, xi_five):
+        # one replica has no standard error: a NaN growth bound must not pass
+        with pytest.raises(ValueError, match="replicas"):
+            moment_curve(ref_model, xi_five, 2.0, [0.5, 1.0, 2.0, 4.0], 1, RngStream(55))
+
     def test_p2_relaxes_to_stationary(self, ref_model, stationary_sample, xi_five):
         rep = moment_curve(
             ref_model, xi_five, 2.0, [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0], 512, RngStream(52)

@@ -1,6 +1,7 @@
 """Segment type, extraction, and integrator tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -538,18 +539,37 @@ def callback_model(state_noise=False):
     )
 
 
-def ends_model(drift_ends, delay=0.5):
-    """A noise-free one-dimensional model given by its drift_ends alone."""
+def ends_model(drift_ends, delay=0.5, diffusion_ends=None):
+    """A one-dimensional model given by its drift_ends alone, noise-free unless
+    a diffusion_ends is given too."""
+    if diffusion_ends is None:
+        noise = {"diffusion": lambda seg: np.zeros((1, 1)), "diffusion_is_constant": True}
+    else:
+        noise = {"diffusion_ends": diffusion_ends}
     return ModelSpec(
         dim=1,
         delay=delay,
         drift_ends=drift_ends,
-        diffusion=lambda seg: np.zeros((1, 1)),
         lambda1=1.0,
         lambda2=0.0,
         sigma_bound=0.0,
         sigma_inv_bound=None,
-        diffusion_is_constant=True,
+        **noise,
+    )
+
+
+def noise_ends_model():
+    """tanh_diffusion's noise given by diffusion_ends beside a callback-only
+    drift: without drift_ends the width-1 kernel keeps the window view path."""
+    return ModelSpec(
+        dim=1,
+        delay=0.5,
+        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * np.sin(seg.values[0]),
+        diffusion_ends=lambda now, oldest: 1.0 + 0.5 * np.tanh(now),
+        lambda1=3.9,
+        lambda2=0.1,
+        sigma_bound=1.5,
+        sigma_inv_bound=2.0,
     )
 
 
@@ -574,8 +594,10 @@ class TestScalarKernel:
             lambda: build_model("deterministic_decay"),
             callback_model,
             lambda: callback_model(state_noise=True),
+            noise_ends_model,
         ],
-        ids=["drift_ends", "tanh", "decay", "scalar-drift", "scalar-drift-and-diffusion"],
+        ids=["drift_ends", "tanh", "decay", "scalar-drift", "scalar-drift-and-diffusion",
+             "diffusion_ends-only"],
     )
     # chunk 40 with 17 nodes: the ring buffer wraps every 23 steps
     @pytest.mark.parametrize("chunk", [None, 40])
@@ -595,25 +617,39 @@ class TestScalarKernel:
             assert window.shape == (1, 17, 1)
             assert not window.flags.writeable
 
+    def test_tanh_runs_on_floats(self):
+        def refuse(segs):
+            raise AssertionError("the float kernel called a batched coefficient")
+
+        model = replace(build_model("tanh_diffusion"), drift_batch=refuse, diffusion_batch=refuse)
+        assert len(run_windows(step_windows, model, spread_initials(1), 100, DT, RngStream(0))) == 101
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.filterwarnings("ignore:divide by zero")
     @pytest.mark.parametrize(
-        "drift_ends, delay, step, oldest, now, message",
+        "drift_ends, diffusion_ends, delay, step, oldest, now, message",
         [
             # NaN from log(0) once the initial current node (0) becomes the oldest
-            (lambda now, oldest: -now + 0.0 * np.log(oldest), 0.5, DT, 5.0, 0.0,
+            (lambda now, oldest: -now + 0.0 * np.log(oldest), None, 0.5, DT, 5.0, 0.0,
              "drift/diffusion produced non-finite output"),
             # x <- 3x at step 2: the state overflows while the drift stays finite
-            (lambda now, oldest: now, 4.0, 2.0, 1e300, 1e300, "state became non-finite"),
+            (lambda now, oldest: now, None, 4.0, 2.0, 1e300, 1e300, "state became non-finite"),
             # a cube that overflows: inf on arrays, OverflowError on floats
-            (lambda now, oldest: now ** 3 * 1e3, 0.5, 0.25, 5.0, 5.0,
+            (lambda now, oldest: now ** 3 * 1e3, None, 0.5, 0.25, 5.0, 5.0,
+             "drift/diffusion produced non-finite output"),
+            # the same two faults in the diffusion
+            (lambda now, oldest: -now, lambda now, oldest: 1.0 + 0.0 * np.log(oldest),
+             0.5, DT, 5.0, 0.0, "drift/diffusion produced non-finite output"),
+            (lambda now, oldest: -now, lambda now, oldest: now ** 3 * 1e3, 0.5, 0.25, 5.0, 5.0,
              "drift/diffusion produced non-finite output"),
         ],
-        ids=["nan-drift", "state-overflow", "cube-overflow"],
+        ids=["nan-drift", "state-overflow", "cube-overflow", "nan-diffusion", "cube-diffusion"],
     )
-    def test_blowup_matches_batched_loop(self, drift_ends, delay, step, oldest, now, message):
-        model = ends_model(drift_ends, delay)
+    def test_blowup_matches_batched_loop(
+        self, drift_ends, diffusion_ends, delay, step, oldest, now, message
+    ):
+        model = ends_model(drift_ends, delay, diffusion_ends)
         init = np.linspace(oldest, now, int(round(delay / step)) + 1)[None, :, None]
         ours = blowup(step_windows, model, init, 2000, step, RngStream(0))
         ref = blowup(batched_windows, model, init, 2000, step, RngStream(0))
@@ -622,6 +658,9 @@ class TestScalarKernel:
 
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
+NOISE_ENDS_MODELS = [
+    name for name in sorted(MODEL_BUILDERS) if build_model(name).diffusion_ends is not None
+]
 
 
 class TestDriftEnds:
@@ -645,6 +684,31 @@ class TestDriftEnds:
         with pytest.raises(ValueError):
             ModelSpec(
                 dim=1, delay=0.5, diffusion=lambda seg: np.eye(1),
+                lambda1=1.0, lambda2=0.0, sigma_bound=1.0, sigma_inv_bound=1.0,
+            )
+
+    @pytest.mark.parametrize("name", NOISE_ENDS_MODELS)
+    @settings(max_examples=60, deadline=None)
+    @given(ends=st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+    def test_floats_match_diffusion_batch_bitwise(self, name, ends):
+        model = build_model(name)
+        segs = np.zeros((len(ends), 17, 1))
+        segs[:, -1, 0] = [now for now, _ in ends]
+        segs[:, 0, 0] = [oldest for _, oldest in ends]
+        batch = model.diffusion_batch(segs)
+        floats = np.array(
+            [[model.diffusion_ends(now, oldest)] for now, oldest in ends], dtype=float
+        )
+        assert batch.shape == floats.shape
+        assert batch.tobytes() == floats.tobytes()
+        for seg, diag in zip(segs, floats):
+            matrix = model.diffusion(Segment(seg, 0.5, DT))
+            assert matrix.tobytes() == np.diag(diag).tobytes()
+
+    def test_diffusion_needs_a_definition(self):
+        with pytest.raises(ValueError, match="diffusion or diffusion_ends"):
+            ModelSpec(
+                dim=1, delay=0.5, drift_ends=lambda now, oldest: -now,
                 lambda1=1.0, lambda2=0.0, sigma_bound=1.0, sigma_inv_bound=1.0,
             )
 
