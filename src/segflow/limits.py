@@ -37,7 +37,7 @@ from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
 from .segments import ModelSpec, Segment, Trajectory, grid_steps, record, segment_at
-from .semigroup import IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
+from .semigroup import GridProfile, IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -403,7 +403,7 @@ class _HalfValues:
 
 def _halves(
     f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
-    dt: float, rng: RngStream, k_from: int = 0,
+    dt: float, rng: RngStream, k_from: int = 0, first_horizon: Optional[float] = None,
 ) -> _HalfValues:
     """Corrector values at ``states`` from two independent half budgets.
 
@@ -414,27 +414,44 @@ def _halves(
     ``cfg.k_max`` with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
+
+    ``first_horizon`` is a truncation expected to hold here too, such as the
+    one found at the states these were reached from.  Rounded up to a whole
+    unit of time, it bounds a first pair of profiles; only if no checkpoint
+    meets the rule there are both halves recomputed to the configured
+    horizon.  The result is the same either way: a profile to a shorter
+    horizon is the leading columns of the full one (same streams, column-wise
+    quadrature and statistics), and the rule reads no column past the first
+    that passes.
     """
     fit = cfg.require_rate_fit()
     half = max(1, cfg.replicas // 2)
     if isinstance(cfg, DiscreteCorrectorConfig):
-        profile = lambda r: sg.discrete_profile(f, states, k_from, cfg.k_max, half, r)
+        full = cfg.k_max
+        profile = lambda r, h: sg.discrete_profile(f, states, k_from, h, half, r)
         tail = fit.tail_sum_bound
     else:
-        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, dt, half, r)
+        full = cfg.t_max
+        profile = lambda r, h: sg.integral_profile(f, states, h, dt, half, r)
         tail = fit.tail_integral_bound
-    pa = profile(rng.child(0))
-    pb = profile(rng.child(1))
     scale = _norm_hint(f)
     bound = lambda x: scale * tail(x.item())
-    grid = pa.grid
-    idx = len(grid) - 1
-    if cfg.auto_truncate:
-        running = np.median(0.5 * (np.abs(pa.values) + np.abs(pb.values)), axis=0)
-        for i in range(1, len(grid)):
-            if bound(grid[i]) <= cfg.tail_fraction * max(running[i], 1e-300):
-                idx = i
-                break
+    horizons = [full]
+    if cfg.auto_truncate and first_horizon is not None:
+        # a whole unit lies on the dt grid of every caller that takes unit
+        # steps; rounding first keeps a grid time like 300 * 0.01 at 3
+        first = math.ceil(round(first_horizon, 6))
+        if first < full:
+            horizons.insert(0, first)
+    for horizon in horizons:
+        pa = profile(rng.child(0), horizon)
+        pb = profile(rng.child(1), horizon)
+        grid = pa.grid
+        idx = _truncation_index(pa, pb, bound, cfg) if cfg.auto_truncate else None
+        if idx is not None:
+            break
+    if idx is None:
+        idx = len(grid) - 1
     return _HalfValues(
         a=pa.values[:, idx],
         b=pb.values[:, idx],
@@ -443,6 +460,16 @@ def _halves(
         tail_bound=bound(grid[idx]),
         truncation=float(grid[idx]),
     )
+
+
+def _truncation_index(pa: GridProfile, pb: GridProfile, bound, cfg: AnyCorrectorConfig) -> Optional[int]:
+    """First checkpoint past the start where the tail bound falls below
+    ``cfg.tail_fraction`` of the running value, or None if none does."""
+    running = np.median(0.5 * (np.abs(pa.values) + np.abs(pb.values)), axis=0)
+    for i in range(1, len(pa.grid)):
+        if bound(pa.grid[i]) <= cfg.tail_fraction * max(running[i], 1e-300):
+            return i
+    return None
 
 
 def corrector(
@@ -544,7 +571,9 @@ def _increments(
     interior windows); with a :class:`DiscreteCorrectorConfig` the step is
     one unit of the chain and the integral is ``f`` at the base state.
     Streams: base halves on ``rng.child(0)``, transitions on
-    ``rng.child(1)``, end halves on ``rng.child(2)``.
+    ``rng.child(1)``, end halves on ``rng.child(2)``.  The end halves are
+    first simulated only to the base truncation (see :func:`_halves`); one
+    step on, the truncation rule almost always passes there already.
     """
     if sg is None:
         sg = _as_chain(model_or_chain, dt).evaluator()
@@ -555,7 +584,7 @@ def _increments(
         integrals, snaps = np.repeat(f.values(states), outer), {}
     else:
         integrals, ends, snaps = _unit_run(model_or_chain, f, starts, dt, rng.child(1), snapshot_steps)
-    end = _halves(f, ends, cfg, sg, dt, rng.child(2))
+    end = _halves(f, ends, cfg, sg, dt, rng.child(2), first_horizon=base.truncation)
     return _Increments(
         a=integrals + end.a - np.repeat(base.a, outer),
         b=integrals + end.b - np.repeat(base.b, outer),
@@ -668,9 +697,9 @@ def _variance_pipeline(
     cross, cross_se = grouped_mean_se(cross_atom, atoms.groups)
     diff, diff_se = grouped_mean_se(phi_atom - cross_atom, atoms.groups)
 
-    if d_sq < -2.0 * d_sq_se:
+    if not (d_sq >= -2.0 * d_sq_se):
         raise EstimatorInconsistencyError(
-            f"variance estimate {d_sq:.4g} is negative beyond 2 standard errors ({d_sq_se:.4g})"
+            f"variance estimate {d_sq:.4g} is NaN or negative beyond 2 standard errors ({d_sq_se:.4g})"
         )
     if diff_se > 0:
         diff_in_se = abs(diff) / diff_se
@@ -709,8 +738,9 @@ def variance_D(
     ``d_sq`` averages the one-step variance functional over the stationary
     atoms; ``cross_check`` evaluates ``2 mean(f * R_f)``, which the Poisson
     equation makes exactly equal.  Raises
-    :class:`EstimatorInconsistencyError` when the variance estimate is
-    negative beyond two standard errors.
+    :class:`EstimatorInconsistencyError` when the variance estimate or its
+    standard error is NaN, or the estimate is negative beyond two standard
+    errors.
     """
     return _variance_pipeline(model, f, stationary, outer_replicas, cfg, rng, sg, max_atoms)
 
@@ -800,7 +830,7 @@ def vph_residual(
     fr[-1] = f.values(inc.end_states) * inc.end.mean()
     for i, step_idx in enumerate(interior):
         snap = inc.snapshots[step_idx]
-        halves = _halves(f, snap, cfg, sg, dt, rng.child(10 + i))
+        halves = _halves(f, snap, cfg, sg, dt, rng.child(10 + i), first_horizon=base.truncation)
         fr[i + 1] = f.values(snap) * halves.mean()
     ds = 1.0 / (s_nodes - 1)
     per_path = np.trapezoid(fr, dx=ds, axis=0)
@@ -1075,15 +1105,15 @@ def qv_lln_check(
     states = chain.unit_states(starts, n, rng.child(1))  # (n+1, R, m+1, d)
     f_all = np.stack([f.values(states[k]) for k in range(n)])  # k = 0..n-1
     sum_f = f_all.sum(axis=0)
-    r_end = _halves(f, states[n], cfg, sg, xi.step, rng.child(2))
     r_base = _halves(f, xi.values[None], cfg, sg, xi.step, rng.child(3))
+    r_end = _halves(f, states[n], cfg, sg, xi.step, rng.child(2), first_horizon=r_base.truncation)
     m_a = sum_f + r_end.a - r_base.a[0]
     m_b = sum_f + r_end.b - r_base.b[0]
     prod = m_a * m_b / n
     w0 = float(prod.mean())
     w0_se = float(prod.std(ddof=1) / math.sqrt(replicas))
 
-    zero_signal = d_hat_sq < 1e-300 and max(abs(w0), abs(w4)) < 1e-300
+    zero_signal = d_hat_sq < 1e-300 and abs(w0) < 1e-300 and abs(w4) < 1e-300
     w0_pass = abs(w0 - d_hat_sq) <= gate_se * math.hypot(w0_se, d_hat_sq_se)
     w4_pass = abs(w4 - d_hat_sq) <= gate_se * math.hypot(w4_se, d_hat_sq_se)
     return QvLlnReport(

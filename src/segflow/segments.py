@@ -43,6 +43,7 @@ lives in ``_history_nodes``.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -69,6 +70,9 @@ _GRID_RTOL = 1e-9
 _ZBLOCK = 4096
 # Ring-buffer rows of a single path: one precomputed window view per row.
 _SCALAR_ROWS = 4096
+# Rings from this size up get an anonymous mapping of their own (glibc's
+# initial mmap threshold; smaller blocks come from the heap anyway).
+_OWN_MAPPING_BYTES = 128 << 10
 
 
 def grid_steps(t: float, step: float, what: str) -> int:
@@ -379,6 +383,22 @@ class _BatchCoefficients:
         return out
 
 
+def _ring(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised float array for a ring buffer, kept off the heap when large.
+
+    glibc serves a large block by mmap and, when it is freed, raises its mmap
+    threshold to that block's size (up to 32 MiB); smaller arrays then stay
+    on the heap and keep their pages resident.  Ring sizes follow the run's
+    horizon, so a mapping of their own keeps a shorter run from raising the
+    process's peak memory.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _OWN_MAPPING_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty(shape)
+    owned = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(owned, dtype=float).reshape(shape)
+
+
 def step_windows(
     model: ModelSpec,
     initial_values: np.ndarray,
@@ -430,7 +450,7 @@ def step_windows(
         # a single path keeps one precomputed view per row, so its ring stays short
         chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else int(4_000_000 // max(1, n * d)))
     rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
-    buf = np.empty((rows + m + 1, n, d))
+    buf = _ring((rows + m + 1, n, d))
     buf[: m + 1] = init.transpose(1, 0, 2)
     head = m  # buffer row of the current state
 

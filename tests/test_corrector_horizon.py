@@ -1,0 +1,339 @@
+"""Corrector profiles simulated to a first horizon before the configured one.
+
+``limits._halves`` may first compute both half-profiles only to a shorter
+horizon (the truncation found at the states one step back) and recompute to
+``t_max`` / ``k_max`` only when no checkpoint there meets the truncation rule.
+These tests pin that the answer is bit-for-bit the one-pass answer, that the
+short horizon is really asked for, and the prefix property it rests on.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from segflow import (
+    CenteredObservable,
+    CorrectorConfig,
+    DiscreteCorrectorConfig,
+    EmpiricalMeasure,
+    EstimatorInconsistencyError,
+    IidChain,
+    MonteCarloSemigroup,
+    RateFit,
+    RngStream,
+    constant_segment,
+    phi_f,
+    qv_lln_check,
+    variance_D,
+    variance_D_discrete,
+    vph_residual,
+)
+from segflow import limits
+from segflow.limits import (
+    AnyCorrectorConfig,
+    AnyObservable,
+    _halves,
+    _HalfValues,
+    _increments,
+    _norm_hint,
+)
+from segflow.registry import build_model, build_observable
+from segflow.semigroup import GridProfile, SemigroupEvaluator
+
+DT = 1.0 / 128.0
+R0 = 0.5
+SEED = 909
+
+
+# ``limits._halves`` as it was before first horizons, verbatim: both profiles
+# to the configured horizon, then the truncation rule.
+def _reference_halves(
+    f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
+    dt: float, rng: RngStream, k_from: int = 0,
+) -> _HalfValues:
+    """Corrector values at ``states`` from two independent half budgets.
+
+    The type of ``cfg`` picks the scheme.  A :class:`CorrectorConfig`
+    integrates ``t -> P_t f`` by trapezoid quadrature at step ``dt`` up to
+    ``cfg.t_max`` with the :meth:`RateFit.tail_integral_bound`; a
+    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = ``k_from`` ..
+    ``cfg.k_max`` with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
+    checkpoint where that tail, scaled by the observable's norm hint, falls
+    below ``cfg.tail_fraction`` of the running value (median across states).
+    """
+    fit = cfg.require_rate_fit()
+    half = max(1, cfg.replicas // 2)
+    if isinstance(cfg, DiscreteCorrectorConfig):
+        profile = lambda r: sg.discrete_profile(f, states, k_from, cfg.k_max, half, r)
+        tail = fit.tail_sum_bound
+    else:
+        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, dt, half, r)
+        tail = fit.tail_integral_bound
+    pa = profile(rng.child(0))
+    pb = profile(rng.child(1))
+    scale = _norm_hint(f)
+    bound = lambda x: scale * tail(x.item())
+    grid = pa.grid
+    idx = len(grid) - 1
+    if cfg.auto_truncate:
+        running = np.median(0.5 * (np.abs(pa.values) + np.abs(pb.values)), axis=0)
+        for i in range(1, len(grid)):
+            if bound(grid[i]) <= cfg.tail_fraction * max(running[i], 1e-300):
+                idx = i
+                break
+    return _HalfValues(
+        a=pa.values[:, idx],
+        b=pb.values[:, idx],
+        se_a=pa.ses[:, idx],
+        se_b=pb.ses[:, idx],
+        tail_bound=bound(grid[idx]),
+        truncation=float(grid[idx]),
+    )
+
+
+class SpySemigroup(MonteCarloSemigroup):
+    """Monte Carlo evaluator that logs the horizon of every profile it runs."""
+
+    def __init__(self, model, dt):
+        super().__init__(model, dt)
+        self.horizons = []
+
+    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
+        self.horizons.append(t_max)
+        return super().integral_profile(f, states, t_max, quad_step, replicas, rng)
+
+    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
+        self.horizons.append(k_max)
+        return super().discrete_profile(f, states, k_from, k_max, replicas, rng)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return build_model("linear_delay_ou", {"a": 2.0, "b": 0.1, "r0": R0, "sigma": 1.0})
+
+
+@pytest.fixture(scope="module")
+def f():
+    return CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
+
+
+@pytest.fixture(scope="module")
+def fit():
+    # the decay law of the reference model, roughly: truncations land near
+    # t = 1.5 and k = 2, well inside the horizons below
+    return RateFit(c_hat=1.0, beta_hat=1.7, r_squared=1.0, times=np.array([]), values=np.array([]))
+
+
+@pytest.fixture(scope="module", params=["continuous", "discrete"])
+def cfg(request, fit):
+    if request.param == "continuous":
+        return CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
+    return DiscreteCorrectorConfig(rate_fit=fit, k_max=8, replicas=16)
+
+
+def full_horizon(cfg):
+    return cfg.t_max if isinstance(cfg, CorrectorConfig) else cfg.k_max
+
+
+def start_states(n=6):
+    return np.stack([constant_segment(1.0 + 0.5 * i, R0, DT).values for i in range(n)])
+
+
+def assert_halves_equal(got, want):
+    for name in ("a", "b", "se_a", "se_b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.tail_bound == want.tail_bound
+    assert got.truncation == want.truncation
+
+
+class TestFirstHorizon:
+    def test_above_the_rule_is_one_short_pass(self, model, f, cfg):
+        states = start_states()
+        rng = RngStream(SEED).child(0)
+        want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
+        first = math.ceil(want.truncation)
+        assert first < full_horizon(cfg)
+        sg = SpySemigroup(model, DT)
+        got = _halves(f, states, cfg, sg, DT, rng, first_horizon=want.truncation)
+        assert_halves_equal(got, want)
+        assert sg.horizons == [first, first]
+
+    def test_below_the_rule_reruns_to_the_full_horizon(self, model, f, cfg):
+        cfg = dataclasses.replace(cfg, tail_fraction=0.01)  # pushes the rule past 1
+        states = start_states()
+        rng = RngStream(SEED).child(1)
+        want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
+        assert want.truncation > 1
+        sg = SpySemigroup(model, DT)
+        got = _halves(f, states, cfg, sg, DT, rng, first_horizon=0.5)
+        assert_halves_equal(got, want)
+        assert sg.horizons == [1, 1, full_horizon(cfg), full_horizon(cfg)]
+
+    def test_without_auto_truncation_the_first_horizon_is_ignored(self, model, f, cfg):
+        cfg = dataclasses.replace(cfg, auto_truncate=False)
+        states = start_states()
+        rng = RngStream(SEED).child(2)
+        want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
+        assert want.truncation == full_horizon(cfg)
+        sg = SpySemigroup(model, DT)
+        got = _halves(f, states, cfg, sg, DT, rng, first_horizon=2.0)
+        assert_halves_equal(got, want)
+        assert sg.horizons == [full_horizon(cfg)] * 2
+
+    def test_a_first_horizon_past_the_full_one_runs_once(self, model, f, cfg):
+        states = start_states(2)
+        rng = RngStream(SEED).child(3)
+        sg = SpySemigroup(model, DT)
+        _halves(f, states, cfg, sg, DT, rng, first_horizon=full_horizon(cfg) + 0.5)
+        assert sg.horizons == [full_horizon(cfg)] * 2
+
+    def test_end_halves_ask_for_the_base_truncation_first(self, model, f, cfg):
+        sg = SpySemigroup(model, DT)
+        inc = _increments(model, f, start_states(3), 4, cfg, DT, RngStream(SEED).child(4), sg)
+        full = full_horizon(cfg)
+        first = math.ceil(inc.base.truncation)
+        assert first < full
+        assert sg.horizons[:2] == [full, full]  # base halves
+        assert sg.horizons[2:4] == [first, first]  # end halves
+        # the rule is met inside the first horizon at these states
+        assert inc.end.truncation <= first
+        assert len(sg.horizons) == 4
+
+
+class TestCallersMatchOnePass:
+    """Every estimator that reaches ``_halves`` gives the one-pass result."""
+
+    def run_both(self, monkeypatch, model, full, call):
+        sg = SpySemigroup(model, DT)
+        got = call(sg)
+        assert min(sg.horizons) < full  # some halves took a first horizon
+        with monkeypatch.context() as m:
+            m.setattr(limits, "_halves", lambda *a, first_horizon=None, **kw: _reference_halves(*a, **kw))
+            want = call(MonteCarloSemigroup(model, DT))
+        return got, want
+
+    def test_phi_f(self, monkeypatch, model, f, fit):
+        cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
+        xi = constant_segment(1.0, R0, DT)
+        got, want = self.run_both(
+            monkeypatch, model, cfg.t_max,
+            lambda sg: phi_f(model, f, xi, 8, cfg, RngStream(SEED).child(5), sg=sg),
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_variance_pipelines(self, monkeypatch, model, f, fit, discrete):
+        atoms = EmpiricalMeasure(start_states(8) - 1.5, R0, DT, groups=np.arange(8) // 2)
+        if discrete:
+            cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=8, replicas=16)
+            estimate = variance_D_discrete
+        else:
+            cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
+            estimate = variance_D
+        got, want = self.run_both(
+            monkeypatch, model, full_horizon(cfg),
+            lambda sg: estimate(model, f, atoms, cfg, RngStream(SEED).child(6), outer_replicas=4, sg=sg),
+        )
+        assert got == want
+
+    def test_vph_residual(self, monkeypatch, model, f, fit):
+        cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
+        xi = constant_segment(1.0, R0, DT)
+        got, want = self.run_both(
+            monkeypatch, model, cfg.t_max,
+            lambda sg: vph_residual(model, f, xi, cfg, RngStream(SEED).child(7), replicas=6, sg=sg),
+        )
+        assert got == want
+
+    def test_qv_lln_check(self, monkeypatch, model, f, fit):
+        cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=8, replicas=16)
+        xi = constant_segment(1.0, R0, DT)
+        got, want = self.run_both(
+            monkeypatch, model, cfg.k_max,
+            lambda sg: qv_lln_check(
+                model, f, xi, 3, cfg, RngStream(SEED).child(8), d_hat_sq=0.35, replicas=8, sg=sg
+            ),
+        )
+        assert got == want
+
+
+class TestProfilePrefix:
+    """A profile to a shorter horizon is the leading columns of the full one."""
+
+    @pytest.mark.parametrize(
+        "n_states, replicas", [(1, 2), (3, 8), (1024, 8)], ids=["narrow-1", "narrow-24", "wide-2x4096"]
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_integral_profile(self, model, f, n_states, replicas, stride):
+        sg = MonteCarloSemigroup(model, DT)
+        states = np.resize(start_states(4), (n_states,) + start_states(1).shape[1:])
+        rng = RngStream(SEED).child(10)
+        full = sg.integral_profile(f, states, 6.0, stride * DT, replicas, rng)
+        short = sg.integral_profile(f, states, 3.0, stride * DT, replicas, rng)
+        cols = len(short.grid)
+        assert cols == 3 * 128 // stride + 1
+        assert np.array_equal(short.grid, full.grid[:cols])
+        assert np.array_equal(short.values, full.values[:, :cols])
+        assert np.array_equal(short.ses, full.ses[:, :cols])
+
+    @pytest.mark.parametrize("n_states, replicas", [(3, 8), (1024, 8)], ids=["narrow-24", "wide-2x4096"])
+    @pytest.mark.parametrize("k_from", [0, 1])
+    def test_discrete_profile(self, model, f, n_states, replicas, k_from):
+        sg = MonteCarloSemigroup(model, DT)
+        states = np.resize(start_states(4), (n_states,) + start_states(1).shape[1:])
+        rng = RngStream(SEED).child(11)
+        full = sg.discrete_profile(f, states, k_from, 8, replicas, rng)
+        short = sg.discrete_profile(f, states, k_from, 3, replicas, rng)
+        cols = len(short.grid)
+        assert cols == 4 - k_from
+        assert np.array_equal(short.grid, full.grid[:cols])
+        assert np.array_equal(short.values, full.values[:, :cols])
+        assert np.array_equal(short.ses, full.ses[:, :cols])
+
+
+class NanKernel(SemigroupEvaluator):
+    """Stub evaluator returning NaN profiles: all of them with
+    ``nan_from_zero``, else only sums from ``k_from`` >= 1 (zeros otherwise)."""
+
+    def __init__(self, nan_from_zero: bool):
+        self.nan_from_zero = nan_from_zero
+
+    def _profile(self, states, grid, nan):
+        vals = np.full((np.asarray(states).shape[0], len(grid)), math.nan if nan else 0.0)
+        return GridProfile(grid, vals, np.zeros_like(vals))
+
+    def values_on_grid(self, f, states, times, replicas, rng):
+        raise NotImplementedError
+
+    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
+        grid = np.arange(round(t_max / quad_step) + 1) * quad_step
+        return self._profile(states, grid, self.nan_from_zero)
+
+    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
+        return self._profile(states, np.arange(k_from, k_max + 1), self.nan_from_zero or k_from > 0)
+
+
+class TestFailClosedOnNan:
+    def test_nan_variance_estimate_raises(self, model, fit):
+        f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
+        atoms = EmpiricalMeasure(start_states(4), R0, DT)
+        cfg = CorrectorConfig(rate_fit=fit, t_max=2.0, replicas=4)
+        with pytest.raises(EstimatorInconsistencyError, match="NaN"):
+            variance_D(model, f, atoms, cfg, RngStream(SEED).child(12), outer_replicas=4, sg=NanKernel(True))
+
+    def test_nan_increments_are_not_zero_signal(self, fit):
+        shape = constant_segment(0.0, R0, DT).values.shape
+        chain = IidChain(lambda gen, n: np.zeros((n,) + shape), stationary_mean=0.0)
+        f = CenteredObservable(build_observable("zero"), 0.0, 0.0, 1)
+        cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=3, replicas=4)
+        rep = qv_lln_check(
+            chain, f, constant_segment(0.0, R0, DT), 8, cfg, RngStream(SEED).child(13),
+            d_hat_sq=0.0, replicas=8, sg=NanKernel(False),
+        )
+        assert rep.w0_ratio == 0.0
+        assert math.isnan(rep.w4_ratio)
+        assert not rep.zero_signal
+        assert not rep.w4_passed
+        assert rep.w0_passed

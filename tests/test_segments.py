@@ -1,6 +1,7 @@
 """Segment type, extraction, and integrator tests."""
 
 import math
+import mmap
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from segflow import (
 )
 from segflow.ergodic import coupled_snapshots
 from segflow.registry import MODEL_BUILDERS, build_model, build_observable
-from segflow.segments import _BatchCoefficients, record, step_windows
+from segflow.segments import _BatchCoefficients, _ring, record, step_windows
 from segflow.semigroup import MonteCarloSemigroup
 
 
@@ -388,6 +389,16 @@ class TestRecord:
             record(model, spread_initials(2), 10, DT, RngStream(0), sample_at=[11])
         with pytest.raises(ValueError):
             record(model, spread_initials(2), 10, DT, RngStream(0), integrate_at=[5])
+
+    def test_large_rings_get_their_own_mapping(self):
+        # the width-260 and width-8000 cases above run on such rings
+        small, large = _ring((4, 8, 1)), _ring((600, 4096, 1))
+        assert small.base is None
+        owner = large
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(memoryview(owner).obj, mmap.mmap)
+        assert large.flags.writeable and large.shape == (600, 4096, 1)
 
 
 class TestSharedNoise:
