@@ -27,10 +27,10 @@ increments, the synchronous coupling of two ensembles.  The Euler loop
 itself lives in :func:`step_windows`, whose recycled ring buffer never
 leaves this module.  A single one-dimensional path runs on Python floats
 with the same operation order, so it is bit-identical to the batched loop
-at width 1 and several times faster.  It calls the model's coefficients on
-floats when they are written as elementwise ``drift_ends`` and either a
-constant scalar diffusion or ``diffusion_ends``; other models are stepped
-through their batched callbacks on the current window.
+at width 1 and several times faster; it serves models whose drift is written
+as elementwise ``drift_ends`` and whose diffusion is a constant scalar or
+``diffusion_ends``, and every other single path takes the batched loop.
+:func:`_euler_maps` picks each coefficient's form once per run.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
 time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
@@ -205,7 +205,9 @@ class ModelSpec:
         ``(n, d, d)`` (or ``(n, d)``, read as diagonal) respectively.  The
         integrator falls back to looping over the scalar maps when absent.
     diffusion_is_constant: set when ``diffusion`` does not depend on the
-        segment, letting the integrator evaluate it once.
+        segment: the integrator evaluates it once per run, on the first
+        initial window, and a constant scalar keeps a width-1 path with
+        ``drift_ends`` on floats.
     """
 
     dim: int
@@ -297,17 +299,6 @@ class Trajectory:
     def n_history(self) -> int:
         return _history_nodes(self.model.delay, self.step)
 
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - self.n_history - 1
-
-    def times(self) -> np.ndarray:
-        m = self.n_history
-        return (np.arange(self.states.shape[0]) - m) * self.step
-
-    def initial_segment(self) -> Segment:
-        return Segment(self.states[: self.n_history + 1], self.model.delay, self.step)
-
 
 def segment_at(traj: Trajectory, t: float) -> Segment:
     """Extract the history window of ``traj`` ending at time ``t``.
@@ -334,53 +325,44 @@ def segment_at(traj: Trajectory, t: float) -> Segment:
     return Segment(window, traj.model.delay, traj.step)
 
 
-class _BatchCoefficients:
-    """Resolve scalar/batched coefficient callbacks once per run."""
+def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
+    """The run's drift map, noise map and constant scalar diffusion (or None).
 
-    def __init__(self, model: ModelSpec, delay: float, step: float):
-        self.model = model
-        self.delay = delay
-        self.step = step
-        self._const_sigma = None
-        self._const_scalar = None
-
-    def drift(self, segs: np.ndarray) -> np.ndarray:
-        if self.model.drift_batch is not None:
-            return self.model.drift_batch(segs)
-        out = np.empty((segs.shape[0], self.model.dim))
-        for i in range(segs.shape[0]):
-            out[i] = self.model.drift(Segment(segs[i], self.delay, self.step))
-        return out
-
-    def constant_scalar(self, segs: np.ndarray) -> Optional[float]:
-        """The diffusion as one float when it is a constant scalar, else None."""
-        if not self.model.diffusion_is_constant:
-            return None
-        if self._const_sigma is None:
-            sig = np.asarray(
-                self.model.diffusion(Segment(segs[0], self.delay, self.step)), dtype=float
-            )
-            self._const_sigma = sig
-            if sig.ndim == 0 or (sig.ndim == 2 and sig.shape == (1, 1)):
-                self._const_scalar = float(np.ravel(sig)[0])
-        return self._const_scalar
-
-    def noise(self, segs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Apply the diffusion matrix to scaled normal draws ``z`` of shape (n, d)."""
-        if self.model.diffusion_is_constant:
-            if self.constant_scalar(segs) is not None:
-                return self._const_scalar * z
-            return z @ self._const_sigma.T
-        if self.model.diffusion_batch is not None:
-            sig = np.asarray(self.model.diffusion_batch(segs))
+    ``drift(segs)`` and ``noise(segs, z)`` take an (n, m+1, d) window batch
+    and scaled normals ``z`` (n, d); each uses the model's batched callback
+    if it has one and loops the per-segment map otherwise.  A constant
+    diffusion is evaluated once, on the first initial window.
+    """
+    delay = model.delay
+    if model.drift_batch is not None:
+        drift = model.drift_batch
+    else:
+        def drift(segs):
+            out = np.empty((segs.shape[0], model.dim))
+            for i, values in enumerate(segs):
+                out[i] = model.drift(Segment(values, delay, step))
+            return out
+    c = None
+    if model.diffusion_is_constant:
+        sig = np.asarray(model.diffusion(Segment(init[0], delay, step)), dtype=float)
+        if sig.ndim == 0 or sig.shape == (1, 1):
+            c = float(np.ravel(sig)[0])
+            noise = lambda segs, z: c * z
+        else:
+            noise = lambda segs, z: z @ sig.T
+    elif model.diffusion_batch is not None:
+        def noise(segs, z):
+            sig = np.asarray(model.diffusion_batch(segs))
             if sig.ndim == 2:  # diagonal convention
                 return sig * z
             return np.einsum("nij,nj->ni", sig, z)
-        out = np.empty_like(z)
-        for i in range(segs.shape[0]):
-            sig = np.asarray(self.model.diffusion(Segment(segs[i], self.delay, self.step)))
-            out[i] = sig @ z[i]
-        return out
+    else:
+        def noise(segs, z):
+            out = np.empty_like(z)
+            for i, values in enumerate(segs):
+                out[i] = np.asarray(model.diffusion(Segment(values, delay, step))) @ z[i]
+            return out
+    return drift, noise, c
 
 
 def _ring(shape: tuple[int, ...]) -> np.ndarray:
@@ -441,13 +423,12 @@ def step_windows(
         raise ShapeError(f"initial segments have dim {d}, model has {model.dim}")
     if shared_noise and n % 2:
         raise ShapeError(f"a shared-noise batch needs two equal halves, got width {n}")
-    coeffs = _BatchCoefficients(model, model.delay, step)
     gen = rng.generator()
     sq = math.sqrt(step)
 
     # Time-major ring buffer: rows are grid times, windows are contiguous views.
     if chunk is None:
-        # a single path keeps one precomputed view per row, so its ring stays short
+        # a single path's ring stays short: the float kernel keeps one view per row
         chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else int(4_000_000 // max(1, n * d)))
     rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
     buf = _ring((rows + m + 1, n, d))
@@ -456,8 +437,10 @@ def step_windows(
 
     if not np.isfinite(buf[: m + 1]).all():
         raise NumericBlowupError("non-finite initial segment", 0.0)
-    if n * d == 1:
-        yield from _scalar_windows(coeffs, buf, m, n_steps, step, gen)
+    drift_map, noise_map, c = _euler_maps(model, init, step)
+    sig_ends = None if model.diffusion_is_constant else model.diffusion_ends
+    if n * d == 1 and model.drift_ends is not None and (c is not None or sig_ends is not None):
+        yield from _scalar_windows(model.drift_ends, c, sig_ends, buf, m, n_steps, step, gen)
         return
 
     # narrow batches amortize the generator call over many steps; the draw
@@ -477,7 +460,7 @@ def step_windows(
             head = m
         window = buf[head - m : head + 1]
         segs = window.transpose(1, 0, 2)
-        drift = coeffs.drift(segs)
+        drift = drift_map(segs)
         if zbuf is None:
             z = gen.standard_normal((nz, d), out=zdraw)
         else:
@@ -491,7 +474,7 @@ def step_windows(
             zz[nz:] = z
             z = zz
         nxt = buf[head + 1]
-        noise = coeffs.noise(segs, z * sq)
+        noise = noise_map(segs, z * sq)
         np.add(window[-1], noise, out=nxt)
         nxt += drift * step
         head += 1
@@ -504,7 +487,9 @@ def step_windows(
 
 
 def _scalar_windows(
-    coeffs: _BatchCoefficients,
+    ends: Callable,
+    c: Optional[float],
+    sig_ends: Optional[Callable],
     buf: np.ndarray,
     m: int,
     n_steps: int,
@@ -516,13 +501,11 @@ def _scalar_windows(
     The state update keeps the batched loop's operation order,
     ``x = (x + c*(z*sqrt(dt))) + drift*dt``, and the normals come off the
     stream in the same blocks, so every state is bit-identical to the
-    batched loop at width 1.  ``drift_ends`` is called on floats when the
-    diffusion is a constant scalar or given by ``diffusion_ends``, which is
-    then called on floats too (``c = float(diffusion_ends(x, oldest))``);
-    any other model gets its own batched callbacks on the current window.
-    ``buf`` is the (rows, 1, 1) ring buffer whose first ``m+1`` rows hold the
-    initial segment; the windows yielded are precomputed read-only views of
-    it.
+    batched loop at width 1.  The drift is ``ends(now, oldest)`` and the
+    diffusion the constant scalar ``c`` or, given ``sig_ends``,
+    ``float(sig_ends(now, oldest))``.  ``buf`` is the (rows, 1, 1) ring
+    buffer whose first ``m+1`` rows hold the initial segment; the windows
+    yielded are precomputed read-only views of it.
     """
     flat = buf.reshape(-1)
     path = flat.tolist()  # float copy of the ring, read by the *_ends callbacks
@@ -530,11 +513,6 @@ def _scalar_windows(
     for view in views:
         view.flags.writeable = False
     sq = math.sqrt(step)
-    model = coeffs.model
-    c = coeffs.constant_scalar(views[0])
-    sig_ends = None if model.diffusion_is_constant else model.diffusion_ends
-    ends = model.drift_ends if c is not None or sig_ends is not None else None
-    zarr = np.empty((1, 1))
     zs, zoff = [], _ZBLOCK
     head = m
     x = path[head]
@@ -551,25 +529,16 @@ def _scalar_windows(
             zoff = 0
         z = zs[zoff]
         zoff += 1
-        if ends is not None:
-            oldest = path[head - m]
-            try:
-                drift = ends(x, oldest)
-                if sig_ends is not None:
-                    # numpy ufuncs return numpy scalars; float() is exact and
-                    # keeps x a Python float
-                    drift, c = float(drift), float(sig_ends(x, oldest))
-            except ArithmeticError:  # where numpy returns inf or nan
-                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
-            noise = c * (z * sq)
-        else:
-            window = views[head - m]
-            drift = coeffs.drift(window).item()
-            if c is not None:
-                noise = c * (z * sq)
-            else:
-                zarr[0, 0] = z * sq
-                noise = coeffs.noise(window, zarr).item()
+        oldest = path[head - m]
+        try:
+            drift = ends(x, oldest)
+            if sig_ends is not None:
+                # numpy ufuncs return numpy scalars; float() is exact and
+                # keeps x a Python float
+                drift, c = float(drift), float(sig_ends(x, oldest))
+        except ArithmeticError:  # where numpy returns inf or nan
+            raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
+        noise = c * (z * sq)
         x = (x + noise) + drift * step
         head += 1
         flat[head] = x

@@ -3,6 +3,7 @@
 import math
 import mmap
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from segflow import (
 )
 from segflow.ergodic import coupled_snapshots
 from segflow.registry import MODEL_BUILDERS, build_model, build_observable
-from segflow.segments import _BatchCoefficients, _ring, record, step_windows
+from segflow.segments import _ring, record, step_windows
 from segflow.semigroup import MonteCarloSemigroup
 
 
@@ -284,6 +285,57 @@ def ref_record(model, init, n_steps, rng, sample_at, sample, integrate_at, integ
     return samples, integrals
 
 
+# Per-step coefficient resolution written apart from segments._euler_maps:
+# the reference loops below hold step_windows to it.
+class _BatchCoefficients:
+    """Resolve scalar/batched coefficient callbacks once per run."""
+
+    def __init__(self, model: ModelSpec, delay: float, step: float):
+        self.model = model
+        self.delay = delay
+        self.step = step
+        self._const_sigma = None
+        self._const_scalar = None
+
+    def drift(self, segs: np.ndarray) -> np.ndarray:
+        if self.model.drift_batch is not None:
+            return self.model.drift_batch(segs)
+        out = np.empty((segs.shape[0], self.model.dim))
+        for i in range(segs.shape[0]):
+            out[i] = self.model.drift(Segment(segs[i], self.delay, self.step))
+        return out
+
+    def constant_scalar(self, segs: np.ndarray) -> Optional[float]:
+        """The diffusion as one float when it is a constant scalar, else None."""
+        if not self.model.diffusion_is_constant:
+            return None
+        if self._const_sigma is None:
+            sig = np.asarray(
+                self.model.diffusion(Segment(segs[0], self.delay, self.step)), dtype=float
+            )
+            self._const_sigma = sig
+            if sig.ndim == 0 or (sig.ndim == 2 and sig.shape == (1, 1)):
+                self._const_scalar = float(np.ravel(sig)[0])
+        return self._const_scalar
+
+    def noise(self, segs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Apply the diffusion matrix to scaled normal draws ``z`` of shape (n, d)."""
+        if self.model.diffusion_is_constant:
+            if self.constant_scalar(segs) is not None:
+                return self._const_scalar * z
+            return z @ self._const_sigma.T
+        if self.model.diffusion_batch is not None:
+            sig = np.asarray(self.model.diffusion_batch(segs))
+            if sig.ndim == 2:  # diagonal convention
+                return sig * z
+            return np.einsum("nij,nj->ni", sig, z)
+        out = np.empty_like(z)
+        for i in range(segs.shape[0]):
+            sig = np.asarray(self.model.diffusion(Segment(segs[i], self.delay, self.step)))
+            out[i] = sig @ z[i]
+        return out
+
+
 def old_coupled_loop(model, a, b, step_indices, step, rng):
     """The hand-written coupled Euler loop that preceded the shared-noise driver."""
     wanted = sorted(set(int(k) for k in step_indices))
@@ -470,7 +522,8 @@ class TestIntegralProfile:
 
 def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
     """step_windows' batched Euler loop without shared noise, run at any width:
-    the reference the width-1 float kernel must match bit for bit."""
+    the reference the width-1 float kernel and the d = 2 forms must match bit
+    for bit."""
     init = np.asarray(initial_values, dtype=float)
     if init.ndim == 2:
         init = init[None]
@@ -571,7 +624,7 @@ def ends_model(drift_ends, delay=0.5, diffusion_ends=None):
 
 def noise_ends_model():
     """tanh_diffusion's noise given by diffusion_ends beside a callback-only
-    drift: without drift_ends the width-1 kernel keeps the window view path."""
+    drift: without drift_ends a single path takes the batched loop."""
     return ModelSpec(
         dim=1,
         delay=0.5,
@@ -666,6 +719,85 @@ class TestScalarKernel:
         ref = blowup(batched_windows, model, init, 2000, step, RngStream(0))
         assert ours == ref
         assert ours[0].startswith(message + " (at t=") and ours[1] > step
+
+
+# -- two-dimensional states ----------------------------------------------------
+
+
+def tilted_noise(now):
+    """A full, state-dependent 2x2 diffusion of the current node(s) ``now``."""
+    sig = np.empty(now.shape[:-1] + (2, 2))
+    sig[..., 0, 0] = 1.0 + 0.5 * np.tanh(now[..., 0])
+    sig[..., 0, 1] = 0.3 * np.sin(now[..., 1])
+    sig[..., 1, 0] = 0.2 * np.cos(now[..., 0])
+    sig[..., 1, 1] = 1.0
+    return sig
+
+
+def plane_model(batched):
+    """A two-dimensional model with a full diffusion matrix, given by batched
+    callbacks (``diffusion_batch`` returns (n, 2, 2)) or per-segment ones only."""
+    batch = {
+        "drift_batch": lambda segs: -2.0 * segs[:, -1, :] + 0.1 * segs[:, 0, ::-1],
+        "diffusion_batch": lambda segs: tilted_noise(segs[:, -1, :]),
+    }
+    return ModelSpec(
+        dim=2,
+        delay=0.5,
+        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * seg.values[0, ::-1],
+        diffusion=lambda seg: tilted_noise(seg.values[-1]),
+        lambda1=3.9,
+        lambda2=0.1,
+        sigma_bound=2.0,
+        sigma_inv_bound=4.0,
+        **(batch if batched else {}),
+    )
+
+
+PLANE_MODELS = {
+    "constant-matrix": lambda: build_model("linear_delay_ou", {"dim": 2, "sigma": 0.7}),
+    # a constant matrix that is not symmetric, so a transposed product shows
+    "constant-tilted": lambda: replace(
+        build_model("linear_delay_ou", {"dim": 2}),
+        diffusion=lambda seg: np.array([[0.7, 0.3], [-0.2, 1.1]]),
+    ),
+    "diagonal-batch": lambda: build_model("tanh_diffusion", {"dim": 2}),
+    "full-batch": lambda: plane_model(batched=True),
+    "per-segment": lambda: plane_model(batched=False),
+}
+
+
+def plane_initials(width, seed):
+    return np.random.default_rng(seed).normal(size=(width, 17, 2))
+
+
+@pytest.mark.parametrize("form", sorted(PLANE_MODELS))
+class TestTwoDimensions:
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_matches_batched_loop(self, form, width):
+        model = PLANE_MODELS[form]()
+        init = plane_initials(width, seed=11)
+        rng = RngStream(41, 3)
+        # chunk 40 with 17 nodes: the ring buffer wraps every 23 steps
+        ours = run_windows(step_windows, model, init, 120, DT, rng, chunk=40)
+        ref = run_windows(batched_windows, model, init, 120, DT, rng, chunk=40)
+        assert len(ours) == len(ref) == 121
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("half", [1, 3, 64])
+    def test_shared_noise_matches_old_coupled_loop(self, form, half):
+        model = PLANE_MODELS[form]()
+        a = plane_initials(half, seed=12)
+        b = plane_initials(half, seed=13)
+        steps = [0, 2, 70, 120]
+        rng = RngStream(43, 5)
+        old = old_coupled_loop(model, a, b, steps, DT, rng)
+        new = coupled_snapshots(model, a, b, steps, DT, rng)
+        assert len(new) == len(old) == len(steps)
+        for (old_a, old_b), (new_a, new_b) in zip(old, new):
+            assert np.array_equal(new_a, old_a)
+            assert np.array_equal(new_b, old_b)
 
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
