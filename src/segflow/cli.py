@@ -8,9 +8,11 @@ Usage::
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup, 4 a
 statistical check failed.  ``--threads`` (or the SEGFLOW_THREADS environment
-variable) sizes the worker pool used by ``full-suite``; every task derives
-its randomness from ``(seed, task index)`` and results fold in task order,
-so thread count and scheduling never change any output.
+variable) sizes the pool of forked worker processes that runs the five
+sub-runs of ``full-suite``; with 1, or where the ``fork`` start method is
+unavailable, they run serially in this process.  Every task derives its
+randomness from ``(seed, task index)`` and results fold in task order, so
+the worker count and scheduling never change any output.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -335,10 +338,42 @@ _SUITE_PRESETS = {
 }
 
 
+_SUITE_KINDS = ("assumptions", "ergodicity", "slln", "clt", "lil")
+# longest first, so the slowest sub-run (lil) bounds the pool's makespan
+_SUBMIT_ORDER = ("lil", "clt", "slln", "ergodicity", "assumptions")
+
+
+def _run_sub(task):
+    """One full-suite sub-run; module level so that a worker can unpickle it."""
+    kind, sub_cfg = task
+    sub_model = sub_cfg.build_model()
+    return _RUNNERS[kind](sub_cfg, sub_model, sub_cfg.resolved_numerics(sub_model))
+
+
+def _run_sub_runs(tasks: dict, threads: int) -> list:
+    """``_run_sub`` of each ``(kind, config)`` item of ``tasks``, in its order.
+
+    With ``threads`` > 1 and the ``fork`` start method available, the tasks
+    run in up to ``threads`` forked workers (spawn would re-import numpy and
+    scipy in every child).  Either way the first task, in task order, that
+    raised re-raises its own exception here."""
+    workers = min(threads, len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_sub(task) for task in tasks.items()]
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = {kind: pool.submit(_run_sub, (kind, tasks[kind])) for kind in _SUBMIT_ORDER}
+        try:
+            return [futures[kind].result() for kind in tasks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _run_full_suite(cfg: ExperimentConfig, model, num, threads: int):
     preset = _SUITE_PRESETS[num["scale"]]
-    tasks = []
-    for i, kind in enumerate(("assumptions", "ergodicity", "slln", "clt", "lil")):
+    tasks = {}
+    for i, kind in enumerate(_SUITE_KINDS):
         sub_raw = {
             "kind": kind,
             "seed": derive_seed(cfg.seed, 100 + i),
@@ -347,25 +382,13 @@ def _run_full_suite(cfg: ExperimentConfig, model, num, threads: int):
             "metric": {"p": cfg.metric.p, "gamma": cfg.metric.gamma},
             "numerics": {"dt": num["dt"], **preset[kind]},
         }
-        tasks.append((kind, parse_config_dict(sub_raw)))
-
-    def run_one(task):
-        kind, sub_cfg = task
-        sub_model = sub_cfg.build_model()
-        sub_num = sub_cfg.resolved_numerics(sub_model)
-        payload, series, failures = _RUNNERS[kind](sub_cfg, sub_model, sub_num)
-        return kind, sub_cfg, payload, series, failures
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
+        tasks[kind] = parse_config_dict(sub_raw)
+    results = _run_sub_runs(tasks, threads)
 
     payload = {}
     series = {}
     failures = []
-    for kind, sub_cfg, sub_payload, sub_series, sub_failures in results:
+    for (kind, sub_cfg), (sub_payload, sub_series, sub_failures) in zip(tasks.items(), results):
         payload[kind] = {
             "config": sub_cfg.echo(sub_cfg.build_model()),
             "payload": sub_payload,

@@ -94,7 +94,7 @@ class RateFit:
             raise ShapeError("times and values must align")
         if t.size and (np.diff(t) <= 0).any():
             raise ValueError("fit times must be strictly increasing")
-        if (v <= 0).any():
+        if not (v > 0).all():  # NaN fails too
             raise ValueError("fit values must be strictly positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -331,7 +331,7 @@ def ergodicity_curve(
         se_beta=fit.se_slope,
         noise_floor=floor,
         n_dropped=n_dropped,
-        flagged=bool(-fit.slope <= 0),
+        flagged=not (-fit.slope > 0),  # a NaN slope is flagged
         note="" if -fit.slope > 0 else "fitted rate is not positive",
     )
 

@@ -1,8 +1,23 @@
 """Exception hierarchy shared across the package."""
 
 
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class SegflowError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Pickles with its type, message and attributes (``time``,
+    ``sample_index``, ``segment``, ``key``), so an error raised in a worker
+    process reaches the caller whole: the default reduction would call
+    ``__init__`` with ``args``, which holds only the formatted message.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class NumericBlowupError(SegflowError):

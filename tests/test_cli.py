@@ -1,6 +1,8 @@
 """End-to-end CLI tests: parsing, dispatch, files, exit codes, determinism."""
 
 import json
+import multiprocessing
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from segflow import cli
 from segflow.cli import (
+    EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_STATISTICAL,
@@ -15,6 +18,7 @@ from segflow.cli import (
     run_experiment,
 )
 from segflow.config import parse_config_dict
+from segflow.errors import ConfigError, EllipticityViolationError, NumericBlowupError
 from segflow.limits import CltReport
 
 
@@ -203,3 +207,93 @@ class TestRegistryConstruction:
              "model": {"name": "linear_delay_ou", "params": {"a": 0.2, "b": 0.5}}},
         )
         assert main(["validate", path]) == EXIT_CONFIG
+
+
+SUITE_ORDER = ["assumptions", "ergodicity", "slln", "clt", "lil"]
+
+
+def smoke_suite(seed=20240817):
+    return {
+        "kind": "full-suite",
+        "seed": seed,
+        "model": {"name": "linear_delay_ou"},
+        "numerics": {"scale": "smoke"},
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_suite():
+    return run_experiment(parse_config_dict(smoke_suite()), threads=1)
+
+
+class TestProcessPool:
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_digest_independent_of_workers(self, serial_suite, threads):
+        record = run_experiment(parse_config_dict(smoke_suite()), threads=threads)
+        assert record.digest == serial_suite.digest
+        assert record.series == serial_suite.series
+        assert record.failures == serial_suite.failures == []
+
+    def test_serial_without_fork(self, serial_suite, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started although fork is unavailable")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        record = run_experiment(parse_config_dict(smoke_suite()), threads=2)
+        assert record.digest == serial_suite.digest
+
+    def test_longest_submitted_first_folded_in_task_order(self, serial_suite, monkeypatch):
+        submitted = []
+
+        class SpyPool(cli.ProcessPoolExecutor):
+            def submit(self, fn, task):
+                submitted.append(task[0])
+                return super().submit(fn, task)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+        record = run_experiment(parse_config_dict(smoke_suite()), threads=2)
+        assert submitted == ["lil", "clt", "slln", "ergodicity", "assumptions"]
+        assert list(record.payload) == SUITE_ORDER
+        assert list(record.payload) == list(serial_suite.payload)
+        assert record.digest == serial_suite.digest
+
+
+class TestErrorsAcrossProcesses:
+    def test_errors_pickle_whole(self):
+        blowup = pickle.loads(pickle.dumps(NumericBlowupError("state became non-finite", 3.25)))
+        assert type(blowup) is NumericBlowupError
+        assert str(blowup) == "state became non-finite (at t=3.25)"
+        assert blowup.time == 3.25
+        singular = pickle.loads(
+            pickle.dumps(EllipticityViolationError("sigma singular", 7, segment=np.arange(3.0)))
+        )
+        assert type(singular) is EllipticityViolationError
+        assert str(singular) == "sigma singular"
+        assert singular.sample_index == 7
+        assert np.array_equal(singular.segment, np.arange(3.0))
+        config = pickle.loads(pickle.dumps(ConfigError("bad dt", key="numerics.dt")))
+        assert (type(config), str(config), config.key) == (ConfigError, "bad dt", "numerics.dt")
+
+    @pytest.fixture
+    def lil_blows_up(self, monkeypatch):
+        # fork carries these patches into the workers
+        def blowup(cfg, model, num):
+            raise NumericBlowupError("state became non-finite", 3.25)
+
+        for kind in SUITE_ORDER:
+            monkeypatch.setitem(cli._RUNNERS, kind, lambda cfg, model, num: ({}, {}, []))
+        monkeypatch.setitem(cli._RUNNERS, "lil", blowup)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sub_run_blowup_surfaces_as_itself(self, lil_blows_up, threads):
+        with pytest.raises(NumericBlowupError) as err:
+            run_experiment(parse_config_dict(smoke_suite()), threads=threads)
+        assert type(err.value) is NumericBlowupError
+        assert str(err.value) == "state became non-finite (at t=3.25)"
+        assert err.value.time == 3.25
+
+    def test_sub_run_blowup_exits_3(self, lil_blows_up, tmp_path, capsys):
+        path = write_cfg(tmp_path, smoke_suite())
+        assert main(["run", path, "--threads", "2", "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
+        assert "numeric blowup: state became non-finite (at t=3.25)" in capsys.readouterr().err

@@ -17,6 +17,8 @@ from segflow import (
     sample_invariant,
     simulate,
 )
+from segflow import ergodic
+from segflow.ergodic import RateFit
 from segflow.registry import build_model
 from segflow.segments import batch_sup_norms
 
@@ -141,6 +143,26 @@ class TestErgodicityCurve:
         )
         assert np.array_equal(f1.values, f2.values)
         assert f1.beta_hat == f2.beta_hat
+
+    def test_infinite_distance_flags_the_fit(self, ref_model, stationary_sample, mp, xi_five, monkeypatch):
+        # an inf distance passes the noise-floor filter and makes the fitted
+        # slope NaN; a NaN rate must be flagged, not read as resolved
+        distances = iter([1.0, 0.5, math.inf, 0.1])
+        monkeypatch.setattr(ergodic, "_coupled_blocked_wasserstein", lambda *args: next(distances))
+        with np.errstate(invalid="ignore"):
+            fit = ergodicity_curve(
+                ref_model, xi_five, stationary_sample, [0.5, 1.0, 1.5, 2.0], mp,
+                ens(8, 98, burn_in=0.0), cap=8,
+            )
+        assert math.isnan(fit.beta_hat)
+        assert fit.flagged
+
+
+class TestRateFit:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="strictly positive"):
+            RateFit(c_hat=1.0, beta_hat=1.0, r_squared=1.0, times=[1.0, 2.0], values=[0.5, bad])
 
 
 class TestMomentCurve:
