@@ -43,7 +43,6 @@ from .limits import (
     clt_statistic,
     clt_test,
     corrector,
-    discrete_corrector,
     lil_run,
     martingale_increments,
     phi_f,
@@ -53,7 +52,6 @@ from .limits import (
     slln_pathwise,
     slln_variance_decay,
     variance_D,
-    variance_D_discrete,
     vph_residual,
 )
 from .metric import (

@@ -50,7 +50,6 @@ from .limits import (
     slln_pathwise,
     slln_variance_decay,
     variance_D,
-    variance_D_discrete,
 )
 from .registry import registry_list
 from .reports import ReportRecord, input_digest, jsonable, payload_digest, write_report
@@ -214,10 +213,10 @@ def _variance_stage(cfg: ExperimentConfig, model, num, discrete: bool):
         return f, payload, None
     knobs = dict(rate_fit=rate, replicas=num["inner_replicas"], tail_fraction=num["tail_fraction"])
     if discrete:
-        ccfg, estimate = DiscreteCorrectorConfig(k_max=num["k_max"], **knobs), variance_D_discrete
+        ccfg = DiscreteCorrectorConfig(k_max=num["k_max"], **knobs)
     else:
-        ccfg, estimate = CorrectorConfig(t_max=num["t_max"], **knobs), variance_D
-    var = estimate(
+        ccfg = CorrectorConfig(t_max=num["t_max"], **knobs)
+    var = variance_D(
         model, f, stationary, ccfg, RngStream(cfg.seed).child(3),
         outer_replicas=num["outer_replicas"], max_atoms=num["max_atoms"],
     )

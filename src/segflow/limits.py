@@ -12,7 +12,9 @@ Estimator conventions
   The corrector config's type picks the scheme: a :class:`CorrectorConfig`
   integrates ``P_t f`` in continuous time, a :class:`DiscreteCorrectorConfig`
   sums ``P_k f`` at unit lags.  :func:`_increments` is the one place the
-  split one-step increment ``integral + end.{a,b} - base.{a,b}`` is built.
+  split one-step increment ``integral + end.{a,b} - base.{a,b}`` is built,
+  and :func:`_phi_per_state` the one place its products become the one-step
+  variance functional and its standard errors.
 * Truncation.  Corrector tails are bounded through a fitted decay rate; the
   truncation point is the earliest checkpoint where that bound drops below a
   fraction of the running estimate (capped by the configured maximum).
@@ -71,7 +73,6 @@ __all__ = [
     "variance_D",
     "vph_residual",
     "clt_test",
-    "discrete_corrector",
     "martingale_increments",
     "quadratic_variation",
     "qv_lln_check",
@@ -484,8 +485,8 @@ def corrector(
     Trapezoid quadrature of ``t -> P_t f(xi)`` over the quad grid, with common
     random numbers across the grid, truncated where the fitted-rate tail bound
     falls below ``cfg.tail_fraction`` of the running value.  A
-    :class:`DiscreteCorrectorConfig` gives the unit-lag partial sum instead
-    (see :func:`discrete_corrector`).
+    :class:`DiscreteCorrectorConfig` gives the unit-lag partial sum
+    ``sum_{k=0}^{K} P_k f(xi)`` with its geometric tail bound instead.
     """
     halves = _halves(f, xi.values[None], cfg, sg, xi.step, rng)
     return CorrectorEstimate(
@@ -494,17 +495,6 @@ def corrector(
         tail_bound=halves.tail_bound,
         truncation=halves.truncation,
     )
-
-
-def discrete_corrector(
-    sg: SemigroupEvaluator,
-    f: AnyObservable,
-    xi: Segment,
-    cfg: DiscreteCorrectorConfig,
-    rng: RngStream,
-) -> CorrectorEstimate:
-    """Partial sum ``sum_{k=0}^{K} P_k f(xi)`` with a geometric tail bound."""
-    return corrector(sg, f, xi, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +585,25 @@ def _increments(
     )
 
 
+def _phi_per_state(inc: _Increments, outer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each base state's one-step variance functional from its ``outer``
+    split-half increment products.
+
+    Returns per-state arrays: the mean product, its iid standard error across
+    the products (NaN for one product), and the term of the base-state
+    corrector noise.  That noise is shared by a state's products; its
+    first-order effect scales with the mean increment, which is zero in
+    expectation.
+    """
+    a = inc.a.reshape(-1, outer)
+    b = inc.b.reshape(-1, outer)
+    products = a * b
+    value = products.mean(axis=1)
+    se = products.std(axis=1, ddof=1) / math.sqrt(outer) if outer > 1 else np.full_like(value, math.nan)
+    se_base = np.hypot(np.abs(b.mean(axis=1)) * inc.base.se_a, np.abs(a.mean(axis=1)) * inc.base.se_b)
+    return value, se, se_base
+
+
 @dataclass(frozen=True)
 class PhiEstimate:
     value: float
@@ -615,23 +624,19 @@ def phi_f(
 ) -> PhiEstimate:
     """Expected squared one-step martingale increment at ``xi``.
 
-    Monte Carlo over ``replicas`` one-step transitions; each squared increment
-    is the product of two half-estimates with independent corrector noise, so
-    the estimate is free of inner-noise-squared bias.
+    Monte Carlo over ``replicas`` (at least 2) one-step transitions; each
+    squared increment is the product of two half-estimates with independent
+    corrector noise, so the estimate is free of inner-noise-squared bias.
+    The standard error adds the base-state corrector term of
+    :func:`_phi_per_state`.
     """
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     inc = _increments(model, f, xi.values[None], replicas, corrector_cfg, xi.step, rng, sg)
-    products = inc.a * inc.b
-    value = float(products.mean())
-    se = float(products.std(ddof=1) / math.sqrt(replicas))
-    # the base-state corrector noise is shared across replicas; its first-order
-    # effect scales with the mean increment, which is zero in expectation
-    se_common = math.hypot(
-        abs(float(inc.b.mean())) * float(inc.base.se_a[0]),
-        abs(float(inc.a.mean())) * float(inc.base.se_b[0]),
-    )
+    value, se, se_base = _phi_per_state(inc, replicas)
     return PhiEstimate(
-        value=value,
-        se=math.hypot(se, se_common),
+        value=float(value[0]),
+        se=float(np.hypot(se, se_base)[0]),
         truncation=inc.base.truncation,
         tail_bound=inc.base.tail_bound,
         replicas=replicas,
@@ -665,28 +670,40 @@ class VarianceReport:
     mu_f_se: float
 
 
-def _variance_pipeline(
+def variance_D(
     model_or_chain,
     f: CenteredObservable,
     stationary: EmpiricalMeasure,
-    outer: int,
     cfg: AnyCorrectorConfig,
     rng: RngStream,
-    sg: Optional[SemigroupEvaluator],
-    max_atoms: Optional[int],
+    outer_replicas: int = 32,
+    sg: Optional[SemigroupEvaluator] = None,
+    max_atoms: Optional[int] = None,
 ) -> VarianceReport:
+    """Asymptotic variance of the normalized time average, with cross-check.
+
+    ``d_sq`` averages the one-step variance functional over the stationary
+    atoms (at most ``max_atoms``, evenly strided); ``cross_check`` evaluates
+    ``2 mean(f * R_f)``, which the Poisson equation makes exactly equal.  The
+    config's type picks the scheme: a :class:`CorrectorConfig` gives the
+    continuous-time constant of a model, a :class:`DiscreteCorrectorConfig`
+    the unit-lag constant of a model or chain.  Standard errors are taken
+    across atoms, so one outer replica is allowed.  Raises
+    :class:`EstimatorInconsistencyError` when the variance estimate or its
+    standard error is NaN, or the estimate is negative beyond two standard
+    errors.
+    """
     atoms = stationary
     if max_atoms is not None and stationary.n > max_atoms:
         stride = stationary.n / max_atoms
         idx = np.unique((np.arange(max_atoms) * stride).astype(int))
         atoms = stationary.take(idx)
-    n = atoms.n
     discrete = isinstance(cfg, DiscreteCorrectorConfig)
 
     # the base-state corrector halves are reused by both sides of the identity
-    inc = _increments(model_or_chain, f, atoms.values, outer, cfg, atoms.step, rng, sg)
+    inc = _increments(model_or_chain, f, atoms.values, outer_replicas, cfg, atoms.step, rng, sg)
     base = inc.base
-    phi_atom = (inc.a * inc.b).reshape(n, outer).mean(axis=1)
+    phi_atom, _, _ = _phi_per_state(inc, outer_replicas)
 
     f_atom = f.values(atoms.values)
     cross_atom = 2.0 * f_atom * base.mean()
@@ -714,49 +731,13 @@ def _variance_pipeline(
         discrepancy=diff,
         discrepancy_se=diff_se,
         discrepancy_in_se=diff_in_se,
-        n_atoms=n,
-        outer_replicas=outer,
+        n_atoms=atoms.n,
+        outer_replicas=outer_replicas,
         truncation=base.truncation,
         tail_bound=base.tail_bound,
         discrete=discrete,
         mu_f_se=f.mu_f_se,
     )
-
-
-def variance_D(
-    model: ModelSpec,
-    f: CenteredObservable,
-    stationary: EmpiricalMeasure,
-    cfg: CorrectorConfig,
-    rng: RngStream,
-    outer_replicas: int = 32,
-    sg: Optional[SemigroupEvaluator] = None,
-    max_atoms: Optional[int] = None,
-) -> VarianceReport:
-    """Asymptotic variance of the normalized time average, with cross-check.
-
-    ``d_sq`` averages the one-step variance functional over the stationary
-    atoms; ``cross_check`` evaluates ``2 mean(f * R_f)``, which the Poisson
-    equation makes exactly equal.  Raises
-    :class:`EstimatorInconsistencyError` when the variance estimate or its
-    standard error is NaN, or the estimate is negative beyond two standard
-    errors.
-    """
-    return _variance_pipeline(model, f, stationary, outer_replicas, cfg, rng, sg, max_atoms)
-
-
-def variance_D_discrete(
-    model_or_chain,
-    f: CenteredObservable,
-    stationary: EmpiricalMeasure,
-    cfg: DiscreteCorrectorConfig,
-    rng: RngStream,
-    outer_replicas: int = 32,
-    sg: Optional[SemigroupEvaluator] = None,
-    max_atoms: Optional[int] = None,
-) -> VarianceReport:
-    """Unit-lag analogue of :func:`variance_D` for the integer-time pipeline."""
-    return _variance_pipeline(model_or_chain, f, stationary, outer_replicas, cfg, rng, sg, max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +778,13 @@ def vph_residual(
     on shared one-step paths.  Squares and the squared-corrector transport
     use independent half-estimates, so each term is unbiased; the s-integral
     uses trapezoid quadrature over ``s_nodes`` nodes with a Richardson error
-    estimate folded into the combined error.
+    estimate folded into the combined error.  The corrector halves at the
+    interior nodes are one batch over every replica's snapshots.  ``phi``
+    carries the iid standard error of :func:`_phi_per_state` only, without
+    the base-corrector term of :func:`phi_f`.  Needs at least 2 replicas.
     """
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     dt = xi.step
     per_unit = grid_steps(1.0, dt, "unit time")
     if (s_nodes - 1) < 2 or per_unit % (s_nodes - 1) != 0:
@@ -807,9 +793,8 @@ def vph_residual(
     interior = [k * stride for k in range(1, s_nodes - 1)]
     sg = sg if sg is not None else MonteCarloSemigroup(model, dt)
     inc = _increments(model, f, xi.values[None], replicas, cfg, dt, rng, sg, snapshot_steps=interior)
-    products = inc.a * inc.b
-    phi_val = float(products.mean())
-    phi_se = float(products.std(ddof=1) / math.sqrt(replicas))
+    phi, se, _ = _phi_per_state(inc, replicas)
+    phi_val, phi_se = float(phi[0]), float(se[0])
 
     # P_1(R^2): half-product at the one-step states
     sq_end = inc.end.a * inc.end.b
@@ -828,10 +813,9 @@ def vph_residual(
     f_xi = float(f.values(xi.values[None])[0])
     fr[0] = f_xi * float(base.mean()[0])
     fr[-1] = f.values(inc.end_states) * inc.end.mean()
-    for i, step_idx in enumerate(interior):
-        snap = inc.snapshots[step_idx]
-        halves = _halves(f, snap, cfg, sg, dt, rng.child(10 + i), first_horizon=base.truncation)
-        fr[i + 1] = f.values(snap) * halves.mean()
+    snaps = np.concatenate([inc.snapshots[s] for s in interior])  # node-major
+    halves = _halves(f, snaps, cfg, sg, dt, rng.child(10), first_horizon=base.truncation)
+    fr[1:-1] = (f.values(snaps) * halves.mean()).reshape(len(interior), replicas)
     ds = 1.0 / (s_nodes - 1)
     per_path = np.trapezoid(fr, dx=ds, axis=0)
     coarse = np.trapezoid(fr[::2], dx=2 * ds, axis=0) if (s_nodes - 1) % 2 == 0 else per_path
@@ -1020,30 +1004,23 @@ def quadratic_variation(
 ) -> QvReport:
     """Quadratic variation ``sum_{i<k} phi_f(X_i)`` along one path.
 
-    Each state's variance functional is estimated by :func:`phi_f` with the
-    sub-stream ``rng.child(0, i)``; with ``k=1`` the result is bit-identical
-    to ``phi_f(xi, ..., rng.child(0, 0))``.  ``qv_over_k`` is the
+    The variance functional at all ``k`` visited states is one batch of
+    ``outer_replicas`` (at least 2) transitions each on ``rng.child(0, 0)``,
+    so the states share one corrector truncation (the median rule of
+    :func:`_halves`), and with ``k=1`` the result is bit-identical to
+    ``phi_f(xi, ..., rng.child(0, 0))``.  ``qv_over_k`` is the
     running-average form whose long-run limit is the stationary variance
     constant.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if outer_replicas < 2:
+        raise ValueError("need at least 2 outer replicas")
     chain = SdeChain(model, xi.step)
     states = chain.unit_states(xi.values[None], k - 1, rng.child(1))[:, 0] if k > 1 else xi.values[None]
-    vals = np.empty(k)
-    ses = np.empty(k)
-    for i in range(k):
-        est = phi_f(
-            model,
-            f,
-            Segment(states[i], xi.delay, xi.step),
-            outer_replicas,
-            cfg,
-            rng.child(0, i),
-            sg=sg,
-        )
-        vals[i] = est.value
-        ses[i] = est.se
+    inc = _increments(model, f, states, outer_replicas, cfg, xi.step, rng.child(0, 0), sg)
+    vals, se, se_base = _phi_per_state(inc, outer_replicas)
+    ses = np.hypot(se, se_base)
     qv = float(vals.sum())
     qv_se = float(np.sqrt((ses**2).sum()))
     mean_se = batch_means_se(vals) if k >= 4 else qv_se / k

@@ -68,13 +68,7 @@ def _running_trapezoid(nodes: np.ndarray, h: float) -> np.ndarray:
 
 
 class SemigroupEvaluator(ABC):
-    """Estimates of ``P_t f`` and of its time quadratures at a batch of states."""
-
-    @abstractmethod
-    def values_on_grid(
-        self, f: Observable, states: np.ndarray, times: np.ndarray, replicas: int, rng: RngStream
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Estimate P_t f at each state and time; returns (values, ses) of shape (n, len(times))."""
+    """Time quadratures and unit-lag sums of ``P_t f`` at a batch of states."""
 
     @abstractmethod
     def integral_profile(
@@ -129,12 +123,6 @@ class MonteCarloSemigroup(SemigroupEvaluator):
             out[g0:g1] = vals.reshape(len(record_steps), g1 - g0, replicas).transpose(1, 0, 2)
         return out
 
-    def values_on_grid(self, f, states, times, replicas, rng):
-        times = np.asarray(times, dtype=float)
-        steps = [grid_steps(t, self.dt, "time") for t in times]
-        samples = self._run(f, states, max(steps), steps, replicas, rng)
-        return samples.mean(axis=2), samples.std(axis=2, ddof=1) / math.sqrt(replicas)
-
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         dt = self.dt
         stride = grid_steps(quad_step, dt, "quad_step")
@@ -187,12 +175,6 @@ class ExpDecayKernel(SemigroupEvaluator):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def values_on_grid(self, f, states, times, replicas, rng):
-        base = _state_values(f, states)
-        times = np.asarray(times, dtype=float)
-        vals = base[:, None] * np.exp(-self.rate * times)[None, :]
-        return vals, np.zeros_like(vals)
-
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         n_q = grid_steps(t_max, quad_step, "t_max")
         grid = np.arange(n_q + 1) * quad_step
@@ -219,14 +201,6 @@ class GeometricKernel(SemigroupEvaluator):
             raise ValueError("ratio must lie in (0, 1)")
         self.ratio = ratio
 
-    def values_on_grid(self, f, states, times, replicas, rng):
-        times = np.asarray(times, dtype=float)
-        if not np.allclose(times, np.round(times)):
-            raise ValueError("geometric kernel is defined at integer times only")
-        base = _state_values(f, states)
-        vals = base[:, None] * (self.ratio ** np.round(times))[None, :]
-        return vals, np.zeros_like(vals)
-
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         raise NotImplementedError("geometric kernel has no continuous-time action")
 
@@ -247,12 +221,6 @@ class IidKernel(SemigroupEvaluator):
 
     def __init__(self, stationary_mean: float = 0.0):
         self.stationary_mean = stationary_mean
-
-    def values_on_grid(self, f, states, times, replicas, rng):
-        times = np.asarray(times, dtype=float)
-        base = _state_values(f, states)
-        vals = np.where(times[None, :] == 0, base[:, None], self.stationary_mean)
-        return vals, np.zeros_like(vals)
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         raise NotImplementedError("i.i.d. kernel has no continuous-time action")

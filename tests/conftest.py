@@ -26,7 +26,6 @@ from segflow import (
     ergodicity_curve,
     sample_invariant,
     variance_D,
-    variance_D_discrete,
 )
 from segflow.registry import build_model, build_observable
 
@@ -136,7 +135,7 @@ def variance_report(ref_model, f_centered, stationary_sample, corrector_cfg):
 
 @pytest.fixture(scope="session")
 def variance_report_discrete(ref_model, f_centered, stationary_sample, discrete_cfg):
-    return variance_D_discrete(
+    return variance_D(
         ref_model,
         f_centered,
         stationary_sample,

@@ -27,7 +27,6 @@ from segflow import (
     phi_f,
     qv_lln_check,
     variance_D,
-    variance_D_discrete,
     vph_residual,
 )
 from segflow import limits
@@ -228,13 +227,11 @@ class TestCallersMatchOnePass:
         atoms = EmpiricalMeasure(start_states(8) - 1.5, R0, DT, groups=np.arange(8) // 2)
         if discrete:
             cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=8, replicas=16)
-            estimate = variance_D_discrete
         else:
             cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
-            estimate = variance_D
         got, want = self.run_both(
             monkeypatch, model, full_horizon(cfg),
-            lambda sg: estimate(model, f, atoms, cfg, RngStream(SEED).child(6), outer_replicas=4, sg=sg),
+            lambda sg: variance_D(model, f, atoms, cfg, RngStream(SEED).child(6), outer_replicas=4, sg=sg),
         )
         assert got == want
 
@@ -303,9 +300,6 @@ class NanKernel(SemigroupEvaluator):
     def _profile(self, states, grid, nan):
         vals = np.full((np.asarray(states).shape[0], len(grid)), math.nan if nan else 0.0)
         return GridProfile(grid, vals, np.zeros_like(vals))
-
-    def values_on_grid(self, f, states, times, replicas, rng):
-        raise NotImplementedError
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         grid = np.arange(round(t_max / quad_step) + 1) * quad_step

@@ -1,6 +1,7 @@
 """Limit-lab tests with exact or synthetic-kernel oracles (no heavy MC)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from segflow import (
     ConfigurationError,
     CorrectorConfig,
     DiscreteCorrectorConfig,
+    EmpiricalMeasure,
     ExpDecayKernel,
     GeometricKernel,
     IidChain,
@@ -17,16 +19,20 @@ from segflow import (
     Observable,
     RateFit,
     RngStream,
+    SdeChain,
+    Segment,
     Trajectory,
     additive_functional,
     cameron_martin_norm,
     clt_statistic,
     constant_segment,
     corrector,
-    discrete_corrector,
     martingale_increments,
+    phi_f,
+    quadratic_variation,
     rescaled_path_nodes,
     simulate,
+    variance_D,
     vph_residual,
 )
 from segflow.registry import build_model, build_observable
@@ -138,7 +144,7 @@ class TestCorrectorSynthetic:
 class TestDiscreteCorrectorSynthetic:
     def test_zero_function(self):
         cfg = DiscreteCorrectorConfig(rate_fit=unit_rate_fit(), k_max=6, replicas=8)
-        est = discrete_corrector(GeometricKernel(0.5), zero_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(5))
+        est = corrector(GeometricKernel(0.5), zero_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(5))
         assert est.value == 0.0
 
     def test_geometric_series_sums_to_two(self):
@@ -150,7 +156,7 @@ class TestDiscreteCorrectorSynthetic:
             k_max=20, replicas=8, auto_truncate=False,
         )
         xi = constant_segment(1.0, R0, DT)
-        est = discrete_corrector(GeometricKernel(0.5), eval0_obs(), xi, cfg, RngStream(6))
+        est = corrector(GeometricKernel(0.5), eval0_obs(), xi, cfg, RngStream(6))
         assert est.value == pytest.approx(2.0, abs=2.0 * 0.5**20)
 
 
@@ -175,6 +181,60 @@ class TestVphSyntheticKernel:
             replicas=8, s_nodes=9, sg=ExpDecayKernel(1.0),
         )
         assert rep.residual == 0.0
+
+
+def decay_model():
+    return build_model("deterministic_decay", {"rate": 1.0})
+
+
+class TestPhiBatchOracle:
+    """The batched variance functional on the noise-free decay model with
+    the exact exponential kernel: every state's value is deterministic."""
+
+    cfg = CorrectorConfig(rate_fit=unit_rate_fit(), t_max=8.0, replicas=8, auto_truncate=False)
+
+    def test_quadratic_variation_per_state_is_phi_f(self):
+        model, f, sg = decay_model(), eval0_obs(), ExpDecayKernel(1.0)
+        xi = constant_segment(1.0, R0, DT)
+        qv = quadratic_variation(model, f, xi, 5, self.cfg, RngStream(9), outer_replicas=4, sg=sg)
+        # the noise-free path visits the same states on any stream
+        states = SdeChain(model, DT).unit_states(xi.values[None], 4, RngStream(10))[:, 0]
+        phis = [phi_f(model, f, Segment(s, R0, DT), 4, self.cfg, RngStream(11), sg=sg) for s in states]
+        assert len(set(p.value for p in phis)) == 5
+        assert qv.per_state.tolist() == [p.value for p in phis]
+        assert qv.per_state_se.tolist() == [p.se for p in phis]
+
+    def test_variance_D_takes_one_outer_replica(self):
+        values = np.stack([constant_segment(v, R0, DT).values for v in (0.5, 1.0, 1.5)])
+        atoms = EmpiricalMeasure(values, R0, DT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = variance_D(
+                decay_model(), eval0_obs(), atoms, self.cfg, RngStream(12), outer_replicas=1,
+                sg=ExpDecayKernel(1.0),
+            )
+        assert rep.outer_replicas == 1
+        assert math.isfinite(rep.d_sq_se)
+
+
+class TestOneReplicaRejected:
+    cfg = CorrectorConfig(rate_fit=unit_rate_fit(), t_max=8.0, replicas=8)
+    xi = constant_segment(1.0, R0, DT)
+    sg = ExpDecayKernel(1.0)
+
+    def test_phi_f(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            phi_f(decay_model(), eval0_obs(), self.xi, 1, self.cfg, RngStream(0), sg=self.sg)
+
+    def test_vph_residual(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            vph_residual(decay_model(), eval0_obs(), self.xi, self.cfg, RngStream(0), replicas=1, sg=self.sg)
+
+    def test_quadratic_variation(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            quadratic_variation(
+                decay_model(), eval0_obs(), self.xi, 3, self.cfg, RngStream(0), outer_replicas=1, sg=self.sg
+            )
 
 
 class TestMartingaleIidChain:

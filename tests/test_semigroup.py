@@ -28,13 +28,6 @@ def eval0():
 
 
 class TestExpDecayKernel:
-    def test_values(self, eval0):
-        k = ExpDecayKernel(rate=1.0)
-        xi = constant_segment(2.0, R0, DT)
-        vals, ses = k.values_on_grid(eval0, xi.values[None], np.array([0.0, 1.0, 2.0]), 8, RngStream(0))
-        assert np.allclose(vals[0], 2.0 * np.exp([-0.0, -1.0, -2.0]))
-        assert np.all(ses == 0.0)
-
     def test_integral_profile_converges_to_one(self, eval0):
         k = ExpDecayKernel(rate=1.0)
         xi = constant_segment(1.0, R0, DT)
@@ -77,12 +70,6 @@ class TestGeometricKernel:
 
 
 class TestIidKernel:
-    def test_only_lag_zero_sees_the_state(self, eval0):
-        k = IidKernel(0.0)
-        xi = constant_segment(3.0, R0, DT)
-        vals, _ = k.values_on_grid(eval0, xi.values[None], np.array([0.0, 1.0, 2.0]), 4, RngStream(0))
-        assert np.allclose(vals[0], [3.0, 0.0, 0.0])
-
     def test_shifted_corrector_vanishes(self, eval0):
         k = IidKernel(0.0)
         xi = constant_segment(3.0, R0, DT)
@@ -101,12 +88,19 @@ class TestMonteCarloSemigroup:
         # noise-free decay model realizes the exponential kernel exactly for eval0
         model = build_model("deterministic_decay", {"rate": 1.0})
         mc = MonteCarloSemigroup(model, DT)
-        xi = constant_segment(2.0, R0, DT)
-        times = np.array([0.0, 0.5, 1.0, 2.0])
-        vals, ses = mc.values_on_grid(eval0, xi.values[None], times, 4, RngStream(1))
-        # Euler error only
-        assert np.allclose(vals[0], 2.0 * np.exp(-times), atol=0.02)
-        assert np.all(ses < 1e-12)
+        kernel = ExpDecayKernel(1.0)
+        states = constant_segment(2.0, R0, DT).values[None]
+        profiles = [
+            (mc.discrete_profile(eval0, states, 0, 3, 4, RngStream(1)),
+             kernel.discrete_profile(eval0, states, 0, 3, 4, RngStream(1))),
+            (mc.integral_profile(eval0, states, 2.0, 0.5, 4, RngStream(1)),
+             kernel.integral_profile(eval0, states, 2.0, 0.5, 4, RngStream(1))),
+        ]
+        for prof, exact in profiles:
+            assert np.array_equal(prof.grid, exact.grid)
+            # Euler error only
+            assert np.allclose(prof.values, exact.values, atol=0.02)
+            assert np.all(prof.ses < 1e-12)
 
     def test_integral_profile_accumulates(self, eval0):
         model = build_model("deterministic_decay", {"rate": 1.0})
@@ -121,10 +115,10 @@ class TestMonteCarloSemigroup:
         states = np.stack(
             [constant_segment(v, R0, 1.0 / 128.0).values for v in (0.0, 2.0)]
         )
-        vals, ses = mc.values_on_grid(eval0, states, np.array([1.0]), 256, RngStream(3))
+        prof = mc.discrete_profile(eval0, states, 1, 1, 256, RngStream(3))
         # decay of the conditional mean: E X_1 from 2 is near 2 e^-? > from 0
-        assert vals[1, 0] > vals[0, 0]
-        assert np.all(ses > 0)
+        assert prof.values[1, 0] > prof.values[0, 0]
+        assert np.all(prof.ses > 0)
 
 
 class TestIidChain:
