@@ -79,6 +79,5 @@ from .semigroup import (
     IidChain,
     IidKernel,
     MonteCarloSemigroup,
-    SdeChain,
     kernel_registry,
 )

@@ -76,22 +76,14 @@ def _stationary_sample(cfg: ExperimentConfig, model, num):
         master_seed=derive_seed(cfg.seed, 0),
         samples_per_traj=num["samples_per_traj"],
     )
-    return sample_invariant(model, ens, _initial_segment(model, num)), ens
+    return sample_invariant(model, ens, _initial_segment(model, num))
 
 
 def _rate_fit(cfg: ExperimentConfig, model, num, stationary) -> RateFit:
-    ens = EnsembleConfig(
-        n_traj=num["rate_n_traj"],
-        burn_in=num["burn_in"],
-        thinning=num["thinning"],
-        step=num["dt"],
-        master_seed=derive_seed(cfg.seed, 1),
-        samples_per_traj=1,
-    )
     start = constant_segment(num["rate_initial_value"], model.delay, num["dt"], dim=model.dim)
     return ergodicity_curve(
-        model, start, stationary, num["rate_t_grid"], cfg.metric, ens,
-        cap=min(stationary.n // 2, 512),
+        model, start, stationary, num["rate_t_grid"], cfg.metric, num["rate_n_traj"],
+        RngStream(derive_seed(cfg.seed, 1)), cap=min(stationary.n // 2, 512),
     )
 
 
@@ -116,22 +108,15 @@ def _run_assumptions(cfg: ExperimentConfig, model, num):
 
 
 def _run_ergodicity(cfg: ExperimentConfig, model, num):
-    stationary, ens_cfg = _stationary_sample(cfg, model, num)
-    ens = EnsembleConfig(
-        n_traj=num["n_traj"],
-        burn_in=num["burn_in"],
-        thinning=num["thinning"],
-        step=num["dt"],
-        master_seed=derive_seed(cfg.seed, 1),
-        samples_per_traj=1,
-    )
+    stationary = _stationary_sample(cfg, model, num)
     fit = ergodicity_curve(
         model,
         _initial_segment(model, num),
         stationary,
         num["t_grid"],
         cfg.metric,
-        ens,
+        num["n_traj"],
+        RngStream(derive_seed(cfg.seed, 1)),
         mode=num["mode"],
         coupling=num["coupling"],
         cap=num["assignment_cap"],
@@ -158,7 +143,7 @@ def _centered_observable(cfg: ExperimentConfig, stationary) -> CenteredObservabl
 
 
 def _run_slln(cfg: ExperimentConfig, model, num):
-    stationary, _ = _stationary_sample(cfg, model, num)
+    stationary = _stationary_sample(cfg, model, num)
     f = _centered_observable(cfg, stationary)
     xi = _initial_segment(model, num)
     report = slln_variance_decay(
@@ -205,7 +190,7 @@ def _variance_stage(cfg: ExperimentConfig, model, num, discrete: bool):
     rate fit and the variance constant (continuous corrector for clt, unit-lag
     for lil).  Returns (f, payload, var); var is None when the rate fit is
     flagged, and then the payload holds only the rate fit."""
-    stationary, _ = _stationary_sample(cfg, model, num)
+    stationary = _stationary_sample(cfg, model, num)
     f = _centered_observable(cfg, stationary)
     rate = _rate_fit(cfg, model, num, stationary)
     payload = {"rate_fit": vars(rate)}

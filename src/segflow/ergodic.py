@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -137,27 +137,17 @@ def sample_invariant(
     return EmpiricalMeasure(values, model.delay, step, groups=groups)
 
 
-def _blocked_wasserstein(
-    a: EmpiricalMeasure, b: EmpiricalMeasure, mp: MetricParams, block: int, cap: int
+def _mean_transport(
+    pairs: Iterable[tuple[EmpiricalMeasure, EmpiricalMeasure]], mp: MetricParams, cap: int
 ) -> float:
-    """Average exact transport cost over disjoint equal-size block pairs."""
-    blocks_a = a.strided_blocks(block)
-    blocks_b = b.strided_blocks(block)
-    k = min(len(blocks_a), len(blocks_b))
-    vals = [wasserstein(blocks_a[i], blocks_b[i], mp, cap=cap) for i in range(k)]
-    return float(np.mean(vals))
+    """Average exact transport cost over ``(a, b)`` block pairs, in order."""
+    return float(np.mean([wasserstein(a, b, mp, cap=cap) for a, b in pairs]))
 
 
-def _coupled_blocked_wasserstein(
-    a_vals: np.ndarray,
-    b_vals: np.ndarray,
-    delay: float,
-    step: float,
-    mp: MetricParams,
-    block: int,
-    cap: int,
-) -> float:
-    """Blocked transport cost for two coupled clouds of equal width.
+def _coupled_blocks(
+    a_vals: np.ndarray, b_vals: np.ndarray, delay: float, step: float, block: int
+) -> Iterator[tuple[EmpiricalMeasure, EmpiricalMeasure]]:
+    """Block pairs for two coupled clouds of equal width.
 
     Coupled partners must share a block, otherwise the assignment cannot see
     the pathwise contraction; blocks are therefore the strided blocks of the
@@ -167,16 +157,11 @@ def _coupled_blocked_wasserstein(
     """
     m1 = a_vals.shape[1]
     pairs = EmpiricalMeasure(np.concatenate([a_vals, b_vals], axis=1), delay, step)
-    vals = [
-        wasserstein(
+    for blk in pairs.strided_blocks(block):
+        yield (
             EmpiricalMeasure(blk.values[:, :m1], delay, step),
             EmpiricalMeasure(blk.values[:, m1:], delay, step),
-            mp,
-            cap=cap,
         )
-        for blk in pairs.strided_blocks(block)
-    ]
-    return float(np.mean(vals))
 
 
 def coupled_snapshots(
@@ -213,27 +198,14 @@ def coupled_snapshots(
     return [(snap[:n], snap[n:]) for snap in snaps]
 
 
-def _noise_floor(ref: EmpiricalMeasure, mp: MetricParams, block: int, cap: int) -> float:
-    """Empirical transport distance between disjoint same-law samples."""
-    blocks = ref.strided_blocks(block)
-    pairs = len(blocks) // 2
-    if pairs < 1:
-        raise ShapeError(
-            f"reference sample with {ref.n} atoms cannot estimate a noise floor at block size {block}"
-        )
-    vals = [
-        wasserstein(blocks[2 * i], blocks[2 * i + 1], mp, cap=cap) for i in range(pairs)
-    ]
-    return float(np.mean(vals))
-
-
 def ergodicity_curve(
     model: ModelSpec,
     initial_a: Segment,
     initial_b: EmpiricalMeasure,
     times: Sequence[float],
     mp: MetricParams,
-    cfg: EnsembleConfig,
+    n_traj: int,
+    rng: RngStream,
     mode: str = "stationary",
     coupling: str = "synchronous",
     cap: int = DEFAULT_ASSIGNMENT_CAP,
@@ -242,69 +214,81 @@ def ergodicity_curve(
 ) -> RateFit:
     """Fit the exponential decay rate of the transport distance to equilibrium.
 
-    The ensemble launched from ``initial_a`` is compared at each time against
-    a reference built from ``initial_b``: a stationary sample for the
-    distance-to-equilibrium curve (``mode="stationary"``) or an arbitrary
-    second initial law for the two-law contraction curve (``mode="evolved"``).
+    ``n_traj`` trajectories launched from ``initial_a`` are compared at each
+    time against a reference built from ``initial_b``, which must lie on
+    ``initial_a``'s grid; the time step is ``initial_a.step`` and every draw
+    comes from ``rng``.
 
     With ``coupling="synchronous"`` (default) the reference atoms are evolved
     alongside the main ensemble under shared Gaussian increments.  Both
     point clouds keep their exact marginals (for a stationary ``initial_b``
     the evolved cloud remains stationary at every time), while the paired
     contraction removes the same-law sampling floor that a fixed reference
-    suffers, so the measured distances can decay to zero.
+    suffers, so the measured distances can decay to zero.  ``mode`` and
+    ``floor_factor`` then have no effect: the result is the same for either
+    mode, and no floor is measured.
 
     With ``coupling="independent"`` the reference is the fixed sample
-    (``stationary``) or an independently evolved ensemble (``evolved``); the
-    same-law sampling floor is then measured from disjoint reference blocks
-    and points below ``floor_factor`` times it are dropped before the fit.
+    (``mode="stationary"``, the distance-to-equilibrium curve) or an
+    independently evolved ensemble (``mode="evolved"``, the two-law
+    contraction curve); the same-law sampling floor is then measured from
+    disjoint reference blocks and points below ``floor_factor`` times it are
+    dropped before the fit.
 
     Distances are averaged over disjoint block pairs of size ``block``
     (default: the assignment cap, shrunk so the reference retains at least
     two blocks).
     """
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
     if mode not in ("stationary", "evolved"):
         raise ValueError(f"unknown mode {mode!r}")
     if coupling not in ("synchronous", "independent"):
         raise ValueError(f"unknown coupling {coupling!r}")
+    step = initial_a.step
+    if initial_b.step != step or initial_b.values.shape[1:] != initial_a.values.shape:
+        raise ShapeError("the reference measure must lie on the initial segment's grid")
     times = np.asarray(list(times), dtype=float)
     if times.size == 0 or (np.diff(times) <= 0).any():
         raise ValueError("times must be non-empty and strictly increasing")
-    step = cfg.step
     indices = [grid_steps(t, step, "time") for t in times]
 
     block = block or cap
-    block = min(block, cfg.n_traj, initial_b.n // 2, cap)
+    block = min(block, n_traj, initial_b.n // 2, cap)
     if block < 2:
         raise ShapeError("need at least 2 atoms per block for a transport distance")
 
-    root = cfg.stream()
-    initials_a = np.broadcast_to(
-        initial_a.values, (cfg.n_traj,) + initial_a.values.shape
-    ).copy()
-    reps = int(math.ceil(cfg.n_traj / initial_b.n))
-    initials_b = np.tile(initial_b.values, (reps, 1, 1))[: cfg.n_traj]
+    initials_a = np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape).copy()
+    reps = int(math.ceil(n_traj / initial_b.n))
+    initials_b = np.tile(initial_b.values, (reps, 1, 1))[:n_traj]
 
     distances = np.empty(times.size)
     if coupling == "synchronous":
-        pairs = coupled_snapshots(model, initials_a, initials_b, indices, step, root.child(1))
+        pairs = coupled_snapshots(model, initials_a, initials_b, indices, step, rng.child(1))
         floor = 0.0
         for i, (snap_a, snap_b) in enumerate(pairs):
-            distances[i] = _coupled_blocked_wasserstein(
-                snap_a, snap_b, model.delay, step, mp, block, cap
+            distances[i] = _mean_transport(
+                _coupled_blocks(snap_a, snap_b, model.delay, step, block), mp, cap
             )
     else:
         last = indices[-1]
-        snaps_a, _ = record(model, initials_a, last, step, root.child(1), sample_at=indices)
+        snaps_a, _ = record(model, initials_a, last, step, rng.child(1), sample_at=indices)
         if mode == "evolved":
-            snaps_b, _ = record(model, initials_b, last, step, root.child(2), sample_at=indices)
+            snaps_b, _ = record(model, initials_b, last, step, rng.child(2), sample_at=indices)
             refs = [EmpiricalMeasure(s, model.delay, step) for s in snaps_b]
         else:
             refs = [initial_b] * len(indices)
-        floor = _noise_floor(initial_b, mp, block, cap)
+        ref_blocks = initial_b.strided_blocks(block)
+        if len(ref_blocks) < 2:
+            raise ShapeError(
+                f"reference sample with {initial_b.n} atoms cannot estimate a noise floor at block size {block}"
+            )
+        floor = _mean_transport(zip(ref_blocks[0::2], ref_blocks[1::2]), mp, cap)
         for i, snap in enumerate(snaps_a):
             law_t = EmpiricalMeasure(snap, model.delay, step)
-            distances[i] = _blocked_wasserstein(law_t, refs[i], mp, block, cap)
+            distances[i] = _mean_transport(
+                zip(law_t.strided_blocks(block), refs[i].strided_blocks(block)), mp, cap
+            )
 
     usable = distances > max(floor_factor * floor, 1e-13)
     n_dropped = int((~usable).sum())

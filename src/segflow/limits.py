@@ -39,7 +39,7 @@ from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
 from .segments import ModelSpec, Segment, Trajectory, grid_steps, record, segment_at
-from .semigroup import GridProfile, IidChain, MonteCarloSemigroup, SdeChain, SemigroupEvaluator
+from .semigroup import GridProfile, MonteCarloSemigroup, SemigroupEvaluator
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -79,9 +79,6 @@ __all__ = [
     "lil_run",
     "cameron_martin_norm",
 ]
-
-Chain = Union[SdeChain, IidChain]
-
 
 # ---------------------------------------------------------------------------
 # observables and configuration
@@ -521,9 +518,11 @@ def _unit_run(
     return integrals[0], windows[-1], dict(zip(wanted, windows))
 
 
-def _as_chain(model_or_chain, dt: float) -> Chain:
+def _as_chain(model_or_chain, dt: float) -> SemigroupEvaluator:
+    """The Markov chain of a model (its :class:`MonteCarloSemigroup`) or a
+    given chain; either is also the default evaluator of its semigroup."""
     if isinstance(model_or_chain, ModelSpec):
-        return SdeChain(model_or_chain, dt)
+        return MonteCarloSemigroup(model_or_chain, dt)
     return model_or_chain
 
 
@@ -565,12 +564,12 @@ def _increments(
     first simulated only to the base truncation (see :func:`_halves`); one
     step on, the truncation rule almost always passes there already.
     """
-    if sg is None:
-        sg = _as_chain(model_or_chain, dt).evaluator()
+    chain = _as_chain(model_or_chain, dt)
+    sg = sg if sg is not None else chain
     base = _halves(f, states, cfg, sg, dt, rng.child(0))
     starts = np.repeat(states, outer, axis=0)
     if isinstance(cfg, DiscreteCorrectorConfig):
-        ends = _as_chain(model_or_chain, dt).unit_states(starts, 1, rng.child(1))[1]
+        ends = chain.unit_states(starts, 1, rng.child(1))[1]
         integrals, snaps = np.repeat(f.values(states), outer), {}
     else:
         integrals, ends, snaps = _unit_run(model_or_chain, f, starts, dt, rng.child(1), snapshot_steps)
@@ -791,7 +790,7 @@ def vph_residual(
         raise ValueError("s_nodes - 1 must divide the unit step count")
     stride = per_unit // (s_nodes - 1)
     interior = [k * stride for k in range(1, s_nodes - 1)]
-    sg = sg if sg is not None else MonteCarloSemigroup(model, dt)
+    sg = sg if sg is not None else _as_chain(model, dt)
     inc = _increments(model, f, xi.values[None], replicas, cfg, dt, rng, sg, snapshot_steps=interior)
     phi, se, _ = _phi_per_state(inc, replicas)
     phi_val, phi_se = float(phi[0]), float(se[0])
@@ -961,7 +960,7 @@ def martingale_increments(
     if n < 1:
         raise ValueError("n must be at least 1")
     chain = _as_chain(model_or_chain, xi.step)
-    sg = sg if sg is not None else chain.evaluator()
+    sg = sg if sg is not None else chain
     states = chain.unit_states(xi.values[None], n, rng.child(0))[:, 0]  # (n+1, m+1, d)
     f_vals = f.values(states)
     q = _halves(f, states, cfg, sg, xi.step, rng.child(1), k_from=1)
@@ -1016,7 +1015,7 @@ def quadratic_variation(
         raise ValueError("k must be at least 1")
     if outer_replicas < 2:
         raise ValueError("need at least 2 outer replicas")
-    chain = SdeChain(model, xi.step)
+    chain = MonteCarloSemigroup(model, xi.step)
     states = chain.unit_states(xi.values[None], k - 1, rng.child(1))[:, 0] if k > 1 else xi.values[None]
     inc = _increments(model, f, states, outer_replicas, cfg, xi.step, rng.child(0, 0), sg)
     vals, se, se_base = _phi_per_state(inc, outer_replicas)
@@ -1071,7 +1070,7 @@ def qv_lln_check(
     Rhat(X_n) - Rhat(X_0)``, again as a product of independent halves.
     """
     chain = _as_chain(model_or_chain, xi.step)
-    sg = sg if sg is not None else chain.evaluator()
+    sg = sg if sg is not None else chain
 
     seq = martingale_increments(chain, f, xi, n, cfg, rng.child(0), sg=sg)
     w4_samples = seq.z_a * seq.z_b
@@ -1166,11 +1165,12 @@ def lil_run(
         raise ValueError("checkpoints must lie within [n_min, n_max]")
 
     chain = _as_chain(model_or_chain, xi.step)
-    if isinstance(chain, SdeChain):
-        n_steps = n_max * chain.per_unit
+    if isinstance(chain, MonteCarloSemigroup):
+        per_unit = grid_steps(1.0, chain.dt, "unit time")
+        n_steps = n_max * per_unit
         f_vals, _ = record(
             chain.model, xi.values[None], n_steps, chain.dt, rng.child(0),
-            sample_at=range(0, n_steps + 1, chain.per_unit),
+            sample_at=range(0, n_steps + 1, per_unit),
             sample=lambda window: f.values(window)[0],
         )
     else:

@@ -325,13 +325,31 @@ def segment_at(traj: Trajectory, t: float) -> Segment:
     return Segment(window, traj.model.delay, traj.step)
 
 
+def _window_segments(segs: np.ndarray, delay: float, step: float) -> Iterator[Segment]:
+    """Read-only :class:`Segment` views of a ring window batch (n, m+1, d).
+
+    The ring's windows have m+1 nodes by construction and are checked finite
+    at the initial segment and after every step, so ``Segment``'s validation
+    and copy are skipped; a callback that writes into its segment raises.
+    """
+    segs = segs.view()
+    segs.flags.writeable = False
+    for values in segs:
+        seg = object.__new__(Segment)
+        object.__setattr__(seg, "values", values)
+        object.__setattr__(seg, "delay", delay)
+        object.__setattr__(seg, "step", step)
+        yield seg
+
+
 def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
     """The run's drift map, noise map and constant scalar diffusion (or None).
 
     ``drift(segs)`` and ``noise(segs, z)`` take an (n, m+1, d) window batch
     and scaled normals ``z`` (n, d); each uses the model's batched callback
-    if it has one and loops the per-segment map otherwise.  A constant
-    diffusion is evaluated once, on the first initial window.
+    if it has one and loops the per-segment map over
+    :func:`_window_segments` otherwise.  A constant diffusion is evaluated
+    once, on the first initial window.
     """
     delay = model.delay
     if model.drift_batch is not None:
@@ -339,8 +357,8 @@ def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
     else:
         def drift(segs):
             out = np.empty((segs.shape[0], model.dim))
-            for i, values in enumerate(segs):
-                out[i] = model.drift(Segment(values, delay, step))
+            for i, seg in enumerate(_window_segments(segs, delay, step)):
+                out[i] = model.drift(seg)
             return out
     c = None
     if model.diffusion_is_constant:
@@ -359,8 +377,8 @@ def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
     else:
         def noise(segs, z):
             out = np.empty_like(z)
-            for i, values in enumerate(segs):
-                out[i] = np.asarray(model.diffusion(Segment(values, delay, step))) @ z[i]
+            for i, seg in enumerate(_window_segments(segs, delay, step)):
+                out[i] = np.asarray(model.diffusion(seg)) @ z[i]
             return out
     return drift, noise, c
 
@@ -444,12 +462,11 @@ def step_windows(
         return
 
     # narrow batches amortize the generator call over many steps; the draw
-    # sequence is identical either way (values come off the stream in order)
+    # sequence is the same at any block length (values come off the stream
+    # in order)
     nz = n // 2 if shared_noise else n
-    zblock = max(1, _ZBLOCK // max(1, nz * d)) if nz * d <= 256 else 1
-    zbuf = np.empty((zblock, nz, d)) if zblock > 1 else None
-    zoff = zblock  # force a refill on first use
-    zdraw = np.empty((nz, d))
+    zbuf = np.empty((max(1, _ZBLOCK // max(1, nz * d)), nz, d))
+    zoff = zbuf.shape[0]  # force a refill on first use
     zz = np.empty((n, d)) if shared_noise else None
 
     yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
@@ -461,14 +478,11 @@ def step_windows(
         window = buf[head - m : head + 1]
         segs = window.transpose(1, 0, 2)
         drift = drift_map(segs)
-        if zbuf is None:
-            z = gen.standard_normal((nz, d), out=zdraw)
-        else:
-            if zoff >= zblock:
-                gen.standard_normal(zbuf.shape, out=zbuf)
-                zoff = 0
-            z = zbuf[zoff]
-            zoff += 1
+        if zoff == zbuf.shape[0]:
+            gen.standard_normal(zbuf.shape, out=zbuf)
+            zoff = 0
+        z = zbuf[zoff]
+        zoff += 1
         if shared_noise:
             zz[:nz] = z
             zz[nz:] = z

@@ -1,13 +1,14 @@
-"""Transition-semigroup estimators and synthetic test kernels.
+"""Unit-time Markov chains, their transition semigroups, and test kernels.
 
 Everything downstream of simulation that needs ``P_t f(xi) = E f(X_t^xi)``
-goes through a :class:`SemigroupEvaluator`.  The default evaluator runs the
-integrator; synthetic kernels with closed-form action are injectable in its
+goes through a :class:`SemigroupEvaluator`.  A chain is the evaluator of its
+own semigroup: :class:`MonteCarloSemigroup` samples the SDE at integer times
+and estimates ``P_t`` by simulation, :class:`IidChain` resamples independent
+segments.  Synthetic kernels with closed-form action are injectable in their
 place so the correction/variance machinery can be tested against exact
-values.  All evaluators share one convention: state batches have shape
-``(n, m+1, d)`` and every estimate at several times reuses common paths
-(common random numbers), which is what makes time-quadratures of semigroup
-values cheap and smooth.
+values.  State batches have shape ``(n, m+1, d)``, and every estimate at
+several times reuses common paths (common random numbers), which makes
+time-quadratures of semigroup values cheap and smooth.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "ExpDecayKernel",
     "GeometricKernel",
     "IidKernel",
-    "SdeChain",
     "IidChain",
     "kernel_registry",
 ]
@@ -68,9 +68,12 @@ def _running_trapezoid(nodes: np.ndarray, h: float) -> np.ndarray:
 
 
 class SemigroupEvaluator(ABC):
-    """Time quadratures and unit-lag sums of ``P_t f`` at a batch of states."""
+    """Time quadratures and unit-lag sums of ``P_t f`` at a batch of states.
 
-    @abstractmethod
+    A discrete-time kernel keeps the default ``integral_profile``, which
+    raises :class:`NotImplementedError`.
+    """
+
     def integral_profile(
         self,
         f: Observable,
@@ -81,6 +84,7 @@ class SemigroupEvaluator(ABC):
         rng: RngStream,
     ) -> GridProfile:
         """Cumulative trapezoid of ``t -> P_t f`` over the quad grid up to t_max."""
+        raise NotImplementedError(f"{type(self).__name__} has no continuous-time action")
 
     @abstractmethod
     def discrete_profile(
@@ -96,75 +100,79 @@ class SemigroupEvaluator(ABC):
 
 
 class MonteCarloSemigroup(SemigroupEvaluator):
-    """Default evaluator: simulate replica trajectories from each state.
+    """The SDE's unit-time chain and its semigroup, both by simulation.
 
-    One batch of ``replicas`` paths per state provides every requested time
-    simultaneously; standard errors are across-replica.
+    Profiles run ``replicas`` paths per state, one batch giving every time,
+    with across-replica standard errors.  Only the unit-time methods need
+    ``dt`` to divide the unit time, so any ``dt`` constructs.
     """
 
     def __init__(self, model: ModelSpec, dt: float):
         self.model = model
         self.dt = dt
 
-    def _run(self, f, states, n_steps, record_steps, replicas, rng):
-        """Simulate replicas per state; return f-values (n, n_rec, replicas)
-        sampled at the (distinct) record_steps."""
+    def unit_states(
+        self, start_values: np.ndarray, n_units: int, rng: RngStream
+    ) -> np.ndarray:
+        """Run ``n_units`` unit steps; returns states (n_units+1, n, m+1, d)."""
+        per_unit = grid_steps(1.0, self.dt, "unit time")
+        n_steps = n_units * per_unit
+        states, _ = record(
+            self.model, start_values, n_steps, self.dt, rng,
+            sample_at=range(0, n_steps + 1, per_unit),
+        )
+        return states
+
+    def _profile(self, grid, f, states, sample_at, replicas, rng, accumulate) -> GridProfile:
+        """Per-state mean and SE over replicas of ``accumulate(nodes)`` on ``grid``.
+
+        ``nodes`` is ``f`` at the steps ``sample_at``, shape (n_rec, g, replicas)
+        for each group of g states that fits one batch, run on ``rng.child(g0)``.
+        """
         states = np.asarray(states, dtype=float)
         n = states.shape[0]
         group = max(1, _MAX_WIDTH // max(1, replicas))
-        out = np.empty((n, len(record_steps), replicas))
-        for g0 in range(0, n, group):
-            g1 = min(n, g0 + group)
-            init = np.repeat(states[g0:g1], replicas, axis=0)
-            vals, _ = record(
-                self.model, init, n_steps, self.dt, rng.child(g0),
-                sample_at=record_steps, sample=f.values,
-            )
-            out[g0:g1] = vals.reshape(len(record_steps), g1 - g0, replicas).transpose(1, 0, 2)
-        return out
-
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        dt = self.dt
-        stride = grid_steps(quad_step, dt, "quad_step")
-        n_steps = grid_steps(t_max, dt, "t_max")
-        n_steps -= n_steps % stride
-        n_q = n_steps // stride  # quadrature nodes past t=0
-
-        states = np.asarray(states, dtype=float)
-        n = states.shape[0]
-        grid = np.arange(n_q + 1) * (stride * dt)
-        group = max(1, _MAX_WIDTH // max(1, replicas))
-        values = np.empty((n, n_q + 1))
-        ses = np.empty((n, n_q + 1))
+        values = np.empty((n, len(sample_at)))
+        ses = np.empty((n, len(sample_at)))
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
             init = np.repeat(states[g0:g1], replicas, axis=0)
             nodes, _ = record(
-                self.model, init, n_steps, dt, rng.child(g0),
-                sample_at=range(0, n_steps + 1, stride), sample=f.values,
+                self.model, init, sample_at[-1], self.dt, rng.child(g0),
+                sample_at=sample_at, sample=f.values,
             )
-            cums = _running_trapezoid(nodes, stride * dt).T.reshape(g1 - g0, replicas, n_q + 1)
-            values[g0:g1] = cums.mean(axis=1)
-            ses[g0:g1] = cums.std(axis=1, ddof=1) / math.sqrt(replicas)
+            cums = accumulate(nodes.reshape(len(sample_at), g1 - g0, replicas))
+            values[g0:g1] = cums.mean(axis=-1).T
+            ses[g0:g1] = (cums.std(axis=-1, ddof=1) / math.sqrt(replicas)).T
         return GridProfile(grid, values, ses)
+
+    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
+        stride = grid_steps(quad_step, self.dt, "quad_step")
+        n_steps = grid_steps(t_max, self.dt, "t_max")
+        n_steps -= n_steps % stride
+        h = stride * self.dt
+        grid = np.arange(n_steps // stride + 1) * h
+        return self._profile(
+            grid, f, states, range(0, n_steps + 1, stride), replicas, rng,
+            lambda nodes: _running_trapezoid(nodes, h),
+        )
 
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         if k_from < 0 or k_max < k_from:
             raise ValueError("need 0 <= k_from <= k_max")
         per_unit = grid_steps(1.0, self.dt, "unit time")
-        record = [k * per_unit for k in range(k_from, k_max + 1)]
-        samples = self._run(f, states, k_max * per_unit, record, replicas, rng)
-        cums = samples.cumsum(axis=1)  # (n, K, replicas)
-        grid = np.arange(k_from, k_max + 1)
-        return GridProfile(
-            grid,
-            cums.mean(axis=2),
-            cums.std(axis=2, ddof=1) / math.sqrt(replicas),
+        return self._profile(
+            np.arange(k_from, k_max + 1), f, states,
+            range(k_from * per_unit, k_max * per_unit + 1, per_unit), replicas, rng,
+            lambda nodes: nodes.cumsum(axis=0),
         )
 
 
-def _state_values(f: Observable, states: np.ndarray) -> np.ndarray:
-    return f.values(np.asarray(states, dtype=float))
+def _closed_form(f: Observable, states: np.ndarray, grid: np.ndarray, cum: np.ndarray) -> GridProfile:
+    """Profile ``f(states) ⊗ cum`` of a kernel that scales ``f`` by a known
+    weight at each time; its standard errors are 0."""
+    vals = f.values(np.asarray(states, dtype=float))[:, None] * cum[None, :]
+    return GridProfile(grid, vals, np.zeros_like(vals))
 
 
 class ExpDecayKernel(SemigroupEvaluator):
@@ -176,21 +184,13 @@ class ExpDecayKernel(SemigroupEvaluator):
         self.rate = rate
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        n_q = grid_steps(t_max, quad_step, "t_max")
-        grid = np.arange(n_q + 1) * quad_step
-        shape = np.exp(-self.rate * grid)
-        # trapezoid of the decay shape, cumulative over the quad grid
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (shape[1:] + shape[:-1]) * quad_step)])
-        base = _state_values(f, states)
-        vals = base[:, None] * cum[None, :]
-        return GridProfile(grid, vals, np.zeros_like(vals))
+        grid = np.arange(grid_steps(t_max, quad_step, "t_max") + 1) * quad_step
+        shape = np.exp(-self.rate * grid)[:, None]
+        return _closed_form(f, states, grid, _running_trapezoid(shape, quad_step)[:, 0])
 
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         ks = np.arange(k_from, k_max + 1)
-        cum = np.cumsum(np.exp(-self.rate * ks))
-        base = _state_values(f, states)
-        vals = base[:, None] * cum[None, :]
-        return GridProfile(ks, vals, np.zeros_like(vals))
+        return _closed_form(f, states, ks, np.cumsum(np.exp(-self.rate * ks)))
 
 
 class GeometricKernel(SemigroupEvaluator):
@@ -201,15 +201,9 @@ class GeometricKernel(SemigroupEvaluator):
             raise ValueError("ratio must lie in (0, 1)")
         self.ratio = ratio
 
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        raise NotImplementedError("geometric kernel has no continuous-time action")
-
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         ks = np.arange(k_from, k_max + 1)
-        cum = np.cumsum(self.ratio**ks.astype(float))
-        base = _state_values(f, states)
-        vals = base[:, None] * cum[None, :]
-        return GridProfile(ks, vals, np.zeros_like(vals))
+        return _closed_form(f, states, ks, np.cumsum(self.ratio**ks.astype(float)))
 
 
 class IidKernel(SemigroupEvaluator):
@@ -222,51 +216,22 @@ class IidKernel(SemigroupEvaluator):
     def __init__(self, stationary_mean: float = 0.0):
         self.stationary_mean = stationary_mean
 
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        raise NotImplementedError("i.i.d. kernel has no continuous-time action")
-
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         ks = np.arange(k_from, k_max + 1)
         terms = np.full(ks.size, self.stationary_mean)
-        if k_from == 0:
-            base = _state_values(f, states)
-            vals = np.tile(np.cumsum(terms), (states.shape[0], 1))
-            vals += base[:, None] - self.stationary_mean
-            return GridProfile(ks, vals, np.zeros_like(vals))
         vals = np.tile(np.cumsum(terms), (states.shape[0], 1))
+        if k_from == 0:
+            vals += f.values(np.asarray(states, dtype=float))[:, None] - self.stationary_mean
         return GridProfile(ks, vals, np.zeros_like(vals))
 
 
-class SdeChain:
-    """Unit-time skeleton of the SDE: states sampled at integer times."""
-
-    def __init__(self, model: ModelSpec, dt: float):
-        self.model = model
-        self.dt = dt
-        self.per_unit = grid_steps(1.0, dt, "unit time")
-
-    def unit_states(
-        self, start_values: np.ndarray, n_units: int, rng: RngStream
-    ) -> np.ndarray:
-        """Run ``n_units`` unit steps; returns states (n_units+1, n, m+1, d)."""
-        n_steps = n_units * self.per_unit
-        states, _ = record(
-            self.model, start_values, n_steps, self.dt, rng,
-            sample_at=range(0, n_steps + 1, self.per_unit),
-        )
-        return states
-
-    def evaluator(self) -> SemigroupEvaluator:
-        return MonteCarloSemigroup(self.model, self.dt)
-
-
-class IidChain:
+class IidChain(IidKernel):
     """Degenerate chain that resamples an independent segment every unit step."""
 
     def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray], stationary_mean: float = 0.0):
         """``sampler(gen, n)`` must return n fresh segment value arrays (n, m+1, d)."""
+        super().__init__(stationary_mean)
         self.sampler = sampler
-        self.stationary_mean = stationary_mean
 
     def unit_states(self, start_values: np.ndarray, n_units: int, rng: RngStream) -> np.ndarray:
         start_values = np.asarray(start_values, dtype=float)
@@ -280,9 +245,6 @@ class IidChain:
                 raise ShapeError("i.i.d. sampler returned mismatched segment shapes")
             out[k] = draw
         return out
-
-    def evaluator(self) -> SemigroupEvaluator:
-        return IidKernel(self.stationary_mean)
 
 
 def kernel_registry() -> dict[str, Callable[..., SemigroupEvaluator]]:

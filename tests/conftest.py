@@ -90,20 +90,14 @@ def f_centered(centering_sample):
 
 @pytest.fixture(scope="session")
 def rate_fit(ref_model, xi_five, stationary_sample, mp):
-    cfg = EnsembleConfig(
-        n_traj=512,
-        burn_in=0.0,
-        thinning=1.0,
-        step=DT,
-        master_seed=derive_seed(MASTER_SEED, 2),
-    )
     fit = ergodicity_curve(
         ref_model,
         xi_five,
         stationary_sample,
         [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0],
         mp,
-        cfg,
+        512,
+        RngStream(derive_seed(MASTER_SEED, 2)),
         cap=128,
     )
     assert not fit.flagged

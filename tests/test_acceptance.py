@@ -20,7 +20,6 @@ from segflow import (
     CorrectorConfig,
     DiscreteCorrectorConfig,
     EmpiricalMeasure,
-    EnsembleConfig,
     ExpDecayKernel,
     IidChain,
     MetricParams,
@@ -83,20 +82,14 @@ class TestAcceptance:
 
     def test_02_ergodicity_rate(self, ref_model, xi_five, stationary_sample, mp):
         t0 = time.perf_counter()
-        cfg = EnsembleConfig(
-            n_traj=4096,
-            burn_in=0.0,
-            thinning=1.0,
-            step=DT,
-            master_seed=derive_seed(MASTER_SEED, 20),
-        )
         fit = ergodicity_curve(
             ref_model,
             xi_five,
             stationary_sample,
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0],
             mp,
-            cfg,
+            4096,
+            RngStream(derive_seed(MASTER_SEED, 20)),
         )
         decay = fit.values[0] / fit.values[-1] if fit.values.size >= 2 else 0.0
         ok = (not fit.flagged) and fit.beta_hat > 0 and fit.r_squared >= 0.8 and decay >= 10.0

@@ -15,7 +15,7 @@ from segflow.metric import MetricParams
 from segflow.registry import build_model, build_observable
 from segflow.rng import RngStream
 from segflow.segments import constant_segment, simulate
-from segflow.semigroup import MonteCarloSemigroup, SdeChain
+from segflow.semigroup import MonteCarloSemigroup
 from segflow.reports import (
     CSV_SCHEMAS,
     ReportRecord,
@@ -150,7 +150,7 @@ class TestParseConfig:
 
     def test_one_unit_step_rule(self):
         # dt a hair off 1/128 (the delay is exactly 64 steps): inside the unit
-        # time's 1e-6 slack the config, _unit_run and SdeChain all accept it,
+        # time's 1e-6 slack the config, _unit_run and unit_states all accept it,
         # outside it they all reject it
         f = build_observable("eval0")
         for eps, accepted in ((1e-7, True), (1e-5, False)):
@@ -167,7 +167,7 @@ class TestParseConfig:
                     outcomes.append(False)
             for run in (
                 lambda: _unit_run(model, f, np.zeros((2, 65, 1)), dt, RngStream(0)),
-                lambda: SdeChain(model, dt),
+                lambda: MonteCarloSemigroup(model, dt).unit_states(np.zeros((2, 65, 1)), 1, RngStream(0)),
             ):
                 try:
                     run()
@@ -189,7 +189,7 @@ class TestParseConfig:
             t = (1.0 + eps) * 256 * dt
             runs = (
                 lambda: simulate(model, xi, t, dt, RngStream(0)),
-                lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), ens, cap=4),
+                lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), 4, RngStream(3), cap=4),
                 lambda: MonteCarloSemigroup(model, dt).integral_profile(f, xi.values[None], t, dt, 2, RngStream(1)),
                 lambda: slln_variance_decay(model, xi, f, [0.125, t], 2, RngStream(2)),
             )

@@ -18,6 +18,7 @@ from segflow import (
     simulate,
 )
 from segflow import ergodic
+from segflow.errors import ShapeError
 from segflow.ergodic import RateFit
 from segflow.registry import build_model
 from segflow.segments import batch_sup_norms
@@ -78,7 +79,8 @@ class TestErgodicityCurve:
             stationary_sample,
             [1.0, 2.0, 3.0, 4.0],
             mp,
-            ens(128, derive_seed(41, 0), burn_in=0.0),
+            128,
+            RngStream(derive_seed(41, 0)),
             coupling="independent",
             cap=64,
         )
@@ -98,7 +100,7 @@ class TestErgodicityCurve:
             fits.append(
                 ergodicity_curve(
                     ref_model, xi, stationary_sample,
-                    times, mp, ens(256, derive_seed(42, seed_idx), burn_in=0.0), cap=128,
+                    times, mp, 256, RngStream(derive_seed(42, seed_idx)), cap=128,
                 )
             )
         f1, f2 = fits
@@ -107,39 +109,52 @@ class TestErgodicityCurve:
         assert f2.c_hat > f1.c_hat
 
     def test_ee_and_two_law_modes_agree(self, ref_model, stationary_sample, mp, xi_five):
+        # under the default synchronous coupling the reference is evolved in
+        # either mode and no floor is measured: mode and floor_factor act
+        # only with coupling="independent"
         times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        ee = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp,
-            ens(256, derive_seed(43, 0), burn_in=0.0), mode="stationary", cap=128,
-        )
-        two = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp,
-            ens(256, derive_seed(43, 1), burn_in=0.0), mode="evolved", cap=128,
-        )
-        joint = math.hypot(ee.se_beta, two.se_beta)
-        assert abs(ee.beta_hat - two.beta_hat) <= 2.0 * joint
+        fits = [
+            ergodicity_curve(
+                ref_model, xi_five, stationary_sample, times, mp, 256, RngStream(derive_seed(43, 0)),
+                mode=mode, cap=128, floor_factor=factor,
+            )
+            for mode, factor in (("stationary", 2.0), ("evolved", 2.0), ("evolved", 50.0))
+        ]
+        for fit in fits[1:]:
+            assert np.array_equal(fit.values, fits[0].values)
+            assert fit.beta_hat == fits[0].beta_hat
+            assert fit.noise_floor == 0.0
+
+    def test_reference_on_another_grid_rejected(self, ref_model, stationary_sample, mp):
+        coarse = constant_segment(5.0, R0, 2 * DT)
+        with pytest.raises(ShapeError, match="grid"):
+            ergodicity_curve(ref_model, coarse, stationary_sample, [0.5, 1.0], mp, 8, RngStream(45), cap=8)
+
+    def test_empty_ensemble_rejected(self, ref_model, stationary_sample, mp, xi_five):
+        with pytest.raises(ValueError, match="n_traj"):
+            ergodicity_curve(ref_model, xi_five, stationary_sample, [0.5, 1.0], mp, 0, RngStream(46), cap=8)
 
     def test_coupled_reduction_pair_order_independent(self, ref_model, mp):
         # given realized coupled clouds, the blocked reduction is a function
         # of the pair multiset: permuting rows jointly changes nothing
-        from segflow.ergodic import _coupled_blocked_wasserstein
+        from segflow.ergodic import _coupled_blocks, _mean_transport
 
         gen = RngStream(44).generator()
         a = gen.standard_normal((48, 5, 1))
         b = a + 0.05 * gen.standard_normal((48, 5, 1))
-        w1 = _coupled_blocked_wasserstein(a, b, 1.0, 0.25, mp, block=16, cap=64)
+        w1 = _mean_transport(_coupled_blocks(a, b, 1.0, 0.25, 16), mp, 64)
         perm = gen.permutation(48)
-        w2 = _coupled_blocked_wasserstein(a[perm], b[perm], 1.0, 0.25, mp, block=16, cap=64)
+        w2 = _mean_transport(_coupled_blocks(a[perm], b[perm], 1.0, 0.25, 16), mp, 64)
         assert w1 == w2
 
     def test_bitwise_reproducible(self, ref_model, stationary_sample, mp, xi_five):
         times = [0.5, 1.0, 2.0]
         kw = dict(mode="stationary", cap=64)
         f1 = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp, ens(64, 99, burn_in=0.0), **kw
+            ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99), **kw
         )
         f2 = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp, ens(64, 99, burn_in=0.0), **kw
+            ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99), **kw
         )
         assert np.array_equal(f1.values, f2.values)
         assert f1.beta_hat == f2.beta_hat
@@ -148,11 +163,10 @@ class TestErgodicityCurve:
         # an inf distance passes the noise-floor filter and makes the fitted
         # slope NaN; a NaN rate must be flagged, not read as resolved
         distances = iter([1.0, 0.5, math.inf, 0.1])
-        monkeypatch.setattr(ergodic, "_coupled_blocked_wasserstein", lambda *args: next(distances))
+        monkeypatch.setattr(ergodic, "_mean_transport", lambda *args: next(distances))
         with np.errstate(invalid="ignore"):
             fit = ergodicity_curve(
-                ref_model, xi_five, stationary_sample, [0.5, 1.0, 1.5, 2.0], mp,
-                ens(8, 98, burn_in=0.0), cap=8,
+                ref_model, xi_five, stationary_sample, [0.5, 1.0, 1.5, 2.0], mp, 8, RngStream(98), cap=8,
             )
         assert math.isnan(fit.beta_hat)
         assert fit.flagged

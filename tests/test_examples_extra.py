@@ -135,12 +135,11 @@ class TestEngineReproducibility:
         # single-block reduction with an independent fixed reference: atom
         # order cannot affect the assignment value
         sub = stationary_sample.take(np.arange(64))
-        cfg = EnsembleConfig(n_traj=64, burn_in=0.0, thinning=1.0, step=DT, master_seed=424)
         kw = dict(mode="stationary", coupling="independent", cap=64, block=64)
-        g1 = ergodicity_curve(ref_model, xi_five, sub, [0.5, 1.0], mp, cfg, **kw)
+        g1 = ergodicity_curve(ref_model, xi_five, sub, [0.5, 1.0], mp, 64, RngStream(424), **kw)
         g2 = ergodicity_curve(
             ref_model, xi_five, sub.take(np.asarray(RngStream(9).generator().permutation(64))),
-            [0.5, 1.0], mp, cfg, **kw,
+            [0.5, 1.0], mp, 64, RngStream(424), **kw,
         )
         assert np.array_equal(g1.values, g2.values)
 

@@ -16,10 +16,10 @@ from segflow import (
     GeometricKernel,
     IidChain,
     IidKernel,
+    MonteCarloSemigroup,
     Observable,
     RateFit,
     RngStream,
-    SdeChain,
     Segment,
     Trajectory,
     additive_functional,
@@ -198,7 +198,7 @@ class TestPhiBatchOracle:
         xi = constant_segment(1.0, R0, DT)
         qv = quadratic_variation(model, f, xi, 5, self.cfg, RngStream(9), outer_replicas=4, sg=sg)
         # the noise-free path visits the same states on any stream
-        states = SdeChain(model, DT).unit_states(xi.values[None], 4, RngStream(10))[:, 0]
+        states = MonteCarloSemigroup(model, DT).unit_states(xi.values[None], 4, RngStream(10))[:, 0]
         phis = [phi_f(model, f, Segment(s, R0, DT), 4, self.cfg, RngStream(11), sg=sg) for s in states]
         assert len(set(p.value for p in phis)) == 5
         assert qv.per_state.tolist() == [p.value for p in phis]

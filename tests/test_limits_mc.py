@@ -123,11 +123,8 @@ class TestMartingaleIncrements:
         sg = MonteCarloSemigroup(ref_model, DT)
         rng = RngStream(SEED).child(8)
         replicas = 192
-        from segflow.semigroup import SdeChain
-
-        chain = SdeChain(ref_model, DT)
         starts = np.broadcast_to(eta.values, (replicas,) + eta.values.shape).copy()
-        ends = chain.unit_states(starts, 1, rng.child(0))[1]
+        ends = sg.unit_states(starts, 1, rng.child(0))[1]
         q_eta = sg.discrete_profile(f_centered, eta.values[None], 1, discrete_cfg.k_max, 64, rng.child(1))
         q_end = sg.discrete_profile(f_centered, ends, 1, discrete_cfg.k_max, 32, rng.child(2))
         z = f_centered.values(ends) + q_end.values[:, -1] - q_eta.values[0, -1]

@@ -517,6 +517,40 @@ class TestIntegralProfile:
         assert prof.grid[1] == quad
 
 
+class TestDiscreteProfile:
+    @staticmethod
+    def old_discrete_profile(model, f, states, k_from, k_max, replicas, rng):
+        """The semigroup's former ``_run``-based profile: replica groups filled a
+        state-major (n, n_rec, replicas) array, summed along the lag axis."""
+        per_unit = int(round(1.0 / DT))
+        record_steps = [k * per_unit for k in range(k_from, k_max + 1)]
+        n = states.shape[0]
+        group = max(1, 4096 // replicas)
+        out = np.empty((n, len(record_steps), replicas))
+        for g0 in range(0, n, group):
+            g1 = min(n, g0 + group)
+            init = np.repeat(states[g0:g1], replicas, axis=0)
+            vals, _ = record(
+                model, init, k_max * per_unit, DT, rng.child(g0),
+                sample_at=record_steps, sample=f.values,
+            )
+            out[g0:g1] = vals.reshape(len(record_steps), g1 - g0, replicas).transpose(1, 0, 2)
+        cums = out.cumsum(axis=1)
+        return cums.mean(axis=2), cums.std(axis=2, ddof=1) / math.sqrt(replicas)
+
+    # 4 x 6 paths run as one group; 70 x 64 > 4096 splits into groups of 64 and 6
+    @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
+    def test_matches_old_profile(self, any_model, n_states, replicas, k_from):
+        f = build_observable("eval0")
+        states = spread_initials(n_states, seed=6)
+        rng = RngStream(29)
+        ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, 2, replicas, rng)
+        prof = MonteCarloSemigroup(any_model, DT).discrete_profile(f, states, k_from, 2, replicas, rng)
+        assert np.array_equal(prof.values, ref_values)
+        assert np.array_equal(prof.ses, ref_ses)
+        assert prof.grid.tolist() == list(range(k_from, 3))
+
+
 # -- the width-1 float kernel -------------------------------------------------
 
 
@@ -798,6 +832,21 @@ class TestTwoDimensions:
         for (old_a, old_b), (new_a, new_b) in zip(old, new):
             assert np.array_equal(new_a, old_a)
             assert np.array_equal(new_b, old_b)
+
+
+@pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
+def test_per_segment_callback_cannot_write_the_ring(coefficient):
+    # the per-segment loops pass unchecked views of the ring's windows
+    base = plane_model(batched=False)
+    inner = getattr(base, coefficient)
+
+    def scribble(seg):
+        seg.values[-1] = 0.0
+        return inner(seg)
+
+    model = replace(base, **{coefficient: scribble})
+    with pytest.raises(ValueError, match="read-only"):
+        record(model, plane_initials(3, seed=14), 2, DT, RngStream(0))
 
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)

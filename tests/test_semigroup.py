@@ -35,6 +35,15 @@ class TestExpDecayKernel:
         # trapezoid of e^-t to 20 with step dt: error O(dt^2) + tail e^-20
         assert prof.values[0, -1] == pytest.approx(1.0, abs=1e-4)
 
+    def test_integral_profile_is_panel_cumsum(self, eval0):
+        # the running trapezoid and a cumulative sum of panels add in one order
+        states = np.stack([constant_segment(v, R0, DT).values for v in (1.0, -2.5)])
+        prof = ExpDecayKernel(rate=0.7).integral_profile(eval0, states, 3.0, 0.125, 8, RngStream(0))
+        shape = np.exp(-0.7 * (np.arange(25) * 0.125))
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (shape[1:] + shape[:-1]) * 0.125)])
+        assert np.array_equal(prof.values, np.array([[1.0], [-2.5]]) * cum[None, :])
+        assert np.all(prof.ses == 0.0)
+
     def test_discrete_profile(self, eval0):
         k = ExpDecayKernel(rate=1.0)
         xi = constant_segment(1.0, R0, DT)
