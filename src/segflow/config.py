@@ -135,7 +135,7 @@ _RATE = {
     "rate_initial_value": (5.0, _finite_float),
 }
 _CORRECTOR = {
-    "inner_replicas": (64, _int_min(2)),
+    "inner_replicas": (64, _int_min(4)),
     "outer_replicas": (24, _int_min(2)),
     "t_max": (6.0, _pos_float()),
     "k_max": (8, _int_min(1)),

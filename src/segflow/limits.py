@@ -422,8 +422,10 @@ def _halves(
     quadrature and statistics), and the rule reads no column past the first
     that passes.
     """
+    if cfg.replicas < 4:
+        raise ValueError("need at least 4 corrector replicas: two per half")
     fit = cfg.require_rate_fit()
-    half = max(1, cfg.replicas // 2)
+    half = cfg.replicas // 2
     if isinstance(cfg, DiscreteCorrectorConfig):
         full = cfg.k_max
         profile = lambda r, h: sg.discrete_profile(f, states, k_from, h, half, r)

@@ -70,6 +70,10 @@ _GRID_RTOL = 1e-9
 _ZBLOCK = 4096
 # Ring-buffer rows of a single path: one precomputed window view per row.
 _SCALAR_ROWS = 4096
+# Byte budget of a wider batch's ring rows: a run faults in and zeroes only
+# this much fresh memory, and the rows it steps through stay in cache.  A
+# window still needs 2(m+1) rows, whatever the width.
+_RING_BYTES = 1 << 20
 # Rings from this size up get an anonymous mapping of their own (glibc's
 # initial mmap threshold; smaller blocks come from the heap anyway).
 _OWN_MAPPING_BYTES = 128 << 10
@@ -345,11 +349,12 @@ def _window_segments(segs: np.ndarray, delay: float, step: float) -> Iterator[Se
 def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
     """The run's drift map, noise map and constant scalar diffusion (or None).
 
-    ``drift(segs)`` and ``noise(segs, z)`` take an (n, m+1, d) window batch
-    and scaled normals ``z`` (n, d); each uses the model's batched callback
-    if it has one and loops the per-segment map over
-    :func:`_window_segments` otherwise.  A constant diffusion is evaluated
-    once, on the first initial window.
+    ``drift(segs)`` and ``noise(segs, z, out)`` take an (n, m+1, d) window
+    batch and scaled normals ``z`` (n, d); each uses the model's batched
+    callback if it has one and loops the per-segment map over
+    :func:`_window_segments` otherwise.  ``noise`` returns its (n, d) value,
+    written into the scratch array ``out`` where its form is elementwise.  A
+    constant diffusion is evaluated once, on the first initial window.
     """
     delay = model.delay
     if model.drift_batch is not None:
@@ -365,18 +370,17 @@ def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
         sig = np.asarray(model.diffusion(Segment(init[0], delay, step)), dtype=float)
         if sig.ndim == 0 or sig.shape == (1, 1):
             c = float(np.ravel(sig)[0])
-            noise = lambda segs, z: c * z
+            noise = lambda segs, z, out: np.multiply(c, z, out=out)
         else:
-            noise = lambda segs, z: z @ sig.T
+            noise = lambda segs, z, out: z @ sig.T
     elif model.diffusion_batch is not None:
-        def noise(segs, z):
+        def noise(segs, z, out):
             sig = np.asarray(model.diffusion_batch(segs))
             if sig.ndim == 2:  # diagonal convention
-                return sig * z
+                return np.multiply(sig, z, out=out)
             return np.einsum("nij,nj->ni", sig, z)
     else:
-        def noise(segs, z):
-            out = np.empty_like(z)
+        def noise(segs, z, out):
             for i, seg in enumerate(_window_segments(segs, delay, step)):
                 out[i] = np.asarray(model.diffusion(seg)) @ z[i]
             return out
@@ -416,7 +420,9 @@ def step_windows(
     n_steps: number of Euler-Maruyama steps to take.
     rng: stream owning every draw of this batch.
     chunk: ring-buffer block length; memory stays O(chunk * n * d).  The
-        default adapts to the batch width, targeting tens of megabytes.
+        default is 4096 rows for a single one-dimensional path and otherwise
+        about 1 MiB of rows (``_RING_BYTES``), but never fewer than the
+        2(m+1) rows a window needs.
     shared_noise: the batch is two equal halves, and trajectory ``i`` of each
         half consumes the same normal draw at every step.
 
@@ -447,7 +453,7 @@ def step_windows(
     # Time-major ring buffer: rows are grid times, windows are contiguous views.
     if chunk is None:
         # a single path's ring stays short: the float kernel keeps one view per row
-        chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else int(4_000_000 // max(1, n * d)))
+        chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d))
     rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
     buf = _ring((rows + m + 1, n, d))
     buf[: m + 1] = init.transpose(1, 0, 2)
@@ -467,7 +473,9 @@ def step_windows(
     nz = n // 2 if shared_noise else n
     zbuf = np.empty((max(1, _ZBLOCK // max(1, nz * d)), nz, d))
     zoff = zbuf.shape[0]  # force a refill on first use
-    zz = np.empty((n, d)) if shared_noise else None
+    # per-step scratch: scaled normals (both halves under shared noise), the
+    # noise term and drift * step
+    zs, noise_out, drift_step = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
 
     yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
 
@@ -481,16 +489,14 @@ def step_windows(
         if zoff == zbuf.shape[0]:
             gen.standard_normal(zbuf.shape, out=zbuf)
             zoff = 0
-        z = zbuf[zoff]
+        np.multiply(zbuf[zoff], sq, out=zs[:nz])
         zoff += 1
         if shared_noise:
-            zz[:nz] = z
-            zz[nz:] = z
-            z = zz
+            zs[nz:] = zs[:nz]
         nxt = buf[head + 1]
-        noise = noise_map(segs, z * sq)
+        noise = noise_map(segs, zs, noise_out)
         np.add(window[-1], noise, out=nxt)
-        nxt += drift * step
+        nxt += np.multiply(drift, step, out=drift_step)
         head += 1
         total = float(nxt.sum())
         if not math.isfinite(total):  # NaN/Inf propagate through the sum
@@ -617,20 +623,25 @@ def record(
     for i, k in enumerate(integrate_at):
         integral_rows.setdefault(k, []).append(i)
 
-    samples = integrals = partial = prev = None
+    samples = integrals = partial = prev = panel = None
     # step_windows is looked up as a module global on each call, so a wrapper
     # installed on this module sees every step
     for j, window in step_windows(
         model, initial_values, n_steps, step, rng, shared_noise=shared_noise
     ):
         if integrand is not None:
-            vals = np.array(integrand(window), dtype=float)  # may alias the ring buffer
+            vals = integrand(window)  # may alias the ring buffer
             if prev is None:
-                partial = np.zeros(vals.shape)
-                integrals = np.empty((len(integrate_at),) + vals.shape)
+                prev = np.array(vals, dtype=float)
+                partial, panel = np.zeros(prev.shape), np.empty(prev.shape)
+                integrals = np.empty((len(integrate_at),) + prev.shape)
             else:
-                partial += 0.5 * (prev + vals) * step
-            prev = vals
+                # partial += 0.5 * (prev + vals) * step, in that order, in place
+                np.add(prev, vals, out=panel)
+                panel *= 0.5
+                panel *= step
+                partial += panel
+                prev[...] = vals
             for i in integral_rows.get(j, ()):
                 integrals[i] = partial
         if j in sample_rows:

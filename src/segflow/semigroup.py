@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import Observable
 from .rng import RngStream
-from .segments import ModelSpec, grid_steps, record
+from .segments import ModelSpec, grid_steps, record, step_windows
 
 __all__ = [
     "GridProfile",
@@ -53,18 +53,8 @@ class GridProfile:
 
 # Paths per simulated batch: states are grouped so replicas x states fits.
 _MAX_WIDTH = 4096
-
-
-def _running_trapezoid(nodes: np.ndarray, h: float) -> np.ndarray:
-    """Overwrite the rows of ``nodes`` with their cumulative trapezoid sums
-    (spacing ``h``), accumulated from 0.0 in row order."""
-    prev = nodes[0].copy()
-    nodes[0] = 0.0
-    for k in range(1, nodes.shape[0]):
-        panel = 0.5 * (prev + nodes[k]) * h
-        prev[:] = nodes[k]
-        np.add(nodes[k - 1], panel, out=nodes[k])
-    return nodes
+# Profile rows per mean/SE reduction (at most 2 MiB at width 4096).
+_BLOCK_ROWS = 64
 
 
 class SemigroupEvaluator(ABC):
@@ -123,27 +113,55 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         )
         return states
 
-    def _profile(self, grid, f, states, sample_at, replicas, rng, accumulate) -> GridProfile:
-        """Per-state mean and SE over replicas of ``accumulate(nodes)`` on ``grid``.
+    def _profile(self, grid, f, states, sample_at, replicas, rng, h=None) -> GridProfile:
+        """Per-state mean and SE over replicas of a running profile on ``grid``.
 
-        ``nodes`` is ``f`` at the steps ``sample_at``, shape (n_rec, g, replicas)
-        for each group of g states that fits one batch, run on ``rng.child(g0)``.
+        ``f`` is sampled at the steps ``sample_at``, for each group of g
+        states that fits one batch, run on ``rng.child(g0)``.  Each sampled
+        row becomes its running trapezoid with spacing ``h`` (from 0.0) or,
+        with ``h`` None, its running sum as it arrives, in an (r, g, replicas)
+        block of ``r <= _BLOCK_ROWS`` rows whose last row carries into the
+        next block.  Each full block is reduced to its mean and SE over the
+        last axis, bitwise as the whole (n_rec, g, replicas) array would be.
         """
         states = np.asarray(states, dtype=float)
-        n = states.shape[0]
+        n, n_rec = states.shape[0], len(sample_at)
         group = max(1, _MAX_WIDTH // max(1, replicas))
-        values = np.empty((n, len(sample_at)))
-        ses = np.empty((n, len(sample_at)))
+        rows = min(_BLOCK_ROWS, n_rec)
+        values = np.empty((n, n_rec))
+        ses = np.empty((n, n_rec))
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
             init = np.repeat(states[g0:g1], replicas, axis=0)
-            nodes, _ = record(
-                self.model, init, sample_at[-1], self.dt, rng.child(g0),
-                sample_at=sample_at, sample=f.values,
-            )
-            cums = accumulate(nodes.reshape(len(sample_at), g1 - g0, replicas))
-            values[g0:g1] = cums.mean(axis=-1).T
-            ses[g0:g1] = (cums.std(axis=-1, ddof=1) / math.sqrt(replicas)).T
+            block = np.empty((rows, g1 - g0, replicas))
+            last = np.empty(block.shape[1:])  # f at the previous node
+            panel = np.empty(block.shape[1:])
+            i = 0  # sampled rows so far
+            # step_windows is looked up as a module global on each call, so
+            # a wrapper installed on this module sees every step
+            for j, window in step_windows(self.model, init, sample_at[-1], self.dt, rng.child(g0)):
+                if j != sample_at[i]:
+                    continue
+                node = f.values(window).reshape(last.shape)  # may alias the ring buffer
+                r = i % rows
+                cum = block[r]  # block[r - 1] is the previous row, also across blocks
+                if i == 0:
+                    cum[...] = node if h is None else 0.0
+                elif h is None:
+                    np.add(block[r - 1], node, out=cum)
+                else:
+                    # panel = 0.5 * (last + node) * h, in that order, in place
+                    np.add(last, node, out=panel)
+                    panel *= 0.5
+                    panel *= h
+                    np.add(block[r - 1], panel, out=cum)
+                if h is not None:
+                    last[...] = node
+                i += 1
+                if r == rows - 1 or i == n_rec:
+                    done = block[: r + 1]
+                    values[g0:g1, i - r - 1 : i] = done.mean(axis=-1).T
+                    ses[g0:g1, i - r - 1 : i] = (done.std(axis=-1, ddof=1) / math.sqrt(replicas)).T
         return GridProfile(grid, values, ses)
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
@@ -153,8 +171,7 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         h = stride * self.dt
         grid = np.arange(n_steps // stride + 1) * h
         return self._profile(
-            grid, f, states, range(0, n_steps + 1, stride), replicas, rng,
-            lambda nodes: _running_trapezoid(nodes, h),
+            grid, f, states, range(0, n_steps + 1, stride), replicas, rng, h,
         )
 
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
@@ -164,7 +181,6 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         return self._profile(
             np.arange(k_from, k_max + 1), f, states,
             range(k_from * per_unit, k_max * per_unit + 1, per_unit), replicas, rng,
-            lambda nodes: nodes.cumsum(axis=0),
         )
 
 
@@ -185,8 +201,9 @@ class ExpDecayKernel(SemigroupEvaluator):
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
         grid = np.arange(grid_steps(t_max, quad_step, "t_max") + 1) * quad_step
-        shape = np.exp(-self.rate * grid)[:, None]
-        return _closed_form(f, states, grid, _running_trapezoid(shape, quad_step)[:, 0])
+        shape = np.exp(-self.rate * grid)
+        panels = 0.5 * (shape[:-1] + shape[1:]) * quad_step
+        return _closed_form(f, states, grid, np.concatenate([[0.0], np.cumsum(panels)]))
 
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         ks = np.arange(k_from, k_max + 1)

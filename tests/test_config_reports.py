@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segflow import ConfigError
-from segflow.config import parse_config, parse_config_dict
+from segflow.config import EXPERIMENT_KINDS, parse_config, parse_config_dict
 from segflow.ergodic import EnsembleConfig, ergodicity_curve, sample_invariant
 from segflow.limits import CenteredObservable, _unit_run, slln_variance_decay
 from segflow.metric import MetricParams
@@ -56,6 +58,40 @@ class TestParseConfig:
         echoed = cfg.echo(model)
         cfg2 = parse_config_dict(echoed)
         assert cfg2.config_hash(model) == cfg.config_hash(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(EXPERIMENT_KINDS),
+        seed=st.integers(0, 2**64 - 1),
+        model=st.sampled_from(["linear_delay_ou", "tanh_diffusion"]),
+        a=st.floats(2.0, 4.0),  # the side condition holds for a >= 2 at r0 <= 0.5
+        r0=st.sampled_from([0.25, 0.5]),
+        observable=st.sampled_from(["eval0", "sin_eval0"]),
+        p=st.floats(1.0, 4.0),
+        gamma=st.floats(0.05, 1.0),
+        dt=st.sampled_from([1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0]),
+        inner=st.integers(4, 256),
+    )
+    def test_echo_roundtrip_property(self, kind, seed, model, a, r0, observable, p, gamma, dt, inner):
+        numerics = {"dt": dt}
+        if kind in ("clt", "lil"):
+            numerics["inner_replicas"] = inner
+        cfg = parse_config_dict({
+            "kind": kind, "seed": seed,
+            "model": {"name": model, "params": {"a": a, "r0": r0}},
+            "observable": {"name": observable},
+            "metric": {"p": p, "gamma": gamma},
+            "numerics": numerics,
+        })
+        built = cfg.build_model()
+        again = parse_config_dict(cfg.echo(built))
+        assert again.echo(built) == cfg.echo(built)
+        assert again.config_hash(built) == cfg.config_hash(built)
+
+    def test_inner_replicas_below_four_rejected(self):
+        # fewer than two replicas per corrector half leave every SE undefined
+        with pytest.raises(ConfigError, match="inner_replicas"):
+            parse_config_dict(minimal("clt", numerics={"inner_replicas": 3}))
 
     def test_metric_p_range_error_names_key(self, tmp_path):
         path = write_cfg(tmp_path, minimal(metric={"p": 0.5}))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segflow import (
     EnsembleConfig,
@@ -146,6 +148,31 @@ class TestErgodicityCurve:
         perm = gen.permutation(48)
         w2 = _mean_transport(_coupled_blocks(a[perm], b[perm], 1.0, 0.25, 16), mp, 64)
         assert w1 == w2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        block=st.sampled_from([2, 3, 8]),
+        n_blocks=st.integers(1, 4),
+        d=st.sampled_from([1, 2]),
+        repeated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coupled_reduction_is_a_function_of_the_pair_multiset(
+        self, data, block, n_blocks, d, repeated, seed
+    ):
+        from segflow.ergodic import _coupled_blocks, _mean_transport
+
+        n = block * n_blocks + data.draw(st.integers(0, block - 1))  # leftover pairs are dropped
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((n, 3, d))
+        b = a + 0.1 * gen.standard_normal((n, 3, d))
+        if repeated:  # equal pairs tie in the canonical order
+            a[n // 2 :], b[n // 2 :] = a[: n - n // 2], b[: n - n // 2]
+        perm = np.asarray(data.draw(st.permutations(range(n))))
+        mp = MetricParams(2.0, 1.0)
+        w = _mean_transport(_coupled_blocks(a, b, 1.0, 0.5, block), mp, 64)
+        assert w == _mean_transport(_coupled_blocks(a[perm], b[perm], 1.0, 0.5, block), mp, 64)
 
     def test_bitwise_reproducible(self, ref_model, stationary_sample, mp, xi_five):
         times = [0.5, 1.0, 2.0]

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,13 @@ class TestOneReplicaRejected:
             quadratic_variation(
                 decay_model(), eval0_obs(), self.xi, 3, self.cfg, RngStream(0), outer_replicas=1, sg=self.sg
             )
+
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_corrector_halves_of_one_replica(self, replicas):
+        # a half of one replica has no standard error
+        cfg = replace(self.cfg, replicas=replicas)
+        with pytest.raises(ValueError, match="at least 4 corrector replicas"):
+            phi_f(decay_model(), eval0_obs(), self.xi, 8, cfg, RngStream(0), sg=self.sg)
 
 
 class TestMartingaleIidChain:

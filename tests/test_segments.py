@@ -24,6 +24,7 @@ from segflow import (
     simulate,
     sup_norm,
 )
+from segflow import segments
 from segflow.ergodic import coupled_snapshots
 from segflow.registry import MODEL_BUILDERS, build_model, build_observable
 from segflow.segments import _ring, record, step_windows
@@ -408,7 +409,8 @@ class TestRecord:
         for i, k in enumerate(integrate_at):
             assert np.array_equal(integrals[i], ref_i[k])
 
-    # at width 8000 the ring buffer holds ~500 rows, so 600 steps wrap it
+    # at width 8000 the ring buffer steps through 2(m+1) = 34 rows and at
+    # width 260 through 504, so 600 steps wrap both
     @pytest.mark.parametrize("width", [1, 260, 8000])
     def test_window_copies_survive_the_ring_buffer(self, width):
         model = build_model("linear_delay_ou")
@@ -441,6 +443,23 @@ class TestRecord:
             record(model, spread_initials(2), 10, DT, RngStream(0), sample_at=[11])
         with pytest.raises(ValueError):
             record(model, spread_initials(2), 10, DT, RngStream(0), integrate_at=[5])
+
+    @pytest.mark.parametrize("r0, stepped_rows", [(0.25, 32), (0.5, 34)])
+    def test_wide_ring_stays_within_budget(self, monkeypatch, r0, stepped_rows):
+        # 32 rows of 4096 floats fill the 1 MiB budget (m+1 = 9 nodes); a
+        # window of m+1 = 17 nodes still needs 34; the m+1 rows carried at a
+        # wrap come on top
+        shapes = []
+
+        def spy(shape):
+            shapes.append(shape)
+            return _ring(shape)
+
+        monkeypatch.setattr(segments, "_ring", spy)
+        m = int(round(r0 / DT))
+        init = np.random.default_rng(0).normal(size=(4096, m + 1, 1))
+        record(build_model("linear_delay_ou", {"r0": r0}), init, 600, DT, RngStream(3))
+        assert shapes == [(stepped_rows + m + 1, 4096, 1)]
 
     def test_large_rings_get_their_own_mapping(self):
         # the width-260 and width-8000 cases above run on such rings
@@ -485,24 +504,32 @@ class TestSharedNoise:
 class TestIntegralProfile:
     @staticmethod
     def old_trapezoid_profile(model, f, states, t_max, quad_step, replicas, rng):
-        """The per-step trapezoid accumulator the semigroup profile used to keep."""
+        """The per-step trapezoid accumulator the semigroup profile used to keep,
+        run per group of at most 4096 paths on ``rng.child(g0)`` and reduced
+        over the last axis of the whole (n_rec, g, replicas) array."""
         stride = int(round(quad_step / DT))
         n_steps = int(round(t_max / DT))
         n_steps -= n_steps % stride
-        init = np.repeat(states, replicas, axis=0)
-        partial = np.zeros(init.shape[0])
-        prev = None
-        cums = []
-        for j, window in step_windows(model, init, n_steps, DT, rng.child(0)):
-            vals = f.values(window)
-            if j % stride:
-                continue
-            if prev is not None:
-                partial += 0.5 * (prev + vals) * (stride * DT)
-            prev = vals.copy()
-            cums.append(partial.copy())
-        cums = np.array(cums).T.reshape(states.shape[0], replicas, -1)
-        return cums.mean(axis=1), cums.std(axis=1, ddof=1) / math.sqrt(replicas)
+        n = states.shape[0]
+        group = max(1, 4096 // replicas)
+        values, ses = [], []
+        for g0 in range(0, n, group):
+            init = np.repeat(states[g0 : g0 + group], replicas, axis=0)
+            partial = np.zeros(init.shape[0])
+            prev = None
+            cums = []
+            for j, window in step_windows(model, init, n_steps, DT, rng.child(g0)):
+                vals = f.values(window)
+                if j % stride:
+                    continue
+                if prev is not None:
+                    partial += 0.5 * (prev + vals) * (stride * DT)
+                prev = vals.copy()
+                cums.append(partial.copy())
+            cums = np.array(cums).reshape(len(cums), -1, replicas)
+            values.append(cums.mean(axis=-1).T)
+            ses.append((cums.std(axis=-1, ddof=1) / math.sqrt(replicas)).T)
+        return np.concatenate(values), np.concatenate(ses)
 
     @pytest.mark.parametrize("quad_steps", [1, 2, 3])
     def test_matches_old_accumulator(self, any_model, quad_steps):
@@ -515,6 +542,18 @@ class TestIntegralProfile:
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid[1] == quad
+
+    def test_blocks_and_groups_match_old_accumulator(self, any_model):
+        # 193 profile rows are reduced in blocks of 64, 64, 64 and 1; 70 x 64
+        # > 4096 paths run as groups of 64 and 6 states
+        f = build_observable("eval0")
+        states = spread_initials(70, seed=7)
+        rng = RngStream(31)
+        ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 6.0, DT, 64, rng)
+        prof = MonteCarloSemigroup(any_model, DT).integral_profile(f, states, 6.0, DT, 64, rng)
+        assert prof.values.shape == (70, 193)
+        assert np.array_equal(prof.values, ref_values)
+        assert np.array_equal(prof.ses, ref_ses)
 
 
 class TestDiscreteProfile:
@@ -540,15 +579,19 @@ class TestDiscreteProfile:
 
     # 4 x 6 paths run as one group; 70 x 64 > 4096 splits into groups of 64 and 6
     @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
-    def test_matches_old_profile(self, any_model, n_states, replicas, k_from):
+    def test_matches_old_profile(self, any_model, n_states, replicas, k_from, k_max=2):
         f = build_observable("eval0")
         states = spread_initials(n_states, seed=6)
         rng = RngStream(29)
-        ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, 2, replicas, rng)
-        prof = MonteCarloSemigroup(any_model, DT).discrete_profile(f, states, k_from, 2, replicas, rng)
+        ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, k_max, replicas, rng)
+        prof = MonteCarloSemigroup(any_model, DT).discrete_profile(f, states, k_from, k_max, replicas, rng)
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
-        assert prof.grid.tolist() == list(range(k_from, 3))
+        assert prof.grid.tolist() == list(range(k_from, k_max + 1))
+
+    def test_blocks_match_old_profile(self, any_model):
+        # lags 1..130 are reduced in blocks of 64, 64 and 2 rows
+        self.test_matches_old_profile(any_model, 70, 64, 1, k_max=130)
 
 
 # -- the width-1 float kernel -------------------------------------------------

@@ -1,6 +1,7 @@
 """Semigroup evaluator and synthetic kernel tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,23 @@ class TestMonteCarloSemigroup:
         # decay of the conditional mean: E X_1 from 2 is near 2 e^-? > from 0
         assert prof.values[1, 0] > prof.values[0, 0]
         assert np.all(prof.ses > 0)
+
+    def test_integral_profile_streams(self, eval0):
+        # 769 profile rows of 128 states x 32 replicas: the whole node cube
+        # alone would be 25 MB; the streamed profile holds one 64-row block
+        # (the ring buffer is an mmap, which tracemalloc does not see)
+        dt = 1.0 / 128.0
+        model = build_model("linear_delay_ou")
+        states = np.random.default_rng(0).normal(size=(128, 65, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prof = MonteCarloSemigroup(model, dt).integral_profile(eval0, states, 6.0, dt, 32, RngStream(4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert prof.values.shape == (128, 769)
+        assert peak < 12e6
 
 
 class TestIidChain:
