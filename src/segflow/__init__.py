@@ -27,7 +27,6 @@ from .errors import (
     ShapeError,
 )
 from .ergodic import (
-    EnsembleConfig,
     RateFit,
     ergodicity_curve,
     exp_moment_probe,

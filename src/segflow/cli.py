@@ -39,7 +39,7 @@ from .assumptions import (
 )
 from .config import ExperimentConfig, parse_config, parse_config_dict
 from .errors import ConfigError, NumericBlowupError, SegflowError
-from .ergodic import EnsembleConfig, RateFit, ergodicity_curve, sample_invariant
+from .ergodic import RateFit, ergodicity_curve, sample_invariant
 from .limits import (
     CenteredObservable,
     CorrectorConfig,
@@ -68,15 +68,10 @@ def _initial_segment(model, num):
 
 
 def _stationary_sample(cfg: ExperimentConfig, model, num):
-    ens = EnsembleConfig(
-        n_traj=num["stat_n_traj"],
-        burn_in=num["burn_in"],
-        thinning=num["thinning"],
-        step=num["dt"],
-        master_seed=derive_seed(cfg.seed, 0),
-        samples_per_traj=num["samples_per_traj"],
+    return sample_invariant(
+        model, _initial_segment(model, num), num["stat_n_traj"], num["burn_in"],
+        num["thinning"], RngStream(derive_seed(cfg.seed, 0)), num["samples_per_traj"],
     )
-    return sample_invariant(model, ens, _initial_segment(model, num))
 
 
 def _rate_fit(cfg: ExperimentConfig, model, num, stationary) -> RateFit:

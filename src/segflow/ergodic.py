@@ -7,6 +7,10 @@ mixing rate is fitted from the decay of the empirical transport distance
 between an evolving ensemble and that stationary reference, with points below
 the measured sampling-noise floor excluded so the floor cannot flatten the
 fitted slope.
+
+An ensemble steps on its initial segment's grid: the segment is the one
+source of the time step, and the step driver rejects windows that do not
+span the model's delay on that grid.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .segments import ModelSpec, Segment, batch_sup_norms, grid_steps, record, s
 from .stats import ols_line
 
 __all__ = [
-    "EnsembleConfig",
     "RateFit",
     "MomentCurveReport",
     "ExpMomentReport",
@@ -34,37 +37,6 @@ __all__ = [
     "exp_moment_probe",
     "coupled_snapshots",
 ]
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Knobs of one ensemble run.
-
-    ``burn_in`` defaults (when built through the config layer) to ``10 /
-    lambda1`` time units, the model's only a-priori decay scale.
-    """
-
-    n_traj: int
-    burn_in: float
-    thinning: float
-    step: float
-    master_seed: int
-    samples_per_traj: int = 1
-
-    def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be at least 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.thinning < self.step * (1 - 1e-9):
-            raise ValueError("thinning must be at least one step")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.samples_per_traj < 1:
-            raise ValueError("samples_per_traj must be at least 1")
-
-    def stream(self) -> RngStream:
-        return RngStream(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -110,30 +82,41 @@ class RateFit:
 
 
 def sample_invariant(
-    model: ModelSpec, cfg: EnsembleConfig, initial: Segment
+    model: ModelSpec,
+    initial: Segment,
+    n_traj: int,
+    burn_in: float,
+    thinning: float,
+    rng: RngStream,
+    samples_per_traj: int = 1,
 ) -> EmpiricalMeasure:
     """Approximate the invariant law by a pooled, thinned ensemble.
 
-    Runs ``cfg.n_traj`` independent trajectories from ``initial``, discards
-    ``cfg.burn_in``, then retains one segment every ``cfg.thinning`` time
-    units (``cfg.samples_per_traj`` of them per trajectory).  Atoms carry
-    their source-trajectory index as group labels so downstream standard
-    errors can respect within-trajectory correlation.
+    Runs ``n_traj`` independent trajectories from ``initial`` on its grid,
+    with ``rng.child(0)`` owning every draw, discards ``burn_in`` time
+    units, then retains one segment every ``thinning`` time units
+    (``samples_per_traj`` of them per trajectory).  ``thinning`` must be a
+    positive whole number of steps.  Atoms carry their source-trajectory
+    index as group labels so downstream standard errors can respect
+    within-trajectory correlation.
     """
-    step = cfg.step
-    burn_idx = int(math.ceil(cfg.burn_in / step - 1e-9))
-    stride = grid_steps(cfg.thinning, step, "thinning")
-    indices = [burn_idx + (j + 1) * stride for j in range(cfg.samples_per_traj)]
-    initials = np.broadcast_to(
-        initial.values, (cfg.n_traj,) + initial.values.shape
-    ).copy()
-    snaps, _ = record(
-        model, initials, indices[-1], step, cfg.stream().child(0), sample_at=indices
-    )
+    if not n_traj >= 1:
+        raise ValueError("n_traj must be at least 1")
+    if not burn_in >= 0:
+        raise ValueError("burn_in must be non-negative")
+    if not thinning > 0:
+        raise ValueError("thinning must be positive")
+    if not samples_per_traj >= 1:
+        raise ValueError("samples_per_traj must be at least 1")
+    step = initial.step
+    burn_idx = int(math.ceil(burn_in / step - 1e-9))
+    stride = grid_steps(thinning, step, "thinning")
+    indices = [burn_idx + (j + 1) * stride for j in range(samples_per_traj)]
+    initials = np.broadcast_to(initial.values, (n_traj,) + initial.values.shape).copy()
+    snaps, _ = record(model, initials, indices[-1], step, rng.child(0), sample_at=indices)
     atoms = snaps.transpose(1, 0, 2, 3)  # (n_traj, n_snap, m+1, d)
-    n_traj, n_snap = atoms.shape[0], atoms.shape[1]
-    values = atoms.reshape(n_traj * n_snap, atoms.shape[2], atoms.shape[3])
-    groups = np.repeat(np.arange(n_traj), n_snap)
+    values = atoms.reshape(n_traj * samples_per_traj, atoms.shape[2], atoms.shape[3])
+    groups = np.repeat(np.arange(n_traj), samples_per_traj)
     return EmpiricalMeasure(values, model.delay, step, groups=groups)
 
 

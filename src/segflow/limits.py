@@ -559,18 +559,26 @@ def _increments(
     Each base state takes ``outer`` one-step transitions.  With a
     :class:`CorrectorConfig` the step is one unit of the SDE and the integral
     is ``integral_0^1 f(X_s) ds`` along it (``snapshot_steps`` records
-    interior windows); with a :class:`DiscreteCorrectorConfig` the step is
-    one unit of the chain and the integral is ``f`` at the base state.
+    interior windows), so ``model_or_chain`` must be a :class:`ModelSpec`
+    (TypeError otherwise, before any simulation); with a
+    :class:`DiscreteCorrectorConfig` the step is one unit of the chain and
+    the integral is ``f`` at the base state.
     Streams: base halves on ``rng.child(0)``, transitions on
     ``rng.child(1)``, end halves on ``rng.child(2)``.  The end halves are
     first simulated only to the base truncation (see :func:`_halves`); one
     step on, the truncation rule almost always passes there already.
     """
+    discrete = isinstance(cfg, DiscreteCorrectorConfig)
+    if not discrete and not isinstance(model_or_chain, ModelSpec):
+        raise TypeError(
+            f"a continuous corrector integrates f along the SDE and needs a ModelSpec, "
+            f"not a {type(model_or_chain).__name__}"
+        )
     chain = _as_chain(model_or_chain, dt)
     sg = sg if sg is not None else chain
     base = _halves(f, states, cfg, sg, dt, rng.child(0))
     starts = np.repeat(states, outer, axis=0)
-    if isinstance(cfg, DiscreteCorrectorConfig):
+    if discrete:
         ends = chain.unit_states(starts, 1, rng.child(1))[1]
         integrals, snaps = np.repeat(f.values(states), outer), {}
     else:
@@ -1017,7 +1025,7 @@ def quadratic_variation(
         raise ValueError("k must be at least 1")
     if outer_replicas < 2:
         raise ValueError("need at least 2 outer replicas")
-    chain = MonteCarloSemigroup(model, xi.step)
+    chain = _as_chain(model, xi.step)
     states = chain.unit_states(xi.values[None], k - 1, rng.child(1))[:, 0] if k > 1 else xi.values[None]
     inc = _increments(model, f, states, outer_replicas, cfg, xi.step, rng.child(0, 0), sg)
     vals, se, se_base = _phi_per_state(inc, outer_replicas)
@@ -1071,6 +1079,8 @@ def qv_lln_check(
     independent replicas via the telescoped martingale ``M_n = sum f(X_k) +
     Rhat(X_n) - Rhat(X_0)``, again as a product of independent halves.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     chain = _as_chain(model_or_chain, xi.step)
     sg = sg if sg is not None else chain
 
@@ -1193,12 +1203,8 @@ def lil_run(
     idx = checkpoints - n_min
     d = float(d_hat)
     denom_cp = _loglog_denominator(checkpoints.astype(float))
-    endpoint = np.array(
-        [csum[nc - 2] / (d * denom_cp[i]) for i, nc in enumerate(checkpoints)]
-    )  # node formula at t=1: sum_{l<=n-1}
-    sup_lambda = np.array(
-        [abs_peak[nc - 2] / (d * denom_cp[i]) for i, nc in enumerate(checkpoints)]
-    )
+    endpoint = csum[checkpoints - 2] / (d * denom_cp)  # node formula at t=1: sum_{l<=n-1}
+    sup_lambda = abs_peak[checkpoints - 2] / (d * denom_cp)
     return LilReport(
         n_grid=checkpoints,
         normalized_sums=normalized[idx],

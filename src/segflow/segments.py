@@ -37,7 +37,8 @@ time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
 quadrature end, the unit time) must be a whole number of steps, and it
 returns that number or raises naming the offending input.  The segment-grid
 rule, that ``delay/step`` is whole, fixes every segment's node layout and
-lives in ``_history_nodes``.
+lives in ``_history_nodes``; :func:`step_windows` holds every batch to it
+once per call, whatever the caller.
 """
 
 from __future__ import annotations
@@ -435,7 +436,9 @@ def step_windows(
 
     Raises
     ------
-    ShapeError: ``shared_noise`` with an odd batch width.
+    ShapeError: windows whose dim is not the model's, or whose node count is
+        not ``delay/step + 1``; ``shared_noise`` with an odd batch width.
+    ValueError: ``step`` does not divide the model's delay.
     NumericBlowupError: the first time a state goes non-finite, with the time.
     """
     init = np.asarray(initial_values, dtype=float)
@@ -445,6 +448,11 @@ def step_windows(
     m = nodes - 1
     if d != model.dim:
         raise ShapeError(f"initial segments have dim {d}, model has {model.dim}")
+    want = _history_nodes(model.delay, step) + 1
+    if nodes != want:
+        raise ShapeError(
+            f"initial segments have {nodes} nodes; delay {model.delay!r} at step {step!r} needs {want}"
+        )
     if shared_noise and n % 2:
         raise ShapeError(f"a shared-noise batch needs two equal halves, got width {n}")
     gen = rng.generator()
@@ -657,15 +665,14 @@ def simulate(
     model: ModelSpec,
     initial: Segment,
     horizon: float,
-    step: float,
     rng: RngStream,
 ) -> Trajectory:
-    """Integrate one trajectory of the model by Euler-Maruyama.
+    """Integrate one trajectory of the model by Euler-Maruyama on ``initial``'s grid.
 
     Parameters
     ----------
-    initial: starting segment; must match the model's dim and delay, and its
-        grid step must equal ``step``.
+    initial: starting segment; its grid step is the integration step, and
+        :func:`step_windows` checks it against the model's dim and delay.
     horizon: final time T >= 0, a whole number of steps (:func:`grid_steps`).
     rng: the stream that owns every Gaussian increment of this trajectory.
 
@@ -676,14 +683,10 @@ def simulate(
 
     Raises
     ------
+    ShapeError: as for :func:`step_windows`.
     NumericBlowupError: on the first non-finite drift/diffusion/state value.
     """
-    if initial.dim != model.dim:
-        raise ShapeError(f"initial segment dim {initial.dim} != model dim {model.dim}")
-    if abs(initial.delay - model.delay) > _GRID_RTOL * max(1.0, model.delay):
-        raise ShapeError("initial segment delay differs from the model's")
-    if abs(initial.step - step) > _GRID_RTOL * max(1.0, step):
-        raise ShapeError("initial segment grid step differs from the integration step")
+    step = initial.step
     n_steps = grid_steps(horizon, step, "horizon")
     ends, _ = record(
         model, initial.values[None], n_steps, step, rng,

@@ -111,12 +111,13 @@ def bootstrap_se(samples: np.ndarray, statistic, n_boot: int, gen: np.random.Gen
 
 
 def batch_means_se(series: np.ndarray, n_blocks: int = 16) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
+    """Standard error of the mean of a correlated series of n >= 2 values via
+    batch means, over ``max(2, min(n_blocks, n // 2))`` blocks."""
     series = np.asarray(series, dtype=float)
     n = series.size
+    if n < 2:
+        raise ValueError(f"batch means need at least 2 values, got {n}")
     b = max(2, min(n_blocks, n // 2))
-    if b < 2:
-        return float(series.std(ddof=1) / math.sqrt(max(n, 2)))
     size = n // b
     means = series[: b * size].reshape(b, size).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(b))

@@ -18,7 +18,6 @@ from segflow import (
     CenteredObservable,
     CorrectorConfig,
     DiscreteCorrectorConfig,
-    EnsembleConfig,
     MetricParams,
     RngStream,
     constant_segment,
@@ -58,29 +57,29 @@ def xi_five():
 @pytest.fixture(scope="session")
 def stationary_sample(ref_model, xi_zero):
     """256-atom stationary sample (64 trajectories x 4 thinned segments)."""
-    cfg = EnsembleConfig(
-        n_traj=64,
-        burn_in=10.0 / ref_model.lambda1,
-        thinning=1.0,
-        step=DT,
-        master_seed=derive_seed(MASTER_SEED, 0),
+    return sample_invariant(
+        ref_model,
+        xi_zero,
+        64,
+        10.0 / ref_model.lambda1,
+        1.0,
+        RngStream(derive_seed(MASTER_SEED, 0)),
         samples_per_traj=4,
     )
-    return sample_invariant(ref_model, cfg, xi_zero)
 
 
 @pytest.fixture(scope="session")
 def centering_sample(ref_model, xi_zero):
     """Long pooled run for the observable mean: ~65k unit-spaced atoms."""
-    cfg = EnsembleConfig(
-        n_traj=64,
-        burn_in=10.0 / ref_model.lambda1,
-        thinning=1.0,
-        step=DT,
-        master_seed=derive_seed(MASTER_SEED, 1),
+    return sample_invariant(
+        ref_model,
+        xi_zero,
+        64,
+        10.0 / ref_model.lambda1,
+        1.0,
+        RngStream(derive_seed(MASTER_SEED, 1)),
         samples_per_traj=1024,
     )
-    return sample_invariant(ref_model, cfg, xi_zero)
 
 
 @pytest.fixture(scope="session")

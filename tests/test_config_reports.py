@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from segflow import ConfigError
 from segflow.config import EXPERIMENT_KINDS, parse_config, parse_config_dict
-from segflow.ergodic import EnsembleConfig, ergodicity_curve, sample_invariant
+from segflow.ergodic import ergodicity_curve, sample_invariant
 from segflow.limits import CenteredObservable, _unit_run, slln_variance_decay
 from segflow.metric import MetricParams
 from segflow.registry import build_model, build_observable
@@ -219,12 +219,11 @@ class TestParseConfig:
         model = build_model("linear_delay_ou", {})
         xi = constant_segment(0.0, model.delay, dt)
         f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
-        ens = EnsembleConfig(n_traj=4, burn_in=0.0, thinning=1.0, step=dt, master_seed=3, samples_per_traj=2)
-        reference = sample_invariant(model, ens, xi)
+        reference = sample_invariant(model, xi, 4, 0.0, 1.0, RngStream(3), samples_per_traj=2)
         for eps, accepted in ((1e-7, True), (1e-5, False)):
             t = (1.0 + eps) * 256 * dt
             runs = (
-                lambda: simulate(model, xi, t, dt, RngStream(0)),
+                lambda: simulate(model, xi, t, RngStream(0)),
                 lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), 4, RngStream(3), cap=4),
                 lambda: MonteCarloSemigroup(model, dt).integral_profile(f, xi.values[None], t, dt, 2, RngStream(1)),
                 lambda: slln_variance_decay(model, xi, f, [0.125, t], 2, RngStream(2)),

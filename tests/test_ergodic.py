@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segflow import (
-    EnsembleConfig,
     MetricParams,
     RngStream,
     constant_segment,
@@ -29,25 +28,38 @@ DT = 1.0 / 128.0
 R0 = 0.5
 
 
-def ens(n_traj, seed, burn_in=2.6, thinning=1.0, samples=1):
-    return EnsembleConfig(
-        n_traj=n_traj,
-        burn_in=burn_in,
-        thinning=thinning,
-        step=DT,
-        master_seed=seed,
-        samples_per_traj=samples,
-    )
-
-
 class TestSampleInvariant:
     def test_frozen_dynamics(self):
         model = build_model("deterministic_decay")
         frozen = constant_segment(0.0, R0, DT)
         # decay from 0 stays at 0: every atom is the zero segment
-        m = sample_invariant(model, ens(8, 1, samples=3), frozen)
+        m = sample_invariant(model, frozen, 8, 2.6, 1.0, RngStream(1), samples_per_traj=3)
         assert m.n == 24
         assert np.all(m.values == 0.0)
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            ((0, 1.0, 1.0, 1), "n_traj"),
+            ((2, -1.0, 1.0, 1), "burn_in"),
+            ((2, 1.0, 0.0, 1), "thinning"),
+            ((2, 1.0, 1.5 * DT, 1), "thinning"),
+            ((2, 1.0, 1.0, 0), "samples_per_traj"),
+        ],
+        ids=["n_traj-0", "burn_in-negative", "thinning-0", "thinning-off-grid", "samples_per_traj-0"],
+    )
+    def test_input_rules(self, ref_model, args, what):
+        n_traj, burn_in, thinning, per_traj = args
+        with pytest.raises(ValueError, match=what):
+            sample_invariant(
+                ref_model, constant_segment(0.0, R0, DT), n_traj, burn_in, thinning, RngStream(0),
+                samples_per_traj=per_traj,
+            )
+
+    def test_initial_of_another_delay_rejected(self, ref_model):
+        # 33 nodes at step 1/128 span 0.25, not the model's delay of 0.5
+        with pytest.raises(ShapeError):
+            sample_invariant(ref_model, constant_segment(0.0, 0.25, DT), 2, 0.0, 1.0, RngStream(0))
 
     def test_mean_zero_by_symmetry(self, ref_model, stationary_sample):
         vals = stationary_sample.values[:, -1, 0]
@@ -57,7 +69,7 @@ class TestSampleInvariant:
     def test_variance_matches_long_run_oracle(self, ref_model, stationary_sample):
         # ultra-long single-trajectory time average as the independent oracle
         xi = constant_segment(0.0, R0, DT)
-        traj = simulate(ref_model, xi, 3000.0, DT, RngStream(555))
+        traj = simulate(ref_model, xi, 3000.0, RngStream(555))
         burn = int(10.0 / ref_model.lambda1 / DT)
         xs = traj.states[traj.n_history + burn :, 0]
         oracle_var = float((xs**2).mean() - xs.mean() ** 2)

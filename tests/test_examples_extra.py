@@ -7,7 +7,6 @@ import pytest
 
 from segflow import (
     CenteredObservable,
-    EnsembleConfig,
     ModelSpec,
     RngStream,
     clt_test,
@@ -124,11 +123,8 @@ class TestLilDomainErrors:
 
 class TestEngineReproducibility:
     def test_sample_invariant_bitwise(self, ref_model, xi_zero):
-        cfg = EnsembleConfig(
-            n_traj=8, burn_in=1.0, thinning=1.0, step=DT, master_seed=777, samples_per_traj=2
-        )
-        m1 = sample_invariant(ref_model, cfg, xi_zero)
-        m2 = sample_invariant(ref_model, cfg, xi_zero)
+        m1 = sample_invariant(ref_model, xi_zero, 8, 1.0, 1.0, RngStream(777), samples_per_traj=2)
+        m2 = sample_invariant(ref_model, xi_zero, 8, 1.0, 1.0, RngStream(777), samples_per_traj=2)
         assert np.array_equal(m1.values, m2.values)
 
     def test_curve_invariant_under_reference_permutation(self, ref_model, stationary_sample, mp, xi_five):
@@ -163,7 +159,7 @@ class TestTrajectoryInvariants:
     def test_length_and_history_prefix(self, ref_model, xi_zero):
         from segflow import simulate
 
-        traj = simulate(ref_model, xi_zero, 2.0, DT, RngStream(10))
+        traj = simulate(ref_model, xi_zero, 2.0, RngStream(10))
         m = traj.n_history
         assert traj.states.shape[0] == int(round((2.0 + R0) / DT)) + 1
         assert np.array_equal(traj.states[: m + 1], xi_zero.values)

@@ -31,13 +31,14 @@ from segflow import (
     martingale_increments,
     phi_f,
     quadratic_variation,
+    qv_lln_check,
     rescaled_path_nodes,
     simulate,
     variance_D,
     vph_residual,
 )
 from segflow.registry import build_model, build_observable
-from segflow.stats import kolmogorov_statistic, weighted_degenerate_statistic
+from segflow.stats import batch_means_se, kolmogorov_statistic, weighted_degenerate_statistic
 
 DT = 1.0 / 128.0
 R0 = 0.5
@@ -90,7 +91,7 @@ class TestAdditiveFunctional:
 
     def test_linear_in_f(self):
         model = build_model("linear_delay_ou")
-        traj = simulate(model, constant_segment(1.0, R0, DT), 4.0, DT, RngStream(77))
+        traj = simulate(model, constant_segment(1.0, R0, DT), 4.0, RngStream(77))
         f = eval0_obs()
         g = centered(build_observable("sin_eval0"))
         combo = centered(
@@ -243,6 +244,47 @@ class TestOneReplicaRejected:
         cfg = replace(self.cfg, replicas=replicas)
         with pytest.raises(ValueError, match="at least 4 corrector replicas"):
             phi_f(decay_model(), eval0_obs(), self.xi, 8, cfg, RngStream(0), sg=self.sg)
+
+
+class TestContinuousCorrectorNeedsModel:
+    """A CorrectorConfig integrates f along the SDE, so a chain in place of
+    the model is rejected before any simulation."""
+
+    cfg = CorrectorConfig(rate_fit=unit_rate_fit(), t_max=8.0, replicas=8)
+    xi = constant_segment(1.0, R0, DT)
+
+    @pytest.mark.parametrize("entry", ["variance_D", "phi_f", "vph_residual", "quadratic_variation"])
+    def test_chain_rejected(self, entry):
+        chain, f, rng = MonteCarloSemigroup(decay_model(), DT), eval0_obs(), RngStream(0)
+        runs = {
+            "variance_D": lambda: variance_D(chain, f, EmpiricalMeasure(self.xi.values[None], R0, DT), self.cfg, rng),
+            "phi_f": lambda: phi_f(chain, f, self.xi, 4, self.cfg, rng),
+            "vph_residual": lambda: vph_residual(chain, f, self.xi, self.cfg, rng, replicas=4),
+            "quadratic_variation": lambda: quadratic_variation(chain, f, self.xi, 3, self.cfg, rng),
+        }
+        with pytest.raises(TypeError, match="needs a ModelSpec, not a MonteCarloSemigroup"):
+            runs[entry]()
+
+
+class TestBatchMeansSe:
+    def test_one_value_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 values"):
+            batch_means_se(np.array([1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_blocks_of_one(self, n):
+        # blocks [0] and [1]; a third value is left over
+        assert batch_means_se(np.arange(n, dtype=float) ** 2) == 0.5
+
+    def test_sixteen_blocks(self):
+        x = np.arange(40, dtype=float) ** 2
+        means = x[:32].reshape(16, 2).mean(axis=1)
+        assert batch_means_se(x) == float(means.std(ddof=1) / 4.0)
+
+    def test_qv_lln_check_needs_two_steps(self):
+        cfg = DiscreteCorrectorConfig(rate_fit=unit_rate_fit(), k_max=4, replicas=8)
+        with pytest.raises(ValueError, match="at least 2"):
+            qv_lln_check(decay_model(), eval0_obs(), constant_segment(1.0, R0, DT), 1, cfg, RngStream(0), 1.0)
 
 
 class TestMartingaleIidChain:

@@ -55,7 +55,7 @@ class TestTanhDiffusion:
 
     def test_simulates(self):
         model = build_model("tanh_diffusion")
-        traj = simulate(model, constant_segment(0.5, 0.5, DT), 2.0, DT, RngStream(5))
+        traj = simulate(model, constant_segment(0.5, 0.5, DT), 2.0, RngStream(5))
         assert np.isfinite(traj.states).all()
 
 

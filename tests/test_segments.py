@@ -90,14 +90,14 @@ class TestSupNorm:
 class TestSegmentAt:
     def test_constant_trajectory(self):
         model = frozen_model()
-        traj = simulate(model, constant_segment(2.5, 0.5, 0.25), 2.0, 0.25, RngStream(0))
+        traj = simulate(model, constant_segment(2.5, 0.5, 0.25), 2.0, RngStream(0))
         for t in (0.0, 0.7, 1.3, 2.0):
             seg = segment_at(traj, t)
             assert np.allclose(seg.values, 2.5)
 
     def test_on_grid_exact_copy(self):
         model = make_decay()
-        traj = simulate(model, constant_segment(1.0, 0.5, 0.125), 2.0, 0.125, RngStream(1))
+        traj = simulate(model, constant_segment(1.0, 0.5, 0.125), 2.0, RngStream(1))
         m = traj.n_history
         k = 8  # t = 1.0
         seg = segment_at(traj, 1.0)
@@ -113,7 +113,7 @@ class TestSegmentAt:
 
     def test_out_of_range(self):
         model = frozen_model()
-        traj = simulate(model, constant_segment(0.0, 0.5, 0.25), 1.0, 0.25, RngStream(0))
+        traj = simulate(model, constant_segment(0.0, 0.5, 0.25), 1.0, RngStream(0))
         with pytest.raises(ValueError):
             segment_at(traj, -0.3)
         with pytest.raises(ValueError):
@@ -123,14 +123,14 @@ class TestSegmentAt:
 class TestSimulate:
     def test_zero_dynamics_frozen(self):
         model = frozen_model()
-        traj = simulate(model, constant_segment(3.0, 0.5, 0.25), 3.0, 0.25, RngStream(7))
+        traj = simulate(model, constant_segment(3.0, 0.5, 0.25), 3.0, RngStream(7))
         assert np.all(traj.states == 3.0)
 
     def test_exponential_decay(self):
         # x' = -x from 1: Euler at dt=1e-3 lands within 5e-3 of e^-1
         dt = 0.5 / 512  #   ~9.8e-4, divides the delay
         model = make_decay()
-        traj = simulate(model, constant_segment(1.0, 0.5, dt), 1.0, dt, RngStream(3))
+        traj = simulate(model, constant_segment(1.0, 0.5, dt), 1.0, RngStream(3))
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) < 5e-3
 
     def test_delay_ode_matches_method_of_steps(self):
@@ -149,7 +149,7 @@ class TestSimulate:
             drift_batch=model.drift_batch,
             diffusion_is_constant=True,
         )
-        traj = simulate(silent, constant_segment(1.0, 0.5, dt), 2.0, dt, RngStream(0))
+        traj = simulate(silent, constant_segment(1.0, 0.5, dt), 2.0, RngStream(0))
         ts, xs = method_of_steps(lambda x, xd: -2.0 * x + 0.1 * xd, lambda t: 1.0, 0.5, 2.0, dt)
         ours = traj.states[traj.n_history :, 0]
         assert np.max(np.abs(ours - xs)) < 1e-2
@@ -169,7 +169,7 @@ class TestSimulate:
                 drift_batch=lambda segs: -2.0 * segs[:, -1, :] + 0.1 * segs[:, 0, :],
                 diffusion_is_constant=True,
             )
-            traj = simulate(model, constant_segment(1.0, 0.5, dt), 2.0, dt, RngStream(0))
+            traj = simulate(model, constant_segment(1.0, 0.5, dt), 2.0, RngStream(0))
             ts, xs = method_of_steps(
                 lambda x, xd: -2.0 * x + 0.1 * xd, lambda t: 1.0, 0.5, 2.0, dt
             )
@@ -195,38 +195,38 @@ class TestSimulate:
             diffusion_is_constant=True,
         )
         with pytest.raises(NumericBlowupError) as err:
-            simulate(model, constant_segment(5.0, 0.5, 0.25), 50.0, 0.25, RngStream(0))
+            simulate(model, constant_segment(5.0, 0.5, 0.25), 50.0, RngStream(0))
         assert err.value.time > 0
 
     def test_incompatible_initial_rejected(self):
         model = frozen_model()
         with pytest.raises(ShapeError):
-            simulate(model, constant_segment(0.0, 0.5, 0.25, dim=2), 1.0, 0.25, RngStream(0))
+            simulate(model, constant_segment(0.0, 0.5, 0.25, dim=2), 1.0, RngStream(0))
 
     def test_horizon_must_be_grid_multiple(self):
         model = frozen_model()
         with pytest.raises(ValueError):
-            simulate(model, constant_segment(0.0, 0.5, 0.25), 1.1, 0.25, RngStream(0))
+            simulate(model, constant_segment(0.0, 0.5, 0.25), 1.1, RngStream(0))
 
 
 class TestDeterminism:
     def test_bitwise_identical_runs(self, ref_model):
         dt = 1.0 / 128.0
         xi = constant_segment(1.0, 0.5, dt)
-        t1 = simulate(ref_model, xi, 2.0, dt, RngStream(99, 5))
-        t2 = simulate(ref_model, xi, 2.0, dt, RngStream(99, 5))
+        t1 = simulate(ref_model, xi, 2.0, RngStream(99, 5))
+        t2 = simulate(ref_model, xi, 2.0, RngStream(99, 5))
         assert np.array_equal(t1.states, t2.states)
 
     def test_different_streams_differ(self, ref_model):
         dt = 1.0 / 128.0
         xi = constant_segment(1.0, 0.5, dt)
-        t1 = simulate(ref_model, xi, 1.0, dt, RngStream(99, 5))
-        t2 = simulate(ref_model, xi, 1.0, dt, RngStream(99, 6))
+        t1 = simulate(ref_model, xi, 1.0, RngStream(99, 5))
+        t2 = simulate(ref_model, xi, 1.0, RngStream(99, 6))
         assert not np.array_equal(t1.states, t2.states)
 
     def test_segment_consistency_on_grid(self, ref_model):
         dt = 1.0 / 128.0
-        traj = simulate(ref_model, constant_segment(1.0, 0.5, dt), 2.0, dt, RngStream(11))
+        traj = simulate(ref_model, constant_segment(1.0, 0.5, dt), 2.0, RngStream(11))
         m = traj.n_history
         for k in (0, 37, 128, 256):
             seg = segment_at(traj, k * dt)
@@ -470,6 +470,36 @@ class TestRecord:
             owner = owner.base
         assert isinstance(memoryview(owner).obj, mmap.mmap)
         assert large.flags.writeable and large.shape == (600, 4096, 1)
+
+
+class TestWindowMustSpanDelay:
+    """The driver checks every batch's node count against delay/step once per
+    call, whatever the coefficient form or caller."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize(
+        "make", [lambda: build_model("tanh_diffusion"), lambda: callback_model(state_noise=True)],
+        ids=["tanh_diffusion", "per-segment"],
+    )
+    def test_record_rejects_short_windows(self, make, width):
+        # 33 nodes at step 1/128 span 0.25, half the model's delay of 0.5
+        init = np.zeros((width, 33, 1))
+        with pytest.raises(ShapeError, match="needs 65"):
+            record(make(), init, 10, 1.0 / 128.0, RngStream(0), sample_at=[10])
+
+    def test_unit_states_rejects_windows_of_another_grid(self):
+        # 65 nodes fit the delay at step 1/128, not the chain's 1/64
+        atoms = np.zeros((3, 65, 1))
+        with pytest.raises(ShapeError, match="needs 33"):
+            MonteCarloSemigroup(build_model("tanh_diffusion"), 1.0 / 64.0).unit_states(atoms, 1, RngStream(0))
+
+    def test_simulate_rejects_a_segment_of_another_delay(self):
+        with pytest.raises(ShapeError):
+            simulate(build_model("tanh_diffusion"), constant_segment(0.0, 0.25, 1.0 / 128.0), 1.0, RngStream(0))
+
+    def test_step_must_divide_delay(self):
+        with pytest.raises(ValueError, match="must divide delay"):
+            record(build_model("tanh_diffusion"), np.zeros((2, 65, 1)), 10, 0.3, RngStream(0))
 
 
 class TestSharedNoise:
@@ -966,7 +996,7 @@ class TestExactOracle:
         exact = euler_chain_variance(2.0, 0.1, 1.0, 64, dt)
         assert exact == pytest.approx(0.25690, abs=5e-6)
         model = build_model("linear_delay_ou")
-        traj = simulate(model, constant_segment(0.0, 0.5, dt), 2020.0, dt, RngStream(4, 1))
+        traj = simulate(model, constant_segment(0.0, 0.5, dt), 2020.0, RngStream(4, 1))
         burn = traj.n_history + int(round(20.0 / dt))
         squares = traj.states[burn + 1 :, 0] ** 2  # the stationary mean is 0
         batches = squares[: squares.size // 20 * 20].reshape(20, -1).mean(axis=1)
