@@ -18,27 +18,17 @@ from .assumptions import (
 from .errors import (
     CapacityError,
     ConfigError,
-    ConfigurationError,
     EllipticityViolationError,
     EstimatorInconsistencyError,
-    MetricError,
     NumericBlowupError,
     SegflowError,
     ShapeError,
 )
-from .ergodic import (
-    RateFit,
-    ergodicity_curve,
-    exp_moment_probe,
-    moment_curve,
-    sample_invariant,
-)
+from .ergodic import RateFit, ergodicity_curve, sample_invariant
 from .limits import (
     CenteredObservable,
     CorrectorConfig,
     DiscreteCorrectorConfig,
-    additive_functional,
-    cameron_martin_norm,
     clt_statistic,
     clt_test,
     corrector,
@@ -53,14 +43,7 @@ from .limits import (
     variance_D,
     vph_residual,
 )
-from .metric import (
-    EmpiricalMeasure,
-    MetricParams,
-    Observable,
-    lip_norm_lower_bound,
-    rho,
-    wasserstein,
-)
+from .metric import EmpiricalMeasure, MetricParams, Observable, wasserstein
 from .registry import build_model, build_observable, registry_list
 from .rng import RngStream, derive_seed
 from .segments import (
@@ -68,15 +51,12 @@ from .segments import (
     Segment,
     Trajectory,
     constant_segment,
-    segment_at,
     simulate,
     sup_norm,
 )
 from .semigroup import (
     ExpDecayKernel,
-    GeometricKernel,
     IidChain,
     IidKernel,
     MonteCarloSemigroup,
-    kernel_registry,
 )

@@ -3,7 +3,7 @@
 Usage::
 
     segflow run <config.json> [--out DIR] [--threads N] [--seed S]
-    segflow list
+    segflow list                  # built-in models and observables
     segflow validate <config.json>
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup, 4 a
@@ -55,7 +55,6 @@ from .registry import registry_list
 from .reports import ReportRecord, input_digest, jsonable, payload_digest, write_report
 from .rng import RngStream, derive_seed
 from .segments import constant_segment
-from .semigroup import kernel_registry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -432,7 +431,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--threads", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    sub.add_parser("list", help="list built-in models, observables and kernels")
+    sub.add_parser("list", help="list built-in models and observables")
 
     val_p = sub.add_parser("validate", help="parse a config and echo its effective values")
     val_p.add_argument("config")
@@ -447,9 +446,6 @@ def main(argv=None) -> int:
                 print(f"  {name}")
             print("observables:")
             for name in listing.observables:
-                print(f"  {name}")
-            print("synthetic kernels:")
-            for name in sorted(kernel_registry()):
                 print(f"  {name}")
             return EXIT_OK
 

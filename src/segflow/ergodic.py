@@ -24,17 +24,13 @@ import numpy as np
 from .errors import ShapeError
 from .metric import DEFAULT_ASSIGNMENT_CAP, EmpiricalMeasure, MetricParams, wasserstein
 from .rng import RngStream
-from .segments import ModelSpec, Segment, batch_sup_norms, grid_steps, record, sup_norm
+from .segments import ModelSpec, Segment, grid_steps, record
 from .stats import ols_line
 
 __all__ = [
     "RateFit",
-    "MomentCurveReport",
-    "ExpMomentReport",
     "sample_invariant",
     "ergodicity_curve",
-    "moment_curve",
-    "exp_moment_probe",
     "coupled_snapshots",
 ]
 
@@ -300,152 +296,4 @@ def ergodicity_curve(
         n_dropped=n_dropped,
         flagged=not (-fit.slope > 0),  # a NaN slope is flagged
         note="" if -fit.slope > 0 else "fitted rate is not positive",
-    )
-
-
-@dataclass(frozen=True)
-class MomentCurveReport:
-    times: np.ndarray
-    values: np.ndarray
-    ses: np.ndarray
-    p: float
-    c_hat: float
-    beta_hat: float
-    passed: bool
-    note: str = ""
-
-
-def moment_curve(
-    model: ModelSpec,
-    initial: Segment,
-    p: float,
-    times: Sequence[float],
-    replicas: int,
-    rng: RngStream,
-) -> MomentCurveReport:
-    """Monte Carlo estimates of the p-th uniform-norm moment along the flow.
-
-    The boundedness verdict fits the envelope ``c * (1 + exp(-beta t) K)``
-    with ``K = ||initial||_inf^p``: ``beta`` comes from a log-linear fit of
-    the decay toward the tail mean and ``c`` is the smallest constant whose
-    envelope dominates every point.  The verdict fails when values are
-    non-finite or the tail of the series still grows.  ``replicas`` must be
-    at least 2: the growth test is scaled by the standard error.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2 for a standard error")
-    times = np.asarray(list(times), dtype=float)
-    step = initial.step
-    indices = [grid_steps(t, step, "time") for t in times]
-    initials = np.broadcast_to(initial.values, (replicas,) + initial.values.shape).copy()
-    snaps, _ = record(model, initials, max(indices), step, rng.child(0), sample_at=indices)
-    values = np.empty(times.size)
-    ses = np.empty(times.size)
-    for i, snap in enumerate(snaps):
-        powered = batch_sup_norms(snap) ** p
-        values[i] = powered.mean()
-        ses[i] = powered.std(ddof=1) / math.sqrt(replicas)
-    if not np.isfinite(values).all():
-        return MomentCurveReport(times, values, ses, p, math.nan, math.nan, False, "non-finite moments")
-
-    tail = values[-max(1, times.size // 4) :]
-    m_inf = float(tail.mean())
-    decay = values - m_inf
-    mask = decay > 2.0 * np.maximum(ses, 1e-12)
-    if mask.sum() >= 2:
-        fit = ols_line(times[mask], np.log(decay[mask]))
-        beta_hat = max(0.0, -fit.slope)
-    else:
-        beta_hat = 0.0
-    k_init = sup_norm(initial) ** p
-    envelope_shape = 1.0 + np.exp(-beta_hat * times) * k_init
-    c_hat = float(np.max(values / envelope_shape))
-    growing = times.size >= 4 and not (
-        ols_line(times[times.size // 2 :], values[times.size // 2 :]).slope
-        <= 3.0 * float(ses[-1] / max(times[-1] - times[times.size // 2], 1e-9))
-    )
-    passed = bool(np.isfinite(c_hat) and not growing)
-    return MomentCurveReport(
-        times, values, ses, p, c_hat, beta_hat, passed, "" if passed else "tail still growing"
-    )
-
-
-@dataclass(frozen=True)
-class ExpMomentReport:
-    deltas: np.ndarray
-    estimates: np.ndarray
-    max_shares: np.ndarray
-    passing: np.ndarray
-    largest_passing: Optional[float]
-    window_count: int
-    replicas: int
-
-
-def exp_moment_probe(
-    model: ModelSpec,
-    initial: Segment,
-    delta_grid: Sequence[float],
-    window_count: int,
-    replicas: int,
-    rng: RngStream,
-    share_limit: float = 0.5,
-) -> ExpMomentReport:
-    """Probe windowed exponential square-moments of the uniform norm.
-
-    For each ``delta`` estimates ``E sup_{t in [k, k+1]} exp(delta ||X_t||^2)``
-    over the first ``window_count`` unit windows.  A ``delta`` passes when
-    every window estimate is finite and no single replica contributes more
-    than ``share_limit`` of the window sum (heavy-tail instability guard).
-    Instability is reported, never raised.
-    """
-    deltas = np.asarray(list(delta_grid), dtype=float)
-    if deltas.size == 0 or (deltas <= 0).any():
-        raise ValueError("delta grid must contain positive values")
-    step = initial.step
-    per_unit = grid_steps(1.0, step, "unit window")
-    n_steps = window_count * per_unit
-    m = initial.n_nodes - 1
-    initials = np.broadcast_to(initial.values, (replicas,) + initial.values.shape).copy()
-
-    # ||X_t||_inf over a unit window equals the running max of the pointwise
-    # norm over [k - delay, k+1]; keep every pointwise norm.
-    norms, _ = record(
-        model, initials, n_steps, step, rng.child(0),
-        sample_at=range(n_steps + 1),
-        sample=lambda window: np.sqrt((window[:, -1, :] ** 2).sum(axis=1)),
-    )
-    hist = np.sqrt((initial.values**2).sum(axis=1)).max()
-
-    window_sq = np.empty((window_count, replicas))
-    for k in range(window_count):
-        lo = max(0, k * per_unit - m)
-        hi = (k + 1) * per_unit + 1
-        w = norms[lo:hi].max(axis=0)
-        if k * per_unit - m < 0:  # initial history overlaps the first window
-            w = np.maximum(w, hist)
-        window_sq[k] = w**2
-
-    estimates = np.empty((deltas.size, window_count))
-    shares = np.empty((deltas.size, window_count))
-    with np.errstate(over="ignore"):
-        for i, delta in enumerate(deltas):
-            vals = np.exp(delta * window_sq)  # (windows, replicas)
-            sums = vals.sum(axis=1)
-            estimates[i] = sums / replicas
-            with np.errstate(invalid="ignore"):
-                shares[i] = np.where(sums > 0, vals.max(axis=1) / sums, 1.0)
-    finite = np.isfinite(estimates).all(axis=1)
-    stable = (shares < share_limit).all(axis=1)
-    passing = finite & stable
-    largest = float(deltas[passing].max()) if passing.any() else None
-    return ExpMomentReport(
-        deltas=deltas,
-        estimates=estimates.max(axis=1),
-        max_shares=shares.max(axis=1),
-        passing=passing,
-        largest_passing=largest,
-        window_count=window_count,
-        replicas=replicas,
     )

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "SegflowError",
+    "NumericBlowupError",
+    "EllipticityViolationError",
+    "CapacityError",
+    "ShapeError",
+    "EstimatorInconsistencyError",
+    "ConfigError",
+]
+
 
 def _rebuild(cls, args, state):
     exc = cls.__new__(cls, *args)
@@ -46,14 +56,6 @@ class CapacityError(SegflowError):
 
 class ShapeError(SegflowError):
     """Raised when segment collections have incompatible grids or dims."""
-
-
-class MetricError(SegflowError):
-    """Raised on internal inconsistencies inside the metric layer."""
-
-
-class ConfigurationError(SegflowError):
-    """Raised when an operation is missing required configuration."""
 
 
 class EstimatorInconsistencyError(SegflowError):

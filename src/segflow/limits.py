@@ -1,4 +1,4 @@
-"""Additive functionals, correctors, variance constants, CLT and LIL machinery.
+"""SLLN time averages, correctors, variance constants, CLT and LIL machinery.
 
 Estimator conventions
 ---------------------
@@ -34,11 +34,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimatorInconsistencyError
+from .errors import EstimatorInconsistencyError
 from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
-from .segments import ModelSpec, Segment, Trajectory, grid_steps, record, segment_at
+from .segments import ModelSpec, Segment, grid_steps, record
 from .semigroup import GridProfile, MonteCarloSemigroup, SemigroupEvaluator
 from .stats import (
     batch_means_se,
@@ -64,20 +64,19 @@ __all__ = [
     "QvReport",
     "QvLlnReport",
     "LilReport",
-    "CameronMartinReport",
-    "additive_functional",
     "slln_variance_decay",
     "slln_pathwise",
     "corrector",
     "phi_f",
     "variance_D",
     "vph_residual",
+    "clt_statistic",
     "clt_test",
     "martingale_increments",
     "quadratic_variation",
     "qv_lln_check",
     "lil_run",
-    "cameron_martin_norm",
+    "rescaled_path_nodes",
 ]
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class CorrectorConfig:
 
     def require_rate_fit(self) -> RateFit:
         if self.rate_fit is None or not math.isfinite(self.rate_fit.beta_hat):
-            raise ConfigurationError("corrector needs a usable RateFit for its tail bound")
+            raise ValueError("corrector needs a usable RateFit for its tail bound")
         return self.rate_fit
 
 
@@ -168,7 +167,7 @@ class DiscreteCorrectorConfig:
 
     def require_rate_fit(self) -> RateFit:
         if self.rate_fit is None or not math.isfinite(self.rate_fit.beta_hat):
-            raise ConfigurationError("discrete corrector needs a usable RateFit")
+            raise ValueError("discrete corrector needs a usable RateFit")
         return self.rate_fit
 
 
@@ -181,35 +180,8 @@ def _norm_hint(f: AnyObservable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# additive functional and SLLN statistics
+# SLLN statistics
 # ---------------------------------------------------------------------------
-
-
-def _window_view(states: np.ndarray, m: int) -> np.ndarray:
-    """All length-(m+1) windows of a state array (n, d) as a (n-m, m+1, d) view."""
-    win = np.lib.stride_tricks.sliding_window_view(states, m + 1, axis=0)
-    return win.transpose(0, 2, 1)
-
-
-def additive_functional(traj: Trajectory, f: AnyObservable, t: float) -> float:
-    """Time average ``(1/t) * integral_0^t f(X_s) ds`` by trapezoid quadrature.
-
-    Integrates over the grid points inside ``[0, t]``; an off-grid ``t`` adds
-    the final partial trapezoid using the interpolated segment.
-    """
-    if not (0 < t <= traj.horizon * (1 + 1e-9)):
-        raise ValueError(f"t={t} outside (0, {traj.horizon}]")
-    m = traj.n_history
-    dt = traj.step
-    n_full = int(math.floor(t / dt + 1e-9))
-    windows = _window_view(traj.states, m)[: n_full + 1]
-    vals = f.values(windows)
-    integral = float(np.trapezoid(vals, dx=dt))
-    remainder = t - n_full * dt
-    if remainder > 1e-9 * max(1.0, t):
-        tail_val = f.eval(segment_at(traj, t))
-        integral += 0.5 * (vals[-1] + tail_val) * remainder
-    return integral / t
 
 
 @dataclass(frozen=True)
@@ -1233,30 +1205,3 @@ def rescaled_path_nodes(f_partial_sums: np.ndarray, n: int, d_hat: float) -> np.
     nodes[0] = nodes[1] = 0.0
     nodes[2:] = f_partial_sums[: n - 1] / denom
     return nodes
-
-
-@dataclass(frozen=True)
-class CameronMartinReport:
-    norm: float
-    member: bool
-    tolerance: float
-
-
-def cameron_martin_norm(
-    values: Sequence[float], tolerance: float = 1e-9
-) -> CameronMartinReport:
-    """Energy ``integral_0^1 h'(t)^2 dt`` of a piecewise-linear path on [0, 1].
-
-    ``values`` are the node values on a uniform grid with ``values[0] = 0``
-    enforced; membership in the unit ball means the energy is at most
-    ``1 + tolerance``.
-    """
-    h = np.asarray(list(values), dtype=float)
-    if h.ndim != 1 or h.size < 2:
-        raise ValueError("need node values on a grid with at least 2 points")
-    if h[0] != 0.0:
-        raise ValueError("paths must start at 0")
-    dt = 1.0 / (h.size - 1)
-    slopes = np.diff(h) / dt
-    norm = float((slopes**2).sum() * dt)
-    return CameronMartinReport(norm=norm, member=bool(norm <= 1.0 + tolerance), tolerance=tolerance)

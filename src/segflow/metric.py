@@ -1,4 +1,4 @@
-"""Quasi-metric on segments, Lipschitz norms, and empirical transport distance.
+"""Quasi-metric on segments, observables, and empirical transport distance.
 
 The distance used throughout is
 
@@ -23,18 +23,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import CapacityError, MetricError, ShapeError
-from .rng import RngStream
+from .errors import CapacityError, ShapeError
 from .segments import Segment, batch_sup_norms
 
 __all__ = [
     "MetricParams",
     "Observable",
     "EmpiricalMeasure",
-    "rho",
     "rho_matrix",
     "wasserstein",
-    "lip_norm_lower_bound",
     "DEFAULT_ASSIGNMENT_CAP",
 ]
 
@@ -61,8 +58,7 @@ class Observable:
 
     ``eval_batch`` (optional) evaluates an ``(n, m+1, d)`` array of segments
     to an ``(n,)`` vector; estimators fall back to a Python loop without it.
-    ``declared_norm`` is the claimed Lipschitz-class norm bound, checkable
-    against :func:`lip_norm_lower_bound`.
+    ``declared_norm`` is the claimed Lipschitz-class norm bound.
     """
 
     name: str
@@ -176,12 +172,6 @@ def _compatible(a_vals: np.ndarray, b_vals: np.ndarray):
         )
 
 
-def rho(x: Segment, y: Segment, mp: MetricParams) -> float:
-    """Quasi-distance between two segments."""
-    d = rho_matrix(x.values[None], y.values[None], mp)
-    return float(d[0, 0])
-
-
 def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
     """Pairwise quasi-distances between two batches of segments.
 
@@ -241,40 +231,3 @@ def wasserstein(
     rows, cols = linear_sum_assignment(cost)
     chosen = np.sort(cost[rows, cols])
     return float(chosen.sum() / a.n)
-
-
-def lip_norm_lower_bound(
-    f: Observable,
-    sampler: Callable[[np.random.Generator], Segment],
-    n: int,
-    mp: MetricParams,
-    rng: RngStream,
-) -> float:
-    """Certified-from-below estimate of the Lipschitz-class norm of ``f``.
-
-    Draws ``n`` segments and returns
-
-        max_i |f(xi_i)| / (1 + ||xi_i||_inf^{p/2})
-        + max_{i<j} |f(xi_i) - f(xi_j)| / rho(xi_i, xi_j)
-
-    The true norm takes suprema over all of path space, so this is a lower
-    bound that can only grow with ``n``; it is the tool for sanity-checking a
-    declared norm, never for certifying one.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 samples to bound the oscillation term")
-    gen = rng.generator()
-    segs = [sampler(gen) for _ in range(n)]
-    vals = np.array([float(f.eval(s)) for s in segs])
-    stacked = np.stack([s.values for s in segs])
-    norms = batch_sup_norms(stacked)
-    point_part = float(np.max(np.abs(vals) / (1.0 + norms ** (mp.p / 2.0))))
-    dmat = rho_matrix(stacked, stacked, mp)
-    iu = np.triu_indices(n, k=1)
-    dists = dmat[iu]
-    gaps = np.abs(vals[iu[0]] - vals[iu[1]])
-    distinct = gaps > 0
-    if np.any(distinct & (dists == 0.0)):
-        raise MetricError("rho vanished for a pair with distinct f-values")
-    pair_part = float(np.max(gaps[distinct] / dists[distinct])) if distinct.any() else 0.0
-    return point_part + pair_part

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["RngStream", "derive_seed"]
+
 _UINT64_MAX = 2**64 - 1
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "ModelSpec",
     "Trajectory",
     "sup_norm",
-    "segment_at",
     "simulate",
     "record",
     "grid_steps",
@@ -106,8 +105,7 @@ class Segment:
     """One discretized history window.
 
     ``values[j]`` is the state at window time ``-delay + j*step``; the last
-    row is the current state.  Point evaluation between nodes uses linear
-    interpolation, matching the piecewise-linear path representation.
+    row is the current state.
     """
 
     values: np.ndarray
@@ -139,16 +137,6 @@ class Segment:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
-
-    def value_at(self, theta: float) -> np.ndarray:
-        """State at window time ``theta`` in ``[-delay, 0]`` (linear interpolation)."""
-        if not (-self.delay - _GRID_RTOL <= theta <= _GRID_RTOL):
-            raise ValueError(f"theta={theta} outside [-{self.delay}, 0]")
-        pos = (theta + self.delay) / self.step
-        lo = min(int(math.floor(pos)), self.n_nodes - 2)
-        lo = max(lo, 0)
-        frac = pos - lo
-        return (1.0 - frac) * self.values[lo] + frac * self.values[lo + 1]
 
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
@@ -233,14 +221,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.delay <= 0:
+        if not (self.delay > 0):
             raise ValueError("delay must be positive")
         if not (self.lambda1 > 0):
             raise ValueError("lambda1 must be positive")
-        if self.lambda2 < 0:
+        if not (self.lambda2 >= 0):
             raise ValueError("lambda2 must be non-negative")
         side = self.lambda1 - self.lambda2 * math.exp(self.lambda1 * self.delay)
-        if side <= 0:
+        if not (side > 0):
             raise ValueError(
                 f"dissipativity side condition violated: lambda1={self.lambda1} must exceed "
                 f"lambda2*exp(lambda1*delay)={self.lambda2 * math.exp(self.lambda1 * self.delay):.6g}"
@@ -303,31 +291,6 @@ class Trajectory:
     @property
     def n_history(self) -> int:
         return _history_nodes(self.model.delay, self.step)
-
-
-def segment_at(traj: Trajectory, t: float) -> Segment:
-    """Extract the history window of ``traj`` ending at time ``t``.
-
-    On-grid times return an exact copy of the stored states; off-grid times
-    resample the window onto the segment grid by linear interpolation.
-
-    Raises
-    ------
-    ValueError: if ``t`` lies outside ``[0, horizon]``.
-    """
-    if not (-_GRID_RTOL <= t <= traj.horizon * (1 + _GRID_RTOL) + _GRID_RTOL):
-        raise ValueError(f"t={t} outside [0, {traj.horizon}]")
-    m = traj.n_history
-    pos = t / traj.step  # grid offset of t past the window start index m
-    k = int(round(pos))
-    if abs(pos - k) <= _GRID_RTOL * max(1.0, abs(pos)):
-        window = traj.states[k : k + m + 1]
-        return Segment(window, traj.model.delay, traj.step)
-    lo = int(math.floor(pos))
-    frac = pos - lo
-    idx = np.arange(lo, lo + m + 1)
-    window = (1.0 - frac) * traj.states[idx] + frac * traj.states[idx + 1]
-    return Segment(window, traj.model.delay, traj.step)
 
 
 def _window_segments(segs: np.ndarray, delay: float, step: float) -> Iterator[Segment]:

@@ -30,10 +30,8 @@ __all__ = [
     "SemigroupEvaluator",
     "MonteCarloSemigroup",
     "ExpDecayKernel",
-    "GeometricKernel",
     "IidKernel",
     "IidChain",
-    "kernel_registry",
 ]
 
 
@@ -195,7 +193,7 @@ class ExpDecayKernel(SemigroupEvaluator):
     """Synthetic rule ``P_t g = exp(-rate * t) * g`` applied to any observable."""
 
     def __init__(self, rate: float = 1.0):
-        if rate <= 0:
+        if not (rate > 0):  # a NaN rate fails too
             raise ValueError("rate must be positive")
         self.rate = rate
 
@@ -208,19 +206,6 @@ class ExpDecayKernel(SemigroupEvaluator):
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
         ks = np.arange(k_from, k_max + 1)
         return _closed_form(f, states, ks, np.cumsum(np.exp(-self.rate * ks)))
-
-
-class GeometricKernel(SemigroupEvaluator):
-    """Synthetic discrete rule ``P_k g = ratio^k * g``."""
-
-    def __init__(self, ratio: float = 0.5):
-        if not (0 < ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
-        self.ratio = ratio
-
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        ks = np.arange(k_from, k_max + 1)
-        return _closed_form(f, states, ks, np.cumsum(self.ratio**ks.astype(float)))
 
 
 class IidKernel(SemigroupEvaluator):
@@ -262,13 +247,3 @@ class IidChain(IidKernel):
                 raise ShapeError("i.i.d. sampler returned mismatched segment shapes")
             out[k] = draw
         return out
-
-
-def kernel_registry() -> dict[str, Callable[..., SemigroupEvaluator]]:
-    """Synthetic kernels injectable by name (the default MC evaluator is built
-    from a model and step size instead)."""
-    return {
-        "exp_decay": ExpDecayKernel,
-        "geometric": GeometricKernel,
-        "iid": IidKernel,
-    }

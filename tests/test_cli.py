@@ -20,6 +20,7 @@ from segflow.cli import (
 from segflow.config import parse_config_dict
 from segflow.errors import ConfigError, EllipticityViolationError, NumericBlowupError
 from segflow.limits import CltReport
+from segflow.registry import registry_list
 
 
 def write_cfg(tmp_path: Path, data: dict, name="cfg.json") -> str:
@@ -54,9 +55,14 @@ def fast_slln(seed=12):
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "linear_delay_ou" in out
-        assert "exp_decay" in out
+        lines = capsys.readouterr().out.splitlines()
+        listing = registry_list()
+        assert lines == [
+            "models:", *(f"  {name}" for name in listing.models),
+            "observables:", *(f"  {name}" for name in listing.observables),
+        ]
+        assert "linear_delay_ou" in listing.models
+        assert not any("kernels" in line for line in lines)
 
     def test_validate_echoes_full_config(self, tmp_path, capsys):
         path = write_cfg(tmp_path, fast_assumptions())

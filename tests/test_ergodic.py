@@ -1,4 +1,4 @@
-"""Ensemble sampling, rate fitting, and moment diagnostic tests."""
+"""Ensemble sampling and rate fitting tests."""
 
 import math
 
@@ -13,8 +13,6 @@ from segflow import (
     constant_segment,
     derive_seed,
     ergodicity_curve,
-    exp_moment_probe,
-    moment_curve,
     sample_invariant,
     simulate,
 )
@@ -22,7 +20,6 @@ from segflow import ergodic
 from segflow.errors import ShapeError
 from segflow.ergodic import RateFit
 from segflow.registry import build_model
-from segflow.segments import batch_sup_norms
 
 DT = 1.0 / 128.0
 R0 = 0.5
@@ -216,62 +213,3 @@ class TestRateFit:
     def test_nonpositive_or_nan_value_rejected(self, bad):
         with pytest.raises(ValueError, match="strictly positive"):
             RateFit(c_hat=1.0, beta_hat=1.0, r_squared=1.0, times=[1.0, 2.0], values=[0.5, bad])
-
-
-class TestMomentCurve:
-    def test_frozen_dynamics_constant(self):
-        model = build_model("deterministic_decay")
-        xi = constant_segment(2.0, R0, DT)
-        # zero drift would need its own model; decay from 2 is not constant,
-        # so use the zero segment (fixed point) for the frozen case
-        xi0 = constant_segment(0.0, R0, DT)
-        rep = moment_curve(model, xi0, 2.0, [0.5, 1.0, 2.0], 16, RngStream(51))
-        assert np.allclose(rep.values, 0.0)
-        assert rep.passed
-
-    def test_single_replica_rejected(self, ref_model, xi_five):
-        # one replica has no standard error: a NaN growth bound must not pass
-        with pytest.raises(ValueError, match="replicas"):
-            moment_curve(ref_model, xi_five, 2.0, [0.5, 1.0, 2.0, 4.0], 1, RngStream(55))
-
-    def test_p2_relaxes_to_stationary(self, ref_model, stationary_sample, xi_five):
-        rep = moment_curve(
-            ref_model, xi_five, 2.0, [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0], 512, RngStream(52)
-        )
-        assert rep.passed
-        stat_est = float((batch_sup_norms(stationary_sample.values) ** 2).mean())
-        assert abs(rep.values[-1] - stat_est) / stat_est < 0.10
-
-    def test_p4_stays_bounded(self, ref_model, xi_five):
-        rep = moment_curve(
-            ref_model, xi_five, 4.0, [1.0, 2.0, 4.0, 6.0, 8.0, 10.0], 256, RngStream(53)
-        )
-        assert rep.passed
-        assert np.isfinite(rep.values).all()
-
-    def test_jensen_direction(self, ref_model, xi_five):
-        times = [0.5, 1.0, 2.0, 4.0]
-        rep1 = moment_curve(ref_model, xi_five, 1.0, times, 512, RngStream(54))
-        rep2 = moment_curve(ref_model, xi_five, 2.0, times, 512, RngStream(54))
-        tol = 3.0 * (rep1.ses + rep2.ses / (2.0 * np.sqrt(rep2.values)))
-        assert np.all(rep1.values <= np.sqrt(rep2.values) + tol)
-
-
-class TestExpMomentProbe:
-    def test_deterministic_zero_path_passes_everything(self):
-        model = build_model("deterministic_decay")
-        xi = constant_segment(0.0, R0, DT)
-        rep = exp_moment_probe(model, xi, [0.1, 1.0, 10.0], 3, 32, RngStream(61))
-        assert rep.passing.all()
-        assert rep.largest_passing == 10.0
-
-    def test_reference_model_some_delta_passes(self, ref_model, xi_zero):
-        rep = exp_moment_probe(ref_model, xi_zero, [0.05, 0.1, 0.2], 4, 256, RngStream(62))
-        assert rep.largest_passing is not None
-        assert rep.largest_passing >= 0.05
-
-    def test_huge_delta_trips_instability(self, ref_model, xi_zero):
-        rep = exp_moment_probe(ref_model, xi_zero, [0.05, 8.0], 4, 256, RngStream(63))
-        assert bool(rep.passing[0])
-        assert not bool(rep.passing[1])
-        assert rep.max_shares[1] >= 0.5 or not np.isfinite(rep.estimates[1])

@@ -7,14 +7,12 @@ import pytest
 
 from segflow import (
     CenteredObservable,
-    ModelSpec,
     RngStream,
     clt_test,
     constant_segment,
     derive_seed,
     ergodicity_curve,
     lil_run,
-    moment_curve,
     sample_invariant,
     slln_pathwise,
     slln_variance_decay,
@@ -24,32 +22,6 @@ from segflow.registry import build_observable
 
 DT = 1.0 / 128.0
 R0 = 0.5
-
-
-def frozen_model(dim=1):
-    zero = np.zeros((dim, dim))
-    return ModelSpec(
-        dim=dim,
-        delay=R0,
-        drift=lambda seg: np.zeros(dim),
-        diffusion=lambda seg: zero,
-        lambda1=1.0,
-        lambda2=0.0,
-        sigma_bound=0.0,
-        sigma_inv_bound=None,
-        drift_batch=lambda segs: np.zeros((segs.shape[0], dim)),
-        diffusion_is_constant=True,
-        name="frozen",
-    )
-
-
-class TestMomentCurveFrozen:
-    def test_constant_series_at_power(self):
-        model = frozen_model()
-        xi = constant_segment(-1.5, R0, DT)
-        rep = moment_curve(model, xi, 3.0, [0.5, 1.0, 2.0], 8, RngStream(1))
-        assert np.allclose(rep.values, 1.5**3)
-        assert rep.passed
 
 
 class TestSllnPathwiseStabilization:

@@ -9,22 +9,16 @@ import pytest
 
 from segflow import (
     CenteredObservable,
-    ConfigurationError,
     CorrectorConfig,
     DiscreteCorrectorConfig,
     EmpiricalMeasure,
     ExpDecayKernel,
-    GeometricKernel,
     IidChain,
     IidKernel,
     MonteCarloSemigroup,
-    Observable,
     RateFit,
     RngStream,
     Segment,
-    Trajectory,
-    additive_functional,
-    cameron_martin_norm,
     clt_statistic,
     constant_segment,
     corrector,
@@ -33,7 +27,6 @@ from segflow import (
     quadratic_variation,
     qv_lln_check,
     rescaled_path_nodes,
-    simulate,
     variance_D,
     vph_residual,
 )
@@ -64,56 +57,6 @@ def unit_rate_fit():
     )
 
 
-class TestAdditiveFunctional:
-    def frozen_traj(self, value, horizon=4.0):
-        model = build_model("deterministic_decay")
-        states = np.full((int(horizon / DT) + 65, 1), float(value))
-        return Trajectory(model, DT, horizon, states, RngStream(0))
-
-    def test_constant_one(self):
-        f = centered(Observable("one", lambda s: 1.0, eval_batch=lambda v: np.ones(v.shape[0])))
-        traj = self.frozen_traj(0.7)
-        for t in (0.5, 1.0, 3.5):
-            assert additive_functional(traj, f, t) == pytest.approx(1.0, rel=1e-12)
-
-    def test_constant_trajectory(self):
-        traj = self.frozen_traj(0.7)
-        assert additive_functional(traj, eval0_obs(), 2.0) == pytest.approx(0.7, rel=1e-12)
-
-    def test_linear_path_integral(self):
-        # injected X(s) = s: (1/2) integral_0^2 s ds = 1, trapezoid-exact
-        model = build_model("deterministic_decay")
-        n = int(2.0 / DT)
-        states = (np.arange(-64, n + 1) * DT)[:, None]
-        traj = Trajectory(model, DT, 2.0, states, RngStream(0))
-        val = additive_functional(traj, eval0_obs(), 2.0)
-        assert val == pytest.approx(1.0, abs=DT**2)
-
-    def test_linear_in_f(self):
-        model = build_model("linear_delay_ou")
-        traj = simulate(model, constant_segment(1.0, R0, DT), 4.0, RngStream(77))
-        f = eval0_obs()
-        g = centered(build_observable("sin_eval0"))
-        combo = centered(
-            Observable(
-                "combo",
-                lambda s: 2.0 * f.eval(s) - 3.0 * g.eval(s),
-                eval_batch=lambda v: 2.0 * f.values(v) - 3.0 * g.values(v),
-            )
-        )
-        a_f = additive_functional(traj, f, 3.0)
-        a_g = additive_functional(traj, g, 3.0)
-        a_c = additive_functional(traj, combo, 3.0)
-        assert a_c == pytest.approx(2.0 * a_f - 3.0 * a_g, rel=1e-12)
-
-    def test_out_of_range(self):
-        traj = self.frozen_traj(1.0)
-        with pytest.raises(ValueError):
-            additive_functional(traj, eval0_obs(), 0.0)
-        with pytest.raises(ValueError):
-            additive_functional(traj, eval0_obs(), 5.0)
-
-
 class TestCorrectorSynthetic:
     def test_zero_function(self):
         cfg = CorrectorConfig(rate_fit=unit_rate_fit(), t_max=8.0, replicas=8)
@@ -139,14 +82,14 @@ class TestCorrectorSynthetic:
 
     def test_missing_rate_fit(self):
         cfg = CorrectorConfig(rate_fit=None)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             corrector(ExpDecayKernel(1.0), eval0_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(4))
 
 
 class TestDiscreteCorrectorSynthetic:
     def test_zero_function(self):
         cfg = DiscreteCorrectorConfig(rate_fit=unit_rate_fit(), k_max=6, replicas=8)
-        est = corrector(GeometricKernel(0.5), zero_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(5))
+        est = corrector(ExpDecayKernel(math.log(2.0)), zero_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(5))
         assert est.value == 0.0
 
     def test_geometric_series_sums_to_two(self):
@@ -158,7 +101,7 @@ class TestDiscreteCorrectorSynthetic:
             k_max=20, replicas=8, auto_truncate=False,
         )
         xi = constant_segment(1.0, R0, DT)
-        est = corrector(GeometricKernel(0.5), eval0_obs(), xi, cfg, RngStream(6))
+        est = corrector(ExpDecayKernel(math.log(2.0)), eval0_obs(), xi, cfg, RngStream(6))
         assert est.value == pytest.approx(2.0, abs=2.0 * 0.5**20)
 
 
@@ -343,36 +286,6 @@ class TestCltStatistics:
             clt_statistic(np.zeros(10), math.nan)
         with pytest.raises(ValueError):
             kolmogorov_statistic(np.zeros(10), math.nan)
-
-
-class TestCameronMartin:
-    def test_identity_path_is_boundary_member(self):
-        grid = np.linspace(0.0, 1.0, 33)
-        rep = cameron_martin_norm(grid)
-        assert rep.norm == pytest.approx(1.0, rel=1e-12)
-        assert rep.member
-
-    def test_double_slope_excluded(self):
-        grid = 2.0 * np.linspace(0.0, 1.0, 33)
-        rep = cameron_martin_norm(grid)
-        assert rep.norm == pytest.approx(4.0, rel=1e-12)
-        assert not rep.member
-
-    def test_hand_evaluated_plateau(self):
-        rep = cameron_martin_norm([0.0, 0.5, 0.5])
-        assert rep.norm == pytest.approx(0.5, rel=1e-12)
-        assert rep.member
-
-    def test_quadratic_scaling(self):
-        gen = RngStream(12).generator()
-        h = np.concatenate([[0.0], gen.standard_normal(16).cumsum() * 0.05])
-        n1 = cameron_martin_norm(h).norm
-        n3 = cameron_martin_norm(3.0 * h).norm
-        assert n3 == pytest.approx(9.0 * n1, rel=1e-12)
-
-    def test_nonzero_start_rejected(self):
-        with pytest.raises(ValueError):
-            cameron_martin_norm([0.1, 0.2, 0.3])
 
 
 class TestRescaledPathNodes:

@@ -1,4 +1,4 @@
-"""Quasi-metric, Lipschitz-norm bound, and empirical transport tests."""
+"""Quasi-metric and empirical transport tests."""
 
 import math
 
@@ -13,19 +13,21 @@ from segflow import (
     CapacityError,
     EmpiricalMeasure,
     MetricParams,
-    Observable,
     RngStream,
     Segment,
     ShapeError,
     constant_segment,
-    lip_norm_lower_bound,
-    rho,
     wasserstein,
 )
 from segflow.metric import rho_matrix
 from segflow.segments import batch_sup_norms
 
 R0, STEP = 0.5, 0.25
+
+
+def rho(x, y, mp):
+    """Quasi-distance between two segments, as one entry of ``rho_matrix``."""
+    return rho_matrix(x.values[None], y.values[None], mp)[0, 0]
 
 
 def seg(*node_values):
@@ -274,39 +276,3 @@ class TestWasserstein:
         )
         with pytest.raises(ShapeError):
             wasserstein(a, fine, self.mp)
-
-
-class TestLipNormBound:
-    mp = MetricParams(2.0, 1.0)
-
-    def sampler(self, scale=1.5):
-        def draw(gen):
-            return Segment(scale * gen.standard_normal((3, 1)), R0, STEP)
-
-        return draw
-
-    def test_zero_function(self):
-        f = Observable("zero", lambda s: 0.0)
-        assert lip_norm_lower_bound(f, self.sampler(), 30, self.mp, RngStream(31)) == 0.0
-
-    def test_constant_function(self):
-        f = Observable("one", lambda s: 1.0)
-        bound = lip_norm_lower_bound(f, self.sampler(), 50, self.mp, RngStream(32))
-        # oscillation term vanishes; point term is sup 1/(1+norm) <= 1
-        assert 0.0 < bound <= 1.0
-
-    def test_bound_grows_with_samples(self):
-        f = Observable("eval0", lambda s: float(s.values[-1, 0]))
-        bounds = [
-            lip_norm_lower_bound(f, self.sampler(), n, self.mp, RngStream(33))
-            for n in (4, 16, 64)
-        ]
-        assert bounds[0] <= bounds[1] + 1e-12
-        assert bounds[1] <= bounds[2] + 1e-12
-        # eval0 at p=2, gamma=1 has true norm at most 1 + sqrt(2)
-        assert bounds[-1] <= 1.0 + math.sqrt(2.0) + 1e-9
-
-    def test_needs_two_samples(self):
-        f = Observable("eval0", lambda s: float(s.values[-1, 0]))
-        with pytest.raises(ValueError):
-            lip_norm_lower_bound(f, self.sampler(), 1, self.mp, RngStream(34))

@@ -1,4 +1,4 @@
-"""Segment type, extraction, and integrator tests."""
+"""Segment type and integrator tests."""
 
 import math
 import mmap
@@ -18,9 +18,7 @@ from segflow import (
     RngStream,
     Segment,
     ShapeError,
-    Trajectory,
     constant_segment,
-    segment_at,
     simulate,
     sup_norm,
 )
@@ -67,12 +65,6 @@ class TestSegment:
         with pytest.raises(ValueError):
             Segment(vals, delay=0.5, step=0.25)
 
-    def test_value_at_interpolates(self):
-        seg = Segment(np.array([[0.0], [1.0], [4.0]]), delay=0.5, step=0.25)
-        assert seg.value_at(-0.5) == 0.0
-        assert seg.value_at(0.0) == 4.0
-        assert seg.value_at(-0.375) == pytest.approx(0.5)
-
 
 class TestSupNorm:
     def test_zero_segment(self):
@@ -85,39 +77,6 @@ class TestSupNorm:
     def test_euclidean_per_node(self):
         seg = Segment(np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]), 0.5, 0.25)
         assert sup_norm(seg) == 5.0
-
-
-class TestSegmentAt:
-    def test_constant_trajectory(self):
-        model = frozen_model()
-        traj = simulate(model, constant_segment(2.5, 0.5, 0.25), 2.0, RngStream(0))
-        for t in (0.0, 0.7, 1.3, 2.0):
-            seg = segment_at(traj, t)
-            assert np.allclose(seg.values, 2.5)
-
-    def test_on_grid_exact_copy(self):
-        model = make_decay()
-        traj = simulate(model, constant_segment(1.0, 0.5, 0.125), 2.0, RngStream(1))
-        m = traj.n_history
-        k = 8  # t = 1.0
-        seg = segment_at(traj, 1.0)
-        assert np.array_equal(seg.values, traj.states[k : k + m + 1])
-
-    def test_linear_interpolation_off_grid(self):
-        # injected trajectory X(t) = t on the grid, r0 = 0.5, dt = 0.25
-        model = make_decay()
-        states = np.arange(-0.5, 1.001, 0.25)[:, None]
-        traj = Trajectory(model, 0.25, 1.0, states, RngStream(0))
-        seg = segment_at(traj, 0.6)
-        assert np.allclose(seg.values.ravel(), [0.1, 0.35, 0.6])
-
-    def test_out_of_range(self):
-        model = frozen_model()
-        traj = simulate(model, constant_segment(0.0, 0.5, 0.25), 1.0, RngStream(0))
-        with pytest.raises(ValueError):
-            segment_at(traj, -0.3)
-        with pytest.raises(ValueError):
-            segment_at(traj, 1.5)
 
 
 class TestSimulate:
@@ -229,37 +188,41 @@ class TestDeterminism:
         traj = simulate(ref_model, constant_segment(1.0, 0.5, dt), 2.0, RngStream(11))
         m = traj.n_history
         for k in (0, 37, 128, 256):
-            seg = segment_at(traj, k * dt)
+            seg = ref_model.segment(traj.states[k : k + m + 1], dt)
             raw = np.abs(traj.states[k : k + m + 1, 0]).max()
             assert sup_norm(seg) == raw
 
 
 class TestModelSpec:
+    @staticmethod
+    def spec(**overrides):
+        kw = dict(
+            dim=1,
+            delay=0.5,
+            drift=lambda s: -s.values[-1],
+            diffusion=lambda s: np.eye(1),
+            lambda1=0.5,
+            lambda2=0.0,
+            sigma_bound=1.0,
+            sigma_inv_bound=1.0,
+        )
+        return ModelSpec(**{**kw, **overrides})
+
     def test_side_condition_enforced(self):
-        with pytest.raises(ValueError):
-            ModelSpec(
-                dim=1,
-                delay=0.5,
-                drift=lambda s: -s.values[-1],
-                diffusion=lambda s: np.eye(1),
-                lambda1=0.5,
-                lambda2=0.4,  # 0.5 < 0.4*e^0.25
-                sigma_bound=1.0,
-                sigma_inv_bound=1.0,
-            )
+        # 0.5 < 0.4*e^0.25; a NaN lambda2 leaves the margin NaN
+        for lambda2 in (0.4, math.nan):
+            with pytest.raises(ValueError):
+                self.spec(lambda2=lambda2)
 
     def test_lambda1_positive(self):
-        with pytest.raises(ValueError):
-            ModelSpec(
-                dim=1,
-                delay=0.5,
-                drift=lambda s: -s.values[-1],
-                diffusion=lambda s: np.eye(1),
-                lambda1=-0.1,
-                lambda2=0.0,
-                sigma_bound=1.0,
-                sigma_inv_bound=1.0,
-            )
+        for lambda1 in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                self.spec(lambda1=lambda1)
+
+    def test_delay_positive(self):
+        for delay in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                self.spec(delay=delay)
 
 
 # -- the recording driver ---------------------------------------------------

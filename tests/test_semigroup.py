@@ -8,14 +8,12 @@ import pytest
 
 from segflow import (
     ExpDecayKernel,
-    GeometricKernel,
     IidChain,
     IidKernel,
     MonteCarloSemigroup,
     Observable,
     RngStream,
     constant_segment,
-    kernel_registry,
 )
 from segflow.registry import build_model, build_observable
 
@@ -52,10 +50,17 @@ class TestExpDecayKernel:
         expect = np.cumsum(np.exp([-0.0, -1.0, -2.0, -3.0]))
         assert np.allclose(prof.values[0], expect)
 
+    def test_rate_positive(self):
+        for rate in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                ExpDecayKernel(rate)
+
 
 class TestGeometricKernel:
+    """``ExpDecayKernel(log 2)`` as the geometric rule ``P_k g = 2^-k g``."""
+
     def test_partial_sums(self, eval0):
-        k = GeometricKernel(0.5)
+        k = ExpDecayKernel(math.log(2.0))
         xi = constant_segment(1.0, R0, DT)
         prof = k.discrete_profile(eval0, xi.values[None], 0, 10, 4, RngStream(0))
         assert prof.values[0, -1] == pytest.approx(2.0 - 2.0 * 0.5**11, rel=1e-12)
@@ -63,7 +68,7 @@ class TestGeometricKernel:
     def test_shifted_tail_sum(self, eval0):
         # one exact step applied to the truncated sum: sum_{k=1}^{K+1} ratio^k;
         # the identity holds up to the geometric truncation tail ratio^(K+1)
-        k = GeometricKernel(0.5)
+        k = ExpDecayKernel(math.log(2.0))
         xi = constant_segment(1.0, R0, DT)
         shifted = k.discrete_profile(eval0, xi.values[None], 1, 11, 4, RngStream(0))
         full = k.discrete_profile(eval0, xi.values[None], 0, 10, 4, RngStream(0))
@@ -71,12 +76,6 @@ class TestGeometricKernel:
         assert full.values[0, -1] == pytest.approx(
             f_xi + shifted.values[0, -1], abs=2.0 * 0.5**11
         )
-
-    def test_no_continuous_action(self, eval0):
-        with pytest.raises(NotImplementedError):
-            GeometricKernel(0.5).integral_profile(
-                eval0, constant_segment(1.0, R0, DT).values[None], 1.0, DT, 4, RngStream(0)
-            )
 
 
 class TestIidKernel:
@@ -91,6 +90,12 @@ class TestIidKernel:
         xi = constant_segment(3.0, R0, DT)
         prof = k.discrete_profile(eval0, xi.values[None], 0, 6, 4, RngStream(0))
         assert np.all(prof.values == 3.0)
+
+    def test_no_continuous_action(self, eval0):
+        with pytest.raises(NotImplementedError):
+            IidKernel(0.0).integral_profile(
+                eval0, constant_segment(1.0, R0, DT).values[None], 1.0, DT, 4, RngStream(0)
+            )
 
 
 class TestMonteCarloSemigroup:
@@ -161,8 +166,3 @@ class TestIidChain:
         assert np.all(states[0] == 0.0)
         # consecutive draws differ
         assert not np.allclose(states[1], states[2])
-
-
-def test_kernel_registry_names():
-    names = set(kernel_registry())
-    assert {"exp_decay", "geometric", "iid"} <= names
