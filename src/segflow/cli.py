@@ -111,11 +111,8 @@ def _run_ergodicity(cfg: ExperimentConfig, model, num):
         cfg.metric,
         num["n_traj"],
         RngStream(derive_seed(cfg.seed, 1)),
-        mode=num["mode"],
-        coupling=num["coupling"],
         cap=num["assignment_cap"],
         block=num["block"],
-        floor_factor=num["floor_factor"],
     )
     payload = {
         "rate_fit": vars(fit),

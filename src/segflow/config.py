@@ -160,9 +160,10 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "t_grid": ([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _float_grid(min_len=2)),
         "assignment_cap": (512, _int_min(2, 4096)),
         "block": (None, _optional(_int_min(2, 4096))),
-        "mode": ("stationary", _choice("stationary", "evolved")),
-        "coupling": ("synchronous", _choice("synchronous", "independent")),
-        "floor_factor": (2.0, _pos_float(lo=1.0, lo_open=False)),
+        # One value each (one estimator); kept only because every echo and digest carries them.
+        "mode": ("stationary", _choice("stationary")),
+        "coupling": ("synchronous", _choice("synchronous")),
+        "floor_factor": (2.0, _pos_float(lo=2.0, hi=2.0, lo_open=False)),
     },
     "slln": {
         **_COMMON,

@@ -4,9 +4,9 @@ The stationary law has no closed form for a general path-dependent model, so
 its stand-in everywhere is a pooled, thinned, burn-in-discarded ensemble whose
 size is recorded alongside every estimate that uses it.  The exponential
 mixing rate is fitted from the decay of the empirical transport distance
-between an evolving ensemble and that stationary reference, with points below
-the measured sampling-noise floor excluded so the floor cannot flatten the
-fitted slope.
+between an evolving ensemble and that stationary reference, evolved alongside
+it under shared noise (synchronous coupling): the paired contraction removes
+the same-law sampling floor, so the distances can decay to zero.
 
 An ensemble steps on its initial segment's grid: the segment is the one
 source of the time step, and the step driver rejects windows that do not
@@ -40,8 +40,9 @@ class RateFit:
     """Fitted exponential-decay law ``value(t) ~ c_hat * exp(-beta_hat * t)``.
 
     ``times``/``values`` are the points the fit actually used (strictly
-    positive values, strictly increasing times); dropped points sit below
-    twice the recorded noise floor.
+    positive values, strictly increasing times); dropped points sit at or
+    below 1e-13.  ``noise_floor`` is always 0.0: the coupled estimator
+    measures no floor.
     """
 
     c_hat: float
@@ -185,11 +186,8 @@ def ergodicity_curve(
     mp: MetricParams,
     n_traj: int,
     rng: RngStream,
-    mode: str = "stationary",
-    coupling: str = "synchronous",
     cap: int = DEFAULT_ASSIGNMENT_CAP,
     block: Optional[int] = None,
-    floor_factor: float = 2.0,
 ) -> RateFit:
     """Fit the exponential decay rate of the transport distance to equilibrium.
 
@@ -198,21 +196,13 @@ def ergodicity_curve(
     ``initial_a``'s grid; the time step is ``initial_a.step`` and every draw
     comes from ``rng``.
 
-    With ``coupling="synchronous"`` (default) the reference atoms are evolved
-    alongside the main ensemble under shared Gaussian increments.  Both
-    point clouds keep their exact marginals (for a stationary ``initial_b``
-    the evolved cloud remains stationary at every time), while the paired
-    contraction removes the same-law sampling floor that a fixed reference
-    suffers, so the measured distances can decay to zero.  ``mode`` and
-    ``floor_factor`` then have no effect: the result is the same for either
-    mode, and no floor is measured.
-
-    With ``coupling="independent"`` the reference is the fixed sample
-    (``mode="stationary"``, the distance-to-equilibrium curve) or an
-    independently evolved ensemble (``mode="evolved"``, the two-law
-    contraction curve); the same-law sampling floor is then measured from
-    disjoint reference blocks and points below ``floor_factor`` times it are
-    dropped before the fit.
+    The reference atoms are evolved alongside the main ensemble under shared
+    Gaussian increments (synchronous coupling).  Both point clouds keep their
+    exact marginals (for a stationary ``initial_b`` the evolved cloud remains
+    stationary at every time), while the paired contraction removes the
+    same-law sampling floor that a fixed reference suffers, so the measured
+    distances can decay to zero.  No floor is measured: ``noise_floor`` is
+    0.0, and the fit keeps the points above 1e-13.
 
     Distances are averaged over disjoint block pairs of size ``block``
     (default: the assignment cap, shrunk so the reference retains at least
@@ -220,17 +210,14 @@ def ergodicity_curve(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    if mode not in ("stationary", "evolved"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if coupling not in ("synchronous", "independent"):
-        raise ValueError(f"unknown coupling {coupling!r}")
     step = initial_a.step
     if initial_b.step != step or initial_b.values.shape[1:] != initial_a.values.shape:
         raise ShapeError("the reference measure must lie on the initial segment's grid")
     times = np.asarray(list(times), dtype=float)
-    if times.size == 0 or (np.diff(times) <= 0).any():
-        raise ValueError("times must be non-empty and strictly increasing")
     indices = [grid_steps(t, step, "time") for t in times]
+    # distinct steps: coupled_snapshots returns one snapshot per step
+    if times.size == 0 or (np.diff(indices) <= 0).any():
+        raise ValueError("times must be non-empty and fall on strictly increasing steps")
 
     block = block or cap
     block = min(block, n_traj, initial_b.n // 2, cap)
@@ -241,35 +228,15 @@ def ergodicity_curve(
     reps = int(math.ceil(n_traj / initial_b.n))
     initials_b = np.tile(initial_b.values, (reps, 1, 1))[:n_traj]
 
-    distances = np.empty(times.size)
-    if coupling == "synchronous":
-        pairs = coupled_snapshots(model, initials_a, initials_b, indices, step, rng.child(1))
-        floor = 0.0
-        for i, (snap_a, snap_b) in enumerate(pairs):
-            distances[i] = _mean_transport(
-                _coupled_blocks(snap_a, snap_b, model.delay, step, block), mp, cap
-            )
-    else:
-        last = indices[-1]
-        snaps_a, _ = record(model, initials_a, last, step, rng.child(1), sample_at=indices)
-        if mode == "evolved":
-            snaps_b, _ = record(model, initials_b, last, step, rng.child(2), sample_at=indices)
-            refs = [EmpiricalMeasure(s, model.delay, step) for s in snaps_b]
-        else:
-            refs = [initial_b] * len(indices)
-        ref_blocks = initial_b.strided_blocks(block)
-        if len(ref_blocks) < 2:
-            raise ShapeError(
-                f"reference sample with {initial_b.n} atoms cannot estimate a noise floor at block size {block}"
-            )
-        floor = _mean_transport(zip(ref_blocks[0::2], ref_blocks[1::2]), mp, cap)
-        for i, snap in enumerate(snaps_a):
-            law_t = EmpiricalMeasure(snap, model.delay, step)
-            distances[i] = _mean_transport(
-                zip(law_t.strided_blocks(block), refs[i].strided_blocks(block)), mp, cap
-            )
+    pairs = coupled_snapshots(model, initials_a, initials_b, indices, step, rng.child(1))
+    distances = np.array(
+        [
+            _mean_transport(_coupled_blocks(snap_a, snap_b, model.delay, step, block), mp, cap)
+            for snap_a, snap_b in pairs
+        ]
+    )
 
-    usable = distances > max(floor_factor * floor, 1e-13)
+    usable = distances > 1e-13
     n_dropped = int((~usable).sum())
     t_fit, v_fit = times[usable], distances[usable]
     if t_fit.size < 3:
@@ -279,7 +246,6 @@ def ergodicity_curve(
             r_squared=0.0,
             times=t_fit,
             values=v_fit,
-            noise_floor=floor,
             n_dropped=n_dropped,
             flagged=True,
             note="fewer than 3 points above the noise floor; rate unconstrained",
@@ -292,7 +258,6 @@ def ergodicity_curve(
         times=t_fit,
         values=v_fit,
         se_beta=fit.se_slope,
-        noise_floor=floor,
         n_dropped=n_dropped,
         flagged=not (-fit.slope > 0),  # a NaN slope is flagged
         note="" if -fit.slope > 0 else "fitted rate is not positive",

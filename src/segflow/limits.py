@@ -112,9 +112,6 @@ class CenteredObservable:
     def declared_norm(self) -> Optional[float]:
         return self.base.declared_norm
 
-    def eval(self, segment) -> float:
-        return float(self.base.eval(segment)) - self.mu_f
-
     def values(self, seg_values: np.ndarray) -> np.ndarray:
         return self.base.values(seg_values) - self.mu_f
 
@@ -122,11 +119,8 @@ class CenteredObservable:
         base = self.base
         scaled_base = Observable(
             name=f"{base.name}_x{factor:g}",
-            eval=lambda s, _b=base.eval, _c=factor: _c * _b(s),
+            eval_batch=lambda v, _b=base.eval_batch, _c=factor: _c * _b(v),
             declared_norm=None if base.declared_norm is None else abs(factor) * base.declared_norm,
-            eval_batch=None
-            if base.eval_batch is None
-            else (lambda v, _b=base.eval_batch, _c=factor: _c * _b(v)),
         )
         return CenteredObservable(scaled_base, factor * self.mu_f, abs(factor) * self.mu_f_se, self.n_sample)
 

@@ -56,40 +56,18 @@ class MetricParams:
 class Observable:
     """A real statistic of one segment.
 
-    ``eval_batch`` (optional) evaluates an ``(n, m+1, d)`` array of segments
-    to an ``(n,)`` vector; estimators fall back to a Python loop without it.
-    ``declared_norm`` is the claimed Lipschitz-class norm bound.
+    ``eval_batch`` evaluates an ``(n, m+1, d)`` array of segments to an
+    ``(n,)`` vector.  ``declared_norm`` is the claimed Lipschitz-class norm
+    bound.
     """
 
     name: str
-    eval: Callable[[Segment], float]
+    eval_batch: Callable[[np.ndarray], np.ndarray]
     declared_norm: Optional[float] = None
-    eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def values(self, seg_values: np.ndarray) -> np.ndarray:
         """Evaluate on a batch of segment value arrays (n, m+1, d)."""
-        if self.eval_batch is not None:
-            return np.asarray(self.eval_batch(seg_values), dtype=float)
-        out = np.empty(seg_values.shape[0])
-        for i in range(seg_values.shape[0]):
-            out[i] = self.eval(_BareSegment(seg_values[i]))
-        return out
-
-
-class _BareSegment:
-    """Duck-typed segment wrapper for loop fallbacks (values only)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def endpoint(self) -> np.ndarray:
-        return self.values[-1]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+        return np.asarray(self.eval_batch(seg_values), dtype=float)
 
 
 @dataclass(frozen=True)

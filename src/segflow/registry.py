@@ -110,7 +110,6 @@ def _eval0(coord: int = 0) -> Observable:
     coord = int(coord)
     return Observable(
         name=f"eval0[{coord}]" if coord else "eval0",
-        eval=lambda seg: float(seg.values[-1, coord]),
         eval_batch=lambda vals: np.array(vals[:, -1, coord]),
     )
 
@@ -122,7 +121,6 @@ def _sup_norm_pow(q: float = 2.0) -> Observable:
         raise ConfigError("q must be positive")
     return Observable(
         name=f"sup_norm_pow({q:g})",
-        eval=lambda seg: float(np.sqrt((seg.values**2).sum(axis=1)).max() ** q),
         eval_batch=lambda vals: batch_sup_norms(vals) ** q,
     )
 
@@ -131,7 +129,6 @@ def _sin_eval0(coord: int = 0) -> Observable:
     coord = int(coord)
     return Observable(
         name="sin_eval0",
-        eval=lambda seg: float(np.sin(seg.values[-1, coord])),
         declared_norm=None,
         eval_batch=lambda vals: np.sin(np.array(vals[:, -1, coord])),
     )
@@ -141,7 +138,6 @@ def _zero() -> Observable:
     """Identically-zero observable; its norm bound is exactly 0."""
     return Observable(
         name="zero",
-        eval=lambda seg: 0.0,
         declared_norm=0.0,
         eval_batch=lambda vals: np.zeros(vals.shape[0]),
     )
@@ -161,16 +157,13 @@ def _linear_combo(terms=None) -> Observable:
         parts.append((coef, obs))
     label = "+".join(f"{c:g}*{o.name}" for c, o in parts)
 
-    def ev(seg) -> float:
-        return sum(c * o.eval(seg) for c, o in parts)
-
     def ev_batch(vals: np.ndarray) -> np.ndarray:
         out = np.zeros(vals.shape[0])
         for c, o in parts:
             out += c * o.values(vals)
         return out
 
-    return Observable(name=f"combo({label})", eval=ev, eval_batch=ev_batch)
+    return Observable(name=f"combo({label})", eval_batch=ev_batch)
 
 
 OBSERVABLE_BUILDERS: dict[str, Callable[..., Observable]] = {

@@ -134,10 +134,6 @@ class Segment:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
 
@@ -223,15 +219,15 @@ class ModelSpec:
             raise ValueError("dim must be a positive integer")
         if not (self.delay > 0):
             raise ValueError("delay must be positive")
-        if not (self.lambda1 > 0):
-            raise ValueError("lambda1 must be positive")
+        if not (0 < self.lambda1 < math.inf):
+            raise ValueError("lambda1 must be positive and finite")
         if not (self.lambda2 >= 0):
             raise ValueError("lambda2 must be non-negative")
-        side = self.lambda1 - self.lambda2 * math.exp(self.lambda1 * self.delay)
-        if not (side > 0):
+        margin = self.side_margin
+        if not (margin > 0):
             raise ValueError(
                 f"dissipativity side condition violated: lambda1={self.lambda1} must exceed "
-                f"lambda2*exp(lambda1*delay)={self.lambda2 * math.exp(self.lambda1 * self.delay):.6g}"
+                f"lambda2*exp(lambda1*delay)={self.lambda1 - margin:.6g}"
             )
         ends = self.drift_ends
         if ends is not None:
@@ -262,8 +258,17 @@ class ModelSpec:
 
     @property
     def side_margin(self) -> float:
-        """Slack ``lambda1 - lambda2 * exp(lambda1 * delay)`` of the side condition."""
-        return self.lambda1 - self.lambda2 * math.exp(self.lambda1 * self.delay)
+        """Slack ``lambda1 - lambda2 * exp(lambda1 * delay)`` of the side condition.
+
+        Exactly ``lambda1`` when ``lambda2`` is 0, and ``-inf`` when the
+        exponential overflows.
+        """
+        if self.lambda2 == 0:
+            return self.lambda1
+        try:
+            return self.lambda1 - self.lambda2 * math.exp(self.lambda1 * self.delay)
+        except OverflowError:
+            return -math.inf
 
     def segment(self, values, step: float) -> Segment:
         return Segment(np.asarray(values, dtype=float), self.delay, step)

@@ -6,12 +6,10 @@ from conftest; the heavy shared artifacts (stationary sample, centering run,
 rate fit, variance constants) come from the session fixtures.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import DT, MASTER_SEED, R0
 from oracles import brute_force_assignment
@@ -22,10 +20,8 @@ from segflow import (
     EmpiricalMeasure,
     ExpDecayKernel,
     IidChain,
-    MetricParams,
     RateFit,
     RngStream,
-    Segment,
     check_dissipativity,
     check_ellipticity,
     clt_test,
@@ -35,7 +31,6 @@ from segflow import (
     gaussian_pair_sampler,
     gaussian_segment_sampler,
     lil_run,
-    martingale_increments,
     qv_lln_check,
     quadratic_variation,
     rescaled_path_nodes,

@@ -121,12 +121,25 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError):
             parse_config(path)
+        # exp(lambda1 * delay) = exp(1600) overflows a float: without delayed
+        # feedback the model is valid, with any feedback the margin is -inf
+        parse_config_dict(minimal(model={"name": "linear_delay_ou", "params": {"a": 400, "b": 0, "r0": 2}}))
+        with pytest.raises(ConfigError):
+            parse_config_dict(minimal(model={"name": "linear_delay_ou", "params": {"a": 400, "b": 0.1, "r0": 2}}))
 
     def test_out_of_range_numerics(self, tmp_path):
         path = write_cfg(tmp_path, minimal(numerics={"replicas": 3}))
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert err.value.key == "numerics.replicas"
+        # the rate estimator has one coupling: these keys take one value each
+        for key, value in (("coupling", "independent"), ("mode", "evolved"), ("floor_factor", 3.0)):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(minimal(kind="ergodicity", numerics={key: value}))
+            assert err.value.key == f"numerics.{key}"
+        pinned = {"mode": "stationary", "coupling": "synchronous", "floor_factor": 2.0}
+        num = parse_config_dict(minimal(kind="ergodicity", numerics=pinned)).numerics
+        assert {k: num[k] for k in pinned} == pinned
 
     def test_eps_strictly_below_half(self, tmp_path):
         path = write_cfg(tmp_path, minimal(numerics={"eps": 0.5}))

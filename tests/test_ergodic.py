@@ -80,23 +80,18 @@ class TestSampleInvariant:
 
 
 class TestErgodicityCurve:
-    def test_stationary_start_is_flagged_independent(self, ref_model, stationary_sample, mp):
-        # starting from an atom of the reference: distances sit at the
-        # same-law sampling floor and the rate is unconstrained
-        xi_star = stationary_sample.atom(0)
-        fit = ergodicity_curve(
-            ref_model,
-            xi_star,
-            stationary_sample,
-            [1.0, 2.0, 3.0, 4.0],
-            mp,
-            128,
-            RngStream(derive_seed(41, 0)),
-            coupling="independent",
-            cap=64,
-        )
+    def test_frozen_start_against_itself_is_flagged(self, mp):
+        # decay from the zero segment stays at zero, as does every atom of its
+        # stationary sample: each coupled distance is exactly 0, so no point
+        # survives the cut and the rate is unconstrained
+        model = build_model("deterministic_decay")
+        zero = constant_segment(0.0, R0, DT)
+        stationary = sample_invariant(model, zero, 16, 1.0, 1.0, RngStream(1))
+        times = [0.5, 1.0, 1.5, 2.0]
+        fit = ergodicity_curve(model, zero, stationary, times, mp, 16, RngStream(2), cap=8)
         assert fit.flagged
-        assert fit.n_dropped >= 2
+        assert fit.n_dropped == len(times)
+        assert fit.noise_floor == 0.0
 
     def test_transient_start_fits_positive_rate(self, rate_fit):
         assert rate_fit.beta_hat > 0
@@ -119,23 +114,6 @@ class TestErgodicityCurve:
         assert abs(f1.beta_hat - f2.beta_hat) <= 3.0 * joint
         assert f2.c_hat > f1.c_hat
 
-    def test_ee_and_two_law_modes_agree(self, ref_model, stationary_sample, mp, xi_five):
-        # under the default synchronous coupling the reference is evolved in
-        # either mode and no floor is measured: mode and floor_factor act
-        # only with coupling="independent"
-        times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        fits = [
-            ergodicity_curve(
-                ref_model, xi_five, stationary_sample, times, mp, 256, RngStream(derive_seed(43, 0)),
-                mode=mode, cap=128, floor_factor=factor,
-            )
-            for mode, factor in (("stationary", 2.0), ("evolved", 2.0), ("evolved", 50.0))
-        ]
-        for fit in fits[1:]:
-            assert np.array_equal(fit.values, fits[0].values)
-            assert fit.beta_hat == fits[0].beta_hat
-            assert fit.noise_floor == 0.0
-
     def test_reference_on_another_grid_rejected(self, ref_model, stationary_sample, mp):
         coarse = constant_segment(5.0, R0, 2 * DT)
         with pytest.raises(ShapeError, match="grid"):
@@ -144,6 +122,13 @@ class TestErgodicityCurve:
     def test_empty_ensemble_rejected(self, ref_model, stationary_sample, mp, xi_five):
         with pytest.raises(ValueError, match="n_traj"):
             ergodicity_curve(ref_model, xi_five, stationary_sample, [0.5, 1.0], mp, 0, RngStream(46), cap=8)
+
+    def test_times_sharing_a_step_rejected(self, ref_model, stationary_sample, mp, xi_five):
+        # 1.0 and 1.0 + 1e-7 both pass the grid rule as step 128: the second
+        # would read another time's snapshot
+        times = [0.5, 1.0, 1.0 + 1e-7, 1.5]
+        with pytest.raises(ValueError, match="steps"):
+            ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 8, RngStream(47), cap=8)
 
     def test_coupled_reduction_pair_order_independent(self, ref_model, mp):
         # given realized coupled clouds, the blocked reduction is a function
@@ -185,7 +170,7 @@ class TestErgodicityCurve:
 
     def test_bitwise_reproducible(self, ref_model, stationary_sample, mp, xi_five):
         times = [0.5, 1.0, 2.0]
-        kw = dict(mode="stationary", cap=64)
+        kw = dict(cap=64)
         f1 = ergodicity_curve(
             ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99), **kw
         )

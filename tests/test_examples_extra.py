@@ -11,7 +11,6 @@ from segflow import (
     clt_test,
     constant_segment,
     derive_seed,
-    ergodicity_curve,
     lil_run,
     sample_invariant,
     slln_pathwise,
@@ -98,18 +97,6 @@ class TestEngineReproducibility:
         m1 = sample_invariant(ref_model, xi_zero, 8, 1.0, 1.0, RngStream(777), samples_per_traj=2)
         m2 = sample_invariant(ref_model, xi_zero, 8, 1.0, 1.0, RngStream(777), samples_per_traj=2)
         assert np.array_equal(m1.values, m2.values)
-
-    def test_curve_invariant_under_reference_permutation(self, ref_model, stationary_sample, mp, xi_five):
-        # single-block reduction with an independent fixed reference: atom
-        # order cannot affect the assignment value
-        sub = stationary_sample.take(np.arange(64))
-        kw = dict(mode="stationary", coupling="independent", cap=64, block=64)
-        g1 = ergodicity_curve(ref_model, xi_five, sub, [0.5, 1.0], mp, 64, RngStream(424), **kw)
-        g2 = ergodicity_curve(
-            ref_model, xi_five, sub.take(np.asarray(RngStream(9).generator().permutation(64))),
-            [0.5, 1.0], mp, 64, RngStream(424), **kw,
-        )
-        assert np.array_equal(g1.values, g2.values)
 
 
 class TestRngGolden:

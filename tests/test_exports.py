@@ -43,14 +43,14 @@ def _caller_files():
 
 
 def _referenced_names(path: Path) -> set[str]:
+    """Names the file uses; an import alone is not a use, so a dead import
+    cannot keep an export alive."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
 
 

@@ -14,7 +14,6 @@ from segflow import (
     EmpiricalMeasure,
     ExpDecayKernel,
     IidChain,
-    IidKernel,
     MonteCarloSemigroup,
     RateFit,
     RngStream,

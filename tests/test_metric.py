@@ -16,7 +16,6 @@ from segflow import (
     RngStream,
     Segment,
     ShapeError,
-    constant_segment,
     wasserstein,
 )
 from segflow.metric import rho_matrix

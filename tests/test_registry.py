@@ -63,18 +63,18 @@ class TestObservables:
     def test_eval0(self):
         f = build_observable("eval0")
         seg = constant_segment(1.7, 0.5, DT)
-        assert f.eval(seg) == pytest.approx(1.7)
+        assert f.values(seg.values[None])[0] == pytest.approx(1.7)
         assert np.allclose(f.values(seg.values[None]), [1.7])
 
     def test_sup_norm_pow(self):
         f = build_observable("sup_norm_pow", {"q": 3.0})
         seg = constant_segment(-2.0, 0.5, DT)
-        assert f.eval(seg) == pytest.approx(8.0)
+        assert f.values(seg.values[None])[0] == pytest.approx(8.0)
 
     def test_sin_eval0(self):
         f = build_observable("sin_eval0")
         seg = constant_segment(0.5, 0.5, DT)
-        assert f.eval(seg) == pytest.approx(math.sin(0.5))
+        assert f.values(seg.values[None])[0] == pytest.approx(math.sin(0.5))
 
     def test_linear_combo(self):
         f = build_observable(
@@ -85,7 +85,7 @@ class TestObservables:
             ]},
         )
         seg = constant_segment(3.0, 0.5, DT)
-        assert f.eval(seg) == pytest.approx(2.0 * 3.0 - 9.0)
+        assert f.values(seg.values[None])[0] == pytest.approx(2.0 * 3.0 - 9.0)
         assert np.allclose(f.values(seg.values[None]), [-3.0])
 
     def test_unknown_names_rejected(self):

@@ -209,13 +209,17 @@ class TestModelSpec:
         return ModelSpec(**{**kw, **overrides})
 
     def test_side_condition_enforced(self):
-        # 0.5 < 0.4*e^0.25; a NaN lambda2 leaves the margin NaN
-        for lambda2 in (0.4, math.nan):
+        # 0.5 < 0.4*e^0.25; a NaN lambda2 leaves the margin NaN; exp(800 * 2)
+        # overflows a float, so with lambda2 > 0 the margin is -inf
+        overflow = dict(lambda1=800.0, delay=2.0)
+        for kw in (dict(lambda2=0.4), dict(lambda2=math.nan), dict(lambda2=0.1, **overflow)):
             with pytest.raises(ValueError):
-                self.spec(lambda2=lambda2)
+                self.spec(**kw)
+        # without delayed feedback the margin is lambda1, however large
+        assert self.spec(**overflow).side_margin == 800.0
 
     def test_lambda1_positive(self):
-        for lambda1 in (-0.1, math.nan):
+        for lambda1 in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 self.spec(lambda1=lambda1)
 

@@ -11,7 +11,6 @@ from segflow import (
     IidChain,
     IidKernel,
     MonteCarloSemigroup,
-    Observable,
     RngStream,
     constant_segment,
 )
