@@ -52,7 +52,6 @@ from .segments import (
     Trajectory,
     constant_segment,
     simulate,
-    sup_norm,
 )
 from .semigroup import (
     ExpDecayKernel,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EllipticityViolationError, NumericBlowupError
 from .rng import RngStream
-from .segments import ModelSpec, Segment, _history_nodes, sup_norm
+from .segments import ModelSpec, Segment, _history_nodes, batch_sup_norms
 
 __all__ = [
     "DissipativityReport",
@@ -87,13 +87,14 @@ def check_dissipativity(
     worst = -1
     for i in range(n_pairs):
         xi, eta = pair_sampler(gen)
-        dx = xi.endpoint() - eta.endpoint()
-        db = np.asarray(model.drift(xi), dtype=float) - np.asarray(model.drift(eta), dtype=float)
-        diff = Segment(xi.values - eta.values, xi.delay, xi.step)
+        drift = np.asarray(model.drift_batch(np.stack([xi.values, eta.values])), dtype=float)
+        dx = xi.values[-1] - eta.values[-1]
+        db = drift[0] - drift[1]
+        diff_norm = float(batch_sup_norms((xi.values - eta.values)[None])[0])
         g = (
             2.0 * float(dx @ db)
             + model.lambda1 * float(dx @ dx)
-            - model.lambda2 * sup_norm(diff) ** 2
+            - model.lambda2 * diff_norm ** 2
         )
         if not np.isfinite(g):
             raise NumericBlowupError("non-finite dissipativity evaluation", 0.0)
@@ -107,6 +108,16 @@ def check_dissipativity(
         passed=bool(max_g <= tolerance),
         worst_pair_index=worst,
     )
+
+
+def _diffusion_matrix(model: ModelSpec, values: np.ndarray) -> np.ndarray:
+    """The (d, d) diffusion matrix at one segment's values (m+1, d)."""
+    if isinstance(model.sigma, float):
+        return model.sigma * np.eye(model.dim)
+    if model.sigma is not None:
+        return model.sigma
+    sig = np.asarray(model.diffusion_batch(values[None]), dtype=float)[0]
+    return np.diag(sig) if sig.ndim == 1 else sig
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ def check_ellipticity(
     max_si = 0.0
     for i in range(n):
         xi = sampler(gen)
-        sig = np.atleast_2d(np.asarray(model.diffusion(xi), dtype=float))
+        sig = _diffusion_matrix(model, xi.values)
         svals = np.linalg.svd(sig, compute_uv=False)
         smax, smin = float(svals[0]), float(svals[-1])
         if smin <= 0.0 or not np.isfinite(smin):

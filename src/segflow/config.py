@@ -274,10 +274,11 @@ def _parse_named_block(raw: Any, key: str, required_name: bool = True) -> tuple[
     return name, dict(params)
 
 
-def _on_grid(key: str, rule, *args) -> None:
-    """Apply a segments grid rule; its ValueError becomes a ConfigError on ``key``."""
+def _on_grid(key: str, rule, *args) -> int:
+    """Apply a segments grid rule and return its result; its ValueError
+    becomes a ConfigError on ``key``."""
     try:
-        rule(*args)
+        return rule(*args)
     except ValueError as exc:
         _fail(key, str(exc))
 
@@ -291,8 +292,10 @@ def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
     if 0 < num.get("pathwise_horizon", 0.0) < 1:
         _fail("numerics.pathwise_horizon", "must be 0 (off) or at least 1: pathwise checkpoints start at t = 1")
     for key in _DT_GRID_KEYS.get(kind, ()):
-        for t in num[key] if isinstance(num[key], list) else [num[key]]:
-            _on_grid(f"numerics.{key}", grid_steps, t, dt, key)
+        times = num[key] if isinstance(num[key], list) else [num[key]]
+        steps = [_on_grid(f"numerics.{key}", grid_steps, t, dt, key) for t in times]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            _fail(f"numerics.{key}", f"entries must fall on distinct steps of dt={dt!r}")
     if kind == "lil":
         n_min, n_max, checkpoints = num["n_min"], num["n_max"], num["checkpoints"]
         if n_min > n_max:

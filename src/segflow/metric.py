@@ -17,14 +17,14 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import CapacityError, ShapeError
-from .segments import Segment, batch_sup_norms
+from .segments import batch_sup_norms
 
 __all__ = [
     "MetricParams",
@@ -98,22 +98,9 @@ class EmpiricalMeasure:
                 raise ShapeError("groups must label each atom")
             object.__setattr__(self, "groups", g)
 
-    @classmethod
-    def from_segments(cls, segments: Sequence[Segment]) -> "EmpiricalMeasure":
-        if not segments:
-            raise ShapeError("empirical measure needs at least one atom")
-        first = segments[0]
-        for s in segments[1:]:
-            if s.values.shape != first.values.shape or s.delay != first.delay or s.step != first.step:
-                raise ShapeError("all atoms must share dim, delay and step")
-        return cls(np.stack([s.values for s in segments]), first.delay, first.step)
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def atom(self, i: int) -> Segment:
-        return Segment(self.values[i], self.delay, self.step)
 
     def take(self, indices: np.ndarray) -> "EmpiricalMeasure":
         g = None if self.groups is None else self.groups[indices]

@@ -35,18 +35,16 @@ def _linear_delay_ou(a: float = 2.0, b: float = 0.1, r0: float = 0.5, sigma: flo
     if sigma == 0:
         raise ConfigError("sigma must be non-zero for an invertible diffusion")
     a, b, sigma = float(a), float(b), float(sigma)
-    sig_mat = sigma * np.eye(dim)
 
     return ModelSpec(
         dim=dim,
         delay=r0,
         drift_ends=lambda now, oldest: -a * now + b * oldest,
-        diffusion=lambda seg: sig_mat,
+        sigma=sigma,
         lambda1=2.0 * a - abs(b),
         lambda2=abs(b),
         sigma_bound=abs(sigma),
         sigma_inv_bound=1.0 / abs(sigma),
-        diffusion_is_constant=True,
         name="linear_delay_ou",
     )
 
@@ -82,18 +80,16 @@ def _deterministic_decay(rate: float = 1.0, r0: float = 0.5, dim: int = 1) -> Mo
     rate = float(rate)
     if rate <= 0:
         raise ConfigError("rate must be positive")
-    zero = np.zeros((dim, dim))
 
     return ModelSpec(
         dim=dim,
         delay=r0,
         drift_ends=lambda now, oldest: -rate * now,
-        diffusion=lambda seg: zero,
+        sigma=0.0,
         lambda1=2.0 * rate,
         lambda2=0.0,
         sigma_bound=0.0,
         sigma_inv_bound=None,
-        diffusion_is_constant=True,
         name="deterministic_decay",
     )
 

@@ -3,21 +3,21 @@
 The state of a path-dependent SDE is a *segment*: the recent history of the
 solution over a window of fixed length ``delay``, discretized on a uniform
 grid of spacing ``step`` (``delay/step`` must be an integer so the oldest
-history point lands exactly on a node).  A model is a pair of coefficient
-maps ``drift: segment -> R^d`` and ``diffusion: segment -> R^{d x d}``
-together with the dissipativity/ellipticity constants the model claims to
-satisfy.
+history point lands exactly on a node).  A model is a drift ``segment -> R^d``
+and a diffusion ``segment -> R^{d x d}``, each written in one form that
+acts on a whole batch of segments, together with the
+dissipativity/ellipticity constants the model claims to satisfy.
 
 Simulation uses the explicit Euler-Maruyama scheme
 
     X(t + dt) = X(t) + drift(X_t) * dt + diffusion(X_t) @ (sqrt(dt) * Z)
 
 where ``X_t`` is the current grid segment and ``Z`` is a standard normal
-vector.  The integrator is vectorized over independent trajectories: models
-may provide batched coefficient callbacks operating on arrays of segments,
-which is what makes the statistical estimators in the rest of the package
-affordable.  Batched arrays of segments always have shape ``(n, m+1, d)``:
-batch index, then time node (oldest first), then coordinate.
+vector.  The integrator is vectorized over independent trajectories: the
+coefficients are evaluated on arrays of segments, which is what makes the
+statistical estimators in the rest of the package affordable.  Batched
+arrays of segments always have shape ``(n, m+1, d)``: batch index, then time
+node (oldest first), then coordinate.
 
 :func:`record` is the one driver every estimator runs through: it steps a
 batch and returns copies of the windows (or of an observable of them) at
@@ -28,9 +28,9 @@ itself lives in :func:`step_windows`, whose recycled ring buffer never
 leaves this module.  A single one-dimensional path runs on Python floats
 with the same operation order, so it is bit-identical to the batched loop
 at width 1 and several times faster; it serves models whose drift is written
-as elementwise ``drift_ends`` and whose diffusion is a constant scalar or
+as elementwise ``drift_ends`` and whose diffusion is a constant ``sigma`` or
 ``diffusion_ends``, and every other single path takes the batched loop.
-:func:`_euler_maps` picks each coefficient's form once per run.
+:func:`_noise_map` picks the diffusion's form once per run.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
 time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
@@ -57,7 +57,6 @@ __all__ = [
     "Segment",
     "ModelSpec",
     "Trajectory",
-    "sup_norm",
     "simulate",
     "record",
     "grid_steps",
@@ -130,13 +129,6 @@ class Segment:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def endpoint(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def constant_segment(value, delay: float, step: float, dim: Optional[int] = None) -> Segment:
     """Segment frozen at a single state (scalar or length-d vector)."""
@@ -147,71 +139,61 @@ def constant_segment(value, delay: float, step: float, dim: Optional[int] = None
     return Segment(np.tile(v, (m + 1, 1)), delay, step)
 
 
-def sup_norm(segment: Segment) -> float:
-    """Maximum Euclidean node norm of a segment (grid-level uniform norm)."""
-    return float(np.sqrt((segment.values**2).sum(axis=1)).max())
-
-
 def batch_sup_norms(values: np.ndarray) -> np.ndarray:
     """Uniform norms of a batch of segment value arrays, shape (n, m+1, d) -> (n,)."""
     return np.sqrt((values**2).sum(axis=2)).max(axis=1)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ModelSpec:
     """Coefficients of a path-dependent SDE plus its declared constants.
 
-    Every field is keyword-only.
+    Every field is keyword-only.  Each coefficient has one source: the drift
+    is ``drift_ends`` or ``drift_batch``, the diffusion ``sigma`` or
+    ``diffusion_ends`` and/or ``diffusion_batch``.  Equality is identity, as
+    the coefficients are callables.
 
     Parameters
     ----------
     dim, delay: state dimension and history-window length.
-    drift, diffusion: coefficient maps on single segments.  ``drift`` returns
-        a length-``dim`` vector, ``diffusion`` a ``(dim, dim)`` matrix.
-        ``drift`` may be omitted when ``drift_ends`` is given, ``diffusion``
-        when ``diffusion_ends`` is.
-    drift_ends: optional drift written as an elementwise function
+    drift_ends: drift written as an elementwise function
         ``drift_ends(now, oldest)`` of the window's current node and its
         oldest node.  The same expression must serve Python floats and numpy
         arrays and give bit for bit the same value on both: the width-1
-        integrator calls it on floats, and ``drift`` and ``drift_batch``,
-        when not given, are derived from it on arrays.  An arithmetic error
-        raised on floats counts as a non-finite drift.
-    diffusion_ends: optional diagonal diffusion written the same way, as an
+        integrator calls it on floats, and ``drift_batch``, when not given,
+        is derived from it on arrays.  An arithmetic error raised on floats
+        counts as a non-finite drift.
+    drift_batch: drift acting on an ``(n, m+1, d)`` array of segments and
+        returning ``(n, d)``; needed when ``drift_ends`` is absent.
+    sigma: a constant diffusion, a scalar (read as ``sigma * I``) or a
+        ``(dim, dim)`` matrix.  A ``(1, 1)`` matrix is stored as its scalar,
+        and a scalar keeps a width-1 path with ``drift_ends`` on floats.
+    diffusion_ends: diagonal diffusion written the same way, as an
         elementwise ``diffusion_ends(now, oldest)`` returning the diagonal,
         under the same bit-for-bit contract and arithmetic-error rule.
-        ``diffusion`` (its ``np.diag``) and ``diffusion_batch`` (diagonal
-        convention), when not given, are derived from it; with
-        ``drift_ends`` the width-1 integrator stays on floats.
+        ``diffusion_batch`` (diagonal convention), when not given, is derived
+        from it; with ``drift_ends`` the width-1 integrator stays on floats.
+    diffusion_batch: diffusion acting on an ``(n, m+1, d)`` array of segments
+        and returning ``(n, d, d)``, or ``(n, d)`` read as diagonal.
     lambda1, lambda2: declared dissipativity constants.  Construction checks
         the side condition ``lambda1 > lambda2 * exp(lambda1 * delay)``.
     sigma_bound, sigma_inv_bound: declared uniform operator-norm bounds on the
         diffusion and its inverse.  ``sigma_inv_bound=None`` marks a model
         that does not claim invertible noise (e.g. deterministic test
         dynamics); ellipticity checks on such a model fail fast.
-    drift_batch, diffusion_batch: optional vectorized coefficients acting on
-        an ``(n, m+1, d)`` array of segments, returning ``(n, d)`` and
-        ``(n, d, d)`` (or ``(n, d)``, read as diagonal) respectively.  The
-        integrator falls back to looping over the scalar maps when absent.
-    diffusion_is_constant: set when ``diffusion`` does not depend on the
-        segment: the integrator evaluates it once per run, on the first
-        initial window, and a constant scalar keeps a width-1 path with
-        ``drift_ends`` on floats.
     """
 
     dim: int
     delay: float
-    drift: Optional[Callable[[Segment], np.ndarray]] = None
-    diffusion: Optional[Callable[[Segment], np.ndarray]] = None
     lambda1: float
     lambda2: float
     sigma_bound: float
     sigma_inv_bound: Optional[float]
     drift_ends: Optional[Callable] = None
-    diffusion_ends: Optional[Callable] = None
     drift_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sigma: Optional[float | np.ndarray] = None
+    diffusion_ends: Optional[Callable] = None
     diffusion_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    diffusion_is_constant: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -231,30 +213,42 @@ class ModelSpec:
             )
         ends = self.drift_ends
         if ends is not None:
-            if self.drift is None:
-                object.__setattr__(self, "drift", lambda seg: ends(seg.values[-1], seg.values[0]))
             if self.drift_batch is None:
                 object.__setattr__(
                     self, "drift_batch", lambda segs: ends(segs[:, -1, :], segs[:, 0, :])
                 )
-        elif self.drift is None:
-            raise ValueError("a model needs drift or drift_ends")
+        elif self.drift_batch is None:
+            raise ValueError("a model needs drift_ends or drift_batch")
         sig_ends = self.diffusion_ends
-        if sig_ends is not None:
-            if self.diffusion is None:
-                object.__setattr__(
-                    self, "diffusion", lambda seg: np.diag(sig_ends(seg.values[-1], seg.values[0]))
-                )
+        if self.sigma is not None:
+            if sig_ends is not None or self.diffusion_batch is not None:
+                raise ValueError("a constant sigma excludes diffusion_ends and diffusion_batch")
+            object.__setattr__(self, "sigma", self._constant_sigma(self.sigma))
+        elif sig_ends is not None:
             if self.diffusion_batch is None:
                 object.__setattr__(
                     self, "diffusion_batch", lambda segs: sig_ends(segs[:, -1, :], segs[:, 0, :])
                 )
-        elif self.diffusion is None:
-            raise ValueError("a model needs diffusion or diffusion_ends")
+        elif self.diffusion_batch is None:
+            raise ValueError("a model needs sigma, diffusion_ends or diffusion_batch")
         if not (0 <= self.sigma_bound < math.inf):
             raise ValueError("sigma_bound must be finite and non-negative")
         if self.sigma_inv_bound is not None and not (0 < self.sigma_inv_bound < math.inf):
             raise ValueError("sigma_inv_bound must be finite and positive when declared")
+
+    def _constant_sigma(self, sigma) -> float | np.ndarray:
+        """``sigma`` as a float, or as a read-only (dim, dim) float matrix."""
+        sig = np.array(sigma, dtype=float)
+        if sig.shape not in ((), (self.dim, self.dim)):
+            raise ValueError(
+                f"sigma must be a scalar or a ({self.dim}, {self.dim}) matrix, got shape {sig.shape}"
+            )
+        if not np.isfinite(sig).all():
+            raise ValueError("sigma must be finite")
+        if sig.size == 1:
+            return float(sig.reshape(()))
+        sig.setflags(write=False)
+        return sig
 
     @property
     def side_margin(self) -> float:
@@ -269,9 +263,6 @@ class ModelSpec:
             return self.lambda1 - self.lambda2 * math.exp(self.lambda1 * self.delay)
         except OverflowError:
             return -math.inf
-
-    def segment(self, values, step: float) -> Segment:
-        return Segment(np.asarray(values, dtype=float), self.delay, step)
 
 
 @dataclass(frozen=True)
@@ -298,62 +289,27 @@ class Trajectory:
         return _history_nodes(self.model.delay, self.step)
 
 
-def _window_segments(segs: np.ndarray, delay: float, step: float) -> Iterator[Segment]:
-    """Read-only :class:`Segment` views of a ring window batch (n, m+1, d).
+def _noise_map(model: ModelSpec):
+    """The run's noise map ``noise(segs, z, out)``.
 
-    The ring's windows have m+1 nodes by construction and are checked finite
-    at the initial segment and after every step, so ``Segment``'s validation
-    and copy are skipped; a callback that writes into its segment raises.
+    It takes an (n, m+1, d) window batch and scaled normals ``z`` (n, d) and
+    returns the (n, d) noise term, written into the scratch array ``out``
+    where its form is elementwise: a constant scalar ``sigma``, a constant
+    matrix, or ``diffusion_batch`` (diagonal or full).
     """
-    segs = segs.view()
-    segs.flags.writeable = False
-    for values in segs:
-        seg = object.__new__(Segment)
-        object.__setattr__(seg, "values", values)
-        object.__setattr__(seg, "delay", delay)
-        object.__setattr__(seg, "step", step)
-        yield seg
+    sig = model.sigma
+    if isinstance(sig, float):
+        return lambda segs, z, out: np.multiply(sig, z, out=out)
+    if sig is not None:
+        return lambda segs, z, out: z @ sig.T
 
+    def noise(segs, z, out):
+        s = np.asarray(model.diffusion_batch(segs))
+        if s.ndim == 2:  # diagonal convention
+            return np.multiply(s, z, out=out)
+        return np.einsum("nij,nj->ni", s, z)
 
-def _euler_maps(model: ModelSpec, init: np.ndarray, step: float):
-    """The run's drift map, noise map and constant scalar diffusion (or None).
-
-    ``drift(segs)`` and ``noise(segs, z, out)`` take an (n, m+1, d) window
-    batch and scaled normals ``z`` (n, d); each uses the model's batched
-    callback if it has one and loops the per-segment map over
-    :func:`_window_segments` otherwise.  ``noise`` returns its (n, d) value,
-    written into the scratch array ``out`` where its form is elementwise.  A
-    constant diffusion is evaluated once, on the first initial window.
-    """
-    delay = model.delay
-    if model.drift_batch is not None:
-        drift = model.drift_batch
-    else:
-        def drift(segs):
-            out = np.empty((segs.shape[0], model.dim))
-            for i, seg in enumerate(_window_segments(segs, delay, step)):
-                out[i] = model.drift(seg)
-            return out
-    c = None
-    if model.diffusion_is_constant:
-        sig = np.asarray(model.diffusion(Segment(init[0], delay, step)), dtype=float)
-        if sig.ndim == 0 or sig.shape == (1, 1):
-            c = float(np.ravel(sig)[0])
-            noise = lambda segs, z, out: np.multiply(c, z, out=out)
-        else:
-            noise = lambda segs, z, out: z @ sig.T
-    elif model.diffusion_batch is not None:
-        def noise(segs, z, out):
-            sig = np.asarray(model.diffusion_batch(segs))
-            if sig.ndim == 2:  # diagonal convention
-                return np.multiply(sig, z, out=out)
-            return np.einsum("nij,nj->ni", sig, z)
-    else:
-        def noise(segs, z, out):
-            for i, seg in enumerate(_window_segments(segs, delay, step)):
-                out[i] = np.asarray(model.diffusion(seg)) @ z[i]
-            return out
-    return drift, noise, c
+    return noise
 
 
 def _ring(shape: tuple[int, ...]) -> np.ndarray:
@@ -437,11 +393,12 @@ def step_windows(
 
     if not np.isfinite(buf[: m + 1]).all():
         raise NumericBlowupError("non-finite initial segment", 0.0)
-    drift_map, noise_map, c = _euler_maps(model, init, step)
-    sig_ends = None if model.diffusion_is_constant else model.diffusion_ends
+    c = model.sigma if isinstance(model.sigma, float) else None
+    sig_ends = model.diffusion_ends
     if n * d == 1 and model.drift_ends is not None and (c is not None or sig_ends is not None):
         yield from _scalar_windows(model.drift_ends, c, sig_ends, buf, m, n_steps, step, gen)
         return
+    drift_map, noise_map = model.drift_batch, _noise_map(model)
 
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is the same at any block length (values come off the stream

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from segflow import (
@@ -19,12 +18,12 @@ from segflow.registry import build_model
 DT = 1.0 / 64.0
 
 
-def model_with_drift(drift, drift_scalar=None, lambda1=1.0, lambda2=0.0, r0=0.5, sigma=None):
+def model_with_drift(drift_batch, lambda1=1.0, lambda2=0.0, r0=0.5):
     return ModelSpec(
         dim=1,
         delay=r0,
-        drift=drift_scalar or (lambda seg: drift(seg.values)),
-        diffusion=sigma or (lambda seg: np.eye(1)),
+        drift_batch=drift_batch,
+        sigma=1.0,
         lambda1=lambda1,
         lambda2=lambda2,
         sigma_bound=1.0,
@@ -35,7 +34,7 @@ def model_with_drift(drift, drift_scalar=None, lambda1=1.0, lambda2=0.0, r0=0.5,
 class TestDissipativity:
     def test_pure_decay_has_zero_margin(self):
         # drift -xi(0) with lambda1=2 gives g identically 0
-        model = model_with_drift(lambda v: -v[-1], lambda1=2.0)
+        model = model_with_drift(lambda segs: -segs[:, -1], lambda1=2.0)
         rep = check_dissipativity(model, gaussian_pair_sampler(model, DT), 200, RngStream(5))
         assert rep.passed
         assert abs(rep.max_g) < 1e-9
@@ -49,7 +48,7 @@ class TestDissipativity:
         assert rep.side_margin > 3.1
 
     def test_expansive_drift_fails(self):
-        model = model_with_drift(lambda v: +v[-1], lambda1=1.0)
+        model = model_with_drift(lambda segs: +segs[:, -1], lambda1=1.0)
         rep = check_dissipativity(model, gaussian_pair_sampler(model, DT), 100, RngStream(7))
         assert not rep.passed
         assert rep.max_g > 0
@@ -57,9 +56,11 @@ class TestDissipativity:
     def test_scale_awareness(self):
         # scaling drift, lambda1 and lambda2 by the same factor preserves the verdict
         for c in (0.5, 4.0):
-            base = model_with_drift(lambda v: -2.0 * v[-1] + 0.1 * v[0], lambda1=3.9, lambda2=0.1)
+            base = model_with_drift(
+                lambda segs: -2.0 * segs[:, -1] + 0.1 * segs[:, 0], lambda1=3.9, lambda2=0.1
+            )
             scaled = model_with_drift(
-                lambda v: c * (-2.0 * v[-1] + 0.1 * v[0]),
+                lambda segs: c * (-2.0 * segs[:, -1] + 0.1 * segs[:, 0]),
                 lambda1=c * 3.9,
                 lambda2=c * 0.1,
                 r0=0.1,  # keep the side condition satisfiable at c=4
@@ -72,7 +73,7 @@ class TestDissipativity:
 
 class TestEllipticity:
     def test_identity_diffusion(self):
-        model = model_with_drift(lambda v: -v[-1], lambda1=2.0)
+        model = model_with_drift(lambda segs: -segs[:, -1], lambda1=2.0)
         rep = check_ellipticity(model, gaussian_segment_sampler(model, DT), 100, RngStream(1))
         assert rep.passed
         assert rep.max_sigma_norm == pytest.approx(1.0)
@@ -90,8 +91,8 @@ class TestEllipticity:
         model = ModelSpec(
             dim=1,
             delay=0.5,
-            drift=lambda seg: -seg.values[-1],
-            diffusion=lambda seg: np.array([[float(seg.values[-1, 0])]]),
+            drift_batch=lambda segs: -segs[:, -1],
+            diffusion_batch=lambda segs: segs[:, -1],
             lambda1=2.0,
             lambda2=0.0,
             sigma_bound=10.0,

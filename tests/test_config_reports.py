@@ -186,6 +186,9 @@ class TestParseConfig:
             ("slln", delay_06, {"dt": 0.3, "pathwise_horizon": 8.0}, "numerics.dt"),
             ("slln", {}, {"pathwise_horizon": 10.501}, "numerics.pathwise_horizon"),
             ("slln", {}, {"pathwise_horizon": 0.5}, "numerics.pathwise_horizon"),
+            # increasing times, two of which fall on the same step
+            ("ergodicity", {}, {"t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.t_grid"),
+            ("lil", {}, {"rate_t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.rate_t_grid"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))

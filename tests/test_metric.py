@@ -38,7 +38,7 @@ def random_segments(gen, n, scale=1.5):
 
 
 def measure(segments):
-    return EmpiricalMeasure.from_segments(segments)
+    return EmpiricalMeasure(np.stack([s.values for s in segments]), R0, STEP)
 
 
 class TestMetricParams:
@@ -241,7 +241,9 @@ class TestWasserstein:
         gen = RngStream(25).generator()
         a = measure(random_segments(gen, 12))
         b = measure(random_segments(gen, 12))
-        identity_cost = float(np.mean([rho(a.atom(i), b.atom(i), self.mp) for i in range(12)]))
+        identity_cost = float(np.mean(
+            [rho_matrix(a.values[i : i + 1], b.values[i : i + 1], self.mp)[0, 0] for i in range(12)]
+        ))
         assert wasserstein(a, b, self.mp) <= identity_cost + 1e-12
 
     def test_permutation_invariant_bitwise(self):

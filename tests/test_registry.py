@@ -1,12 +1,14 @@
 """Built-in model/observable registry tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from segflow import ConfigError, RngStream, constant_segment, simulate
-from segflow.registry import build_model, build_observable, registry_list
+from segflow.registry import MODEL_BUILDERS, build_model, build_observable, registry_list
+from segflow.segments import record
 
 DT = 1.0 / 64.0
 
@@ -35,23 +37,14 @@ class TestLinearDelayOu:
         with pytest.raises(ConfigError):
             build_model("linear_delay_ou", {"sigma": 0.0})
 
-    def test_drift_batch_matches_scalar(self):
-        model = build_model("linear_delay_ou")
-        gen = RngStream(3).generator()
-        vals = gen.standard_normal((5, int(0.5 / DT) + 1, 1))
-        batch = model.drift_batch(vals)
-        for i in range(5):
-            seg = model.segment(vals[i], DT)
-            assert np.allclose(batch[i], model.drift(seg))
-
 
 class TestTanhDiffusion:
     def test_diffusion_band(self):
         model = build_model("tanh_diffusion")
         seg = constant_segment(100.0, 0.5, DT)
-        assert float(model.diffusion(seg)[0, 0]) <= 1.5
+        assert float(model.diffusion_batch(seg.values[None])[0, 0]) <= 1.5
         seg2 = constant_segment(-100.0, 0.5, DT)
-        assert float(model.diffusion(seg2)[0, 0]) >= 0.5
+        assert float(model.diffusion_batch(seg2.values[None])[0, 0]) >= 0.5
 
     def test_simulates(self):
         model = build_model("tanh_diffusion")
@@ -99,3 +92,38 @@ class TestObservables:
             build_observable("sup_norm_pow", {"q": -1.0})
         with pytest.raises(ConfigError):
             build_model("linear_delay_ou", {"bogus": 1})
+
+
+class TestCountingWrappers:
+    """The benchmark's traced runs (``perfbench/tracer.py``) rebuild every
+    registry model with ``dataclasses.replace``, wrapping its batched
+    coefficients in call counters; such a model must construct and step
+    exactly as the original."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_wrapped_model_steps_bit_identically(self, name):
+        model = build_model(name)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrapped = {
+            field: counting(getattr(model, field))
+            for field in ("drift_batch", "diffusion_batch")
+            if getattr(model, field) is not None
+        }
+        traced = dataclasses.replace(model, **wrapped)
+        nodes = int(round(model.delay / DT)) + 1
+        steps = [0, 1, 77, 200]
+        for width in (1, 64):
+            init = np.random.default_rng(width).normal(size=(width, nodes, model.dim))
+            ref, _ = record(model, init, 200, DT, RngStream(9, width), sample_at=steps)
+            calls.clear()
+            ours, _ = record(traced, init, 200, DT, RngStream(9, width), sample_at=steps)
+            assert ours.tobytes() == ref.tobytes()
+        assert len(calls) >= 200  # width 64 steps through the wrappers

@@ -3,7 +3,6 @@
 import math
 import mmap
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -20,12 +19,12 @@ from segflow import (
     ShapeError,
     constant_segment,
     simulate,
-    sup_norm,
 )
 from segflow import segments
+from segflow.assumptions import _diffusion_matrix
 from segflow.ergodic import coupled_snapshots
 from segflow.registry import MODEL_BUILDERS, build_model, build_observable
-from segflow.segments import _ring, record, step_windows
+from segflow.segments import _ring, batch_sup_norms, record, step_windows
 from segflow.semigroup import MonteCarloSemigroup
 
 
@@ -34,18 +33,15 @@ def make_decay(rate=1.0, r0=0.5):
 
 
 def frozen_model(r0=0.5, dim=1):
-    zero = np.zeros((dim, dim))
     return ModelSpec(
         dim=dim,
         delay=r0,
-        drift=lambda seg: np.zeros(dim),
-        diffusion=lambda seg: zero,
+        sigma=0.0,
         lambda1=1.0,
         lambda2=0.0,
         sigma_bound=0.0,
         sigma_inv_bound=None,
         drift_batch=lambda segs: np.zeros((segs.shape[0], dim)),
-        diffusion_is_constant=True,
         name="frozen",
     )
 
@@ -64,6 +60,10 @@ class TestSegment:
         vals[1] = np.nan
         with pytest.raises(ValueError):
             Segment(vals, delay=0.5, step=0.25)
+
+
+def sup_norm(seg):
+    return float(batch_sup_norms(seg.values[None])[0])
 
 
 class TestSupNorm:
@@ -99,14 +99,12 @@ class TestSimulate:
         silent = ModelSpec(
             dim=1,
             delay=0.5,
-            drift=model.drift,
-            diffusion=lambda seg: np.zeros((1, 1)),
+            sigma=0.0,
             lambda1=model.lambda1,
             lambda2=model.lambda2,
             sigma_bound=0.0,
             sigma_inv_bound=None,
             drift_batch=model.drift_batch,
-            diffusion_is_constant=True,
         )
         traj = simulate(silent, constant_segment(1.0, 0.5, dt), 2.0, RngStream(0))
         ts, xs = method_of_steps(lambda x, xd: -2.0 * x + 0.1 * xd, lambda t: 1.0, 0.5, 2.0, dt)
@@ -119,14 +117,12 @@ class TestSimulate:
             model = ModelSpec(
                 dim=1,
                 delay=0.5,
-                drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * seg.values[0],
-                diffusion=lambda seg: np.zeros((1, 1)),
+                sigma=0.0,
                 lambda1=3.9,
                 lambda2=0.1,
                 sigma_bound=0.0,
                 sigma_inv_bound=None,
                 drift_batch=lambda segs: -2.0 * segs[:, -1, :] + 0.1 * segs[:, 0, :],
-                diffusion_is_constant=True,
             )
             traj = simulate(model, constant_segment(1.0, 0.5, dt), 2.0, RngStream(0))
             ts, xs = method_of_steps(
@@ -144,14 +140,12 @@ class TestSimulate:
         model = ModelSpec(
             dim=1,
             delay=0.5,
-            drift=lambda seg: seg.values[-1] ** 3 * 1e3,
-            diffusion=lambda seg: np.zeros((1, 1)),
+            sigma=0.0,
             lambda1=1.0,
             lambda2=0.0,
             sigma_bound=0.0,
             sigma_inv_bound=None,
             drift_batch=lambda segs: segs[:, -1, :] ** 3 * 1e3,
-            diffusion_is_constant=True,
         )
         with pytest.raises(NumericBlowupError) as err:
             simulate(model, constant_segment(5.0, 0.5, 0.25), 50.0, RngStream(0))
@@ -188,7 +182,7 @@ class TestDeterminism:
         traj = simulate(ref_model, constant_segment(1.0, 0.5, dt), 2.0, RngStream(11))
         m = traj.n_history
         for k in (0, 37, 128, 256):
-            seg = ref_model.segment(traj.states[k : k + m + 1], dt)
+            seg = Segment(traj.states[k : k + m + 1], ref_model.delay, dt)
             raw = np.abs(traj.states[k : k + m + 1, 0]).max()
             assert sup_norm(seg) == raw
 
@@ -199,8 +193,8 @@ class TestModelSpec:
         kw = dict(
             dim=1,
             delay=0.5,
-            drift=lambda s: -s.values[-1],
-            diffusion=lambda s: np.eye(1),
+            drift_ends=lambda now, oldest: -now,
+            sigma=1.0,
             lambda1=0.5,
             lambda2=0.0,
             sigma_bound=1.0,
@@ -253,55 +247,26 @@ def ref_record(model, init, n_steps, rng, sample_at, sample, integrate_at, integ
     return samples, integrals
 
 
-# Per-step coefficient resolution written apart from segments._euler_maps:
+# Per-step coefficient resolution written apart from segments._noise_map:
 # the reference loops below hold step_windows to it.
 class _BatchCoefficients:
-    """Resolve scalar/batched coefficient callbacks once per run."""
+    """A model's batched drift and its diffusion applied to normal draws."""
 
-    def __init__(self, model: ModelSpec, delay: float, step: float):
+    def __init__(self, model: ModelSpec):
         self.model = model
-        self.delay = delay
-        self.step = step
-        self._const_sigma = None
-        self._const_scalar = None
 
     def drift(self, segs: np.ndarray) -> np.ndarray:
-        if self.model.drift_batch is not None:
-            return self.model.drift_batch(segs)
-        out = np.empty((segs.shape[0], self.model.dim))
-        for i in range(segs.shape[0]):
-            out[i] = self.model.drift(Segment(segs[i], self.delay, self.step))
-        return out
-
-    def constant_scalar(self, segs: np.ndarray) -> Optional[float]:
-        """The diffusion as one float when it is a constant scalar, else None."""
-        if not self.model.diffusion_is_constant:
-            return None
-        if self._const_sigma is None:
-            sig = np.asarray(
-                self.model.diffusion(Segment(segs[0], self.delay, self.step)), dtype=float
-            )
-            self._const_sigma = sig
-            if sig.ndim == 0 or (sig.ndim == 2 and sig.shape == (1, 1)):
-                self._const_scalar = float(np.ravel(sig)[0])
-        return self._const_scalar
+        return self.model.drift_batch(segs)
 
     def noise(self, segs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Apply the diffusion matrix to scaled normal draws ``z`` of shape (n, d)."""
-        if self.model.diffusion_is_constant:
-            if self.constant_scalar(segs) is not None:
-                return self._const_scalar * z
-            return z @ self._const_sigma.T
-        if self.model.diffusion_batch is not None:
-            sig = np.asarray(self.model.diffusion_batch(segs))
-            if sig.ndim == 2:  # diagonal convention
-                return sig * z
-            return np.einsum("nij,nj->ni", sig, z)
-        out = np.empty_like(z)
-        for i in range(segs.shape[0]):
-            sig = np.asarray(self.model.diffusion(Segment(segs[i], self.delay, self.step)))
-            out[i] = sig @ z[i]
-        return out
+        sig = self.model.sigma
+        if sig is not None:
+            return sig * z if np.ndim(sig) == 0 else z @ sig.T
+        sig = np.asarray(self.model.diffusion_batch(segs))
+        if sig.ndim == 2:  # diagonal convention
+            return sig * z
+        return np.einsum("nij,nj->ni", sig, z)
 
 
 def old_coupled_loop(model, a, b, step_indices, step, rng):
@@ -310,7 +275,7 @@ def old_coupled_loop(model, a, b, step_indices, step, rng):
     last = wanted[-1] if wanted else 0
     n = a.shape[0]
     out = {}
-    coeffs = _BatchCoefficients(model, model.delay, step)
+    coeffs = _BatchCoefficients(model)
     gen = rng.generator()
     sq = math.sqrt(step)
     m = a.shape[1] - 1
@@ -603,7 +568,7 @@ def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
         init = init[None]
     n, nodes, d = init.shape
     m = nodes - 1
-    coeffs = _BatchCoefficients(model, model.delay, step)
+    coeffs = _BatchCoefficients(model)
     gen = rng.generator()
     sq = math.sqrt(step)
 
@@ -657,23 +622,29 @@ def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
         yield j, buf[head - m : head + 1].transpose(1, 0, 2)
 
 
+def per_window(coefficient):
+    """A batched callback that evaluates ``coefficient`` on one window's
+    (m+1, d) values at a time: a coefficient written per segment."""
+    return lambda segs: np.stack([coefficient(values) for values in segs])
+
+
 def callback_model(state_noise=False):
-    """A model given by per-segment callbacks only: the linear drift, and unit
-    or tanh_diffusion's state-dependent noise."""
-
-    def diffusion(seg):
-        return np.diag(1.0 + 0.5 * np.tanh(seg.values[-1])) if state_noise else np.eye(1)
-
+    """A model whose coefficients are written per segment, with no ``*_ends``
+    form: the linear drift, and unit noise or tanh_diffusion's full-matrix
+    state-dependent noise."""
+    if state_noise:
+        noise = {"diffusion_batch": per_window(lambda v: np.diag(1.0 + 0.5 * np.tanh(v[-1])))}
+    else:
+        noise = {"sigma": 1.0}
     return ModelSpec(
         dim=1,
         delay=0.5,
-        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * seg.values[0],
-        diffusion=diffusion,
+        drift_batch=per_window(lambda v: -2.0 * v[-1] + 0.1 * v[0]),
         lambda1=3.9,
         lambda2=0.1,
         sigma_bound=1.5,
         sigma_inv_bound=2.0,
-        diffusion_is_constant=not state_noise,
+        **noise,
     )
 
 
@@ -681,7 +652,7 @@ def ends_model(drift_ends, delay=0.5, diffusion_ends=None):
     """A one-dimensional model given by its drift_ends alone, noise-free unless
     a diffusion_ends is given too."""
     if diffusion_ends is None:
-        noise = {"diffusion": lambda seg: np.zeros((1, 1)), "diffusion_is_constant": True}
+        noise = {"sigma": 0.0}
     else:
         noise = {"diffusion_ends": diffusion_ends}
     return ModelSpec(
@@ -697,12 +668,12 @@ def ends_model(drift_ends, delay=0.5, diffusion_ends=None):
 
 
 def noise_ends_model():
-    """tanh_diffusion's noise given by diffusion_ends beside a callback-only
-    drift: without drift_ends a single path takes the batched loop."""
+    """tanh_diffusion's noise given by diffusion_ends beside a drift written
+    per segment: without drift_ends a single path takes the batched loop."""
     return ModelSpec(
         dim=1,
         delay=0.5,
-        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * np.sin(seg.values[0]),
+        drift_batch=per_window(lambda v: -2.0 * v[-1] + 0.1 * np.sin(v[0])),
         diffusion_ends=lambda now, oldest: 1.0 + 0.5 * np.tanh(now),
         lambda1=3.9,
         lambda2=0.1,
@@ -808,36 +779,32 @@ def tilted_noise(now):
     return sig
 
 
-def plane_model(batched):
-    """A two-dimensional model with a full diffusion matrix, given by batched
-    callbacks (``diffusion_batch`` returns (n, 2, 2)) or per-segment ones only."""
-    batch = {
-        "drift_batch": lambda segs: -2.0 * segs[:, -1, :] + 0.1 * segs[:, 0, ::-1],
-        "diffusion_batch": lambda segs: tilted_noise(segs[:, -1, :]),
-    }
+def plane_model():
+    """A two-dimensional model with a full diffusion matrix
+    (``diffusion_batch`` returns (n, 2, 2))."""
     return ModelSpec(
         dim=2,
         delay=0.5,
-        drift=lambda seg: -2.0 * seg.values[-1] + 0.1 * seg.values[0, ::-1],
-        diffusion=lambda seg: tilted_noise(seg.values[-1]),
+        drift_batch=lambda segs: -2.0 * segs[:, -1, :] + 0.1 * segs[:, 0, ::-1],
+        diffusion_batch=lambda segs: tilted_noise(segs[:, -1, :]),
         lambda1=3.9,
         lambda2=0.1,
         sigma_bound=2.0,
         sigma_inv_bound=4.0,
-        **(batch if batched else {}),
     )
 
 
 PLANE_MODELS = {
-    "constant-matrix": lambda: build_model("linear_delay_ou", {"dim": 2, "sigma": 0.7}),
+    "constant-matrix": lambda: replace(
+        build_model("linear_delay_ou", {"dim": 2}), sigma=0.7 * np.eye(2)
+    ),
     # a constant matrix that is not symmetric, so a transposed product shows
     "constant-tilted": lambda: replace(
-        build_model("linear_delay_ou", {"dim": 2}),
-        diffusion=lambda seg: np.array([[0.7, 0.3], [-0.2, 1.1]]),
+        build_model("linear_delay_ou", {"dim": 2}), sigma=np.array([[0.7, 0.3], [-0.2, 1.1]])
     ),
+    "constant-scalar": lambda: build_model("linear_delay_ou", {"dim": 2, "sigma": 0.7}),
     "diagonal-batch": lambda: build_model("tanh_diffusion", {"dim": 2}),
-    "full-batch": lambda: plane_model(batched=True),
-    "per-segment": lambda: plane_model(batched=False),
+    "full-batch": plane_model,
 }
 
 
@@ -874,21 +841,6 @@ class TestTwoDimensions:
             assert np.array_equal(new_b, old_b)
 
 
-@pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
-def test_per_segment_callback_cannot_write_the_ring(coefficient):
-    # the per-segment loops pass unchecked views of the ring's windows
-    base = plane_model(batched=False)
-    inner = getattr(base, coefficient)
-
-    def scribble(seg):
-        seg.values[-1] = 0.0
-        return inner(seg)
-
-    model = replace(base, **{coefficient: scribble})
-    with pytest.raises(ValueError, match="read-only"):
-        record(model, plane_initials(3, seed=14), 2, DT, RngStream(0))
-
-
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 NOISE_ENDS_MODELS = [
     name for name in sorted(MODEL_BUILDERS) if build_model(name).diffusion_ends is not None
@@ -912,10 +864,10 @@ class TestDriftEnds:
     def test_drift_is_derived(self):
         model = build_model("linear_delay_ou", {"a": 1.5, "b": -0.25})
         seg = Segment(np.linspace(2.0, -1.0, 17)[:, None], 0.5, DT)
-        assert np.array_equal(model.drift(seg), [-1.5 * -1.0 + -0.25 * 2.0])
-        with pytest.raises(ValueError):
+        assert np.array_equal(model.drift_batch(seg.values[None])[0], [-1.5 * -1.0 + -0.25 * 2.0])
+        with pytest.raises(ValueError, match="drift_ends or drift_batch"):
             ModelSpec(
-                dim=1, delay=0.5, diffusion=lambda seg: np.eye(1),
+                dim=1, delay=0.5, sigma=1.0,
                 lambda1=1.0, lambda2=0.0, sigma_bound=1.0, sigma_inv_bound=1.0,
             )
 
@@ -934,15 +886,33 @@ class TestDriftEnds:
         assert batch.shape == floats.shape
         assert batch.tobytes() == floats.tobytes()
         for seg, diag in zip(segs, floats):
-            matrix = model.diffusion(Segment(seg, 0.5, DT))
+            matrix = _diffusion_matrix(model, seg)
             assert matrix.tobytes() == np.diag(diag).tobytes()
 
     def test_diffusion_needs_a_definition(self):
-        with pytest.raises(ValueError, match="diffusion or diffusion_ends"):
-            ModelSpec(
+        def spec(**noise):
+            return ModelSpec(
                 dim=1, delay=0.5, drift_ends=lambda now, oldest: -now,
-                lambda1=1.0, lambda2=0.0, sigma_bound=1.0, sigma_inv_bound=1.0,
+                lambda1=1.0, lambda2=0.0, sigma_bound=1.5, sigma_inv_bound=2.0, **noise,
             )
+
+        with pytest.raises(ValueError, match="sigma, diffusion_ends or diffusion_batch"):
+            spec()
+        # a constant sigma beside a state-dependent form contradicts it
+        tanh_ends = lambda now, oldest: 1.0 + 0.5 * np.tanh(now)
+        tanh_batch = lambda segs: 1.0 + 0.5 * np.tanh(segs[:, -1, :])
+        for noise in (
+            dict(sigma=1.0, diffusion_ends=tanh_ends),
+            dict(sigma=1.0, diffusion_batch=tanh_batch),
+            dict(sigma=np.eye(1), diffusion_ends=tanh_ends, diffusion_batch=tanh_batch),
+        ):
+            with pytest.raises(ValueError, match="excludes diffusion_ends and diffusion_batch"):
+                spec(**noise)
+        # sigma is a scalar or a (dim, dim) matrix, and finite
+        for sigma in (np.ones(1), np.ones((1, 2)), np.eye(2), np.ones((1, 1, 1)), math.nan):
+            with pytest.raises(ValueError, match="sigma must be"):
+                spec(sigma=sigma)
+        assert spec(sigma=np.full((1, 1), 0.5)).sigma == 0.5
 
 
 def euler_chain_variance(a, b, sigma, m, dt):
