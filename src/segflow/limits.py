@@ -28,6 +28,7 @@ Estimator conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -39,7 +40,7 @@ from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
 from .segments import ModelSpec, Segment, grid_steps, record
-from .semigroup import GridProfile, MonteCarloSemigroup, SemigroupEvaluator
+from .semigroup import MonteCarloSemigroup, ProfileGroup, SemigroupEvaluator
 from .stats import (
     batch_means_se,
     bootstrap_se,
@@ -349,12 +350,13 @@ class CorrectorEstimate:
 
 @dataclass(frozen=True)
 class _HalfValues:
-    """Independent half-estimates of corrector values at a state batch."""
+    """Independent half-estimates of corrector values at a state batch,
+    with their standard errors when they were asked for (else None)."""
 
     a: np.ndarray
     b: np.ndarray
-    se_a: np.ndarray
-    se_b: np.ndarray
+    se_a: Optional[np.ndarray]
+    se_b: Optional[np.ndarray]
     tail_bound: float
     truncation: float
 
@@ -368,6 +370,7 @@ class _HalfValues:
 def _halves(
     f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
     dt: float, rng: RngStream, k_from: int = 0, first_horizon: Optional[float] = None,
+    ses: bool = True,
 ) -> _HalfValues:
     """Corrector values at ``states`` from two independent half budgets.
 
@@ -379,63 +382,89 @@ def _halves(
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
 
-    ``first_horizon`` is a truncation expected to hold here too, such as the
-    one found at the states these were reached from.  Rounded up to a whole
-    unit of time, it bounds a first pair of profiles; only if no checkpoint
-    meets the rule there are both halves recomputed to the configured
-    horizon.  The result is the same either way: a profile to a shorter
-    horizon is the leading columns of the full one (same streams, column-wise
-    quadrature and statistics), and the rule reads no column past the first
-    that passes.
+    The halves are read a state group of ``sg.profile_groups`` at a time,
+    each group's a- and b-profiles in lockstep.  The rule is evaluated at a
+    checkpoint once every state has a value there, that is while the last
+    group is read, and the profiles stop at the first checkpoint that passes.
+    So a one-group batch steps exactly to its truncation.  The groups before
+    the last read only up to ``first_horizon``, a truncation expected to hold
+    here too (such as the one found at the states these were reached from),
+    rounded up to a whole unit of time; if the rule does not pass there, they
+    are read again in full and the last group reads on.  The result is the
+    same either way: a profile's leading columns do not depend on how many
+    follow (same streams, column-wise quadrature and statistics).
+
+    ``ses=False`` skips the standard errors, for callers that read none;
+    ``se_a`` and ``se_b`` are then None.
     """
     if cfg.replicas < 4:
         raise ValueError("need at least 4 corrector replicas: two per half")
     fit = cfg.require_rate_fit()
     half = cfg.replicas // 2
-    if isinstance(cfg, DiscreteCorrectorConfig):
-        full = cfg.k_max
-        profile = lambda r, h: sg.discrete_profile(f, states, k_from, h, half, r)
-        tail = fit.tail_sum_bound
+    discrete = isinstance(cfg, DiscreteCorrectorConfig)
+    if discrete:
+        full, tail, kind = cfg.k_max, fit.tail_sum_bound, {"k_from": k_from}
     else:
-        full = cfg.t_max
-        profile = lambda r, h: sg.integral_profile(f, states, h, dt, half, r)
-        tail = fit.tail_integral_bound
+        full, tail, kind = cfg.t_max, fit.tail_integral_bound, {"quad_step": dt}
+    stream = lambda r: sg.profile_groups(f, states, full, half, r, ses=ses, **kind)
     scale = _norm_hint(f)
     bound = lambda x: scale * tail(x.item())
-    horizons = [full]
-    if cfg.auto_truncate and first_horizon is not None:
+
+    grid, groups_a = stream(rng.child(0))
+    _, groups_b = stream(rng.child(1))
+    cols = len(grid)
+    values = np.empty((2, cols, len(states)))  # a and b, checkpoint-major
+    errors = np.empty(values.shape) if ses else None
+
+    def read(group_a: ProfileGroup, group_b: ProfileGroup, stop: int):
+        """Read the first ``stop`` checkpoints of one group's halves,
+        yielding each checkpoint's index once it is stored."""
+        (g0, g1, col_a), (_, _, col_b) = group_a, group_b
+        try:
+            for c, ((va, sa), (vb, sb)) in enumerate(itertools.islice(zip(col_a, col_b), stop)):
+                values[0, c, g0:g1] = va
+                values[1, c, g0:g1] = vb
+                if ses:
+                    errors[0, c, g0:g1] = sa
+                    errors[1, c, g0:g1] = sb
+                yield c
+        finally:
+            col_a.close()
+            col_b.close()
+
+    *earlier, last = zip(groups_a, groups_b)
+    limit = cols  # checkpoints every group before the last has read
+    if earlier and cfg.auto_truncate and first_horizon is not None:
         # a whole unit lies on the dt grid of every caller that takes unit
         # steps; rounding first keeps a grid time like 300 * 0.01 at 3
         first = math.ceil(round(first_horizon, 6))
         if first < full:
-            horizons.insert(0, first)
-    for horizon in horizons:
-        pa = profile(rng.child(0), horizon)
-        pb = profile(rng.child(1), horizon)
-        grid = pa.grid
-        idx = _truncation_index(pa, pb, bound, cfg) if cfg.auto_truncate else None
-        if idx is not None:
-            break
-    if idx is None:
-        idx = len(grid) - 1
+            limit = (first - k_from if discrete else grid_steps(first, dt, "first horizon")) + 1
+    for pair in earlier:
+        for _ in read(*pair, limit):
+            pass
+    idx = cols - 1
+    for c in read(*last, cols):
+        if c == limit:  # no checkpoint within the first horizon passed
+            _, again_a = stream(rng.child(0))
+            _, again_b = stream(rng.child(1))
+            for pair in list(zip(again_a, again_b))[:-1]:
+                for _ in read(*pair, cols):
+                    pass
+            limit = cols
+        if cfg.auto_truncate and c > 0:
+            running = np.median(0.5 * (np.abs(values[0, c]) + np.abs(values[1, c])))
+            if bound(grid[c]) <= cfg.tail_fraction * max(running, 1e-300):
+                idx = c
+                break
     return _HalfValues(
-        a=pa.values[:, idx],
-        b=pb.values[:, idx],
-        se_a=pa.ses[:, idx],
-        se_b=pb.ses[:, idx],
+        a=values[0, idx].copy(),
+        b=values[1, idx].copy(),
+        se_a=errors[0, idx].copy() if ses else None,
+        se_b=errors[1, idx].copy() if ses else None,
         tail_bound=bound(grid[idx]),
         truncation=float(grid[idx]),
     )
-
-
-def _truncation_index(pa: GridProfile, pb: GridProfile, bound, cfg: AnyCorrectorConfig) -> Optional[int]:
-    """First checkpoint past the start where the tail bound falls below
-    ``cfg.tail_fraction`` of the running value, or None if none does."""
-    running = np.median(0.5 * (np.abs(pa.values) + np.abs(pb.values)), axis=0)
-    for i in range(1, len(pa.grid)):
-        if bound(pa.grid[i]) <= cfg.tail_fraction * max(running[i], 1e-300):
-            return i
-    return None
 
 
 def corrector(
@@ -530,9 +559,12 @@ def _increments(
     :class:`DiscreteCorrectorConfig` the step is one unit of the chain and
     the integral is ``f`` at the base state.
     Streams: base halves on ``rng.child(0)``, transitions on
-    ``rng.child(1)``, end halves on ``rng.child(2)``.  The end halves are
-    first simulated only to the base truncation (see :func:`_halves`); one
-    step on, the truncation rule almost always passes there already.
+    ``rng.child(1)``, end halves on ``rng.child(2)``.  Each half profile
+    stops at its truncation once every state has a value there (see
+    :func:`_halves`); the end halves' state groups before the last first
+    read only to the base truncation, since one step on the rule almost
+    always passes there already.  Only the base halves carry standard
+    errors: no caller reads the end halves' ones.
     """
     discrete = isinstance(cfg, DiscreteCorrectorConfig)
     if not discrete and not isinstance(model_or_chain, ModelSpec):
@@ -549,7 +581,7 @@ def _increments(
         integrals, snaps = np.repeat(f.values(states), outer), {}
     else:
         integrals, ends, snaps = _unit_run(model_or_chain, f, starts, dt, rng.child(1), snapshot_steps)
-    end = _halves(f, ends, cfg, sg, dt, rng.child(2), first_horizon=base.truncation)
+    end = _halves(f, ends, cfg, sg, dt, rng.child(2), first_horizon=base.truncation, ses=False)
     return _Increments(
         a=integrals + end.a - np.repeat(base.a, outer),
         b=integrals + end.b - np.repeat(base.b, outer),
@@ -789,7 +821,7 @@ def vph_residual(
     fr[0] = f_xi * float(base.mean()[0])
     fr[-1] = f.values(inc.end_states) * inc.end.mean()
     snaps = np.concatenate([inc.snapshots[s] for s in interior])  # node-major
-    halves = _halves(f, snaps, cfg, sg, dt, rng.child(10), first_horizon=base.truncation)
+    halves = _halves(f, snaps, cfg, sg, dt, rng.child(10), first_horizon=base.truncation, ses=False)
     fr[1:-1] = (f.values(snaps) * halves.mean()).reshape(len(interior), replicas)
     ds = 1.0 / (s_nodes - 1)
     per_path = np.trapezoid(fr, dx=ds, axis=0)
@@ -939,7 +971,7 @@ def martingale_increments(
     sg = sg if sg is not None else chain
     states = chain.unit_states(xi.values[None], n, rng.child(0))[:, 0]  # (n+1, m+1, d)
     f_vals = f.values(states)
-    q = _halves(f, states, cfg, sg, xi.step, rng.child(1), k_from=1)
+    q = _halves(f, states, cfg, sg, xi.step, rng.child(1), k_from=1, ses=False)
     z_a = f_vals[1:] + q.a[1:] - q.a[:-1]
     z_b = f_vals[1:] + q.b[1:] - q.b[:-1]
     z = 0.5 * (z_a + z_b)
@@ -1059,8 +1091,10 @@ def qv_lln_check(
     states = chain.unit_states(starts, n, rng.child(1))  # (n+1, R, m+1, d)
     f_all = np.stack([f.values(states[k]) for k in range(n)])  # k = 0..n-1
     sum_f = f_all.sum(axis=0)
-    r_base = _halves(f, xi.values[None], cfg, sg, xi.step, rng.child(3))
-    r_end = _halves(f, states[n], cfg, sg, xi.step, rng.child(2), first_horizon=r_base.truncation)
+    r_base = _halves(f, xi.values[None], cfg, sg, xi.step, rng.child(3), ses=False)
+    r_end = _halves(
+        f, states[n], cfg, sg, xi.step, rng.child(2), first_horizon=r_base.truncation, ses=False
+    )
     m_a = sum_f + r_end.a - r_base.a[0]
     m_b = sum_f + r_end.b - r_base.b[0]
     prod = m_a * m_b / n

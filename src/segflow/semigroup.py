@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -51,8 +51,10 @@ class GridProfile:
 
 # Paths per simulated batch: states are grouped so replicas x states fits.
 _MAX_WIDTH = 4096
-# Profile rows per mean/SE reduction (at most 2 MiB at width 4096).
-_BLOCK_ROWS = 64
+
+# One state group of a streamed profile: states ``g0:g1`` and, checkpoint by
+# checkpoint, their running values and standard errors (None when not asked).
+ProfileGroup = tuple[int, int, Generator[tuple[np.ndarray, Optional[np.ndarray]], None, None]]
 
 
 class SemigroupEvaluator(ABC):
@@ -86,6 +88,45 @@ class SemigroupEvaluator(ABC):
     ) -> GridProfile:
         """Cumulative sums ``sum_{k=k_from}^K P_k f`` for K = k_from .. k_max."""
 
+    def profile_groups(
+        self,
+        f: Observable,
+        states: np.ndarray,
+        horizon: float,
+        replicas: int,
+        rng: RngStream,
+        quad_step: Optional[float] = None,
+        k_from: int = 0,
+        ses: bool = True,
+    ) -> tuple[np.ndarray, list[ProfileGroup]]:
+        """A profile as state groups whose checkpoints arrive one at a time.
+
+        Given ``quad_step`` it is :meth:`integral_profile` to ``t_max =
+        horizon``, otherwise :meth:`discrete_profile` from ``k_from`` to
+        ``k_max = horizon``.  Returns the checkpoint grid and the groups, each
+        ``(g0, g1, columns)``: ``columns`` yields, for checkpoint 0, 1, ...
+        in turn, the values of states ``g0:g1`` and, with ``ses``, their
+        standard errors.  The default computes the whole profile up front as
+        one group.
+        """
+        if quad_step is None:
+            p = self.discrete_profile(f, states, k_from, horizon, replicas, rng)
+        else:
+            p = self.integral_profile(f, states, horizon, quad_step, replicas, rng)
+        columns = ((p.values[:, c], p.ses[:, c] if ses else None) for c in range(len(p.grid)))
+        return p.grid, [(0, p.values.shape[0], columns)]
+
+
+def _collect(grid: np.ndarray, groups: list[ProfileGroup]) -> GridProfile:
+    """The whole profile of :meth:`SemigroupEvaluator.profile_groups`."""
+    n = groups[-1][1]
+    values, ses = np.empty((n, len(grid))), np.empty((n, len(grid)))
+    for g0, g1, columns in groups:
+        for c, (value, se) in enumerate(columns):
+            values[g0:g1, c] = value
+            ses[g0:g1, c] = se
+    return GridProfile(grid, values, ses)
+
 
 class MonteCarloSemigroup(SemigroupEvaluator):
     """The SDE's unit-time chain and its semigroup, both by simulation.
@@ -111,75 +152,74 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         )
         return states
 
-    def _profile(self, grid, f, states, sample_at, replicas, rng, h=None) -> GridProfile:
-        """Per-state mean and SE over replicas of a running profile on ``grid``.
-
-        ``f`` is sampled at the steps ``sample_at``, for each group of g
-        states that fits one batch, run on ``rng.child(g0)``.  Each sampled
-        row becomes its running trapezoid with spacing ``h`` (from 0.0) or,
-        with ``h`` None, its running sum as it arrives, in an (r, g, replicas)
-        block of ``r <= _BLOCK_ROWS`` rows whose last row carries into the
-        next block.  Each full block is reduced to its mean and SE over the
-        last axis, bitwise as the whole (n_rec, g, replicas) array would be.
-        """
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+        """Each group of g states that fits one batch of ``replicas`` paths
+        per state runs on ``rng.child(g0)`` when its columns are read, and
+        steps only as far as they are read."""
+        if quad_step is None:
+            if k_from < 0 or horizon < k_from:
+                raise ValueError("need 0 <= k_from <= k_max")
+            per_unit = grid_steps(1.0, self.dt, "unit time")
+            grid = np.arange(k_from, horizon + 1)
+            sample_at = range(k_from * per_unit, horizon * per_unit + 1, per_unit)
+            h = None
+        else:
+            stride = grid_steps(quad_step, self.dt, "quad_step")
+            panels = grid_steps(horizon, quad_step, "t_max")
+            h = stride * self.dt
+            grid = np.arange(panels + 1) * h
+            sample_at = range(0, panels * stride + 1, stride)
         states = np.asarray(states, dtype=float)
-        n, n_rec = states.shape[0], len(sample_at)
+        n = states.shape[0]
         group = max(1, _MAX_WIDTH // max(1, replicas))
-        rows = min(_BLOCK_ROWS, n_rec)
-        values = np.empty((n, n_rec))
-        ses = np.empty((n, n_rec))
-        for g0 in range(0, n, group):
-            g1 = min(n, g0 + group)
-            init = np.repeat(states[g0:g1], replicas, axis=0)
-            block = np.empty((rows, g1 - g0, replicas))
-            last = np.empty(block.shape[1:])  # f at the previous node
-            panel = np.empty(block.shape[1:])
-            i = 0  # sampled rows so far
-            # step_windows is looked up as a module global on each call, so
-            # a wrapper installed on this module sees every step
-            for j, window in step_windows(self.model, init, sample_at[-1], self.dt, rng.child(g0)):
-                if j != sample_at[i]:
-                    continue
-                node = f.values(window).reshape(last.shape)  # may alias the ring buffer
-                r = i % rows
-                cum = block[r]  # block[r - 1] is the previous row, also across blocks
-                if i == 0:
-                    cum[...] = node if h is None else 0.0
-                elif h is None:
-                    np.add(block[r - 1], node, out=cum)
-                else:
-                    # panel = 0.5 * (last + node) * h, in that order, in place
-                    np.add(last, node, out=panel)
-                    panel *= 0.5
-                    panel *= h
-                    np.add(block[r - 1], panel, out=cum)
-                if h is not None:
-                    last[...] = node
-                i += 1
-                if r == rows - 1 or i == n_rec:
-                    done = block[: r + 1]
-                    values[g0:g1, i - r - 1 : i] = done.mean(axis=-1).T
-                    ses[g0:g1, i - r - 1 : i] = (done.std(axis=-1, ddof=1) / math.sqrt(replicas)).T
-        return GridProfile(grid, values, ses)
+        return grid, [
+            (g0, min(n, g0 + group),
+             self._profile(f, states[g0 : g0 + group], sample_at, replicas, rng.child(g0), h, ses))
+            for g0 in range(0, n, group)
+        ]
+
+    def _profile(self, f, states, sample_at, replicas, rng, h, ses):
+        """Per-state mean and SE over replicas of a running profile, a row at a time.
+
+        ``f`` is sampled at the steps ``sample_at``; each sampled row becomes
+        its running trapezoid with spacing ``h`` (from 0.0) or, with ``h``
+        None, its running sum as it arrives, and is reduced over the replica
+        axis, bitwise as the whole (n_rec, g, replicas) array would be.
+        """
+        init = np.repeat(states, replicas, axis=0)
+        cum = np.empty((states.shape[0], replicas))
+        last = np.empty(cum.shape)  # f at the previous node
+        panel = np.empty(cum.shape)
+        i = 0  # sampled rows so far
+        # step_windows is looked up as a module global on each call, so
+        # a wrapper installed on this module sees every step
+        for j, window in step_windows(self.model, init, sample_at[-1], self.dt, rng):
+            if j != sample_at[i]:
+                continue
+            node = f.values(window).reshape(cum.shape)  # may alias the ring buffer
+            if i == 0:
+                cum[...] = node if h is None else 0.0
+            elif h is None:
+                cum += node
+            else:
+                # panel = 0.5 * (last + node) * h, in that order, in place
+                np.add(last, node, out=panel)
+                panel *= 0.5
+                panel *= h
+                cum += panel
+            if h is not None:
+                last[...] = node
+            i += 1
+            # ndarray.mean's sum and division, without its Python wrapper
+            mean = np.add.reduce(cum, axis=-1)
+            mean /= replicas
+            yield mean, cum.std(axis=-1, ddof=1) / math.sqrt(replicas) if ses else None
 
     def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        stride = grid_steps(quad_step, self.dt, "quad_step")
-        n_steps = grid_steps(t_max, self.dt, "t_max")
-        n_steps -= n_steps % stride
-        h = stride * self.dt
-        grid = np.arange(n_steps // stride + 1) * h
-        return self._profile(
-            grid, f, states, range(0, n_steps + 1, stride), replicas, rng, h,
-        )
+        return _collect(*self.profile_groups(f, states, t_max, replicas, rng, quad_step=quad_step))
 
     def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        if k_from < 0 or k_max < k_from:
-            raise ValueError("need 0 <= k_from <= k_max")
-        per_unit = grid_steps(1.0, self.dt, "unit time")
-        return self._profile(
-            np.arange(k_from, k_max + 1), f, states,
-            range(k_from * per_unit, k_max * per_unit + 1, per_unit), replicas, rng,
-        )
+        return _collect(*self.profile_groups(f, states, k_max, replicas, rng, k_from=k_from))
 
 
 def _closed_form(f: Observable, states: np.ndarray, grid: np.ndarray, cum: np.ndarray) -> GridProfile:

@@ -3,7 +3,9 @@
 Nothing here shares code with the package estimators: the delay-ODE solver
 is a classical method-of-steps RK4 integrator with dense cubic-Hermite
 history, the transport oracle enumerates permutations, and the quadratures
-are plain cumulative sums.
+are plain cumulative sums.  The linear delay model's Euler chain is a
+Gaussian VAR(1) on its order-(m+1) companion form, so its moments come from
+linear algebra alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 
 def method_of_steps(rhs, history, r0: float, horizon: float, h: float):
@@ -87,3 +90,46 @@ def delay_ode_mean_integral(a: float, b: float, r0: float, x0: float, t_max: flo
     """
     ts, xs = method_of_steps(lambda x, xd: -a * x + b * xd, lambda t: x0, r0, t_max, h)
     return float(np.trapezoid(xs, dx=h))
+
+
+def euler_companion(a: float, b: float, sigma: float, m: int, dt: float):
+    """Companion form ``x' = A x + kick * z`` of the Euler chain
+    x_{k+1} = x_k + dt(-a x_k + b x_{k-m}) + sigma sqrt(dt) z_k, with the
+    state (x_k, x_{k-1}, ..., x_{k-m}); returns (A, kick)."""
+    companion = np.zeros((m + 1, m + 1))
+    companion[0, 0] = 1.0 - a * dt
+    companion[0, m] = b * dt
+    companion[1:, :-1] = np.eye(m)
+    kick = np.zeros(m + 1)
+    kick[0] = sigma * math.sqrt(dt)
+    return companion, kick
+
+
+def euler_chain_variance(a: float, b: float, sigma: float, m: int, dt: float) -> float:
+    """Stationary variance of the Euler chain, from a discrete Lyapunov solve
+    on its companion form."""
+    companion, kick = euler_companion(a, b, sigma, m, dt)
+    return float(solve_discrete_lyapunov(companion, np.outer(kick, kick))[0, 0])
+
+
+def euler_chain_long_run_variance(a: float, b: float, sigma: float, m: int, dt: float) -> float:
+    """Long-run variance ``lim Var(dt * sum_{k<n} x_k) / (n dt)`` of the Euler
+    chain: ``dt * (c (I - A)^-1 kick)^2`` with ``c`` the first unit row."""
+    companion, kick = euler_companion(a, b, sigma, m, dt)
+    return float(dt * np.linalg.solve(np.eye(m + 1) - companion, kick)[0] ** 2)
+
+
+def euler_chain_unit_lag_variance(a: float, b: float, sigma: float, m: int, dt: float, lag: int) -> float:
+    """Long-run variance of the chain sampled every ``lag`` steps:
+    ``gamma(0) + 2 sum_{j>=1} gamma(lag j)``, with the stationary
+    autocovariance ``gamma(l) = (A^l P)[0, 0]``, summed until a term no
+    longer changes the total."""
+    companion, kick = euler_companion(a, b, sigma, m, dt)
+    cov = solve_discrete_lyapunov(companion, np.outer(kick, kick))
+    step = np.linalg.matrix_power(companion, lag)
+    total = cov[0, 0]
+    while True:
+        cov = step @ cov
+        if total + 2.0 * cov[0, 0] == total:
+            return float(total)
+        total += 2.0 * cov[0, 0]

@@ -1,10 +1,13 @@
-"""Corrector profiles simulated to a first horizon before the configured one.
+"""Corrector half profiles that stop at the truncation checkpoint.
 
-``limits._halves`` may first compute both half-profiles only to a shorter
-horizon (the truncation found at the states one step back) and recompute to
-``t_max`` / ``k_max`` only when no checkpoint there meets the truncation rule.
-These tests pin that the answer is bit-for-bit the one-pass answer, that the
-short horizon is really asked for, and the prefix property it rests on.
+``limits._halves`` reads the two half profiles a state group at a time, in
+lockstep, and stops them at the first checkpoint that meets the truncation
+rule once every state has a value there.  Groups before the last read only
+to a first horizon (the truncation found at the states one step back) and
+are read again in full only when no checkpoint there meets the rule.  These
+tests pin that the answer is bit-for-bit the one-pass answer of
+``_reference_halves``, how far each profile steps, and the prefix property
+it all rests on.
 """
 
 import dataclasses
@@ -29,7 +32,7 @@ from segflow import (
     variance_D,
     vph_residual,
 )
-from segflow import limits
+from segflow import limits, semigroup
 from segflow.limits import (
     AnyCorrectorConfig,
     AnyObservable,
@@ -39,6 +42,7 @@ from segflow.limits import (
     _norm_hint,
 )
 from segflow.registry import build_model, build_observable
+from segflow.segments import step_windows
 from segflow.semigroup import GridProfile, SemigroupEvaluator
 
 DT = 1.0 / 128.0
@@ -93,19 +97,45 @@ def _reference_halves(
 
 
 class SpySemigroup(MonteCarloSemigroup):
-    """Monte Carlo evaluator that logs the horizon of every profile it runs."""
+    """Monte Carlo evaluator that logs, for every state group of a profile
+    it streams and reads, ``(checkpoints read, checkpoints on the grid)``."""
 
     def __init__(self, model, dt):
         super().__init__(model, dt)
-        self.horizons = []
+        self.reads = []
 
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        self.horizons.append(t_max)
-        return super().integral_profile(f, states, t_max, quad_step, replicas, rng)
+    def profile_groups(self, *args, **kwargs):
+        grid, groups = super().profile_groups(*args, **kwargs)
+        return grid, [(g0, g1, self._logged(columns, len(grid))) for g0, g1, columns in groups]
 
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        self.horizons.append(k_max)
-        return super().discrete_profile(f, states, k_from, k_max, replicas, rng)
+    def _logged(self, columns, cols):
+        read = 0
+        try:
+            for item in columns:
+                read += 1
+                yield item
+        finally:
+            columns.close()
+            self.reads.append((read, cols))
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """Steps taken by each ``step_windows`` call of the semigroup, logged as
+    each driver is closed."""
+    log = []
+
+    def counting(*args, **kwargs):
+        steps = -1  # the first yield is the initial state
+        try:
+            for item in step_windows(*args, **kwargs):
+                steps += 1
+                yield item
+        finally:
+            log.append(steps)
+
+    monkeypatch.setattr(semigroup, "step_windows", counting)
+    return log
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +170,90 @@ def start_states(n=6):
     return np.stack([constant_segment(1.0 + 0.5 * i, R0, DT).values for i in range(n)])
 
 
+def wide(cfg):
+    """``cfg`` with 1024 replicas per half, so 6 states run as two groups of
+    4 and 2 states (4096 paths per group)."""
+    return dataclasses.replace(cfg, replicas=2048)
+
+
+def columns(cfg, horizon):
+    """Checkpoints of a profile from 0 up to ``horizon``."""
+    return round(horizon / DT) + 1 if isinstance(cfg, CorrectorConfig) else round(horizon) + 1
+
+
+def steps(horizon):
+    """Euler steps from 0 to ``horizon``, a time or a unit lag."""
+    return round(horizon / DT)
+
+
 def assert_halves_equal(got, want):
     for name in ("a", "b", "se_a", "se_b"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
     assert got.tail_bound == want.tail_bound
     assert got.truncation == want.truncation
 
 
+class TestMatchesReference:
+    """``_halves`` is ``_reference_halves`` bit for bit, for one state group
+    and for two, with or without a first horizon and truncation."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("case", ["first-horizon", "failing-first-horizon", "no-first-horizon",
+                                      "no-auto-truncate", "nan"])
+    def test_halves(self, model, f, cfg, groups, case):
+        if groups == 2:
+            cfg = wide(cfg)
+        if case == "no-auto-truncate":
+            cfg = dataclasses.replace(cfg, auto_truncate=False)
+        elif case == "failing-first-horizon":
+            cfg = dataclasses.replace(cfg, tail_fraction=0.01)  # pushes the rule past 1
+        sg = NanKernel(True) if case == "nan" else MonteCarloSemigroup(model, DT)
+        states = start_states()
+        rng = RngStream(SEED).child(20)
+        want = _reference_halves(f, states, cfg, sg, DT, rng)
+        first = {"first-horizon": want.truncation, "no-first-horizon": None}.get(case, 0.5)
+        got = _halves(f, states, cfg, sg, DT, rng, first_horizon=first)
+        assert_halves_equal(got, want)
+        if case in ("no-auto-truncate", "nan"):
+            # a NaN running value never meets the rule, so it never stops a profile
+            assert got.truncation == full_horizon(cfg)
+        elif case == "failing-first-horizon":
+            assert want.truncation > 1
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_without_ses_the_values_are_the_same(self, model, f, cfg, groups):
+        if groups == 2:
+            cfg = wide(cfg)
+        sg = MonteCarloSemigroup(model, DT)
+        rng = RngStream(SEED).child(21)
+        want = _halves(f, start_states(), cfg, sg, DT, rng, first_horizon=0.5)
+        got = _halves(f, start_states(), cfg, sg, DT, rng, first_horizon=0.5, ses=False)
+        assert got.se_a is None and got.se_b is None
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+        assert (got.tail_bound, got.truncation) == (want.tail_bound, want.truncation)
+
+
+class TestSteps:
+    """How far a one-group batch steps, counted at ``step_windows``."""
+
+    def test_one_group_steps_exactly_to_the_truncation(self, model, f, cfg, step_log):
+        got = _halves(f, start_states(), cfg, MonteCarloSemigroup(model, DT), DT, RngStream(SEED).child(30))
+        assert got.truncation < full_horizon(cfg)
+        assert step_log == [steps(got.truncation)] * 2
+
+    def test_a_failing_first_horizon_steps_no_step_twice(self, model, f, cfg, step_log):
+        cfg = dataclasses.replace(cfg, tail_fraction=0.01)  # pushes the rule past 1
+        sg = MonteCarloSemigroup(model, DT)
+        got = _halves(f, start_states(), cfg, sg, DT, RngStream(SEED).child(31), first_horizon=0.5)
+        assert 1 < got.truncation < full_horizon(cfg)
+        assert step_log == [steps(got.truncation)] * 2
+
+
 class TestFirstHorizon:
+    """With several state groups, those before the last read to the first horizon."""
+
     def test_above_the_rule_is_one_short_pass(self, model, f, cfg):
+        cfg = wide(cfg)
         states = start_states()
         rng = RngStream(SEED).child(0)
         want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
@@ -157,10 +262,11 @@ class TestFirstHorizon:
         sg = SpySemigroup(model, DT)
         got = _halves(f, states, cfg, sg, DT, rng, first_horizon=want.truncation)
         assert_halves_equal(got, want)
-        assert sg.horizons == [first, first]
+        cols = columns(cfg, full_horizon(cfg))
+        assert sg.reads == [(columns(cfg, first), cols)] * 2 + [(columns(cfg, want.truncation), cols)] * 2
 
     def test_below_the_rule_reruns_to_the_full_horizon(self, model, f, cfg):
-        cfg = dataclasses.replace(cfg, tail_fraction=0.01)  # pushes the rule past 1
+        cfg = dataclasses.replace(wide(cfg), tail_fraction=0.01)  # pushes the rule past 1
         states = start_states()
         rng = RngStream(SEED).child(1)
         want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
@@ -168,10 +274,14 @@ class TestFirstHorizon:
         sg = SpySemigroup(model, DT)
         got = _halves(f, states, cfg, sg, DT, rng, first_horizon=0.5)
         assert_halves_equal(got, want)
-        assert sg.horizons == [1, 1, full_horizon(cfg), full_horizon(cfg)]
+        cols = columns(cfg, full_horizon(cfg))
+        # the first group to 1, then again in full; the last group reads on
+        assert sg.reads == [(columns(cfg, 1), cols)] * 2 + [(cols, cols)] * 2 + [
+            (columns(cfg, want.truncation), cols)
+        ] * 2
 
     def test_without_auto_truncation_the_first_horizon_is_ignored(self, model, f, cfg):
-        cfg = dataclasses.replace(cfg, auto_truncate=False)
+        cfg = dataclasses.replace(wide(cfg), auto_truncate=False)
         states = start_states()
         rng = RngStream(SEED).child(2)
         want = _reference_halves(f, states, cfg, MonteCarloSemigroup(model, DT), DT, rng)
@@ -179,37 +289,46 @@ class TestFirstHorizon:
         sg = SpySemigroup(model, DT)
         got = _halves(f, states, cfg, sg, DT, rng, first_horizon=2.0)
         assert_halves_equal(got, want)
-        assert sg.horizons == [full_horizon(cfg)] * 2
+        cols = columns(cfg, full_horizon(cfg))
+        assert sg.reads == [(cols, cols)] * 4
 
     def test_a_first_horizon_past_the_full_one_runs_once(self, model, f, cfg):
-        states = start_states(2)
+        cfg = wide(cfg)
+        states = start_states()
         rng = RngStream(SEED).child(3)
         sg = SpySemigroup(model, DT)
-        _halves(f, states, cfg, sg, DT, rng, first_horizon=full_horizon(cfg) + 0.5)
-        assert sg.horizons == [full_horizon(cfg)] * 2
+        got = _halves(f, states, cfg, sg, DT, rng, first_horizon=full_horizon(cfg) + 0.5)
+        cols = columns(cfg, full_horizon(cfg))
+        assert sg.reads == [(cols, cols)] * 2 + [(columns(cfg, got.truncation), cols)] * 2
 
     def test_end_halves_ask_for_the_base_truncation_first(self, model, f, cfg):
         sg = SpySemigroup(model, DT)
-        inc = _increments(model, f, start_states(3), 4, cfg, DT, RngStream(SEED).child(4), sg)
-        full = full_horizon(cfg)
+        inc = _increments(model, f, start_states(3), 4, wide(cfg), DT, RngStream(SEED).child(4), sg)
+        cols = columns(cfg, full_horizon(cfg))
         first = math.ceil(inc.base.truncation)
-        assert first < full
-        assert sg.horizons[:2] == [full, full]  # base halves
-        assert sg.horizons[2:4] == [first, first]  # end halves
-        # the rule is met inside the first horizon at these states
+        assert first < full_horizon(cfg)
+        # base halves: 3 states, one group, stopped at the truncation
+        assert sg.reads[:2] == [(columns(cfg, inc.base.truncation), cols)] * 2
+        # end halves: 12 states in groups of 4; the first two read to the
+        # first horizon, and the rule is met inside it
+        assert sg.reads[2:6] == [(columns(cfg, first), cols)] * 4
         assert inc.end.truncation <= first
-        assert len(sg.horizons) == 4
+        assert sg.reads[6:] == [(columns(cfg, inc.end.truncation), cols)] * 2
+        assert inc.end.se_a is None and inc.end.se_b is None
 
 
 class TestCallersMatchOnePass:
     """Every estimator that reaches ``_halves`` gives the one-pass result."""
 
-    def run_both(self, monkeypatch, model, full, call):
+    def run_both(self, monkeypatch, model, call):
         sg = SpySemigroup(model, DT)
         got = call(sg)
-        assert min(sg.horizons) < full  # some halves took a first horizon
+        assert any(read < cols for read, cols in sg.reads)  # some halves stopped early
         with monkeypatch.context() as m:
-            m.setattr(limits, "_halves", lambda *a, first_horizon=None, **kw: _reference_halves(*a, **kw))
+            m.setattr(
+                limits, "_halves",
+                lambda *a, first_horizon=None, ses=True, **kw: _reference_halves(*a, **kw),
+            )
             want = call(MonteCarloSemigroup(model, DT))
         return got, want
 
@@ -217,7 +336,7 @@ class TestCallersMatchOnePass:
         cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
         xi = constant_segment(1.0, R0, DT)
         got, want = self.run_both(
-            monkeypatch, model, cfg.t_max,
+            monkeypatch, model,
             lambda sg: phi_f(model, f, xi, 8, cfg, RngStream(SEED).child(5), sg=sg),
         )
         assert got == want
@@ -230,7 +349,7 @@ class TestCallersMatchOnePass:
         else:
             cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
         got, want = self.run_both(
-            monkeypatch, model, full_horizon(cfg),
+            monkeypatch, model,
             lambda sg: variance_D(model, f, atoms, cfg, RngStream(SEED).child(6), outer_replicas=4, sg=sg),
         )
         assert got == want
@@ -239,7 +358,7 @@ class TestCallersMatchOnePass:
         cfg = CorrectorConfig(rate_fit=fit, t_max=6.0, replicas=16)
         xi = constant_segment(1.0, R0, DT)
         got, want = self.run_both(
-            monkeypatch, model, cfg.t_max,
+            monkeypatch, model,
             lambda sg: vph_residual(model, f, xi, cfg, RngStream(SEED).child(7), replicas=6, sg=sg),
         )
         assert got == want
@@ -248,7 +367,7 @@ class TestCallersMatchOnePass:
         cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=8, replicas=16)
         xi = constant_segment(1.0, R0, DT)
         got, want = self.run_both(
-            monkeypatch, model, cfg.k_max,
+            monkeypatch, model,
             lambda sg: qv_lln_check(
                 model, f, xi, 3, cfg, RngStream(SEED).child(8), d_hat_sq=0.35, replicas=8, sg=sg
             ),

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_discrete_lyapunov
 
-from oracles import method_of_steps
+from oracles import (
+    euler_chain_long_run_variance,
+    euler_chain_unit_lag_variance,
+    euler_chain_variance,
+    method_of_steps,
+)
 from segflow import (
     ModelSpec,
     NumericBlowupError,
@@ -499,8 +503,9 @@ class TestIntegralProfile:
         states = spread_initials(4, seed=5)
         quad = quad_steps * DT
         rng = RngStream(23)
-        ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 2.0, quad, 6, rng)
-        prof = MonteCarloSemigroup(any_model, DT).integral_profile(f, states, 2.0, quad, 6, rng)
+        # 48 steps: a whole number of panels at every quad step
+        ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 1.5, quad, 6, rng)
+        prof = MonteCarloSemigroup(any_model, DT).integral_profile(f, states, 1.5, quad, 6, rng)
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid[1] == quad
@@ -915,18 +920,6 @@ class TestDriftEnds:
         assert spec(sigma=np.full((1, 1), 0.5)).sigma == 0.5
 
 
-def euler_chain_variance(a, b, sigma, m, dt):
-    """Stationary variance of x_{k+1} = x_k + dt(-a x_k + b x_{k-m}) + sigma sqrt(dt) z_k,
-    from a discrete Lyapunov solve on the order-(m+1) companion form."""
-    companion = np.zeros((m + 1, m + 1))
-    companion[0, 0] = 1.0 - a * dt
-    companion[0, m] = b * dt
-    companion[1:, :-1] = np.eye(m)
-    kick = np.zeros((m + 1, m + 1))
-    kick[0, 0] = sigma**2 * dt
-    return float(solve_discrete_lyapunov(companion, kick)[0, 0])
-
-
 class TestExactOracle:
     def test_stationary_variance_of_the_euler_chain(self):
         dt = 1.0 / 128.0
@@ -940,3 +933,23 @@ class TestExactOracle:
         estimate = batches.mean()
         se = batches.std(ddof=1) / math.sqrt(batches.size)
         assert abs(estimate - exact) < 4 * se
+
+    @pytest.mark.parametrize(
+        "a, b, sigma, m, dt",
+        [(2.0, 0.1, 1.0, 64, 1.0 / 128.0), (1.5, -0.4, 0.7, 16, 1.0 / 32.0)],
+        ids=["linear_delay_ou", "other"],
+    )
+    def test_long_run_variance_of_the_euler_chain_is_the_sdes(self, a, b, sigma, m, dt):
+        # no discretization bias in D_f^2: the chain's value is sigma^2 / (a - b)^2
+        exact = euler_chain_long_run_variance(a, b, sigma, m, dt)
+        assert exact == pytest.approx(sigma**2 / (a - b) ** 2, rel=1e-12)
+
+    def test_long_run_variance_of_linear_delay_ou(self):
+        assert euler_chain_long_run_variance(2.0, 0.1, 1.0, 64, 1.0 / 128.0) == pytest.approx(
+            0.27700831, abs=5e-9
+        )
+
+    def test_unit_lag_variance_of_the_euler_chain(self):
+        # D-hat^2 of the unit-time chain, gamma(0) + 2 sum_j gamma(128 j)
+        exact = euler_chain_unit_lag_variance(2.0, 0.1, 1.0, 64, 1.0 / 128.0, 128)
+        assert exact == pytest.approx(0.356036, abs=5e-7)

@@ -124,6 +124,13 @@ class TestMonteCarloSemigroup:
         assert prof.values[0, -1] == pytest.approx(1.0 - math.exp(-6.0), abs=0.02)
         assert np.all(np.diff(prof.values[0]) >= -1e-12)
 
+    def test_horizon_must_be_whole_quad_panels(self, eval0, ref_model):
+        # one rule in both kernels: 2.0 is 128 steps of 1/64, not whole 3-step panels
+        states = constant_segment(1.0, R0, DT).values[None]
+        for sg in (MonteCarloSemigroup(ref_model, DT), ExpDecayKernel(1.0)):
+            with pytest.raises(ValueError, match="t_max"):
+                sg.integral_profile(eval0, states, 2.0, 3 * DT, 4, RngStream(5))
+
     def test_batch_states_independent_columns(self, eval0, ref_model):
         mc = MonteCarloSemigroup(ref_model, 1.0 / 128.0)
         states = np.stack(
