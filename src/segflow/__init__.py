@@ -56,6 +56,5 @@ from .segments import (
 from .semigroup import (
     ExpDecayKernel,
     IidChain,
-    IidKernel,
     MonteCarloSemigroup,
 )

@@ -195,12 +195,15 @@ def _time_average_checkpoints(
     model: ModelSpec,
     xi: Segment,
     f: AnyObservable,
-    check_steps: Sequence[int],
+    times: Sequence[float],
     replicas: int,
     rng: RngStream,
+    what: str,
 ) -> np.ndarray:
-    """Per-replica time averages A_t at the checkpoint steps, shape (n_check, R)."""
+    """Per-replica time averages A_t at the checkpoint ``times``, shape
+    (n_check, R); ``what`` names the times when one is off the grid."""
     dt = xi.step
+    check_steps = [grid_steps(t, dt, what) for t in times]
     init = np.broadcast_to(xi.values, (replicas,) + xi.values.shape).copy()
     _, integrals = record(
         model, init, max(check_steps), dt, rng, integrate_at=check_steps, integrand=f.values
@@ -230,8 +233,7 @@ def slln_variance_decay(
         raise ValueError("times must be at least two positive values")
     if times.max() / times.min() < 10.0:
         raise ValueError("times must span at least one decade")
-    steps = [grid_steps(t, xi.step, "time") for t in times]
-    averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng.child(0))
+    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "time")
     sq = averages**2
     sq_errors = sq.mean(axis=1)
     ses = sq.std(axis=1, ddof=1) / math.sqrt(replicas)
@@ -304,8 +306,7 @@ def slln_pathwise(
     times = np.asarray(sorted(set(float(t) for t in checkpoints)), dtype=float)
     if times[0] < 1.0:
         raise ValueError("checkpoints must start at t >= 1")
-    steps = [grid_steps(t, xi.step, "checkpoint") for t in times]
-    averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng.child(0))
+    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "checkpoint")
     weights = times ** (0.5 - eps)
     stats = np.abs(averages) * weights[:, None]  # (n_check, R)
     sup_stats = stats.max(axis=0)
@@ -865,21 +866,6 @@ class CltReport:
     degenerate: bool
 
 
-def normalized_average_samples(
-    model: ModelSpec,
-    f: CenteredObservable,
-    xi: Segment,
-    times: Sequence[float],
-    replicas: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Replica samples of ``sqrt(t) * A_t`` at each checkpoint, shape (n_t, R)."""
-    times = np.asarray(list(times), dtype=float)
-    steps = [grid_steps(t, xi.step, "time") for t in times]
-    averages = _time_average_checkpoints(model, xi, f, steps, replicas, rng)
-    return averages * np.sqrt(times)[:, None]
-
-
 def clt_statistic(samples: np.ndarray, d_f: float) -> float:
     """Distribution distance of the normalized-average samples.
 
@@ -916,7 +902,9 @@ def clt_test(
     if replicas < 500:
         raise ValueError("clt_test needs at least 500 replicas")
     times = np.asarray(list(times), dtype=float)
-    samples = normalized_average_samples(model, f, xi, times, replicas, rng.child(0))
+    # replica samples of sqrt(t) * A_t at each checkpoint, shape (n_t, R)
+    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "time")
+    samples = averages * np.sqrt(times)[:, None]
     stats = np.array([clt_statistic(samples[i], d_f) for i in range(times.size)])
     gen = rng.child(1).generator()
     ses = np.array(

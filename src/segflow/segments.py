@@ -334,7 +334,6 @@ def step_windows(
     n_steps: int,
     step: float,
     rng: RngStream,
-    chunk: Optional[int] = None,
     shared_noise: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Drive a batch of trajectories, yielding each new segment window.
@@ -344,10 +343,6 @@ def step_windows(
     initial_values: array (n, m+1, d) of initial segments.
     n_steps: number of Euler-Maruyama steps to take.
     rng: stream owning every draw of this batch.
-    chunk: ring-buffer block length; memory stays O(chunk * n * d).  The
-        default is 4096 rows for a single one-dimensional path and otherwise
-        about 1 MiB of rows (``_RING_BYTES``), but never fewer than the
-        2(m+1) rows a window needs.
     shared_noise: the batch is two equal halves, and trajectory ``i`` of each
         half consumes the same normal draw at every step.
 
@@ -383,10 +378,10 @@ def step_windows(
     sq = math.sqrt(step)
 
     # Time-major ring buffer: rows are grid times, windows are contiguous views.
-    if chunk is None:
-        # a single path's ring stays short: the float kernel keeps one view per row
-        chunk = max(2 * (m + 1), _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d))
-    rows = max(2 * (m + 1), min(chunk, n_steps + m + 1))
+    # A single path's ring stays short (the float kernel keeps one view per
+    # row); a wider one holds about _RING_BYTES, never under a window's 2(m+1).
+    cap = _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d)
+    rows = max(2 * (m + 1), min(cap, n_steps + m + 1))
     buf = _ring((rows + m + 1, n, d))
     buf[: m + 1] = init.transpose(1, 0, 2)
     head = m  # buffer row of the current state

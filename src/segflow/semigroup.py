@@ -1,21 +1,23 @@
 """Unit-time Markov chains, their transition semigroups, and test kernels.
 
 Everything downstream of simulation that needs ``P_t f(xi) = E f(X_t^xi)``
-goes through a :class:`SemigroupEvaluator`.  A chain is the evaluator of its
-own semigroup: :class:`MonteCarloSemigroup` samples the SDE at integer times
-and estimates ``P_t`` by simulation, :class:`IidChain` resamples independent
-segments.  Synthetic kernels with closed-form action are injectable in their
-place so the correction/variance machinery can be tested against exact
-values.  State batches have shape ``(n, m+1, d)``, and every estimate at
-several times reuses common paths (common random numbers), which makes
-time-quadratures of semigroup values cheap and smooth.
+asks a :class:`SemigroupEvaluator`, through its one method
+``profile_groups``, for running time quadratures or unit-lag sums of
+``P_t f`` at a batch of states.  A chain is the evaluator of its own
+semigroup: :class:`MonteCarloSemigroup` samples the SDE at integer times and
+estimates ``P_t`` by simulation, :class:`IidChain` resamples independent
+segments and knows its semigroup in closed form.  :class:`ExpDecayKernel`
+has closed-form action too and is injectable in their place, so the
+correction/variance machinery can be tested against exact values.  State
+batches have shape ``(n, m+1, d)``, and every estimate at several times
+reuses common paths (common random numbers), which makes time-quadratures
+of semigroup values cheap and smooth.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -26,27 +28,11 @@ from .rng import RngStream
 from .segments import ModelSpec, grid_steps, record, step_windows
 
 __all__ = [
-    "GridProfile",
     "SemigroupEvaluator",
     "MonteCarloSemigroup",
     "ExpDecayKernel",
-    "IidKernel",
     "IidChain",
 ]
-
-
-@dataclass(frozen=True)
-class GridProfile:
-    """Cumulative quadrature/sum profile of semigroup values for a state batch.
-
-    ``grid`` holds the truncation checkpoints (times or integer lags) and
-    ``values``/``ses`` the per-state running estimate and standard error at
-    each checkpoint, shape (n_states, len(grid)).
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    ses: np.ndarray
 
 
 # Paths per simulated batch: states are grouped so replicas x states fits.
@@ -58,36 +44,9 @@ ProfileGroup = tuple[int, int, Generator[tuple[np.ndarray, Optional[np.ndarray]]
 
 
 class SemigroupEvaluator(ABC):
-    """Time quadratures and unit-lag sums of ``P_t f`` at a batch of states.
-
-    A discrete-time kernel keeps the default ``integral_profile``, which
-    raises :class:`NotImplementedError`.
-    """
-
-    def integral_profile(
-        self,
-        f: Observable,
-        states: np.ndarray,
-        t_max: float,
-        quad_step: float,
-        replicas: int,
-        rng: RngStream,
-    ) -> GridProfile:
-        """Cumulative trapezoid of ``t -> P_t f`` over the quad grid up to t_max."""
-        raise NotImplementedError(f"{type(self).__name__} has no continuous-time action")
+    """Time quadratures and unit-lag sums of ``P_t f`` at a batch of states."""
 
     @abstractmethod
-    def discrete_profile(
-        self,
-        f: Observable,
-        states: np.ndarray,
-        k_from: int,
-        k_max: int,
-        replicas: int,
-        rng: RngStream,
-    ) -> GridProfile:
-        """Cumulative sums ``sum_{k=k_from}^K P_k f`` for K = k_from .. k_max."""
-
     def profile_groups(
         self,
         f: Observable,
@@ -101,31 +60,15 @@ class SemigroupEvaluator(ABC):
     ) -> tuple[np.ndarray, list[ProfileGroup]]:
         """A profile as state groups whose checkpoints arrive one at a time.
 
-        Given ``quad_step`` it is :meth:`integral_profile` to ``t_max =
-        horizon``, otherwise :meth:`discrete_profile` from ``k_from`` to
-        ``k_max = horizon``.  Returns the checkpoint grid and the groups, each
+        Given ``quad_step`` it is the cumulative trapezoid of ``t -> P_t f``
+        on the grid of step ``quad_step`` up to ``t_max = horizon`` (a
+        discrete-time kernel raises :class:`NotImplementedError`), otherwise
+        the cumulative sums ``sum_{k=k_from}^K P_k f`` for K = ``k_from`` ..
+        ``horizon``.  Returns the checkpoint grid and the groups, each
         ``(g0, g1, columns)``: ``columns`` yields, for checkpoint 0, 1, ...
         in turn, the values of states ``g0:g1`` and, with ``ses``, their
-        standard errors.  The default computes the whole profile up front as
-        one group.
+        standard errors over ``replicas``.
         """
-        if quad_step is None:
-            p = self.discrete_profile(f, states, k_from, horizon, replicas, rng)
-        else:
-            p = self.integral_profile(f, states, horizon, quad_step, replicas, rng)
-        columns = ((p.values[:, c], p.ses[:, c] if ses else None) for c in range(len(p.grid)))
-        return p.grid, [(0, p.values.shape[0], columns)]
-
-
-def _collect(grid: np.ndarray, groups: list[ProfileGroup]) -> GridProfile:
-    """The whole profile of :meth:`SemigroupEvaluator.profile_groups`."""
-    n = groups[-1][1]
-    values, ses = np.empty((n, len(grid))), np.empty((n, len(grid)))
-    for g0, g1, columns in groups:
-        for c, (value, se) in enumerate(columns):
-            values[g0:g1, c] = value
-            ses[g0:g1, c] = se
-    return GridProfile(grid, values, ses)
 
 
 class MonteCarloSemigroup(SemigroupEvaluator):
@@ -215,18 +158,13 @@ class MonteCarloSemigroup(SemigroupEvaluator):
             mean /= replicas
             yield mean, cum.std(axis=-1, ddof=1) / math.sqrt(replicas) if ses else None
 
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        return _collect(*self.profile_groups(f, states, t_max, replicas, rng, quad_step=quad_step))
 
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        return _collect(*self.profile_groups(f, states, k_max, replicas, rng, k_from=k_from))
-
-
-def _closed_form(f: Observable, states: np.ndarray, grid: np.ndarray, cum: np.ndarray) -> GridProfile:
-    """Profile ``f(states) ⊗ cum`` of a kernel that scales ``f`` by a known
-    weight at each time; its standard errors are 0."""
-    vals = f.values(np.asarray(states, dtype=float))[:, None] * cum[None, :]
-    return GridProfile(grid, vals, np.zeros_like(vals))
+def _one_group(grid: np.ndarray, values: np.ndarray, ses: bool) -> tuple[np.ndarray, list[ProfileGroup]]:
+    """A closed-form profile ``values`` (n_states, len(grid)) as one group
+    whose standard errors are 0."""
+    n = values.shape[0]
+    columns = ((values[:, c], np.zeros(n) if ses else None) for c in range(len(grid)))
+    return grid, [(0, n, columns)]
 
 
 class ExpDecayKernel(SemigroupEvaluator):
@@ -237,43 +175,40 @@ class ExpDecayKernel(SemigroupEvaluator):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        grid = np.arange(grid_steps(t_max, quad_step, "t_max") + 1) * quad_step
-        shape = np.exp(-self.rate * grid)
-        panels = 0.5 * (shape[:-1] + shape[1:]) * quad_step
-        return _closed_form(f, states, grid, np.concatenate([[0.0], np.cumsum(panels)]))
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+        if quad_step is None:
+            grid = np.arange(k_from, horizon + 1)
+            cum = np.cumsum(np.exp(-self.rate * grid))
+        else:
+            grid = np.arange(grid_steps(horizon, quad_step, "t_max") + 1) * quad_step
+            shape = np.exp(-self.rate * grid)
+            panels = 0.5 * (shape[:-1] + shape[1:]) * quad_step
+            cum = np.concatenate([[0.0], np.cumsum(panels)])
+        return _one_group(grid, f.values(np.asarray(states, dtype=float))[:, None] * cum[None, :], ses)
 
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        ks = np.arange(k_from, k_max + 1)
-        return _closed_form(f, states, ks, np.cumsum(np.exp(-self.rate * ks)))
 
+class IidChain(SemigroupEvaluator):
+    """Degenerate chain that resamples an independent segment every unit step.
 
-class IidKernel(SemigroupEvaluator):
-    """Synthetic rule for a chain that forgets its state in one step.
-
-    ``P_0 f = f`` and ``P_k f = stationary_mean`` for k >= 1 (zero for a
-    centered observable), so the shifted corrector vanishes identically.
+    Its semigroup has closed-form action: ``P_0 f = f`` and ``P_k f =
+    stationary_mean`` for k >= 1 (zero for a centered observable), so the
+    shifted corrector vanishes identically.  It has no continuous-time action.
     """
 
-    def __init__(self, stationary_mean: float = 0.0):
+    def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray], stationary_mean: float = 0.0):
+        """``sampler(gen, n)`` must return n fresh segment value arrays (n, m+1, d)."""
+        self.sampler = sampler
         self.stationary_mean = stationary_mean
 
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        ks = np.arange(k_from, k_max + 1)
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+        if quad_step is not None:
+            raise NotImplementedError(f"{type(self).__name__} has no continuous-time action")
+        ks = np.arange(k_from, horizon + 1)
         terms = np.full(ks.size, self.stationary_mean)
         vals = np.tile(np.cumsum(terms), (states.shape[0], 1))
         if k_from == 0:
             vals += f.values(np.asarray(states, dtype=float))[:, None] - self.stationary_mean
-        return GridProfile(ks, vals, np.zeros_like(vals))
-
-
-class IidChain(IidKernel):
-    """Degenerate chain that resamples an independent segment every unit step."""
-
-    def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray], stationary_mean: float = 0.0):
-        """``sampler(gen, n)`` must return n fresh segment value arrays (n, m+1, d)."""
-        super().__init__(stationary_mean)
-        self.sampler = sampler
+        return _one_group(ks, vals, ses)
 
     def unit_states(self, start_values: np.ndarray, n_units: int, rng: RngStream) -> np.ndarray:
         start_values = np.asarray(start_values, dtype=float)

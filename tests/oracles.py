@@ -5,13 +5,15 @@ is a classical method-of-steps RK4 integrator with dense cubic-Hermite
 history, the transport oracle enumerates permutations, and the quadratures
 are plain cumulative sums.  The linear delay model's Euler chain is a
 Gaussian VAR(1) on its order-(m+1) companion form, so its moments come from
-linear algebra alone.
+linear algebra alone.  ``collect_profile`` only gathers a streamed
+semigroup profile into whole arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -63,6 +65,27 @@ def method_of_steps(rhs, history, r0: float, horizon: float, h: float):
         xs[i + 1] = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         slopes[i + 1] = f(ts[i + 1], xs[i + 1])
     return ts, xs
+
+
+class Profile(NamedTuple):
+    """A whole semigroup profile: per-state running values and standard
+    errors, shape (n_states, len(grid)), at the checkpoints ``grid``."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    ses: np.ndarray
+
+
+def collect_profile(grid: np.ndarray, groups) -> Profile:
+    """The whole profile of a ``SemigroupEvaluator.profile_groups`` result,
+    every group's columns read to the end."""
+    n = groups[-1][1]
+    values, ses = np.empty((n, len(grid))), np.empty((n, len(grid)))
+    for g0, g1, columns in groups:
+        for c, (value, se) in enumerate(columns):
+            values[g0:g1, c] = value
+            ses[g0:g1, c] = se
+    return Profile(grid, values, ses)
 
 
 def brute_force_assignment(cost: np.ndarray):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import collect_profile
 from segflow import ConfigError
 from segflow.config import EXPERIMENT_KINDS, parse_config, parse_config_dict
 from segflow.ergodic import ergodicity_curve, sample_invariant
@@ -241,7 +242,9 @@ class TestParseConfig:
             runs = (
                 lambda: simulate(model, xi, t, RngStream(0)),
                 lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), 4, RngStream(3), cap=4),
-                lambda: MonteCarloSemigroup(model, dt).integral_profile(f, xi.values[None], t, dt, 2, RngStream(1)),
+                lambda: collect_profile(*MonteCarloSemigroup(model, dt).profile_groups(
+                    f, xi.values[None], t, 2, RngStream(1), quad_step=dt
+                )),
                 lambda: slln_variance_decay(model, xi, f, [0.125, t], 2, RngStream(2)),
             )
             outcomes = []

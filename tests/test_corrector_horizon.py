@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import collect_profile
 from segflow import (
     CenteredObservable,
     CorrectorConfig,
@@ -43,7 +44,7 @@ from segflow.limits import (
 )
 from segflow.registry import build_model, build_observable
 from segflow.segments import step_windows
-from segflow.semigroup import GridProfile, SemigroupEvaluator
+from segflow.semigroup import SemigroupEvaluator
 
 DT = 1.0 / 128.0
 R0 = 0.5
@@ -69,10 +70,10 @@ def _reference_halves(
     fit = cfg.require_rate_fit()
     half = max(1, cfg.replicas // 2)
     if isinstance(cfg, DiscreteCorrectorConfig):
-        profile = lambda r: sg.discrete_profile(f, states, k_from, cfg.k_max, half, r)
+        profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.k_max, half, r, k_from=k_from))
         tail = fit.tail_sum_bound
     else:
-        profile = lambda r: sg.integral_profile(f, states, cfg.t_max, dt, half, r)
+        profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.t_max, half, r, quad_step=dt))
         tail = fit.tail_integral_bound
     pa = profile(rng.child(0))
     pb = profile(rng.child(1))
@@ -386,8 +387,8 @@ class TestProfilePrefix:
         sg = MonteCarloSemigroup(model, DT)
         states = np.resize(start_states(4), (n_states,) + start_states(1).shape[1:])
         rng = RngStream(SEED).child(10)
-        full = sg.integral_profile(f, states, 6.0, stride * DT, replicas, rng)
-        short = sg.integral_profile(f, states, 3.0, stride * DT, replicas, rng)
+        full = collect_profile(*sg.profile_groups(f, states, 6.0, replicas, rng, quad_step=stride * DT))
+        short = collect_profile(*sg.profile_groups(f, states, 3.0, replicas, rng, quad_step=stride * DT))
         cols = len(short.grid)
         assert cols == 3 * 128 // stride + 1
         assert np.array_equal(short.grid, full.grid[:cols])
@@ -400,8 +401,8 @@ class TestProfilePrefix:
         sg = MonteCarloSemigroup(model, DT)
         states = np.resize(start_states(4), (n_states,) + start_states(1).shape[1:])
         rng = RngStream(SEED).child(11)
-        full = sg.discrete_profile(f, states, k_from, 8, replicas, rng)
-        short = sg.discrete_profile(f, states, k_from, 3, replicas, rng)
+        full = collect_profile(*sg.profile_groups(f, states, 8, replicas, rng, k_from=k_from))
+        short = collect_profile(*sg.profile_groups(f, states, 3, replicas, rng, k_from=k_from))
         cols = len(short.grid)
         assert cols == 4 - k_from
         assert np.array_equal(short.grid, full.grid[:cols])
@@ -416,16 +417,14 @@ class NanKernel(SemigroupEvaluator):
     def __init__(self, nan_from_zero: bool):
         self.nan_from_zero = nan_from_zero
 
-    def _profile(self, states, grid, nan):
-        vals = np.full((np.asarray(states).shape[0], len(grid)), math.nan if nan else 0.0)
-        return GridProfile(grid, vals, np.zeros_like(vals))
-
-    def integral_profile(self, f, states, t_max, quad_step, replicas, rng):
-        grid = np.arange(round(t_max / quad_step) + 1) * quad_step
-        return self._profile(states, grid, self.nan_from_zero)
-
-    def discrete_profile(self, f, states, k_from, k_max, replicas, rng):
-        return self._profile(states, np.arange(k_from, k_max + 1), self.nan_from_zero or k_from > 0)
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+        if quad_step is None:
+            grid, nan = np.arange(k_from, horizon + 1), self.nan_from_zero or k_from > 0
+        else:
+            grid, nan = np.arange(round(horizon / quad_step) + 1) * quad_step, self.nan_from_zero
+        n = np.asarray(states).shape[0]
+        columns = ((np.full(n, math.nan if nan else 0.0), np.zeros(n) if ses else None) for _ in grid)
+        return grid, [(0, n, columns)]
 
 
 class TestFailClosedOnNan:

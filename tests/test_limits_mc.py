@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import delay_ode_mean_integral
+from oracles import collect_profile, delay_ode_mean_integral
 from segflow import (
     CenteredObservable,
     CorrectorConfig,
@@ -125,8 +125,12 @@ class TestMartingaleIncrements:
         replicas = 192
         starts = np.broadcast_to(eta.values, (replicas,) + eta.values.shape).copy()
         ends = sg.unit_states(starts, 1, rng.child(0))[1]
-        q_eta = sg.discrete_profile(f_centered, eta.values[None], 1, discrete_cfg.k_max, 64, rng.child(1))
-        q_end = sg.discrete_profile(f_centered, ends, 1, discrete_cfg.k_max, 32, rng.child(2))
+        q_eta = collect_profile(
+            *sg.profile_groups(f_centered, eta.values[None], discrete_cfg.k_max, 64, rng.child(1), k_from=1)
+        )
+        q_end = collect_profile(
+            *sg.profile_groups(f_centered, ends, discrete_cfg.k_max, 32, rng.child(2), k_from=1)
+        )
         z = f_centered.values(ends) + q_end.values[:, -1] - q_eta.values[0, -1]
         se = z.std(ddof=1) / math.sqrt(replicas)
         se = math.hypot(se, float(q_eta.ses[0, -1]))

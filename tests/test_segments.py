@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    collect_profile,
     euler_chain_long_run_variance,
     euler_chain_unit_lag_variance,
     euler_chain_variance,
@@ -505,7 +506,9 @@ class TestIntegralProfile:
         rng = RngStream(23)
         # 48 steps: a whole number of panels at every quad step
         ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 1.5, quad, 6, rng)
-        prof = MonteCarloSemigroup(any_model, DT).integral_profile(f, states, 1.5, quad, 6, rng)
+        prof = collect_profile(
+            *MonteCarloSemigroup(any_model, DT).profile_groups(f, states, 1.5, 6, rng, quad_step=quad)
+        )
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid[1] == quad
@@ -517,7 +520,9 @@ class TestIntegralProfile:
         states = spread_initials(70, seed=7)
         rng = RngStream(31)
         ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 6.0, DT, 64, rng)
-        prof = MonteCarloSemigroup(any_model, DT).integral_profile(f, states, 6.0, DT, 64, rng)
+        prof = collect_profile(
+            *MonteCarloSemigroup(any_model, DT).profile_groups(f, states, 6.0, 64, rng, quad_step=DT)
+        )
         assert prof.values.shape == (70, 193)
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
@@ -551,7 +556,9 @@ class TestDiscreteProfile:
         states = spread_initials(n_states, seed=6)
         rng = RngStream(29)
         ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, k_max, replicas, rng)
-        prof = MonteCarloSemigroup(any_model, DT).discrete_profile(f, states, k_from, k_max, replicas, rng)
+        prof = collect_profile(
+            *MonteCarloSemigroup(any_model, DT).profile_groups(f, states, k_max, replicas, rng, k_from=k_from)
+        )
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid.tolist() == list(range(k_from, k_max + 1))
@@ -715,11 +722,13 @@ class TestScalarKernel:
     )
     # chunk 40 with 17 nodes: the ring buffer wraps every 23 steps
     @pytest.mark.parametrize("chunk", [None, 40])
-    def test_matches_batched_loop(self, make, chunk):
+    def test_matches_batched_loop(self, make, chunk, monkeypatch):
         model = make()
         init = spread_initials(1, seed=9)
         rng = RngStream(31, 2)
-        ours = run_windows(step_windows, model, init, 5000, DT, rng, chunk=chunk)
+        if chunk is not None:
+            monkeypatch.setattr(segments, "_SCALAR_ROWS", chunk)
+        ours = run_windows(step_windows, model, init, 5000, DT, rng)
         ref = run_windows(batched_windows, model, init, 5000, DT, rng, chunk=chunk)
         assert len(ours) == len(ref) == 5001
         for a, b in zip(ours, ref):
@@ -820,12 +829,13 @@ def plane_initials(width, seed):
 @pytest.mark.parametrize("form", sorted(PLANE_MODELS))
 class TestTwoDimensions:
     @pytest.mark.parametrize("width", [1, 3, 64])
-    def test_matches_batched_loop(self, form, width):
+    def test_matches_batched_loop(self, form, width, monkeypatch):
         model = PLANE_MODELS[form]()
         init = plane_initials(width, seed=11)
         rng = RngStream(41, 3)
         # chunk 40 with 17 nodes: the ring buffer wraps every 23 steps
-        ours = run_windows(step_windows, model, init, 120, DT, rng, chunk=40)
+        monkeypatch.setattr(segments, "_RING_BYTES", 40 * 8 * width * 2)
+        ours = run_windows(step_windows, model, init, 120, DT, rng)
         ref = run_windows(batched_windows, model, init, 120, DT, rng, chunk=40)
         assert len(ours) == len(ref) == 121
         for a, b in zip(ours, ref):

@@ -6,15 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import collect_profile
 from segflow import (
     ExpDecayKernel,
     IidChain,
-    IidKernel,
     MonteCarloSemigroup,
     RngStream,
     constant_segment,
+    semigroup,
 )
 from segflow.registry import build_model, build_observable
+from segflow.semigroup import SemigroupEvaluator
 
 DT = 1.0 / 64.0
 R0 = 0.5
@@ -29,14 +31,16 @@ class TestExpDecayKernel:
     def test_integral_profile_converges_to_one(self, eval0):
         k = ExpDecayKernel(rate=1.0)
         xi = constant_segment(1.0, R0, DT)
-        prof = k.integral_profile(eval0, xi.values[None], 20.0, DT, 8, RngStream(0))
+        prof = collect_profile(*k.profile_groups(eval0, xi.values[None], 20.0, 8, RngStream(0), quad_step=DT))
         # trapezoid of e^-t to 20 with step dt: error O(dt^2) + tail e^-20
         assert prof.values[0, -1] == pytest.approx(1.0, abs=1e-4)
 
     def test_integral_profile_is_panel_cumsum(self, eval0):
         # the running trapezoid and a cumulative sum of panels add in one order
         states = np.stack([constant_segment(v, R0, DT).values for v in (1.0, -2.5)])
-        prof = ExpDecayKernel(rate=0.7).integral_profile(eval0, states, 3.0, 0.125, 8, RngStream(0))
+        prof = collect_profile(
+            *ExpDecayKernel(rate=0.7).profile_groups(eval0, states, 3.0, 8, RngStream(0), quad_step=0.125)
+        )
         shape = np.exp(-0.7 * (np.arange(25) * 0.125))
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (shape[1:] + shape[:-1]) * 0.125)])
         assert np.array_equal(prof.values, np.array([[1.0], [-2.5]]) * cum[None, :])
@@ -45,7 +49,7 @@ class TestExpDecayKernel:
     def test_discrete_profile(self, eval0):
         k = ExpDecayKernel(rate=1.0)
         xi = constant_segment(1.0, R0, DT)
-        prof = k.discrete_profile(eval0, xi.values[None], 0, 3, 8, RngStream(0))
+        prof = collect_profile(*k.profile_groups(eval0, xi.values[None], 3, 8, RngStream(0)))
         expect = np.cumsum(np.exp([-0.0, -1.0, -2.0, -3.0]))
         assert np.allclose(prof.values[0], expect)
 
@@ -61,7 +65,7 @@ class TestGeometricKernel:
     def test_partial_sums(self, eval0):
         k = ExpDecayKernel(math.log(2.0))
         xi = constant_segment(1.0, R0, DT)
-        prof = k.discrete_profile(eval0, xi.values[None], 0, 10, 4, RngStream(0))
+        prof = collect_profile(*k.profile_groups(eval0, xi.values[None], 10, 4, RngStream(0)))
         assert prof.values[0, -1] == pytest.approx(2.0 - 2.0 * 0.5**11, rel=1e-12)
 
     def test_shifted_tail_sum(self, eval0):
@@ -69,32 +73,12 @@ class TestGeometricKernel:
         # the identity holds up to the geometric truncation tail ratio^(K+1)
         k = ExpDecayKernel(math.log(2.0))
         xi = constant_segment(1.0, R0, DT)
-        shifted = k.discrete_profile(eval0, xi.values[None], 1, 11, 4, RngStream(0))
-        full = k.discrete_profile(eval0, xi.values[None], 0, 10, 4, RngStream(0))
+        shifted = collect_profile(*k.profile_groups(eval0, xi.values[None], 11, 4, RngStream(0), k_from=1))
+        full = collect_profile(*k.profile_groups(eval0, xi.values[None], 10, 4, RngStream(0)))
         f_xi = 1.0
         assert full.values[0, -1] == pytest.approx(
             f_xi + shifted.values[0, -1], abs=2.0 * 0.5**11
         )
-
-
-class TestIidKernel:
-    def test_shifted_corrector_vanishes(self, eval0):
-        k = IidKernel(0.0)
-        xi = constant_segment(3.0, R0, DT)
-        prof = k.discrete_profile(eval0, xi.values[None], 1, 6, 4, RngStream(0))
-        assert np.all(prof.values == 0.0)
-
-    def test_full_corrector_is_f(self, eval0):
-        k = IidKernel(0.0)
-        xi = constant_segment(3.0, R0, DT)
-        prof = k.discrete_profile(eval0, xi.values[None], 0, 6, 4, RngStream(0))
-        assert np.all(prof.values == 3.0)
-
-    def test_no_continuous_action(self, eval0):
-        with pytest.raises(NotImplementedError):
-            IidKernel(0.0).integral_profile(
-                eval0, constant_segment(1.0, R0, DT).values[None], 1.0, DT, 4, RngStream(0)
-            )
 
 
 class TestMonteCarloSemigroup:
@@ -105,10 +89,9 @@ class TestMonteCarloSemigroup:
         kernel = ExpDecayKernel(1.0)
         states = constant_segment(2.0, R0, DT).values[None]
         profiles = [
-            (mc.discrete_profile(eval0, states, 0, 3, 4, RngStream(1)),
-             kernel.discrete_profile(eval0, states, 0, 3, 4, RngStream(1))),
-            (mc.integral_profile(eval0, states, 2.0, 0.5, 4, RngStream(1)),
-             kernel.integral_profile(eval0, states, 2.0, 0.5, 4, RngStream(1))),
+            [collect_profile(*sg.profile_groups(eval0, states, 3, 4, RngStream(1))) for sg in (mc, kernel)],
+            [collect_profile(*sg.profile_groups(eval0, states, 2.0, 4, RngStream(1), quad_step=0.5))
+             for sg in (mc, kernel)],
         ]
         for prof, exact in profiles:
             assert np.array_equal(prof.grid, exact.grid)
@@ -120,7 +103,7 @@ class TestMonteCarloSemigroup:
         model = build_model("deterministic_decay", {"rate": 1.0})
         mc = MonteCarloSemigroup(model, DT)
         xi = constant_segment(1.0, R0, DT)
-        prof = mc.integral_profile(eval0, xi.values[None], 6.0, DT, 4, RngStream(2))
+        prof = collect_profile(*mc.profile_groups(eval0, xi.values[None], 6.0, 4, RngStream(2), quad_step=DT))
         assert prof.values[0, -1] == pytest.approx(1.0 - math.exp(-6.0), abs=0.02)
         assert np.all(np.diff(prof.values[0]) >= -1e-12)
 
@@ -129,14 +112,14 @@ class TestMonteCarloSemigroup:
         states = constant_segment(1.0, R0, DT).values[None]
         for sg in (MonteCarloSemigroup(ref_model, DT), ExpDecayKernel(1.0)):
             with pytest.raises(ValueError, match="t_max"):
-                sg.integral_profile(eval0, states, 2.0, 3 * DT, 4, RngStream(5))
+                sg.profile_groups(eval0, states, 2.0, 4, RngStream(5), quad_step=3 * DT)
 
     def test_batch_states_independent_columns(self, eval0, ref_model):
         mc = MonteCarloSemigroup(ref_model, 1.0 / 128.0)
         states = np.stack(
             [constant_segment(v, R0, 1.0 / 128.0).values for v in (0.0, 2.0)]
         )
-        prof = mc.discrete_profile(eval0, states, 1, 1, 256, RngStream(3))
+        prof = collect_profile(*mc.profile_groups(eval0, states, 1, 256, RngStream(3), k_from=1))
         # decay of the conditional mean: E X_1 from 2 is near 2 e^-? > from 0
         assert prof.values[1, 0] > prof.values[0, 0]
         assert np.all(prof.ses > 0)
@@ -151,7 +134,9 @@ class TestMonteCarloSemigroup:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            prof = MonteCarloSemigroup(model, dt).integral_profile(eval0, states, 6.0, dt, 32, RngStream(4))
+            prof = collect_profile(
+                *MonteCarloSemigroup(model, dt).profile_groups(eval0, states, 6.0, 32, RngStream(4), quad_step=dt)
+            )
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -172,3 +157,62 @@ class TestIidChain:
         assert np.all(states[0] == 0.0)
         # consecutive draws differ
         assert not np.allclose(states[1], states[2])
+
+    def test_shifted_corrector_vanishes(self, eval0):
+        xi = constant_segment(3.0, R0, DT)
+        prof = collect_profile(*iid_chain().profile_groups(eval0, xi.values[None], 6, 4, RngStream(0), k_from=1))
+        assert np.all(prof.values == 0.0)
+
+    def test_full_corrector_is_f(self, eval0):
+        xi = constant_segment(3.0, R0, DT)
+        prof = collect_profile(*iid_chain().profile_groups(eval0, xi.values[None], 6, 4, RngStream(0)))
+        assert np.all(prof.values == 3.0)
+
+    def test_no_continuous_action(self, eval0):
+        with pytest.raises(NotImplementedError):
+            iid_chain().profile_groups(
+                eval0, constant_segment(1.0, R0, DT).values[None], 1.0, 4, RngStream(0), quad_step=DT
+            )
+
+
+def iid_chain():
+    """An i.i.d. chain of standard normal segments, centered."""
+    shape = constant_segment(0.0, R0, DT).values.shape
+    return IidChain(lambda gen, n: gen.standard_normal((n,) + shape), 0.0)
+
+
+class TestOneProfileMethod:
+    """``profile_groups`` is the one way to ask an evaluator for a profile."""
+
+    def test_only_abstract_method(self):
+        assert SemigroupEvaluator.__abstractmethods__ == {"profile_groups"}
+
+    def test_no_whole_array_profiles(self):
+        classes = [c for c in vars(semigroup).values() if isinstance(c, type)]
+        assert SemigroupEvaluator in classes
+        for cls in classes:
+            assert not hasattr(cls, "integral_profile"), cls
+            assert not hasattr(cls, "discrete_profile"), cls
+
+    @pytest.mark.parametrize(
+        "sg, kind",
+        [
+            (ExpDecayKernel(0.7), {"quad_step": 0.125}),
+            (ExpDecayKernel(0.7), {"k_from": 1}),
+            (iid_chain(), {}),
+            (iid_chain(), {"k_from": 1}),
+        ],
+        ids=["exp-integral", "exp-discrete", "iid-from-0", "iid-from-1"],
+    )
+    def test_closed_form_ses_only_when_asked(self, eval0, sg, kind):
+        states = np.stack([constant_segment(v, R0, DT).values for v in (1.0, -2.5)])
+        grid, groups = sg.profile_groups(eval0, states, 3, 4, RngStream(0), **kind)
+        bare_grid, bare_groups = sg.profile_groups(eval0, states, 3, 4, RngStream(0), ses=False, **kind)
+        assert np.array_equal(grid, bare_grid)
+        assert [g[:2] for g in groups] == [g[:2] for g in bare_groups] == [(0, 2)]
+        pairs = list(zip(groups[0][2], bare_groups[0][2]))
+        assert len(pairs) == len(grid)
+        for (value, se), (bare_value, bare_se) in pairs:
+            assert np.array_equal(value, bare_value)
+            assert np.array_equal(se, np.zeros(2))
+            assert bare_se is None
