@@ -27,6 +27,11 @@ __all__ = [
     "gaussian_pair_sampler",
 ]
 
+# Slack of the checks: absolute on the sampled dissipativity maximum, and
+# relative on the diffusion norms over their declared bounds.
+_DISSIPATIVITY_TOL = 1e-9
+_ELLIPTICITY_RTOL = 1e-9
+
 SegmentSampler = Callable[[np.random.Generator], Segment]
 PairSampler = Callable[[np.random.Generator], tuple[Segment, Segment]]
 
@@ -67,7 +72,6 @@ def check_dissipativity(
     pair_sampler: PairSampler,
     n_pairs: int,
     rng: RngStream,
-    tolerance: float = 1e-9,
 ) -> DissipativityReport:
     """Probe the dissipativity inequality on sampled segment pairs.
 
@@ -77,7 +81,8 @@ def check_dissipativity(
             + lambda1 |xi(0) - eta(0)|^2 - lambda2 ||xi - eta||_inf^2
 
     which the declared constants claim is <= 0.  Passes iff the sampled
-    maximum stays below ``tolerance``; the side-condition margin
+    maximum stays below ``_DISSIPATIVITY_TOL`` (1e-9), which the report
+    carries as ``tolerance``; the side-condition margin
     ``lambda1 - lambda2 * exp(lambda1 * delay)`` is reported alongside.
     """
     if n_pairs < 1:
@@ -104,8 +109,8 @@ def check_dissipativity(
         max_g=float(max_g),
         side_margin=model.side_margin,
         n_pairs=n_pairs,
-        tolerance=tolerance,
-        passed=bool(max_g <= tolerance),
+        tolerance=_DISSIPATIVITY_TOL,
+        passed=bool(max_g <= _DISSIPATIVITY_TOL),
         worst_pair_index=worst,
     )
 
@@ -135,12 +140,12 @@ def check_ellipticity(
     sampler: SegmentSampler,
     n: int,
     rng: RngStream,
-    rtol: float = 1e-9,
 ) -> EllipticityReport:
     """Probe the diffusion operator-norm bounds on sampled segments.
 
     Reports the sampled maxima of ||sigma(xi)|| and ||sigma(xi)^-1|| (spectral
-    norms) and passes iff both stay within the declared bounds.
+    norms) and passes iff both stay within the declared bounds, up to a
+    relative ``_ELLIPTICITY_RTOL`` (1e-9).
 
     Raises
     ------
@@ -169,7 +174,7 @@ def check_ellipticity(
             )
         max_s = max(max_s, smax)
         max_si = max(max_si, 1.0 / smin)
-    slack = 1.0 + rtol
+    slack = 1.0 + _ELLIPTICITY_RTOL
     passed = max_s <= model.sigma_bound * slack and max_si <= model.sigma_inv_bound * slack
     return EllipticityReport(
         max_sigma_norm=max_s,

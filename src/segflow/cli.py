@@ -41,6 +41,7 @@ from .config import ExperimentConfig, parse_config, parse_config_dict
 from .errors import ConfigError, NumericBlowupError, SegflowError
 from .ergodic import RateFit, ergodicity_curve, sample_invariant
 from .limits import (
+    _SLOPE_GATE,
     CenteredObservable,
     CorrectorConfig,
     DiscreteCorrectorConfig,
@@ -129,13 +130,9 @@ def _run_ergodicity(cfg: ExperimentConfig, model, num):
     return payload, {"ergodicity": rows}, failures
 
 
-def _centered_observable(cfg: ExperimentConfig, stationary) -> CenteredObservable:
-    return CenteredObservable.from_stationary(cfg.build_observable(), stationary)
-
-
 def _run_slln(cfg: ExperimentConfig, model, num):
     stationary = _stationary_sample(cfg, model, num)
-    f = _centered_observable(cfg, stationary)
+    f = CenteredObservable.from_stationary(cfg.build_observable(), stationary)
     xi = _initial_segment(model, num)
     report = slln_variance_decay(
         model, xi, f, num["t_grid"], num["replicas"], RngStream(cfg.seed).child(2)
@@ -153,7 +150,7 @@ def _run_slln(cfg: ExperimentConfig, model, num):
     }
     failures = []
     if not report.passed and not report.zero_signal:
-        failures.append(f"variance decay exponent {report.exponent:.3f} above the -0.75 gate")
+        failures.append(f"variance decay exponent {report.exponent:.3f} above the {_SLOPE_GATE} gate")
     if num["pathwise_horizon"] > 0:
         pw = slln_pathwise(
             model, xi, f, num["eps"], num["pathwise_horizon"],
@@ -182,7 +179,7 @@ def _variance_stage(cfg: ExperimentConfig, model, num, discrete: bool):
     for lil).  Returns (f, payload, var); var is None when the rate fit is
     flagged, and then the payload holds only the rate fit."""
     stationary = _stationary_sample(cfg, model, num)
-    f = _centered_observable(cfg, stationary)
+    f = CenteredObservable.from_stationary(cfg.build_observable(), stationary)
     rate = _rate_fit(cfg, model, num, stationary)
     payload = {"rate_fit": vars(rate)}
     if rate.flagged:

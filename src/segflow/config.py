@@ -16,6 +16,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import ConfigError
 from .metric import MetricParams
 from .registry import build_model, build_observable
@@ -59,16 +61,15 @@ def _int_min(lo, hi=10**9):
     return check
 
 
-def _float_grid(min_len=1, positive=True):
+def _float_grid(min_len):
     def check(key, v):
         _check_type(key, v, list, "a list of numbers")
         if len(v) < min_len:
             _fail(key, f"needs at least {min_len} entries")
         out = []
         for i, x in enumerate(v):
-            _check_type(f"{key}[{i}]", x, (int, float), "a number")
-            x = float(x)
-            if positive and x <= 0:
+            x = _finite_float(f"{key}[{i}]", x)
+            if x <= 0:
                 _fail(f"{key}[{i}]", "entries must be positive")
             out.append(x)
         if any(b <= a for a, b in zip(out, out[1:])):
@@ -242,9 +243,10 @@ class ExperimentConfig:
             num["burn_in"] = 10.0 / model.lambda1
         return num
 
-    def echo(self, model: Optional[ModelSpec] = None) -> dict:
-        """Full effective configuration; reparsing it reproduces this config."""
-        num = self.numerics if model is None else self.resolved_numerics(model)
+    def echo(self, model: ModelSpec) -> dict:
+        """Full effective configuration, with the burn-in resolved against
+        the built ``model``; reparsing it reproduces this config."""
+        num = self.resolved_numerics(model)
         return {
             "kind": self.kind,
             "seed": self.seed,
@@ -254,12 +256,12 @@ class ExperimentConfig:
             "numerics": {k: num[k] for k in sorted(num)},
         }
 
-    def config_hash(self, model: Optional[ModelSpec] = None) -> str:
+    def config_hash(self, model: ModelSpec) -> str:
         blob = json.dumps(self.echo(model), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _parse_named_block(raw: Any, key: str, required_name: bool = True) -> tuple[str, dict]:
+def _parse_named_block(raw: Any, key: str) -> tuple[str, dict]:
     if not isinstance(raw, dict):
         _fail(key, "expected an object with 'name' and optional 'params'")
     unknown = set(raw) - {"name", "params"}
@@ -336,8 +338,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     gamma = metric_raw.get("gamma", 1.0)
     _check_type("metric.p", p, (int, float), "a number")
     _check_type("metric.gamma", gamma, (int, float), "a number")
-    if float(p) < 1.0:
-        _fail("metric.p", f"must be >= 1, got {p!r}")
+    if not (1.0 <= float(p) < math.inf):
+        _fail("metric.p", f"must be >= 1 and finite, got {p!r}")
     if not (0.0 < float(gamma) <= 1.0):
         _fail("metric.gamma", f"must lie in (0, 1], got {gamma!r}")
     metric = MetricParams(float(p), float(gamma))
@@ -372,8 +374,13 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         output_dir=out_dir,
     )
     # building validates model/observable names and parameter ranges eagerly
-    _check_against_model(kind, cfg.build_model(), numerics)
-    cfg.build_observable()
+    model = cfg.build_model()
+    _check_against_model(kind, model, numerics)
+    observable = cfg.build_observable()
+    try:  # one zero window of the model's shape catches a coordinate the model lacks
+        observable.values(np.zeros((1, _history_nodes(model.delay, numerics["dt"]) + 1, model.dim)))
+    except IndexError as exc:
+        _fail("observable.params", f"observable {obs_name!r} does not fit a dim-{model.dim} model: {exc}")
     return cfg
 
 

@@ -80,6 +80,12 @@ __all__ = [
     "rescaled_path_nodes",
 ]
 
+# A time-average variance must decay at least like 1/t; slower than this
+# log-log slope fails the SLLN check.
+_SLOPE_GATE = -0.75
+# Standard errors within which the martingale growth ratios must match D^2.
+_QV_GATE_SE = 3.0
+
 # ---------------------------------------------------------------------------
 # observables and configuration
 # ---------------------------------------------------------------------------
@@ -116,15 +122,6 @@ class CenteredObservable:
     def values(self, seg_values: np.ndarray) -> np.ndarray:
         return self.base.values(seg_values) - self.mu_f
 
-    def scaled(self, factor: float) -> "CenteredObservable":
-        base = self.base
-        scaled_base = Observable(
-            name=f"{base.name}_x{factor:g}",
-            eval_batch=lambda v, _b=base.eval_batch, _c=factor: _c * _b(v),
-            declared_norm=None if base.declared_norm is None else abs(factor) * base.declared_norm,
-        )
-        return CenteredObservable(scaled_base, factor * self.mu_f, abs(factor) * self.mu_f_se, self.n_sample)
-
 
 AnyObservable = Union[Observable, CenteredObservable]
 
@@ -144,11 +141,6 @@ class CorrectorConfig:
     auto_truncate: bool = True
     tail_fraction: float = 0.1
 
-    def require_rate_fit(self) -> RateFit:
-        if self.rate_fit is None or not math.isfinite(self.rate_fit.beta_hat):
-            raise ValueError("corrector needs a usable RateFit for its tail bound")
-        return self.rate_fit
-
 
 @dataclass(frozen=True)
 class DiscreteCorrectorConfig:
@@ -159,11 +151,6 @@ class DiscreteCorrectorConfig:
     replicas: int = 64
     auto_truncate: bool = True
     tail_fraction: float = 0.1
-
-    def require_rate_fit(self) -> RateFit:
-        if self.rate_fit is None or not math.isfinite(self.rate_fit.beta_hat):
-            raise ValueError("discrete corrector needs a usable RateFit")
-        return self.rate_fit
 
 
 AnyCorrectorConfig = Union[CorrectorConfig, DiscreteCorrectorConfig]
@@ -219,12 +206,11 @@ def slln_variance_decay(
     times: Sequence[float],
     replicas: int,
     rng: RngStream,
-    slope_gate: float = -0.75,
 ) -> SllnReport:
     """Fit the decay exponent of ``E|A_t|^2`` for a centered observable.
 
-    The report passes when the log-log slope is at most ``slope_gate``
-    (a time-average variance must decay at least like 1/t).
+    The report passes when the log-log slope is at most ``_SLOPE_GATE``
+    (-0.75: a time-average variance must decay at least like 1/t).
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -249,7 +235,7 @@ def slln_variance_decay(
         ses,
         fit.slope,
         ci,
-        passed=bool(fit.slope <= slope_gate),
+        passed=bool(fit.slope <= _SLOPE_GATE),
         zero_signal=False,
         replicas=replicas,
     )
@@ -291,9 +277,9 @@ def slln_pathwise(
     horizon: float,
     replicas: int,
     rng: RngStream,
-    checkpoints: Optional[Sequence[float]] = None,
 ) -> PathwiseReport:
-    """Pathwise decay statistic ``sup_t |A_t| t^{1/2 - eps}`` over checkpoints.
+    """Pathwise decay statistic ``sup_t |A_t| t^{1/2 - eps}`` over the
+    checkpoints of :func:`_default_checkpoints`.
 
     ``c_eps`` is set to the 95th percentile of the statistic at the final
     horizon (recorded, not asserted); exceedance times are, per path, the
@@ -301,11 +287,9 @@ def slln_pathwise(
     """
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    if checkpoints is None:
-        checkpoints = _default_checkpoints(horizon)
-    times = np.asarray(sorted(set(float(t) for t in checkpoints)), dtype=float)
+    times = _default_checkpoints(horizon)
     if times[0] < 1.0:
-        raise ValueError("checkpoints must start at t >= 1")
+        raise ValueError("horizon must be at least 1: checkpoints start at t = 1")
     averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "checkpoint")
     weights = times ** (0.5 - eps)
     stats = np.abs(averages) * weights[:, None]  # (n_check, R)
@@ -364,9 +348,6 @@ class _HalfValues:
     def mean(self) -> np.ndarray:
         return 0.5 * (self.a + self.b)
 
-    def mean_se(self) -> np.ndarray:
-        return 0.5 * np.sqrt(self.se_a**2 + self.se_b**2)
-
 
 def _halves(
     f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
@@ -400,7 +381,9 @@ def _halves(
     """
     if cfg.replicas < 4:
         raise ValueError("need at least 4 corrector replicas: two per half")
-    fit = cfg.require_rate_fit()
+    fit = cfg.rate_fit
+    if fit is None or not math.isfinite(fit.beta_hat):
+        raise ValueError("corrector needs a usable RateFit for its tail bound")
     half = cfg.replicas // 2
     discrete = isinstance(cfg, DiscreteCorrectorConfig)
     if discrete:
@@ -486,7 +469,7 @@ def corrector(
     halves = _halves(f, xi.values[None], cfg, sg, xi.step, rng)
     return CorrectorEstimate(
         value=float(halves.mean()[0]),
-        se=float(halves.mean_se()[0]),
+        se=float(0.5 * np.sqrt(halves.se_a**2 + halves.se_b**2)[0]),
         tail_bound=halves.tail_bound,
         truncation=halves.truncation,
     )
@@ -1055,7 +1038,6 @@ def qv_lln_check(
     d_hat_sq: float,
     d_hat_sq_se: float = 0.0,
     replicas: int = 128,
-    gate_se: float = 3.0,
     sg: Optional[SemigroupEvaluator] = None,
 ) -> QvLlnReport:
     """Check the martingale growth laws against the discrete variance constant.
@@ -1063,7 +1045,8 @@ def qv_lln_check(
     ``w4`` is the single-path mean of the squared increments (half-product
     form, batch-means standard error); ``w0`` estimates ``E M_n^2 / n`` over
     independent replicas via the telescoped martingale ``M_n = sum f(X_k) +
-    Rhat(X_n) - Rhat(X_0)``, again as a product of independent halves.
+    Rhat(X_n) - Rhat(X_0)``, again as a product of independent halves.  Each
+    passes within ``_QV_GATE_SE`` (3) combined standard errors of ``d_hat_sq``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -1090,8 +1073,8 @@ def qv_lln_check(
     w0_se = float(prod.std(ddof=1) / math.sqrt(replicas))
 
     zero_signal = d_hat_sq < 1e-300 and abs(w0) < 1e-300 and abs(w4) < 1e-300
-    w0_pass = abs(w0 - d_hat_sq) <= gate_se * math.hypot(w0_se, d_hat_sq_se)
-    w4_pass = abs(w4 - d_hat_sq) <= gate_se * math.hypot(w4_se, d_hat_sq_se)
+    w0_pass = abs(w0 - d_hat_sq) <= _QV_GATE_SE * math.hypot(w0_se, d_hat_sq_se)
+    w4_pass = abs(w4 - d_hat_sq) <= _QV_GATE_SE * math.hypot(w4_se, d_hat_sq_se)
     return QvLlnReport(
         w0_ratio=w0,
         w0_se=w0_se,
@@ -1140,7 +1123,7 @@ def _loglog_denominator(n: np.ndarray) -> np.ndarray:
 
 
 def lil_run(
-    model_or_chain,
+    model: ModelSpec,
     f: CenteredObservable,
     xi: Segment,
     n_max: int,
@@ -1149,7 +1132,8 @@ def lil_run(
     rng: RngStream,
     n_min: int = 16,
 ) -> LilReport:
-    """One long path's normalized partial sums and rescaled-path extremes.
+    """Normalized partial sums and rescaled-path extremes of ``f`` at the
+    integer times of one long path of ``model`` from ``xi``, on its grid.
 
     ``d_hat`` must be the positive discrete variance constant; ``n_min >= 16``
     keeps the double logarithm comfortably positive.
@@ -1164,19 +1148,13 @@ def lil_run(
     if checkpoints[0] < n_min or checkpoints[-1] > n_max:
         raise ValueError("checkpoints must lie within [n_min, n_max]")
 
-    chain = _as_chain(model_or_chain, xi.step)
-    if isinstance(chain, MonteCarloSemigroup):
-        per_unit = grid_steps(1.0, chain.dt, "unit time")
-        n_steps = n_max * per_unit
-        f_vals, _ = record(
-            chain.model, xi.values[None], n_steps, chain.dt, rng.child(0),
-            sample_at=range(0, n_steps + 1, per_unit),
-            sample=lambda window: f.values(window)[0],
-        )
-    else:
-        states = chain.unit_states(xi.values[None], n_max, rng.child(0))[:, 0]
-        f_vals = np.asarray(f.values(states), dtype=float)
-
+    per_unit = grid_steps(1.0, xi.step, "unit time")
+    n_steps = n_max * per_unit
+    f_vals, _ = record(
+        model, xi.values[None], n_steps, xi.step, rng.child(0),
+        sample_at=range(0, n_steps + 1, per_unit),
+        sample=lambda window: f.values(window)[0],
+    )
     csum = np.cumsum(f_vals[1:])  # csum[j] = sum_{l=1}^{j+1} f(X_l)
 
     ns = np.arange(n_min, n_max + 1)

@@ -16,6 +16,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,8 +47,8 @@ class MetricParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not (1.0 <= self.p < math.inf):
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 

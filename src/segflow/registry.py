@@ -2,7 +2,9 @@
 
 Model builders validate their declared dissipativity constants at build time:
 a parameter set whose constants cannot satisfy the side condition is rejected
-by :class:`~segflow.segments.ModelSpec` itself.
+by :class:`~segflow.segments.ModelSpec` itself.  A bad parameter is a
+ValueError, which :func:`build_model` and :func:`build_observable` report as a
+:class:`ConfigError` on the config's ``params`` key.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _linear_delay_ou(a: float = 2.0, b: float = 0.1, r0: float = 0.5, sigma: flo
     Dissipativity constants: lambda1 = 2a - |b|, lambda2 = |b|.
     """
     if sigma == 0:
-        raise ConfigError("sigma must be non-zero for an invertible diffusion")
+        raise ValueError("sigma must be non-zero for an invertible diffusion")
     a, b, sigma = float(a), float(b), float(sigma)
 
     return ModelSpec(
@@ -79,7 +81,7 @@ def _deterministic_decay(rate: float = 1.0, r0: float = 0.5, dim: int = 1) -> Mo
     """
     rate = float(rate)
     if rate <= 0:
-        raise ConfigError("rate must be positive")
+        raise ValueError("rate must be positive")
 
     return ModelSpec(
         dim=dim,
@@ -104,6 +106,8 @@ MODEL_BUILDERS: dict[str, Callable[..., ModelSpec]] = {
 def _eval0(coord: int = 0) -> Observable:
     """Current-state coordinate xi(0)[coord]."""
     coord = int(coord)
+    if coord < 0:
+        raise ValueError("coord must be non-negative")
     return Observable(
         name=f"eval0[{coord}]" if coord else "eval0",
         eval_batch=lambda vals: np.array(vals[:, -1, coord]),
@@ -113,8 +117,8 @@ def _eval0(coord: int = 0) -> Observable:
 def _sup_norm_pow(q: float = 2.0) -> Observable:
     """Uniform norm of the window raised to the power q."""
     q = float(q)
-    if q <= 0:
-        raise ConfigError("q must be positive")
+    if not (q > 0):  # a NaN q fails too
+        raise ValueError("q must be positive")
     return Observable(
         name=f"sup_norm_pow({q:g})",
         eval_batch=lambda vals: batch_sup_norms(vals) ** q,
@@ -123,6 +127,8 @@ def _sup_norm_pow(q: float = 2.0) -> Observable:
 
 def _sin_eval0(coord: int = 0) -> Observable:
     coord = int(coord)
+    if coord < 0:
+        raise ValueError("coord must be non-negative")
     return Observable(
         name="sin_eval0",
         declared_norm=None,
@@ -145,7 +151,7 @@ def _linear_combo(terms=None) -> Observable:
     ``terms`` is a list of ``{"coef": c, "name": obs, "params": {...}}``.
     """
     if not terms:
-        raise ConfigError("linear_combo needs a non-empty 'terms' list")
+        raise ValueError("linear_combo needs a non-empty 'terms' list")
     parts = []
     for t in terms:
         coef = float(t.get("coef", 1.0))
@@ -176,10 +182,8 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
         raise ConfigError(f"unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}", key="model.name")
     try:
         return MODEL_BUILDERS[name](**(params or {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for model {name!r}: {exc}", key="model.params") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid model {name!r}: {exc}", key="model.params") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.params: bad parameters for model {name!r}: {exc}", key="model.params") from exc
 
 
 def build_observable(name: str, params: dict | None = None) -> Observable:
@@ -189,8 +193,10 @@ def build_observable(name: str, params: dict | None = None) -> Observable:
         )
     try:
         return OBSERVABLE_BUILDERS[name](**(params or {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for observable {name!r}: {exc}", key="observable.params") from exc
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(
+            f"observable.params: bad parameters for observable {name!r}: {exc}", key="observable.params"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,11 @@ def grid_steps(t: float, step: float, what: str) -> int:
     """Number of steps ``step`` in the time ``t``: the one time-grid rule.
 
     ``t`` must be 0 or a positive whole number of steps, within
-    ``1e-6 * max(1, |t|)``; otherwise raise ValueError naming ``what``.
+    ``1e-6 * max(1, |t|)``; otherwise (a non-finite ``t`` too) raise
+    ValueError naming ``what``.
     """
-    k = int(round(t / step))
+    ratio = t / step
+    k = int(round(ratio)) if math.isfinite(ratio) else 0  # then t != 0 fails below
     if (k < 1 and t != 0) or abs(t - k * step) > 1e-6 * max(1.0, abs(t)):
         raise ValueError(f"{what} {t!r} must be a whole number of steps of {step!r}")
     return k
@@ -113,8 +115,6 @@ class Segment:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
         if vals.ndim != 2:
             raise ShapeError(f"segment values must be (m+1, d), got shape {vals.shape}")
         m = _history_nodes(self.delay, self.step)
@@ -197,7 +197,7 @@ class ModelSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not (self.delay > 0):
             raise ValueError("delay must be positive")
@@ -355,14 +355,15 @@ def step_windows(
 
     Raises
     ------
-    ShapeError: windows whose dim is not the model's, or whose node count is
-        not ``delay/step + 1``; ``shared_noise`` with an odd batch width.
+    ShapeError: initial values that are not an (n, m+1, d) batch, windows
+        whose dim is not the model's, or whose node count is not
+        ``delay/step + 1``; ``shared_noise`` with an odd batch width.
     ValueError: ``step`` does not divide the model's delay.
     NumericBlowupError: the first time a state goes non-finite, with the time.
     """
     init = np.asarray(initial_values, dtype=float)
-    if init.ndim == 2:
-        init = init[None]
+    if init.ndim != 3:
+        raise ShapeError(f"initial segments must be a batch (n, m+1, d), got shape {init.shape}")
     n, nodes, d = init.shape
     m = nodes - 1
     if d != model.dim:

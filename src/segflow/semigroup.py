@@ -190,24 +190,22 @@ class ExpDecayKernel(SemigroupEvaluator):
 class IidChain(SemigroupEvaluator):
     """Degenerate chain that resamples an independent segment every unit step.
 
-    Its semigroup has closed-form action: ``P_0 f = f`` and ``P_k f =
-    stationary_mean`` for k >= 1 (zero for a centered observable), so the
-    shifted corrector vanishes identically.  It has no continuous-time action.
+    Its semigroup, on the centered observables it serves, has closed-form
+    action: ``P_0 f = f`` and ``P_k f = 0`` for k >= 1, so the shifted
+    corrector vanishes identically.  It has no continuous-time action.
     """
 
-    def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray], stationary_mean: float = 0.0):
+    def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray]):
         """``sampler(gen, n)`` must return n fresh segment value arrays (n, m+1, d)."""
         self.sampler = sampler
-        self.stationary_mean = stationary_mean
 
     def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
         if quad_step is not None:
             raise NotImplementedError(f"{type(self).__name__} has no continuous-time action")
         ks = np.arange(k_from, horizon + 1)
-        terms = np.full(ks.size, self.stationary_mean)
-        vals = np.tile(np.cumsum(terms), (states.shape[0], 1))
+        vals = np.zeros((states.shape[0], ks.size))
         if k_from == 0:
-            vals += f.values(np.asarray(states, dtype=float))[:, None] - self.stationary_mean
+            vals += f.values(np.asarray(states, dtype=float))[:, None]
         return _one_group(ks, vals, ses)
 
     def unit_states(self, start_values: np.ndarray, n_units: int, rng: RngStream) -> np.ndarray:

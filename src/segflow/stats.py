@@ -19,6 +19,9 @@ __all__ = [
     "grouped_mean_se",
 ]
 
+# Blocks of a batch-means standard error, when the series is long enough.
+_BATCH_MEANS_BLOCKS = 16
+
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -110,14 +113,14 @@ def bootstrap_se(samples: np.ndarray, statistic, n_boot: int, gen: np.random.Gen
     return float(vals.std(ddof=1))
 
 
-def batch_means_se(series: np.ndarray, n_blocks: int = 16) -> float:
+def batch_means_se(series: np.ndarray) -> float:
     """Standard error of the mean of a correlated series of n >= 2 values via
-    batch means, over ``max(2, min(n_blocks, n // 2))`` blocks."""
+    batch means, over ``max(2, min(16, n // 2))`` blocks (16 is ``_BATCH_MEANS_BLOCKS``)."""
     series = np.asarray(series, dtype=float)
     n = series.size
     if n < 2:
         raise ValueError(f"batch means need at least 2 values, got {n}")
-    b = max(2, min(n_blocks, n // 2))
+    b = max(2, min(_BATCH_MEANS_BLOCKS, n // 2))
     size = n // b
     means = series[: b * size].reshape(b, size).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(b))

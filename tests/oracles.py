@@ -6,7 +6,8 @@ history, the transport oracle enumerates permutations, and the quadratures
 are plain cumulative sums.  The linear delay model's Euler chain is a
 Gaussian VAR(1) on its order-(m+1) companion form, so its moments come from
 linear algebra alone.  ``collect_profile`` only gathers a streamed
-semigroup profile into whole arrays.
+semigroup profile into whole arrays, and ``scaled`` only multiplies a
+centered observable by a constant.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
+
+from segflow.limits import CenteredObservable
+from segflow.metric import Observable
 
 
 def method_of_steps(rhs, history, r0: float, horizon: float, h: float):
@@ -86,6 +90,18 @@ def collect_profile(grid: np.ndarray, groups) -> Profile:
             values[g0:g1, c] = value
             ses[g0:g1, c] = se
     return Profile(grid, values, ses)
+
+
+def scaled(f: CenteredObservable, factor: float) -> CenteredObservable:
+    """``factor * f``: its base, stationary mean and that mean's standard
+    error scaled alike, on the same stationary sample."""
+    base = f.base
+    scaled_base = Observable(
+        name=f"{base.name}_x{factor:g}",
+        eval_batch=lambda v, _b=base.eval_batch, _c=factor: _c * _b(v),
+        declared_norm=None if base.declared_norm is None else abs(factor) * base.declared_norm,
+    )
+    return CenteredObservable(scaled_base, factor * f.mu_f, abs(factor) * f.mu_f_se, f.n_sample)
 
 
 def brute_force_assignment(cost: np.ndarray):

@@ -17,7 +17,7 @@ from segflow.limits import CenteredObservable, _unit_run, slln_variance_decay
 from segflow.metric import MetricParams
 from segflow.registry import build_model, build_observable
 from segflow.rng import RngStream
-from segflow.segments import constant_segment, simulate
+from segflow.segments import constant_segment, grid_steps, simulate
 from segflow.semigroup import MonteCarloSemigroup
 from segflow.reports import (
     CSV_SCHEMAS,
@@ -99,6 +99,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert err.value.key == "metric.p"
+        # non-finite exponents fail closed in the config and in MetricParams
+        for p in (math.nan, math.inf):
+            with pytest.raises(ConfigError) as err:
+                parse_config(write_cfg(tmp_path, minimal(metric={"p": p})))
+            assert err.value.key == "metric.p"
+            with pytest.raises(ValueError):
+                MetricParams(p)
 
     def test_unknown_numerics_key_named(self, tmp_path):
         path = write_cfg(tmp_path, minimal(numerics={"replcias": 100}))
@@ -122,11 +129,33 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError):
             parse_config(path)
+        # a dimension must be a positive integer, not a float or a bool
+        for dim in (2.5, True):
+            with pytest.raises(ConfigError) as err:
+                parse_config_dict(minimal(model={"name": "linear_delay_ou", "params": {"dim": dim}}))
+            assert err.value.key == "model.params"
         # exp(lambda1 * delay) = exp(1600) overflows a float: without delayed
         # feedback the model is valid, with any feedback the margin is -inf
         parse_config_dict(minimal(model={"name": "linear_delay_ou", "params": {"a": 400, "b": 0, "r0": 2}}))
         with pytest.raises(ConfigError):
             parse_config_dict(minimal(model={"name": "linear_delay_ou", "params": {"a": 400, "b": 0.1, "r0": 2}}))
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            {"name": "eval0", "params": {"coord": "x"}},
+            {"name": "eval0", "params": {"coord": -1}},
+            {"name": "sin_eval0", "params": {"coord": -1}},
+            {"name": "eval0", "params": {"coord": 3}},  # the model has dim 1
+            {"name": "sup_norm_pow", "params": {"q": math.nan}},
+            {"name": "linear_combo", "params": {"terms": [{"coef": "x", "name": "eval0"}]}},
+            {"name": "linear_combo", "params": {"terms": [{"coef": 1.0}]}},
+        ],
+    )
+    def test_bad_observable_params_rejected_eagerly(self, tmp_path, observable):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, minimal(observable=observable)))
+        assert err.value.key == "observable.params"
 
     def test_out_of_range_numerics(self, tmp_path):
         path = write_cfg(tmp_path, minimal(numerics={"replicas": 3}))
@@ -190,6 +219,9 @@ class TestParseConfig:
             # increasing times, two of which fall on the same step
             ("ergodicity", {}, {"t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.t_grid"),
             ("lil", {}, {"rate_t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.rate_t_grid"),
+            # a non-finite time is named by its index
+            ("ergodicity", {}, {"t_grid": [0.5, 1.0, math.inf]}, "numerics.t_grid[2]"),
+            ("slln", {}, {"t_grid": [4.0, 8.0, math.nan, 32.0]}, "numerics.t_grid[2]"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config_dict(minimal(kind=kind, numerics=numerics, **extra))
@@ -200,6 +232,10 @@ class TestParseConfig:
         ))
         parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
         parse_config_dict(minimal(kind="slln", numerics={"pathwise_horizon": 10.5}))
+        # the time-grid rule itself fails closed on a non-finite time
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                grid_steps(t, 1.0 / 128.0, "horizon")
 
     def test_one_unit_step_rule(self):
         # dt a hair off 1/128 (the delay is exactly 64 steps): inside the unit

@@ -67,7 +67,7 @@ def _reference_halves(
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
     """
-    fit = cfg.require_rate_fit()
+    fit = cfg.rate_fit
     half = max(1, cfg.replicas // 2)
     if isinstance(cfg, DiscreteCorrectorConfig):
         profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.k_max, half, r, k_from=k_from))
@@ -437,7 +437,7 @@ class TestFailClosedOnNan:
 
     def test_nan_increments_are_not_zero_signal(self, fit):
         shape = constant_segment(0.0, R0, DT).values.shape
-        chain = IidChain(lambda gen, n: np.zeros((n,) + shape), stationary_mean=0.0)
+        chain = IidChain(lambda gen, n: np.zeros((n,) + shape))
         f = CenteredObservable(build_observable("zero"), 0.0, 0.0, 1)
         cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=3, replicas=4)
         rep = qv_lln_check(

@@ -74,7 +74,7 @@ class TestCltDegenerate:
             lambda: clt_test(ref_model, f_centered, xi, [1.0, 4.003], 500, 0.5, RngStream(4)),
             lambda: slln_variance_decay(ref_model, xi, f_centered, [1.0, 4.0, 16.003], 100, RngStream(4)),
             lambda: slln_variance_decay(ref_model, xi, f_centered, [0.0, 1.0, 2.0], 100, RngStream(4)),
-            lambda: slln_pathwise(ref_model, xi, f_centered, 0.25, 8.0, 16, RngStream(4), [1.0, 2.0, 4.003]),
+            lambda: slln_pathwise(ref_model, xi, f_centered, 0.25, 4.003, 16, RngStream(4)),
         ):
             with pytest.raises(ValueError):
                 run()

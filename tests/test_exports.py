@@ -1,13 +1,16 @@
-"""Every public name a module declares must exist, and every export must be reached."""
+"""Every public name a module declares must exist, every export must be
+reached, and every defaulted input must be set by some caller."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import segflow
+from segflow.registry import MODEL_BUILDERS, OBSERVABLE_BUILDERS
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(segflow.__path__))
 
@@ -81,3 +84,110 @@ def test_every_export_has_a_caller():
     exports = {name for name, _ in _package_exports()}
     assert exports - referenced - set(KEEP) == set()
     assert set(KEEP) <= exports - referenced  # a kept name that gains a caller leaves KEEP
+
+
+_SEAM = "where a closed-form evaluator stands in for the chain's Monte Carlo, as acceptance 05 does for vph_residual"
+
+# Defaulted inputs that no caller sets, kept on purpose.
+KEEP_DEFAULTS = {
+    "cli.main.argv": "the console script passes none; tests drive main with argument lists",
+    "limits.phi_f.sg": _SEAM,
+    "limits.variance_D.sg": _SEAM,
+    "limits.quadratic_variation.sg": _SEAM,
+    "limits.qv_lln_check.sg": _SEAM,
+    "ergodic.RateFit.noise_floor": "in every rate-fit payload: deleting it moves every digest that carries one",
+    "segments.ModelSpec.drift_batch": "the benchmark tracer sets it through dataclasses.replace",
+    "segments.ModelSpec.diffusion_batch": "the benchmark tracer sets it through dataclasses.replace",
+}
+
+
+def _builder_inputs() -> set[str]:
+    """Parameters of the registry builders: a config's ``model.params`` and
+    ``observable.params``, passed through ``**``."""
+    builders = [*MODEL_BUILDERS.values(), *OBSERVABLE_BUILDERS.values()]
+    return {
+        f"registry.{b.__name__}.{name}"
+        for b in builders
+        for name, p in inspect.signature(b).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def _dataclass_kw_only(node: ast.ClassDef):
+    """None if ``node`` is not a dataclass, else whether its fields are keyword-only."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return any(
+                k.arg == "kw_only" and getattr(k.value, "value", False) for k in getattr(dec, "keywords", ())
+            )
+    return None
+
+
+def _defaulted_inputs(path: Path) -> list[tuple[str, str, int | None, str]]:
+    """(label, callee, position, name) for each defaulted parameter or
+    dataclass field defined in ``path``; ``position`` counts the arguments
+    a call passes, and is None for a keyword-only input."""
+    out = []
+
+    def visit(body, cls, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                kw_only = _dataclass_kw_only(node)
+                if kw_only is not None:
+                    fields = [
+                        s for s in node.body
+                        if isinstance(s, ast.AnnAssign) and "ClassVar" not in ast.unparse(s.annotation)
+                    ]
+                    for i, s in enumerate(fields):
+                        if s.value is not None:
+                            name = s.target.id
+                            out.append((f"{prefix}{node.name}.{name}", node.name, None if kw_only else i, name))
+                visit(node.body, node, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                init = cls is not None and node.name == "__init__"
+                callee = cls.name if init else node.name
+                label = prefix[:-1] if init else f"{prefix}{node.name}"
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i in range(first, len(positional)):
+                    out.append((f"{label}.{positional[i].arg}", callee, i - skip, positional[i].arg))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((f"{label}.{arg.arg}", callee, None, arg.arg))
+                visit(node.body, None, f"{prefix}{node.name}.")
+
+    visit(ast.parse(path.read_text()).body, None, f"{path.stem}.")
+    return out
+
+
+def _calls(path: Path):
+    """(callee name, positional count, keywords, unpacks) for each call in
+    ``path``; ``unpacks`` is true when a ``*`` or ``**`` argument may set anything."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            kwargs = {k.arg for k in node.keywords}
+            yield callee, len(node.args), kwargs - {None}, starred or None in kwargs
+
+
+def test_every_default_is_set():
+    # a default that no caller overrides is a constant in disguise: it
+    # becomes one, or goes, or KEEP says why it stays
+    calls = [call for path in _caller_files() for call in _calls(path)]
+    unset = {
+        label
+        for path in sorted(PACKAGE.glob("*.py"))
+        for label, callee, position, name in _defaulted_inputs(path)
+        if not any(
+            c == callee and (name in kwargs or unpacks or (position is not None and n > position))
+            for c, n, kwargs, unpacks in calls
+        )
+    }
+    kept = set(KEEP_DEFAULTS) | _builder_inputs()
+    assert unset - kept == set()
+    assert kept <= unset  # a kept input that gains a caller leaves KEEP

@@ -238,7 +238,7 @@ class TestMartingaleIidChain:
             vals = scale * gen.standard_normal((n, 1, 1))
             return np.broadcast_to(vals, (n,) + shape).copy()
 
-        return IidChain(sampler, stationary_mean=0.0)
+        return IidChain(sampler)
 
     def test_zero_function_gives_zero_increments(self):
         cfg = DiscreteCorrectorConfig(rate_fit=unit_rate_fit(), k_max=4, replicas=8)

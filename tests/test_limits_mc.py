@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import collect_profile, delay_ode_mean_integral
+from oracles import collect_profile, delay_ode_mean_integral, scaled
 from segflow import (
     CenteredObservable,
     CorrectorConfig,
@@ -56,7 +56,7 @@ class TestPhiF:
         xi = constant_segment(0.0, R0, DT)
         rng = RngStream(SEED).child(2)
         a = phi_f(ref_model, f_centered, xi, 24, corrector_cfg, rng)
-        b = phi_f(ref_model, f_centered.scaled(-1.0), xi, 24, corrector_cfg, rng)
+        b = phi_f(ref_model, scaled(f_centered, -1.0), xi, 24, corrector_cfg, rng)
         assert a.value == b.value
 
     def test_one_atom_variance_equals_phi(self, ref_model, f_centered, corrector_cfg):
@@ -93,7 +93,7 @@ class TestVarianceReport:
             ref_model, f_centered, stationary_sample, cfg, rng, outer_replicas=8, max_atoms=32
         )
         big = variance_D(
-            ref_model, f_centered.scaled(2.0), stationary_sample, cfg, rng, outer_replicas=8, max_atoms=32
+            ref_model, scaled(f_centered, 2.0), stationary_sample, cfg, rng, outer_replicas=8, max_atoms=32
         )
         assert big.d_sq == pytest.approx(4.0 * small.d_sq, rel=1e-12)
         assert big.cross_check == pytest.approx(4.0 * small.cross_check, rel=1e-12)
@@ -152,7 +152,7 @@ class TestQvLlnIidOracle:
             vals = math.sqrt(v) * gen.standard_normal((n, 1, 1))
             return np.broadcast_to(vals, (n,) + shape).copy()
 
-        chain = IidChain(sampler, stationary_mean=0.0)
+        chain = IidChain(sampler)
         f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
         cfg = DiscreteCorrectorConfig(
             rate_fit=None, k_max=4, replicas=8, auto_truncate=False,
@@ -181,7 +181,7 @@ class TestQvLlnIidOracle:
 
         from segflow import RateFit
 
-        chain = IidChain(sampler, stationary_mean=0.0)
+        chain = IidChain(sampler)
         f = CenteredObservable(build_observable("zero"), 0.0, 0.0, 1)
         cfg = DiscreteCorrectorConfig(
             rate_fit=RateFit(1.0, 1.0, 1.0, np.array([]), np.array([])), k_max=3, replicas=4
@@ -251,7 +251,7 @@ class TestCltSymmetry:
         rng = RngStream(SEED).child(17)
         a = clt_test(ref_model, f_centered, xi, [4.0, 16.0], 500, variance_report.d_f, rng, n_boot=40)
         b = clt_test(
-            ref_model, f_centered.scaled(-1.0), xi, [4.0, 16.0], 500, variance_report.d_f, rng, n_boot=40
+            ref_model, scaled(f_centered, -1.0), xi, [4.0, 16.0], 500, variance_report.d_f, rng, n_boot=40
         )
         # the reflected sample realizes the same sup up to CDF rounding
         assert np.allclose(a.statistics, b.statistics, atol=1e-9)

@@ -178,7 +178,7 @@ class TestIidChain:
 def iid_chain():
     """An i.i.d. chain of standard normal segments, centered."""
     shape = constant_segment(0.0, R0, DT).values.shape
-    return IidChain(lambda gen, n: gen.standard_normal((n,) + shape), 0.0)
+    return IidChain(lambda gen, n: gen.standard_normal((n,) + shape))
 
 
 class TestOneProfileMethod:
