@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import DEFAULT_ASSIGNMENT_CAP, EmpiricalMeasure, MetricParams, wasserstein
 from .rng import RngStream
-from .segments import ModelSpec, Segment, grid_steps, record
+from .segments import ModelSpec, Segment, grid_steps, record, step_windows
 from .stats import ols_line
 
 __all__ = [
@@ -151,31 +151,43 @@ def coupled_snapshots(
     step_indices: Sequence[int],
     step: float,
     rng: RngStream,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Evolve two equal-width ensembles under shared Gaussian increments.
 
     Trajectory i of each ensemble consumes the same noise, realizing the
     synchronous coupling: each marginal stays exact while paired states
     contract under the dissipative drift.  Both ensembles run as one
-    shared-noise batch; returns (A, B) windows at the sorted distinct step
-    indices.
+    shared-noise batch.  The returned iterator yields the (A, B) windows at
+    the sorted distinct step indices, one pair at a time; they are read-only
+    views of the ring buffer, valid until the next pair is requested, so a
+    consumer that keeps a pair copies it.  The stepping pauses while a pair
+    is in use: one pair of windows is alive however many steps are wanted,
+    and the initial batches are not kept once the ring holds them.  The two
+    shapes and the steps are checked on the call, the batch against the
+    model when the first pair is requested.
     """
     a = np.asarray(initial_a, dtype=float)
     b = np.asarray(initial_b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError("coupled ensembles must have identical shapes")
-    wanted = sorted(set(int(k) for k in step_indices))
-    snaps, _ = record(
-        model,
-        np.concatenate([a, b]),
-        wanted[-1] if wanted else 0,
-        step,
-        rng,
-        sample_at=wanted,
-        shared_noise=True,
+    wanted = {int(k) for k in step_indices}
+    if min(wanted, default=0) < 0:
+        raise ValueError("snapshot steps must be non-negative")
+    windows = step_windows(
+        model, np.concatenate([a, b]), max(wanted, default=0), step, rng, shared_noise=True
     )
-    n = a.shape[0]
-    return [(snap[:n], snap[n:]) for snap in snaps]
+    return _halves_at(windows, wanted, a.shape[0])
+
+
+def _halves_at(
+    windows: Iterator[tuple[int, np.ndarray]], wanted: set[int], n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Read-only views of the first ``n`` windows and the rest, at the steps ``wanted``."""
+    for j, window in windows:
+        if j in wanted:
+            a, b = window[:n], window[n:]
+            a.flags.writeable = b.flags.writeable = False
+            yield a, b
 
 
 def ergodicity_curve(
@@ -215,7 +227,7 @@ def ergodicity_curve(
         raise ShapeError("the reference measure must lie on the initial segment's grid")
     times = np.asarray(list(times), dtype=float)
     indices = [grid_steps(t, step, "time") for t in times]
-    # distinct steps: coupled_snapshots returns one snapshot per step
+    # distinct steps: coupled_snapshots yields one pair per step
     if times.size == 0 or (np.diff(indices) <= 0).any():
         raise ValueError("times must be non-empty and fall on strictly increasing steps")
 
@@ -224,11 +236,17 @@ def ergodicity_curve(
     if block < 2:
         raise ShapeError("need at least 2 atoms per block for a transport distance")
 
-    initials_a = np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape).copy()
+    # the starts go straight into the stream, which drops them once the ring
+    # holds them; each pair of windows is reduced before the ensemble steps on
     reps = int(math.ceil(n_traj / initial_b.n))
-    initials_b = np.tile(initial_b.values, (reps, 1, 1))[:n_traj]
-
-    pairs = coupled_snapshots(model, initials_a, initials_b, indices, step, rng.child(1))
+    pairs = coupled_snapshots(
+        model,
+        np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape),
+        np.tile(initial_b.values, (reps, 1, 1))[:n_traj],
+        indices,
+        step,
+        rng.child(1),
+    )
     distances = np.array(
         [
             _mean_transport(_coupled_blocks(snap_a, snap_b, model.delay, step, block), mp, cap)

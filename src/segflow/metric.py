@@ -141,22 +141,22 @@ def _compatible(a_vals: np.ndarray, b_vals: np.ndarray):
 def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
     """Pairwise quasi-distances between two batches of segments.
 
-    Returns the (na, nb) matrix rho(a_i, b_j).  For d = 1 the uniform
-    distance is one Chebyshev ``cdist`` over the nodes, so nothing larger than
-    (na, nb) is formed.  For d > 1 rows are chunked so the transient
-    (chunk, nb, m+1, d) difference array stays small; a per-node Euclidean
-    ``cdist`` would sum the d squares in another order from d = 8 on and
-    move results by an ulp.
+    Returns the (na, nb) matrix rho(a_i, b_j), built in place in the
+    returned array and one weight matrix, so a call forms two (na, nb)
+    arrays whatever the exponents.  For d = 1 the uniform distance is one
+    Chebyshev ``cdist`` over the nodes, raised and clipped where it lies.
+    For d > 1 rows are chunked so the transient (chunk, nb, m+1, d)
+    difference array stays small; a per-node Euclidean ``cdist`` would sum
+    the d squares in another order from d = 8 on and move results by an
+    ulp.  The weight is summed as ``(1 + |a|^p) + |b|^p``.
     """
     _compatible(a_vals, b_vals)
-    na, nb = a_vals.shape[0], b_vals.shape[0]
-    norm_a = batch_sup_norms(a_vals)
-    norm_b = batch_sup_norms(b_vals)
-    weight = np.sqrt(1.0 + norm_a[:, None] ** mp.p + norm_b[None, :] ** mp.p)
     if a_vals.shape[2] == 1:
-        dist = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
-        out = np.minimum(1.0, dist**mp.gamma)
+        out = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
+        out **= mp.gamma
+        np.minimum(1.0, out, out=out)
     else:
+        na, nb = a_vals.shape[0], b_vals.shape[0]
         out = np.empty((na, nb))
         chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
         for lo in range(0, na, chunk):
@@ -164,7 +164,9 @@ def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.n
             diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
             dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
             out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
-    out *= weight
+    weight = 1.0 + batch_sup_norms(a_vals) ** mp.p
+    weight = np.add(weight[:, None], batch_sup_norms(b_vals) ** mp.p)
+    out *= np.sqrt(weight, out=weight)
     return out
 
 

@@ -9,6 +9,7 @@ ValueError, which :func:`build_model` and :func:`build_observable` report as a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,11 +104,18 @@ MODEL_BUILDERS: dict[str, Callable[..., ModelSpec]] = {
 }
 
 
-def _eval0(coord: int = 0) -> Observable:
-    """Current-state coordinate xi(0)[coord]."""
-    coord = int(coord)
+def _coordinate(coord) -> int:
+    """``coord`` as a coordinate index: an integer, not a bool, and not negative."""
+    if isinstance(coord, bool) or not isinstance(coord, (int, np.integer)):
+        raise ValueError(f"coord must be an integer, got {coord!r}")
     if coord < 0:
         raise ValueError("coord must be non-negative")
+    return int(coord)
+
+
+def _eval0(coord: int = 0) -> Observable:
+    """Current-state coordinate xi(0)[coord]."""
+    coord = _coordinate(coord)
     return Observable(
         name=f"eval0[{coord}]" if coord else "eval0",
         eval_batch=lambda vals: np.array(vals[:, -1, coord]),
@@ -126,9 +134,7 @@ def _sup_norm_pow(q: float = 2.0) -> Observable:
 
 
 def _sin_eval0(coord: int = 0) -> Observable:
-    coord = int(coord)
-    if coord < 0:
-        raise ValueError("coord must be non-negative")
+    coord = _coordinate(coord)
     return Observable(
         name="sin_eval0",
         declared_norm=None,
@@ -148,13 +154,19 @@ def _zero() -> Observable:
 def _linear_combo(terms=None) -> Observable:
     """Weighted sum of other registry observables.
 
-    ``terms`` is a list of ``{"coef": c, "name": obs, "params": {...}}``.
+    ``terms`` is a list of objects ``{"coef": c, "name": obs, "params":
+    {...}}``; ``coef`` defaults to 1 and must be a finite number.
     """
     if not terms:
         raise ValueError("linear_combo needs a non-empty 'terms' list")
     parts = []
     for t in terms:
-        coef = float(t.get("coef", 1.0))
+        if not isinstance(t, dict):
+            raise ValueError(f"each linear_combo term must be an object, got {t!r}")
+        coef = t.get("coef", 1.0)
+        if isinstance(coef, bool) or not isinstance(coef, (int, float)) or not math.isfinite(coef):
+            raise ValueError(f"coef must be a finite number, got {coef!r}")
+        coef = float(coef)
         obs = build_observable(t["name"], t.get("params", {}))
         parts.append((coef, obs))
     label = "+".join(f"{c:g}*{o.name}" for c, o in parts)

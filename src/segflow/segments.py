@@ -19,17 +19,20 @@ statistical estimators in the rest of the package affordable.  Batched
 arrays of segments always have shape ``(n, m+1, d)``: batch index, then time
 node (oldest first), then coordinate.
 
-:func:`record` is the one driver every estimator runs through: it steps a
-batch and returns copies of the windows (or of an observable of them) at
-chosen steps, plus running trapezoid integrals of an observable.  With
+The Euler loop lives in :func:`step_windows`, the one driver every run
+steps through: it yields each new window batch as a view of a recycled ring
+buffer, which owns the batch from the first yield on.  With
 ``shared_noise`` the batch is two equal halves driven by the same Gaussian
-increments, the synchronous coupling of two ensembles.  The Euler loop
-itself lives in :func:`step_windows`, whose recycled ring buffer never
-leaves this module.  A single one-dimensional path runs on Python floats
-with the same operation order, so it is bit-identical to the batched loop
-at width 1 and several times faster; it serves models whose drift is written
-as elementwise ``drift_ends`` and whose diffusion is a constant ``sigma`` or
-``diffusion_ends``, and every other single path takes the batched loop.
+increments, the synchronous coupling of two ensembles.  :func:`record`
+steps a batch and returns copies of the windows (or of an observable of
+them) at chosen steps, plus running trapezoid integrals of an observable;
+consumers that reduce each window as it comes, and so hold one at a time,
+read :func:`step_windows` directly.  A single one-dimensional path runs on
+Python floats with the same operation order, so it is bit-identical to the
+batched loop at width 1 and several times faster; it serves models whose
+drift is written as elementwise ``drift_ends`` and whose diffusion is a
+constant ``sigma`` or ``diffusion_ends``, and every other single path takes
+the batched loop.
 :func:`_noise_map` picks the diffusion's form once per run.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
@@ -351,7 +354,9 @@ def step_windows(
     (j, windows): step index ``j`` (0 = initial state, time ``j*step``) and a
     read-only view of the current batch of segments, shape (n, m+1, d).
     Consumers must not hold references across iterations: the buffer is
-    recycled.
+    recycled.  The initial batch is copied into the buffer before the first
+    yield and no reference to it is kept, so a caller that passes it
+    without keeping one of its own frees it for the rest of the run.
 
     Raises
     ------
@@ -385,6 +390,9 @@ def step_windows(
     rows = max(2 * (m + 1), min(cap, n_steps + m + 1))
     buf = _ring((rows + m + 1, n, d))
     buf[: m + 1] = init.transpose(1, 0, 2)
+    # the ring owns the batch from here: a caller that kept no reference
+    # frees it while the run goes on
+    del initial_values, init
     head = m  # buffer row of the current state
 
     if not np.isfinite(buf[: m + 1]).all():
@@ -510,14 +518,12 @@ def record(
     sample: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     integrate_at: Sequence[int] = (),
     integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    shared_noise: bool = False,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Run one batch for ``n_steps`` steps and keep what the caller asks for.
 
     Parameters
     ----------
-    initial_values, n_steps, step, rng, shared_noise: as for
-        :func:`step_windows`.
+    initial_values, n_steps, step, rng: as for :func:`step_windows`.
     sample_at: steps (0 = initial state) at which to keep ``sample(window)``.
     sample: map of the (n, m+1, d) window batch to an array; default keeps
         the window itself.
@@ -555,9 +561,7 @@ def record(
     samples = integrals = partial = prev = panel = None
     # step_windows is looked up as a module global on each call, so a wrapper
     # installed on this module sees every step
-    for j, window in step_windows(
-        model, initial_values, n_steps, step, rng, shared_noise=shared_noise
-    ):
+    for j, window in step_windows(model, initial_values, n_steps, step, rng):
         if integrand is not None:
             vals = integrand(window)  # may alias the ring buffer
             if prev is None:

@@ -129,14 +129,17 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         None, its running sum as it arrives, and is reduced over the replica
         axis, bitwise as the whole (n_rec, g, replicas) array would be.
         """
-        init = np.repeat(states, replicas, axis=0)
         cum = np.empty((states.shape[0], replicas))
         last = np.empty(cum.shape)  # f at the previous node
         panel = np.empty(cum.shape)
         i = 0  # sampled rows so far
         # step_windows is looked up as a module global on each call, so
-        # a wrapper installed on this module sees every step
-        for j, window in step_windows(self.model, init, sample_at[-1], self.dt, rng):
+        # a wrapper installed on this module sees every step; the repeated
+        # states are not kept here, so the ring alone holds them
+        windows = step_windows(
+            self.model, np.repeat(states, replicas, axis=0), sample_at[-1], self.dt, rng
+        )
+        for j, window in windows:
             if j != sample_at[i]:
                 continue
             node = f.values(window).reshape(cum.shape)  # may alias the ring buffer

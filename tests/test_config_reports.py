@@ -150,6 +150,10 @@ class TestParseConfig:
             {"name": "sup_norm_pow", "params": {"q": math.nan}},
             {"name": "linear_combo", "params": {"terms": [{"coef": "x", "name": "eval0"}]}},
             {"name": "linear_combo", "params": {"terms": [{"coef": 1.0}]}},
+            {"name": "linear_combo", "params": {"terms": ["eval0"]}},  # a term is an object
+            {"name": "linear_combo", "params": {"terms": [{"coef": "nan", "name": "eval0"}]}},
+            {"name": "eval0", "params": {"coord": 0.7}},  # would read coordinate 0
+            {"name": "sin_eval0", "params": {"coord": 0.7}},
         ],
     )
     def test_bad_observable_params_rejected_eagerly(self, tmp_path, observable):

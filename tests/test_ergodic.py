@@ -1,6 +1,7 @@
 """Ensemble sampling and rate fitting tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from segflow import ergodic
 from segflow.errors import ShapeError
 from segflow.ergodic import RateFit
 from segflow.registry import build_model
+from segflow.segments import step_windows
 
 DT = 1.0 / 128.0
 R0 = 0.5
@@ -191,6 +193,71 @@ class TestErgodicityCurve:
             )
         assert math.isnan(fit.beta_hat)
         assert fit.flagged
+
+
+def collected_curve_distances(model, initial_a, initial_b, times, mp, n_traj, rng, cap):
+    """The distances ``ergodicity_curve`` fits, as it computed them before it
+    streamed: every coupled snapshot stepped and copied first, reduced after."""
+    step = initial_a.step
+    indices = [int(round(t / step)) for t in times]
+    block = min(cap, n_traj, initial_b.n // 2)
+    a = np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape)
+    b = np.tile(initial_b.values, (-(-n_traj // initial_b.n), 1, 1))[:n_traj]
+    both = np.concatenate([a, b])
+    windows = step_windows(model, both, indices[-1], step, rng.child(1), shared_noise=True)
+    snaps = [window.copy() for j, window in windows if j in indices]
+    return np.array([
+        ergodic._mean_transport(
+            ergodic._coupled_blocks(snap[:n_traj], snap[n_traj:], model.delay, step, block), mp, cap
+        )
+        for snap in snaps
+    ])
+
+
+def traced_peak(fn):
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestStreamedCurve:
+    @pytest.mark.parametrize("seed", [99, 20240817])
+    def test_matches_collected_snapshots(self, ref_model, stationary_sample, mp, xi_five, seed):
+        times = [0.5, 1.0, 1.5, 2.5]
+        fit = ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed), cap=64)
+        ref = collected_curve_distances(
+            ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed), cap=64
+        )
+        assert (ref > 1e-13).all()
+        assert np.array_equal(fit.values, ref)
+        assert np.array_equal(fit.times, times)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, ref_model, stationary_sample, mp, xi_five):
+        # both runs end at step 1024, where the 128-path ring is full-size
+        # (and mmap'd, so untraced); each extra grid time would keep one more
+        # (2 n_traj, m+1, 1) snapshot if the snapshots were collected
+        n_traj = 64
+        snapshot = 2 * n_traj * xi_five.values.size * 8
+
+        def peak(times):
+            return traced_peak(
+                lambda: ergodicity_curve(
+                    ref_model, xi_five, stationary_sample, times, mp, n_traj, RngStream(5), cap=64
+                )
+            )
+
+        coarse = peak([2.5, 5.0, 8.0])
+        fine = peak([0.5 * k for k in range(5, 17)])
+        assert fine <= coarse + snapshot
 
 
 class TestRateFit:

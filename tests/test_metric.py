@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from oracles import brute_force_assignment_cost
 from segflow import (
@@ -103,6 +104,18 @@ def chunked_rho_matrix(a_vals, b_vals, mp):
     return out
 
 
+def previous_rho_matrix(a_vals, b_vals, mp):
+    """``rho_matrix`` before it built in place: the weight as one broadcast
+    expression, and for d = 1 a fresh array per operation."""
+    if a_vals.shape[2] > 1:
+        return chunked_rho_matrix(a_vals, b_vals, mp)
+    weight = np.sqrt(1.0 + batch_sup_norms(a_vals)[:, None] ** mp.p + batch_sup_norms(b_vals)[None, :] ** mp.p)
+    dist = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
+    out = np.minimum(1.0, dist**mp.gamma)
+    out *= weight
+    return out
+
+
 class TestRhoKernel:
     params = [MetricParams(p, g) for p in (1.0, 2.0, 3.0) for g in (0.3, 0.5, 1.0)]
 
@@ -143,6 +156,16 @@ class TestRhoKernel:
         b = 0.05 * gen.standard_normal((300, 65, d))
         mp = MetricParams(2.0, 1.0)
         assert np.array_equal(rho_matrix(a, b, mp), chunked_rho_matrix(a, b, mp))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_in_place_build_matches_previous_expression(self, d, p, gamma):
+        gen = RngStream(47).generator()
+        a = 1.5 * gen.standard_normal((130, 65, d))
+        b = 1.5 * gen.standard_normal((120, 65, d))
+        mp = MetricParams(p, gamma)
+        assert np.array_equal(rho_matrix(a, b, mp), previous_rho_matrix(a, b, mp))
 
     def test_scalar_distance_exact_below_square_underflow(self):
         # for d = 1 the node distance is |x| itself, not sqrt(x**2), which

@@ -2,6 +2,7 @@
 
 import math
 import mmap
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -408,6 +409,18 @@ class TestRecord:
         assert isinstance(memoryview(owner).obj, mmap.mmap)
         assert large.flags.writeable and large.shape == (600, 4096, 1)
 
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_ring_owns_the_initial_batch(self, width):
+        # a caller that keeps no reference frees the batch once the ring
+        # holds it, for the rest of the run
+        init = spread_initials(width)
+        alive = weakref.ref(init)
+        windows = step_windows(build_model("linear_delay_ou"), init, 5, DT, RngStream(0))
+        del init
+        next(windows)
+        assert alive() is None
+        assert sum(1 for _ in windows) == 5
+
 
 class TestWindowMustSpanDelay:
     """The driver checks every batch's node count against delay/step once per
@@ -447,7 +460,7 @@ class TestSharedNoise:
         steps = [0, 2, 70, 250]
         rng = RngStream(17, 4)
         old = old_coupled_loop(any_model, a, b, steps, DT, rng)
-        new = coupled_snapshots(any_model, a, b, steps, DT, rng)
+        new = [(na.copy(), nb.copy()) for na, nb in coupled_snapshots(any_model, a, b, steps, DT, rng)]
         assert len(new) == len(old)
         for (old_a, old_b), (new_a, new_b) in zip(old, new):
             assert np.array_equal(new_a, old_a)
@@ -456,16 +469,18 @@ class TestSharedNoise:
     @pytest.mark.parametrize("half", [1, 300])
     def test_identical_halves_stay_identical(self, any_model, half):
         a = spread_initials(half, seed=4)
-        windows, _ = record(
-            any_model, np.concatenate([a, a]), 300, DT, RngStream(6),
-            sample_at=[1, 150, 300], shared_noise=True,
-        )
+        windows = np.array([
+            np.concatenate([wa, wb])
+            for wa, wb in coupled_snapshots(any_model, a, a, [1, 150, 300], DT, RngStream(6))
+        ])
         assert np.array_equal(windows[:, :half], windows[:, half:])
         assert not np.array_equal(windows[0], windows[-1])
 
     def test_odd_width_rejected(self):
         with pytest.raises(ShapeError):
-            record(build_model("linear_delay_ou"), spread_initials(3), 4, DT, RngStream(0), shared_noise=True)
+            next(step_windows(
+                build_model("linear_delay_ou"), spread_initials(3), 4, DT, RngStream(0), shared_noise=True
+            ))
 
 
 class TestIntegralProfile:
@@ -849,7 +864,7 @@ class TestTwoDimensions:
         steps = [0, 2, 70, 120]
         rng = RngStream(43, 5)
         old = old_coupled_loop(model, a, b, steps, DT, rng)
-        new = coupled_snapshots(model, a, b, steps, DT, rng)
+        new = [(na.copy(), nb.copy()) for na, nb in coupled_snapshots(model, a, b, steps, DT, rng)]
         assert len(new) == len(old) == len(steps)
         for (old_a, old_b), (new_a, new_b) in zip(old, new):
             assert np.array_equal(new_a, old_a)
