@@ -182,12 +182,10 @@ def coupled_snapshots(
 def _halves_at(
     windows: Iterator[tuple[int, np.ndarray]], wanted: set[int], n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Read-only views of the first ``n`` windows and the rest, at the steps ``wanted``."""
+    """The first ``n`` windows and the rest, at the steps ``wanted``."""
     for j, window in windows:
         if j in wanted:
-            a, b = window[:n], window[n:]
-            a.flags.writeable = b.flags.writeable = False
-            yield a, b
+            yield window[:n], window[n:]
 
 
 def ergodicity_curve(

@@ -148,7 +148,8 @@ def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.n
     For d > 1 rows are chunked so the transient (chunk, nb, m+1, d)
     difference array stays small; a per-node Euclidean ``cdist`` would sum
     the d squares in another order from d = 8 on and move results by an
-    ulp.  The weight is summed as ``(1 + |a|^p) + |b|^p``.
+    ulp.  The weight is summed as ``1 + (|a|^p + |b|^p)``, so
+    ``rho_matrix(a, b)`` is exactly ``rho_matrix(b, a).T``.
     """
     _compatible(a_vals, b_vals)
     if a_vals.shape[2] == 1:
@@ -164,8 +165,8 @@ def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.n
             diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
             dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
             out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
-    weight = 1.0 + batch_sup_norms(a_vals) ** mp.p
-    weight = np.add(weight[:, None], batch_sup_norms(b_vals) ** mp.p)
+    weight = np.add.outer(batch_sup_norms(a_vals) ** mp.p, batch_sup_norms(b_vals) ** mp.p)
+    weight += 1.0
     out *= np.sqrt(weight, out=weight)
     return out
 

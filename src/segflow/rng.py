@@ -2,11 +2,12 @@
 
 Every stochastic routine in the package receives an explicit :class:`RngStream`
 and derives any sub-streams it needs through :meth:`RngStream.child`.  Streams
-are realized with numpy's counter-based Philox generator keyed through
-``SeedSequence(master_seed, spawn_key=...)``, so a given ``(master_seed,
-stream_index)`` pair reproduces the same sequence on every platform and is
-independent of scheduling: parallel tasks never share draws because their
-spawn keys differ.
+are realized with numpy's SFC64 generator keyed through
+``SeedSequence(master_seed, spawn_key=stream_index)``, so a given
+``(master_seed, stream_index)`` pair reproduces the same sequence on every
+platform and is independent of scheduling: parallel tasks never share draws
+because their spawn keys differ.  Reproducibility comes from that keying
+alone; no stream is ever jumped or advanced.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Instantiate the numpy generator for this stream."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.stream_index)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -414,7 +414,9 @@ def step_windows(
     # noise term and drift * step
     zs, noise_out, drift_step = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
 
-    yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
+    ro = buf.view()  # read-only alias the yielded windows are sliced from
+    ro.flags.writeable = False
+    yield 0, ro[head - m : head + 1].transpose(1, 0, 2)
 
     for j in range(1, n_steps + 1):
         if head + 1 >= buf.shape[0]:
@@ -440,7 +442,7 @@ def step_windows(
             if not np.isfinite(drift).all() or not np.isfinite(noise).all():
                 raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
             raise NumericBlowupError("state became non-finite", j * step)
-        yield j, buf[head - m : head + 1].transpose(1, 0, 2)
+        yield j, ro[head - m : head + 1].transpose(1, 0, 2)
 
 
 def _scalar_windows(

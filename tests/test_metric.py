@@ -87,12 +87,18 @@ class TestRho:
         assert rho(x, y, mp) > 0.0
 
 
+def moment_weight(a_vals, b_vals, mp):
+    """sqrt(1 + (|a|^p + |b|^p)) as one broadcast expression, summed in the
+    order that makes it symmetric in a and b."""
+    norm_a = batch_sup_norms(a_vals)
+    norm_b = batch_sup_norms(b_vals)
+    return np.sqrt(1.0 + (norm_a[:, None] ** mp.p + norm_b[None, :] ** mp.p))
+
+
 def chunked_rho_matrix(a_vals, b_vals, mp):
     """The difference-array kernel ``rho_matrix`` used for every d, kept as the reference."""
     na, nb = a_vals.shape[0], b_vals.shape[0]
-    norm_a = batch_sup_norms(a_vals)
-    norm_b = batch_sup_norms(b_vals)
-    weight = np.sqrt(1.0 + norm_a[:, None] ** mp.p + norm_b[None, :] ** mp.p)
+    weight = moment_weight(a_vals, b_vals, mp)
     out = np.empty((na, nb))
     chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
     for lo in range(0, na, chunk):
@@ -109,7 +115,7 @@ def previous_rho_matrix(a_vals, b_vals, mp):
     expression, and for d = 1 a fresh array per operation."""
     if a_vals.shape[2] > 1:
         return chunked_rho_matrix(a_vals, b_vals, mp)
-    weight = np.sqrt(1.0 + batch_sup_norms(a_vals)[:, None] ** mp.p + batch_sup_norms(b_vals)[None, :] ** mp.p)
+    weight = moment_weight(a_vals, b_vals, mp)
     dist = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
     out = np.minimum(1.0, dist**mp.gamma)
     out *= weight
@@ -121,7 +127,11 @@ class TestRhoKernel:
 
     def assert_matches_reference(self, a, b):
         for mp in self.params:
-            assert np.array_equal(rho_matrix(a, b, mp), chunked_rho_matrix(a, b, mp))
+            got = rho_matrix(a, b, mp)
+            assert np.array_equal(got, chunked_rho_matrix(a, b, mp))
+            # the weight sums 1 + (|a|^p + |b|^p); summed as (1 + |a|^p) + |b|^p,
+            # a few percent of the entries would differ in the last bit
+            assert np.array_equal(got, rho_matrix(b, a, mp).T)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_batches(self, d):
@@ -198,10 +208,8 @@ class TestMetricProperties:
         b = data.draw(arrays(np.float64, (nb, nodes, d), elements=node_values))
         ab = rho_matrix(a, b, mp)
         ba = rho_matrix(b, a, mp).T
-        # the moment weight sums (1 + |a|^p) + |b|^p, so the transpose may
-        # differ in the last bits of the weight, never more
-        assert np.allclose(ab, ba, rtol=4 * np.finfo(float).eps, atol=0.0)
-        assert np.array_equal(ab == 0.0, ba == 0.0)
+        # the moment weight sums 1 + (|a|^p + |b|^p), so the transpose is exact
+        assert np.array_equal(ab, ba)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -421,6 +421,18 @@ class TestRecord:
         assert alive() is None
         assert sum(1 for _ in windows) == 5
 
+    @pytest.mark.parametrize("shared_noise", [False, True])
+    def test_batched_windows_are_read_only(self, any_model, shared_noise, monkeypatch):
+        # a ring of 2(m+1) = 34 rows, so 100 steps wrap it twice
+        monkeypatch.setattr(segments, "_RING_BYTES", 8 * 64 * 34)
+        init = spread_initials(64)
+        windows = step_windows(any_model, init, 100, DT, RngStream(0), shared_noise=shared_noise)
+        assert not next(windows)[1].flags.writeable
+        for _, window in windows:
+            assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[0, 0, 0] = 1.0
+
 
 class TestWindowMustSpanDelay:
     """The driver checks every batch's node count against delay/step once per
