@@ -38,7 +38,6 @@ from .limits import (
     quadratic_variation,
     qv_lln_check,
     rescaled_path_nodes,
-    slln_pathwise,
     slln_variance_decay,
     variance_D,
     vph_residual,

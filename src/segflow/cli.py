@@ -48,7 +48,6 @@ from .limits import (
     clt_test,
     lil_run,
     rescaled_path_nodes,
-    slln_pathwise,
     slln_variance_decay,
     variance_D,
 )
@@ -151,18 +150,6 @@ def _run_slln(cfg: ExperimentConfig, model, num):
     failures = []
     if not report.passed and not report.zero_signal:
         failures.append(f"variance decay exponent {report.exponent:.3f} above the {_SLOPE_GATE} gate")
-    if num["pathwise_horizon"] > 0:
-        pw = slln_pathwise(
-            model, xi, f, num["eps"], num["pathwise_horizon"],
-            num["pathwise_replicas"], RngStream(cfg.seed).child(5),
-        )
-        payload["pathwise"] = {
-            "eps": pw.eps,
-            "c_eps": pw.c_eps,
-            "statistic_quantiles": pw.statistic_quantiles,
-            "exceedance_quantiles": pw.exceedance_quantiles,
-            "late_to_mid_ratio_median": pw.late_to_mid_ratio_median,
-        }
     rows = []
     if not report.zero_signal and math.isfinite(report.exponent):
         logc = float(np.mean(np.log(report.sq_errors) - report.exponent * np.log(report.times)))

@@ -146,7 +146,7 @@ _CORRECTOR = {
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "assumptions": {
-        **_COMMON,
+        "dt": _COMMON["dt"],
         "n_pairs": (400, _int_min(1)),
         "n_samples": (400, _int_min(1)),
         "sample_scale": (2.0, _pos_float()),
@@ -161,7 +161,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "t_grid": ([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _float_grid(min_len=2)),
         "assignment_cap": (512, _int_min(2, 4096)),
         "block": (None, _optional(_int_min(2, 4096))),
-        # One value each (one estimator); kept only because every echo and digest carries them.
+        # One value each (one estimator), read by no run; kept only because the
+        # benchmark's ergodicity workload sets them.
         "mode": ("stationary", _choice("stationary")),
         "coupling": ("synchronous", _choice("synchronous")),
         "floor_factor": (2.0, _pos_float(lo=2.0, hi=2.0, lo_open=False)),
@@ -171,9 +172,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         **_STATIONARY,
         "replicas": (200, _int_min(100)),
         "t_grid": ([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0], _float_grid(min_len=4)),
-        "eps": (0.25, _pos_float(hi=0.4999)),
-        "pathwise_horizon": (0.0, _pos_float(lo=0.0, lo_open=False)),
-        "pathwise_replicas": (64, _int_min(2)),
     },
     "clt": {
         **_COMMON,
@@ -207,12 +205,11 @@ _TOP_KEYS = {"kind", "seed", "model", "observable", "metric", "numerics", "outpu
 # time-grid rule (segments.grid_steps) for numerics.dt.
 _DT_GRID_KEYS = {
     "ergodicity": ("thinning", "t_grid"),
-    "slln": ("thinning", "t_grid", "pathwise_horizon"),
+    "slln": ("thinning", "t_grid"),
     "clt": ("thinning", "rate_t_grid", "t_max", "t_grid"),
     "lil": ("thinning", "rate_t_grid"),
 }
-# Kinds whose pipelines advance in unit-time steps (slln too when its
-# pathwise statistic runs: that samples whole times up to its horizon).
+# Kinds whose pipelines advance in unit-time steps.
 _UNIT_STEP_KINDS = ("clt", "lil", "full-suite")
 
 
@@ -289,10 +286,8 @@ def _check_against_model(kind: str, model: ModelSpec, num: dict) -> None:
     """Cross-field checks that a pipeline would otherwise only fail mid-run."""
     dt = num["dt"]
     _on_grid("numerics.dt", _history_nodes, model.delay, dt)
-    if kind in _UNIT_STEP_KINDS or num.get("pathwise_horizon", 0.0) > 0:
+    if kind in _UNIT_STEP_KINDS:
         _on_grid("numerics.dt", grid_steps, 1.0, dt, "unit time")
-    if 0 < num.get("pathwise_horizon", 0.0) < 1:
-        _fail("numerics.pathwise_horizon", "must be 0 (off) or at least 1: pathwise checkpoints start at t = 1")
     for key in _DT_GRID_KEYS.get(kind, ()):
         times = num[key] if isinstance(num[key], list) else [num[key]]
         steps = [_on_grid(f"numerics.{key}", grid_steps, t, dt, key) for t in times]

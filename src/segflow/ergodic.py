@@ -41,8 +41,7 @@ class RateFit:
 
     ``times``/``values`` are the points the fit actually used (strictly
     positive values, strictly increasing times); dropped points sit at or
-    below 1e-13.  ``noise_floor`` is always 0.0: the coupled estimator
-    measures no floor.
+    below 1e-13.
     """
 
     c_hat: float
@@ -51,7 +50,6 @@ class RateFit:
     times: np.ndarray
     values: np.ndarray
     se_beta: float = math.nan
-    noise_floor: float = 0.0
     n_dropped: int = 0
     flagged: bool = False
     note: str = ""
@@ -211,8 +209,8 @@ def ergodicity_curve(
     exact marginals (for a stationary ``initial_b`` the evolved cloud remains
     stationary at every time), while the paired contraction removes the
     same-law sampling floor that a fixed reference suffers, so the measured
-    distances can decay to zero.  No floor is measured: ``noise_floor`` is
-    0.0, and the fit keeps the points above 1e-13.
+    distances can decay to zero.  No floor is measured: the fit keeps the
+    points above 1e-13.
 
     Distances are averaged over disjoint block pairs of size ``block``
     (default: the assignment cap, shrunk so the reference retains at least

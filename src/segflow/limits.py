@@ -60,13 +60,11 @@ __all__ = [
     "VphReport",
     "CltReport",
     "SllnReport",
-    "PathwiseReport",
     "MartingaleSequence",
     "QvReport",
     "QvLlnReport",
     "LilReport",
     "slln_variance_decay",
-    "slln_pathwise",
     "corrector",
     "phi_f",
     "variance_D",
@@ -185,12 +183,11 @@ def _time_average_checkpoints(
     times: Sequence[float],
     replicas: int,
     rng: RngStream,
-    what: str,
 ) -> np.ndarray:
     """Per-replica time averages A_t at the checkpoint ``times``, shape
-    (n_check, R); ``what`` names the times when one is off the grid."""
+    (n_check, R)."""
     dt = xi.step
-    check_steps = [grid_steps(t, dt, what) for t in times]
+    check_steps = [grid_steps(t, dt, "time") for t in times]
     init = np.broadcast_to(xi.values, (replicas,) + xi.values.shape).copy()
     _, integrals = record(
         model, init, max(check_steps), dt, rng, integrate_at=check_steps, integrand=f.values
@@ -219,7 +216,7 @@ def slln_variance_decay(
         raise ValueError("times must be at least two positive values")
     if times.max() / times.min() < 10.0:
         raise ValueError("times must span at least one decade")
-    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "time")
+    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0))
     sq = averages**2
     sq_errors = sq.mean(axis=1)
     ses = sq.std(axis=1, ddof=1) / math.sqrt(replicas)
@@ -238,85 +235,6 @@ def slln_variance_decay(
         passed=bool(fit.slope <= _SLOPE_GATE),
         zero_signal=False,
         replicas=replicas,
-    )
-
-
-@dataclass(frozen=True)
-class PathwiseReport:
-    eps: float
-    horizon: float
-    checkpoint_times: np.ndarray
-    sup_statistics: np.ndarray
-    c_eps: float
-    norm_scale: float
-    statistic_quantiles: dict
-    exceedance_quantiles: dict
-    late_to_mid_ratio_median: float
-
-
-def _default_checkpoints(horizon: float) -> np.ndarray:
-    """Roughly geometric checkpoint times in [1, horizon] (half-decade steps).
-
-    The interior points are rounded to whole times; the horizon itself is
-    kept as given.
-    """
-    ts = []
-    t = 1.0
-    while t < horizon * (1 - 1e-9):
-        ts.append(t)
-        t *= math.sqrt(2.0)
-    interior = np.unique(np.round(np.asarray(ts)))
-    return np.append(interior[interior < horizon], horizon)
-
-
-def slln_pathwise(
-    model: ModelSpec,
-    xi: Segment,
-    f: CenteredObservable,
-    eps: float,
-    horizon: float,
-    replicas: int,
-    rng: RngStream,
-) -> PathwiseReport:
-    """Pathwise decay statistic ``sup_t |A_t| t^{1/2 - eps}`` over the
-    checkpoints of :func:`_default_checkpoints`.
-
-    ``c_eps`` is set to the 95th percentile of the statistic at the final
-    horizon (recorded, not asserted); exceedance times are, per path, the
-    last checkpoint where ``|A_t|`` exceeds ``c_eps * ||f|| * t^{-1/2+eps}``.
-    """
-    if not (0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2)")
-    times = _default_checkpoints(horizon)
-    if times[0] < 1.0:
-        raise ValueError("horizon must be at least 1: checkpoints start at t = 1")
-    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "checkpoint")
-    weights = times ** (0.5 - eps)
-    stats = np.abs(averages) * weights[:, None]  # (n_check, R)
-    sup_stats = stats.max(axis=0)
-    norm_scale = _norm_hint(f)
-    final_stats = stats[-1]
-    c_eps = float(np.quantile(final_stats, 0.95)) / max(norm_scale, 1e-300)
-    violated = stats > c_eps * norm_scale
-    exceed = np.where(violated.any(axis=0), times[np.maximum(
-        violated.shape[0] - 1 - np.argmax(violated[::-1], axis=0), 0
-    )], 0.0)
-    mid = (times >= horizon / 4) & (times < horizon / 2)
-    late = times >= horizon / 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = stats[late].max(axis=0) / stats[mid].max(axis=0)
-    ratios = ratios[np.isfinite(ratios)]
-    quant = lambda a: {q: float(np.quantile(a, q)) for q in (0.5, 0.9, 0.95)}
-    return PathwiseReport(
-        eps=eps,
-        horizon=horizon,
-        checkpoint_times=times,
-        sup_statistics=sup_stats,
-        c_eps=c_eps,
-        norm_scale=norm_scale,
-        statistic_quantiles=quant(sup_stats),
-        exceedance_quantiles=quant(exceed),
-        late_to_mid_ratio_median=float(np.median(ratios)) if ratios.size else math.nan,
     )
 
 
@@ -382,7 +300,7 @@ def _halves(
     if cfg.replicas < 4:
         raise ValueError("need at least 4 corrector replicas: two per half")
     fit = cfg.rate_fit
-    if fit is None or not math.isfinite(fit.beta_hat):
+    if fit is None or not (fit.beta_hat > 0):  # a NaN, zero or negative rate bounds no tail
         raise ValueError("corrector needs a usable RateFit for its tail bound")
     half = cfg.replicas // 2
     discrete = isinstance(cfg, DiscreteCorrectorConfig)
@@ -886,7 +804,7 @@ def clt_test(
         raise ValueError("clt_test needs at least 500 replicas")
     times = np.asarray(list(times), dtype=float)
     # replica samples of sqrt(t) * A_t at each checkpoint, shape (n_t, R)
-    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0), "time")
+    averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0))
     samples = averages * np.sqrt(times)[:, None]
     stats = np.array([clt_statistic(samples[i], d_f) for i in range(times.size)])
     gen = rng.child(1).generator()

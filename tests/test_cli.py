@@ -17,7 +17,7 @@ from segflow.cli import (
     main,
     run_experiment,
 )
-from segflow.config import parse_config_dict
+from segflow.config import _SCHEMAS, EXPERIMENT_KINDS, parse_config_dict
 from segflow.errors import ConfigError, EllipticityViolationError, NumericBlowupError
 from segflow.limits import CltReport
 from segflow.registry import registry_list
@@ -303,3 +303,76 @@ class TestErrorsAcrossProcesses:
         path = write_cfg(tmp_path, smoke_suite())
         assert main(["run", path, "--threads", "2", "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
         assert "numeric blowup: state became non-finite (at t=3.25)" in capsys.readouterr().err
+
+
+# Numerics keys a kind accepts that no run reads, kept on purpose: a
+# benchmark workload config sets each, and the strict config would reject it.
+UNREAD_KEYS = {
+    "clt.k_max": "set by the clt-corrector workload",
+    "lil.t_max": "set by the lil-narrow workload",
+    "ergodicity.mode": "set by the ergodicity-transport workload",
+    "ergodicity.coupling": "set by the ergodicity-transport workload",
+    "ergodicity.floor_factor": "set by the ergodicity-transport workload",
+    "full-suite.initial_value": "set by the suite-tanh-2t workload",
+}
+
+# Small configs that still run every stage of their kind.
+TINY_NUMERICS = {
+    "assumptions": {"n_pairs": 8, "n_samples": 8},
+    "ergodicity": {"n_traj": 32, "stat_n_traj": 8, "assignment_cap": 16},
+    "slln": {"replicas": 100, "t_grid": [0.5, 1.0, 2.0, 5.0], "stat_n_traj": 8},
+    "clt": {
+        "replicas": 500, "t_grid": [2.0, 4.0], "stat_n_traj": 16, "rate_n_traj": 64,
+        "inner_replicas": 4, "outer_replicas": 2, "max_atoms": 8, "t_max": 1.0, "n_boot": 20,
+    },
+    "lil": {
+        "n_max": 64, "stat_n_traj": 16, "rate_n_traj": 64,
+        "inner_replicas": 4, "outer_replicas": 2, "max_atoms": 8, "k_max": 3,
+    },
+    "full-suite": {},
+}
+
+
+class _ReadLog(dict):
+    """Numerics that log each key a run reads."""
+
+    def __init__(self, num, log):
+        super().__init__(num)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.add(key)
+        return super().get(key, default)
+
+
+def test_every_numerics_key_is_read(monkeypatch):
+    # a key that no run reads is an input in name only, yet it is echoed and
+    # hashed: it goes, or UNREAD_KEYS says why it stays
+    read = set()
+
+    def logged(kind, run):
+        def wrapped(cfg, model, num, *rest):
+            log = set()
+            try:
+                return run(cfg, model, _ReadLog(num, log), *rest)
+            finally:
+                read.update(f"{kind}.{key}" for key in log)
+
+        return wrapped
+
+    for kind, run in list(cli._RUNNERS.items()):
+        monkeypatch.setitem(cli._RUNNERS, kind, logged(kind, run))
+    monkeypatch.setattr(cli, "_run_full_suite", logged("full-suite", cli._run_full_suite))
+    # the suite's own reads: each sub-run's kind is read by its own run here
+    monkeypatch.setattr(cli, "_run_sub_runs", lambda tasks, threads: [({}, {}, [])] * len(tasks))
+    for kind in EXPERIMENT_KINDS:
+        run_experiment(parse_config_dict({
+            "kind": kind, "seed": 7, "model": {"name": "linear_delay_ou"}, "numerics": TINY_NUMERICS[kind],
+        }))
+    unread = {f"{kind}.{key}" for kind in EXPERIMENT_KINDS for key in _SCHEMAS[kind]} - read
+    assert unread - set(UNREAD_KEYS) == set()
+    assert set(UNREAD_KEYS) <= unread  # a kept key that gains a reader leaves UNREAD_KEYS

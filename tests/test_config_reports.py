@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import collect_profile
 from segflow import ConfigError
+from segflow.cli import EXIT_CONFIG, main
 from segflow.config import EXPERIMENT_KINDS, parse_config, parse_config_dict
 from segflow.ergodic import ergodicity_curve, sample_invariant
 from segflow.limits import CenteredObservable, _unit_run, slln_variance_decay
@@ -175,10 +176,21 @@ class TestParseConfig:
         num = parse_config_dict(minimal(kind="ergodicity", numerics=pinned)).numerics
         assert {k: num[k] for k in pinned} == pinned
 
-    def test_eps_strictly_below_half(self, tmp_path):
-        path = write_cfg(tmp_path, minimal(numerics={"eps": 0.5}))
-        with pytest.raises(ConfigError):
-            parse_config(path)
+    def test_keys_no_run_reads_are_unknown(self, tmp_path, capsys):
+        # no run reads these, so they are rejected by name like any other
+        # unknown key
+        for kind, key, value in (
+            ("slln", "eps", 0.25),
+            ("slln", "pathwise_horizon", 8.0),
+            ("slln", "pathwise_replicas", 64),
+            ("assumptions", "initial_value", 1.0),
+        ):
+            path = write_cfg(tmp_path, minimal(kind=kind, numerics={key: value}))
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            assert err.value.key == f"numerics.{key}"
+            assert main(["validate", str(path)]) == EXIT_CONFIG
+            assert f"numerics.{key}: unknown key" in capsys.readouterr().err
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -217,9 +229,6 @@ class TestParseConfig:
             ("slln", {}, {"t_grid": [0.5, 1.0, 2.0, 5.003]}, "numerics.t_grid"),
             ("slln", {}, {"t_grid": [0.001, 0.5, 1.0, 2.0]}, "numerics.t_grid"),
             ("clt", {}, {"t_grid": [16.003, 64.0]}, "numerics.t_grid"),
-            ("slln", delay_06, {"dt": 0.3, "pathwise_horizon": 8.0}, "numerics.dt"),
-            ("slln", {}, {"pathwise_horizon": 10.501}, "numerics.pathwise_horizon"),
-            ("slln", {}, {"pathwise_horizon": 0.5}, "numerics.pathwise_horizon"),
             # increasing times, two of which fall on the same step
             ("ergodicity", {}, {"t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.t_grid"),
             ("lil", {}, {"rate_t_grid": [0.5, 1.0, 1.0000001, 1.5]}, "numerics.rate_t_grid"),
@@ -235,7 +244,6 @@ class TestParseConfig:
             kind="slln", numerics={"dt": 0.3, "thinning": 0.6, "t_grid": [0.6, 1.2, 2.4, 6.0]}, **delay_06
         ))
         parse_config_dict(minimal(kind="lil", numerics={"t_max": 4.001}))
-        parse_config_dict(minimal(kind="slln", numerics={"pathwise_horizon": 10.5}))
         # the time-grid rule itself fails closed on a non-finite time
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="whole number of steps"):

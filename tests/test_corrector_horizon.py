@@ -28,6 +28,7 @@ from segflow import (
     RateFit,
     RngStream,
     constant_segment,
+    corrector,
     phi_f,
     qv_lln_check,
     variance_D,
@@ -433,6 +434,15 @@ class NanKernel(SemigroupEvaluator):
 
 
 class TestFailClosedOnNan:
+    @pytest.mark.parametrize("beta_hat", [math.nan, 0.0, -0.5])
+    def test_unusable_rate_fit_raises(self, model, f, fit, cfg, beta_hat):
+        # a rate that is not positive bounds no tail: 0 divides by zero, and
+        # -0.5 gives a negative bound that passes the truncation rule at once
+        bad = dataclasses.replace(cfg, rate_fit=dataclasses.replace(fit, beta_hat=beta_hat))
+        xi = constant_segment(1.0, R0, DT)
+        with pytest.raises(ValueError, match="usable RateFit"):
+            corrector(MonteCarloSemigroup(model, DT), f, xi, bad, RngStream(SEED).child(14))
+
     def test_nan_variance_estimate_raises(self, model, fit):
         f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
         atoms = EmpiricalMeasure(start_states(4), R0, DT)

@@ -93,7 +93,6 @@ class TestErgodicityCurve:
         fit = ergodicity_curve(model, zero, stationary, times, mp, 16, RngStream(2), cap=8)
         assert fit.flagged
         assert fit.n_dropped == len(times)
-        assert fit.noise_floor == 0.0
 
     def test_transient_start_fits_positive_rate(self, rate_fit):
         assert rate_fit.beta_hat > 0

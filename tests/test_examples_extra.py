@@ -13,7 +13,6 @@ from segflow import (
     derive_seed,
     lil_run,
     sample_invariant,
-    slln_pathwise,
     slln_variance_decay,
     variance_D,
 )
@@ -21,23 +20,6 @@ from segflow.registry import build_observable
 
 DT = 1.0 / 128.0
 R0 = 0.5
-
-
-class TestSllnPathwiseStabilization:
-    def test_late_window_ratio_near_one(self, ref_model, f_centered):
-        # T = 512: the weighted statistic stops growing once the pathwise
-        # bound kicks in; the late/mid window sup ratio has median near 1
-        rep = slln_pathwise(
-            ref_model,
-            constant_segment(1.0, R0, DT),
-            f_centered,
-            eps=0.25,
-            horizon=512.0,
-            replicas=64,
-            rng=RngStream(98765).child(0),
-        )
-        assert rep.late_to_mid_ratio_median <= 1.1
-        assert rep.c_eps > 0
 
 
 class TestVarianceZeroFunction:
@@ -74,7 +56,6 @@ class TestCltDegenerate:
             lambda: clt_test(ref_model, f_centered, xi, [1.0, 4.003], 500, 0.5, RngStream(4)),
             lambda: slln_variance_decay(ref_model, xi, f_centered, [1.0, 4.0, 16.003], 100, RngStream(4)),
             lambda: slln_variance_decay(ref_model, xi, f_centered, [0.0, 1.0, 2.0], 100, RngStream(4)),
-            lambda: slln_pathwise(ref_model, xi, f_centered, 0.25, 4.003, 16, RngStream(4)),
         ):
             with pytest.raises(ValueError):
                 run()

@@ -95,7 +95,6 @@ KEEP_DEFAULTS = {
     "limits.variance_D.sg": _SEAM,
     "limits.quadratic_variation.sg": _SEAM,
     "limits.qv_lln_check.sg": _SEAM,
-    "ergodic.RateFit.noise_floor": "in every rate-fit payload: deleting it moves every digest that carries one",
     "segments.ModelSpec.drift_batch": "the benchmark tracer sets it through dataclasses.replace",
     "segments.ModelSpec.diffusion_batch": "the benchmark tracer sets it through dataclasses.replace",
 }
