@@ -2,9 +2,10 @@
 
 Simulates path-dependent stochastic differential equations as segment-valued
 Markov processes and empirically verifies their long-time statistics:
-exponential mixing under a quasi-metric transport distance, the law of large
-numbers for time averages, the central limit theorem with its variance
-constant, and the law of the iterated logarithm for integer-time sums.
+exponential mixing (through a coupling bound on a quasi-metric transport
+distance), the law of large numbers for time averages, the central limit
+theorem with its variance constant, and the law of the iterated logarithm
+for integer-time sums.
 """
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ def _rate_fit(cfg: ExperimentConfig, model, num, stationary) -> RateFit:
     start = constant_segment(num["rate_initial_value"], model.delay, num["dt"], dim=model.dim)
     return ergodicity_curve(
         model, start, stationary, num["rate_t_grid"], cfg.metric, num["rate_n_traj"],
-        RngStream(derive_seed(cfg.seed, 1)), cap=min(stationary.n // 2, 512),
+        RngStream(derive_seed(cfg.seed, 1)),
     )
 
 
@@ -111,8 +111,6 @@ def _run_ergodicity(cfg: ExperimentConfig, model, num):
         cfg.metric,
         num["n_traj"],
         RngStream(derive_seed(cfg.seed, 1)),
-        cap=num["assignment_cap"],
-        block=num["block"],
     )
     payload = {
         "rate_fit": vars(fit),
@@ -274,7 +272,7 @@ _SUITE_PRESETS = {
         "assumptions": {"n_pairs": 100, "n_samples": 100},
         "ergodicity": {
             "n_traj": 192, "stat_n_traj": 96, "samples_per_traj": 4,
-            "t_grid": [0.5, 1.0, 2.0, 3.0], "assignment_cap": 96,
+            "t_grid": [0.5, 1.0, 2.0, 3.0],
         },
         "slln": {"replicas": 100, "t_grid": [2.0, 4.0, 8.0, 16.0, 32.0]},
         "clt": {

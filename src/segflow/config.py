@@ -158,11 +158,12 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "stat_n_traj": (256, _int_min(2)),
         "samples_per_traj": (8, _int_min(1)),
         "n_traj": (1024, _int_min(4)),
-        "t_grid": ([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _float_grid(min_len=2)),
+        "t_grid": ([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _float_grid(min_len=3)),
+        # Read by no run (one estimator, which solves no assignment; the last
+        # three take one value each); kept only because the benchmark's
+        # ergodicity workload sets them.
         "assignment_cap": (512, _int_min(2, 4096)),
         "block": (None, _optional(_int_min(2, 4096))),
-        # One value each (one estimator), read by no run; kept only because the
-        # benchmark's ergodicity workload sets them.
         "mode": ("stationary", _choice("stationary")),
         "coupling": ("synchronous", _choice("synchronous")),
         "floor_factor": (2.0, _pos_float(lo=2.0, hi=2.0, lo_open=False)),

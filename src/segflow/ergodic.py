@@ -3,10 +3,14 @@
 The stationary law has no closed form for a general path-dependent model, so
 its stand-in everywhere is a pooled, thinned, burn-in-discarded ensemble whose
 size is recorded alongside every estimate that uses it.  The exponential
-mixing rate is fitted from the decay of the empirical transport distance
-between an evolving ensemble and that stationary reference, evolved alongside
-it under shared noise (synchronous coupling): the paired contraction removes
-the same-law sampling floor, so the distances can decay to zero.
+mixing rate is fitted from the decay of a coupling distance between an
+evolving ensemble and that stationary reference, evolved alongside it under
+shared noise (synchronous coupling).  At each time the distance is the mean
+of rho over the coupled pairs, E rho(X_t, Y_t), which bounds the transport
+distance W_rho(mu P_t, nu P_t) from above: the route by which mixing is
+shown for delay equations (Hairer, Mattingly & Scheutzow 2011).  The paired
+contraction removes the same-law sampling floor, so the distances can decay
+to zero.
 
 An ensemble steps on its initial segment's grid: the segment is the one
 source of the time step, and the step driver rejects windows that do not
@@ -17,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .metric import DEFAULT_ASSIGNMENT_CAP, EmpiricalMeasure, MetricParams, wasserstein
+from .metric import EmpiricalMeasure, MetricParams, rho_pairs
 from .rng import RngStream
 from .segments import ModelSpec, Segment, grid_steps, record, step_windows
 from .stats import ols_line
@@ -115,33 +119,6 @@ def sample_invariant(
     return EmpiricalMeasure(values, model.delay, step, groups=groups)
 
 
-def _mean_transport(
-    pairs: Iterable[tuple[EmpiricalMeasure, EmpiricalMeasure]], mp: MetricParams, cap: int
-) -> float:
-    """Average exact transport cost over ``(a, b)`` block pairs, in order."""
-    return float(np.mean([wasserstein(a, b, mp, cap=cap) for a, b in pairs]))
-
-
-def _coupled_blocks(
-    a_vals: np.ndarray, b_vals: np.ndarray, delay: float, step: float, block: int
-) -> Iterator[tuple[EmpiricalMeasure, EmpiricalMeasure]]:
-    """Block pairs for two coupled clouds of equal width.
-
-    Coupled partners must share a block, otherwise the assignment cannot see
-    the pathwise contraction; blocks are therefore the strided blocks of the
-    *pairs* (one measure on the concatenated pair values), which keeps
-    partners together and makes the reduction a function of the pair
-    multiset alone.
-    """
-    m1 = a_vals.shape[1]
-    pairs = EmpiricalMeasure(np.concatenate([a_vals, b_vals], axis=1), delay, step)
-    for blk in pairs.strided_blocks(block):
-        yield (
-            EmpiricalMeasure(blk.values[:, :m1], delay, step),
-            EmpiricalMeasure(blk.values[:, m1:], delay, step),
-        )
-
-
 def coupled_snapshots(
     model: ModelSpec,
     initial_a: np.ndarray,
@@ -194,10 +171,8 @@ def ergodicity_curve(
     mp: MetricParams,
     n_traj: int,
     rng: RngStream,
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
-    block: Optional[int] = None,
 ) -> RateFit:
-    """Fit the exponential decay rate of the transport distance to equilibrium.
+    """Fit the exponential decay rate of the coupling distance to equilibrium.
 
     ``n_traj`` trajectories launched from ``initial_a`` are compared at each
     time against a reference built from ``initial_b``, which must lie on
@@ -212,9 +187,9 @@ def ergodicity_curve(
     distances can decay to zero.  No floor is measured: the fit keeps the
     points above 1e-13.
 
-    Distances are averaged over disjoint block pairs of size ``block``
-    (default: the assignment cap, shrunk so the reference retains at least
-    two blocks).
+    Trajectory i is paired with reference atom ``i mod initial_b.n``, and the
+    distance at each time is the mean of ``rho_pairs`` over all ``n_traj``
+    pairs: a coupling bound on the transport distance, at O(n_traj) cost.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
@@ -227,11 +202,6 @@ def ergodicity_curve(
     if times.size == 0 or (np.diff(indices) <= 0).any():
         raise ValueError("times must be non-empty and fall on strictly increasing steps")
 
-    block = block or cap
-    block = min(block, n_traj, initial_b.n // 2, cap)
-    if block < 2:
-        raise ShapeError("need at least 2 atoms per block for a transport distance")
-
     # the starts go straight into the stream, which drops them once the ring
     # holds them; each pair of windows is reduced before the ensemble steps on
     reps = int(math.ceil(n_traj / initial_b.n))
@@ -243,12 +213,7 @@ def ergodicity_curve(
         step,
         rng.child(1),
     )
-    distances = np.array(
-        [
-            _mean_transport(_coupled_blocks(snap_a, snap_b, model.delay, step, block), mp, cap)
-            for snap_a, snap_b in pairs
-        ]
-    )
+    distances = np.array([rho_pairs(snap_a, snap_b, mp).mean() for snap_a, snap_b in pairs])
 
     usable = distances > 1e-13
     n_dropped = int((~usable).sum())

@@ -9,7 +9,9 @@ with grid-level uniform norms.  It is symmetric and separates points but does
 d = 1 the uniform distance is the exact max of ``|x_k - y_k|`` over the
 nodes, so distinct atoms keep a positive distance however close they are;
 for d > 1 the node norms ``sqrt(sum of squares)`` underflow to 0 once the
-differences fall below ~1e-162.  The transport distance between two
+differences fall below ~1e-162.  ``rho_pairs`` evaluates rho row by row on
+two aligned batches, the coupled pairs of a mixing-rate fit, and equals the
+diagonal of ``rho_matrix`` bitwise.  The transport distance between two
 equal-size empirical measures reduces to a minimum-cost assignment, solved
 exactly.
 """
@@ -32,6 +34,7 @@ __all__ = [
     "Observable",
     "EmpiricalMeasure",
     "rho_matrix",
+    "rho_pairs",
     "wasserstein",
     "DEFAULT_ASSIGNMENT_CAP",
 ]
@@ -107,29 +110,6 @@ class EmpiricalMeasure:
         g = None if self.groups is None else self.groups[indices]
         return EmpiricalMeasure(self.values[indices], self.delay, self.step, g)
 
-    def canonical_order(self) -> np.ndarray:
-        """Atom indices sorted by a value-lexicographic key.
-
-        Reductions that partition atoms into blocks apply this first, which
-        makes their results independent of the order atoms arrived in.
-        """
-        flat = self.values.reshape(self.n, -1)
-        return np.lexsort(flat.T[::-1])
-
-    def strided_blocks(self, block: int) -> list["EmpiricalMeasure"]:
-        """Split into ``n // block`` disjoint blocks of size ``block``.
-
-        Atoms are first put in canonical (value-sorted) order, then the
-        blocks interleave across it (indices ``i::k``): block membership is a
-        function of the atom multiset alone, and each block spans the whole
-        value range.
-        """
-        k = self.n // block
-        if k < 1:
-            raise ShapeError(f"measure with {self.n} atoms cannot provide a block of {block}")
-        idx = self.canonical_order()
-        return [self.take(idx[i::k][:block]) for i in range(k)]
-
 
 def _compatible(a_vals: np.ndarray, b_vals: np.ndarray):
     if a_vals.shape[1:] != b_vals.shape[1:]:
@@ -171,12 +151,30 @@ def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.n
     return out
 
 
-def wasserstein(
-    a: EmpiricalMeasure,
-    b: EmpiricalMeasure,
-    mp: MetricParams,
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> float:
+def rho_pairs(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
+    """Quasi-distances ``rho(a_i, b_i)`` between aligned rows of two batches.
+
+    Returns the (n,) vector with the node norms and the weight order
+    ``1 + (|a|^p + |b|^p)`` of ``rho_matrix``, so it equals
+    ``np.diag(rho_matrix(a_vals, b_vals, mp))`` bitwise at O(n) cost.
+    Both batches must have the same shape: a single segment is not
+    broadcast against a batch.
+    """
+    if a_vals.shape != b_vals.shape:
+        raise ShapeError(f"paired batches differ in shape: {a_vals.shape} vs {b_vals.shape}")
+    if a_vals.shape[2] == 1:
+        out = np.abs(a_vals[:, :, 0] - b_vals[:, :, 0]).max(axis=1)
+    else:
+        out = np.sqrt(((a_vals - b_vals) ** 2).sum(axis=2)).max(axis=1)
+    out **= mp.gamma
+    np.minimum(1.0, out, out=out)
+    weight = batch_sup_norms(a_vals) ** mp.p + batch_sup_norms(b_vals) ** mp.p
+    weight += 1.0
+    out *= np.sqrt(weight, out=weight)
+    return out
+
+
+def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, mp: MetricParams) -> float:
     """Exact transport distance between two equal-size empirical measures.
 
     Equal-weight empirical transport admits a permutation optimum, so the
@@ -188,13 +186,15 @@ def wasserstein(
     Raises
     ------
     ShapeError: unequal atom counts or incompatible segment grids.
-    CapacityError: ``n`` exceeds ``cap``; resample the measures upstream.
+    CapacityError: ``n`` exceeds ``DEFAULT_ASSIGNMENT_CAP``; resample the
+    measures upstream.
     """
     if a.n != b.n:
         raise ShapeError(f"atom counts differ: {a.n} vs {b.n}; resample to equalize")
-    if a.n > cap:
+    if a.n > DEFAULT_ASSIGNMENT_CAP:
         raise CapacityError(
-            f"{a.n} atoms exceed the exact-solver cap {cap}; resample the measures"
+            f"{a.n} atoms exceed the exact-solver cap {DEFAULT_ASSIGNMENT_CAP}; "
+            "resample the measures"
         )
     cost = rho_matrix(a.values, b.values, mp)
     rows, cols = linear_sum_assignment(cost)

@@ -96,7 +96,6 @@ def rate_fit(ref_model, xi_five, stationary_sample, mp):
         mp,
         512,
         RngStream(derive_seed(MASTER_SEED, 2)),
-        cap=128,
     )
     assert not fit.flagged
     return fit

@@ -313,13 +313,15 @@ UNREAD_KEYS = {
     "ergodicity.mode": "set by the ergodicity-transport workload",
     "ergodicity.coupling": "set by the ergodicity-transport workload",
     "ergodicity.floor_factor": "set by the ergodicity-transport workload",
+    "ergodicity.assignment_cap": "set by the ergodicity-transport workload",
+    "ergodicity.block": "set by the ergodicity-transport workload",
     "full-suite.initial_value": "set by the suite-tanh-2t workload",
 }
 
 # Small configs that still run every stage of their kind.
 TINY_NUMERICS = {
     "assumptions": {"n_pairs": 8, "n_samples": 8},
-    "ergodicity": {"n_traj": 32, "stat_n_traj": 8, "assignment_cap": 16},
+    "ergodicity": {"n_traj": 32, "stat_n_traj": 8},
     "slln": {"replicas": 100, "t_grid": [0.5, 1.0, 2.0, 5.0], "stat_n_traj": 8},
     "clt": {
         "replicas": 500, "t_grid": [2.0, 4.0], "stat_n_traj": 16, "rate_n_traj": 64,

@@ -222,7 +222,9 @@ class TestParseConfig:
             ("clt", delay_06, {"dt": 0.3}, "numerics.dt"),
             ("full-suite", delay_06, {"dt": 0.3}, "numerics.dt"),
             ("slln", {}, {"thinning": 1.001}, "numerics.thinning"),
-            ("ergodicity", {}, {"t_grid": [0.5, 1.003]}, "numerics.t_grid"),
+            ("ergodicity", {}, {"t_grid": [0.5, 1.0, 1.503]}, "numerics.t_grid"),
+            # the rate fit needs 3 points: a 2-entry grid could only fail
+            ("ergodicity", {}, {"t_grid": [0.5, 1.0]}, "numerics.t_grid"),
             ("clt", {}, {"rate_t_grid": [0.5, 1.0, 1.001]}, "numerics.rate_t_grid"),
             ("lil", {}, {"rate_t_grid": [0.001, 1.0, 2.0]}, "numerics.rate_t_grid"),
             ("clt", {}, {"t_max": 4.001}, "numerics.t_max"),
@@ -289,7 +291,7 @@ class TestParseConfig:
             t = (1.0 + eps) * 256 * dt
             runs = (
                 lambda: simulate(model, xi, t, RngStream(0)),
-                lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), 4, RngStream(3), cap=4),
+                lambda: ergodicity_curve(model, xi, reference, [0.5, 1.0, t], MetricParams(), 4, RngStream(3)),
                 lambda: collect_profile(*MonteCarloSemigroup(model, dt).profile_groups(
                     f, xi.values[None], t, 2, RngStream(1), quad_step=dt
                 )),

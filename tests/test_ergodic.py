@@ -5,11 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from segflow import (
-    MetricParams,
     RngStream,
     constant_segment,
     derive_seed,
@@ -17,9 +14,13 @@ from segflow import (
     sample_invariant,
     simulate,
 )
+from oracles import euler_chain_rate
 from segflow import ergodic
+from segflow.cli import run_experiment
+from segflow.config import parse_config_dict
 from segflow.errors import ShapeError
 from segflow.ergodic import RateFit
+from segflow.metric import rho_pairs
 from segflow.registry import build_model
 from segflow.segments import step_windows
 
@@ -90,7 +91,7 @@ class TestErgodicityCurve:
         zero = constant_segment(0.0, R0, DT)
         stationary = sample_invariant(model, zero, 16, 1.0, 1.0, RngStream(1))
         times = [0.5, 1.0, 1.5, 2.0]
-        fit = ergodicity_curve(model, zero, stationary, times, mp, 16, RngStream(2), cap=8)
+        fit = ergodicity_curve(model, zero, stationary, times, mp, 16, RngStream(2))
         assert fit.flagged
         assert fit.n_dropped == len(times)
 
@@ -107,7 +108,7 @@ class TestErgodicityCurve:
             fits.append(
                 ergodicity_curve(
                     ref_model, xi, stationary_sample,
-                    times, mp, 256, RngStream(derive_seed(42, seed_idx)), cap=128,
+                    times, mp, 256, RngStream(derive_seed(42, seed_idx)),
                 )
             )
         f1, f2 = fits
@@ -118,66 +119,23 @@ class TestErgodicityCurve:
     def test_reference_on_another_grid_rejected(self, ref_model, stationary_sample, mp):
         coarse = constant_segment(5.0, R0, 2 * DT)
         with pytest.raises(ShapeError, match="grid"):
-            ergodicity_curve(ref_model, coarse, stationary_sample, [0.5, 1.0], mp, 8, RngStream(45), cap=8)
+            ergodicity_curve(ref_model, coarse, stationary_sample, [0.5, 1.0], mp, 8, RngStream(45))
 
     def test_empty_ensemble_rejected(self, ref_model, stationary_sample, mp, xi_five):
         with pytest.raises(ValueError, match="n_traj"):
-            ergodicity_curve(ref_model, xi_five, stationary_sample, [0.5, 1.0], mp, 0, RngStream(46), cap=8)
+            ergodicity_curve(ref_model, xi_five, stationary_sample, [0.5, 1.0], mp, 0, RngStream(46))
 
     def test_times_sharing_a_step_rejected(self, ref_model, stationary_sample, mp, xi_five):
         # 1.0 and 1.0 + 1e-7 both pass the grid rule as step 128: the second
         # would read another time's snapshot
         times = [0.5, 1.0, 1.0 + 1e-7, 1.5]
         with pytest.raises(ValueError, match="steps"):
-            ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 8, RngStream(47), cap=8)
-
-    def test_coupled_reduction_pair_order_independent(self, ref_model, mp):
-        # given realized coupled clouds, the blocked reduction is a function
-        # of the pair multiset: permuting rows jointly changes nothing
-        from segflow.ergodic import _coupled_blocks, _mean_transport
-
-        gen = RngStream(44).generator()
-        a = gen.standard_normal((48, 5, 1))
-        b = a + 0.05 * gen.standard_normal((48, 5, 1))
-        w1 = _mean_transport(_coupled_blocks(a, b, 1.0, 0.25, 16), mp, 64)
-        perm = gen.permutation(48)
-        w2 = _mean_transport(_coupled_blocks(a[perm], b[perm], 1.0, 0.25, 16), mp, 64)
-        assert w1 == w2
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        data=st.data(),
-        block=st.sampled_from([2, 3, 8]),
-        n_blocks=st.integers(1, 4),
-        d=st.sampled_from([1, 2]),
-        repeated=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_coupled_reduction_is_a_function_of_the_pair_multiset(
-        self, data, block, n_blocks, d, repeated, seed
-    ):
-        from segflow.ergodic import _coupled_blocks, _mean_transport
-
-        n = block * n_blocks + data.draw(st.integers(0, block - 1))  # leftover pairs are dropped
-        gen = np.random.default_rng(seed)
-        a = gen.standard_normal((n, 3, d))
-        b = a + 0.1 * gen.standard_normal((n, 3, d))
-        if repeated:  # equal pairs tie in the canonical order
-            a[n // 2 :], b[n // 2 :] = a[: n - n // 2], b[: n - n // 2]
-        perm = np.asarray(data.draw(st.permutations(range(n))))
-        mp = MetricParams(2.0, 1.0)
-        w = _mean_transport(_coupled_blocks(a, b, 1.0, 0.5, block), mp, 64)
-        assert w == _mean_transport(_coupled_blocks(a[perm], b[perm], 1.0, 0.5, block), mp, 64)
+            ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 8, RngStream(47))
 
     def test_bitwise_reproducible(self, ref_model, stationary_sample, mp, xi_five):
         times = [0.5, 1.0, 2.0]
-        kw = dict(cap=64)
-        f1 = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99), **kw
-        )
-        f2 = ergodicity_curve(
-            ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99), **kw
-        )
+        f1 = ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99))
+        f2 = ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 64, RngStream(99))
         assert np.array_equal(f1.values, f2.values)
         assert f1.beta_hat == f2.beta_hat
 
@@ -185,32 +143,27 @@ class TestErgodicityCurve:
         # an inf distance passes the noise-floor filter and makes the fitted
         # slope NaN; a NaN rate must be flagged, not read as resolved
         distances = iter([1.0, 0.5, math.inf, 0.1])
-        monkeypatch.setattr(ergodic, "_mean_transport", lambda *args: next(distances))
+        monkeypatch.setattr(ergodic, "rho_pairs", lambda a, b, mp: np.full(len(a), next(distances)))
         with np.errstate(invalid="ignore"):
             fit = ergodicity_curve(
-                ref_model, xi_five, stationary_sample, [0.5, 1.0, 1.5, 2.0], mp, 8, RngStream(98), cap=8,
+                ref_model, xi_five, stationary_sample, [0.5, 1.0, 1.5, 2.0], mp, 8, RngStream(98),
             )
         assert math.isnan(fit.beta_hat)
         assert fit.flagged
 
 
-def collected_curve_distances(model, initial_a, initial_b, times, mp, n_traj, rng, cap):
+def collected_curve_distances(model, initial_a, initial_b, times, mp, n_traj, rng):
     """The distances ``ergodicity_curve`` fits, as it computed them before it
-    streamed: every coupled snapshot stepped and copied first, reduced after."""
+    streamed: every coupled snapshot stepped and copied first, then reduced
+    to its mean pair distance."""
     step = initial_a.step
     indices = [int(round(t / step)) for t in times]
-    block = min(cap, n_traj, initial_b.n // 2)
     a = np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape)
     b = np.tile(initial_b.values, (-(-n_traj // initial_b.n), 1, 1))[:n_traj]
     both = np.concatenate([a, b])
     windows = step_windows(model, both, indices[-1], step, rng.child(1), shared_noise=True)
     snaps = [window.copy() for j, window in windows if j in indices]
-    return np.array([
-        ergodic._mean_transport(
-            ergodic._coupled_blocks(snap[:n_traj], snap[n_traj:], model.delay, step, block), mp, cap
-        )
-        for snap in snaps
-    ])
+    return np.array([rho_pairs(snap[:n_traj], snap[n_traj:], mp).mean() for snap in snaps])
 
 
 def traced_peak(fn):
@@ -228,14 +181,26 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
+class TestRateOracle:
+    def test_default_run_recovers_the_euler_chain_rate(self):
+        # the ergodicity kind with default numerics on linear_delay_ou
+        # (a=2, b=0.1, r0=0.5, dt=1/128): the coupled pairs contract at the
+        # Euler chain's exact rate, 1.76989
+        exact = euler_chain_rate(2.0, 0.1, 64, DT)
+        record = run_experiment(parse_config_dict(
+            {"kind": "ergodicity", "seed": 20240817, "model": {"name": "linear_delay_ou"}}
+        ))
+        fit = record.payload["rate_fit"]
+        assert record.failures == []
+        assert abs(fit["beta_hat"] - exact) <= 4.0 * fit["se_beta"]
+
+
 class TestStreamedCurve:
     @pytest.mark.parametrize("seed", [99, 20240817])
     def test_matches_collected_snapshots(self, ref_model, stationary_sample, mp, xi_five, seed):
         times = [0.5, 1.0, 1.5, 2.5]
-        fit = ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed), cap=64)
-        ref = collected_curve_distances(
-            ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed), cap=64
-        )
+        fit = ergodicity_curve(ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed))
+        ref = collected_curve_distances(ref_model, xi_five, stationary_sample, times, mp, 96, RngStream(seed))
         assert (ref > 1e-13).all()
         assert np.array_equal(fit.values, ref)
         assert np.array_equal(fit.times, times)
@@ -250,7 +215,7 @@ class TestStreamedCurve:
         def peak(times):
             return traced_peak(
                 lambda: ergodicity_curve(
-                    ref_model, xi_five, stationary_sample, times, mp, n_traj, RngStream(5), cap=64
+                    ref_model, xi_five, stationary_sample, times, mp, n_traj, RngStream(5)
                 )
             )
 

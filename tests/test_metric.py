@@ -19,7 +19,8 @@ from segflow import (
     ShapeError,
     wasserstein,
 )
-from segflow.metric import rho_matrix
+from segflow import metric
+from segflow.metric import DEFAULT_ASSIGNMENT_CAP, rho_matrix, rho_pairs
 from segflow.segments import batch_sup_norms
 
 R0, STEP = 0.5, 0.25
@@ -132,6 +133,9 @@ class TestRhoKernel:
             # the weight sums 1 + (|a|^p + |b|^p); summed as (1 + |a|^p) + |b|^p,
             # a few percent of the entries would differ in the last bit
             assert np.array_equal(got, rho_matrix(b, a, mp).T)
+            # the row-wise kernel is the diagonal, bit for bit
+            n = min(len(a), len(b))
+            assert np.array_equal(rho_pairs(a[:n], b[:n], mp), np.diag(got[:n, :n]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_batches(self, d):
@@ -176,6 +180,15 @@ class TestRhoKernel:
         b = 1.5 * gen.standard_normal((120, 65, d))
         mp = MetricParams(p, gamma)
         assert np.array_equal(rho_matrix(a, b, mp), previous_rho_matrix(a, b, mp))
+
+    @pytest.mark.parametrize(
+        "b_shape", [(4, 9, 1), (1, 9, 1), (5, 9, 2), (5, 5, 1)], ids=["fewer", "one", "dim", "nodes"]
+    )
+    def test_pairs_of_unequal_shapes_rejected(self, b_shape):
+        # a single segment is never broadcast against a batch
+        gen = RngStream(46).generator()
+        with pytest.raises(ShapeError):
+            rho_pairs(gen.standard_normal((5, 9, 1)), gen.standard_normal(b_shape), MetricParams())
 
     def test_scalar_distance_exact_below_square_underflow(self):
         # for d = 1 the node distance is |x| itself, not sqrt(x**2), which
@@ -293,12 +306,15 @@ class TestWasserstein:
         with pytest.raises(ShapeError):
             wasserstein(measure(random_segments(gen, 3)), measure(random_segments(gen, 4)), self.mp)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        # raised before any cost matrix is built
         gen = RngStream(28).generator()
-        a = measure(random_segments(gen, 9))
-        b = measure(random_segments(gen, 9))
+        n = DEFAULT_ASSIGNMENT_CAP + 1
+        a = EmpiricalMeasure(gen.standard_normal((n, 3, 1)), R0, STEP)
+        b = EmpiricalMeasure(gen.standard_normal((n, 3, 1)), R0, STEP)
+        monkeypatch.setattr(metric, "rho_matrix", lambda *args: pytest.fail("cost matrix built"))
         with pytest.raises(CapacityError):
-            wasserstein(a, b, self.mp, cap=8)
+            wasserstein(a, b, self.mp)
 
     def test_incompatible_shapes_rejected(self):
         gen = RngStream(29).generator()
