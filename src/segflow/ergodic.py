@@ -132,7 +132,7 @@ def coupled_snapshots(
     Trajectory i of each ensemble consumes the same noise, realizing the
     synchronous coupling: each marginal stays exact while paired states
     contract under the dissipative drift.  Both ensembles run as one
-    shared-noise batch.  The returned iterator yields the (A, B) windows at
+    batch with ``step_windows``' shared pairing.  The returned iterator yields the (A, B) windows at
     the sorted distinct step indices, one pair at a time; they are read-only
     views of the ring buffer, valid until the next pair is requested, so a
     consumer that keeps a pair copies it.  The stepping pauses while a pair
@@ -149,7 +149,7 @@ def coupled_snapshots(
     if min(wanted, default=0) < 0:
         raise ValueError("snapshot steps must be non-negative")
     windows = step_windows(
-        model, np.concatenate([a, b]), max(wanted, default=0), step, rng, shared_noise=True
+        model, np.concatenate([a, b]), max(wanted, default=0), step, rng, pairing="shared"
     )
     return _halves_at(windows, wanted, a.shape[0])
 

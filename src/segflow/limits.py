@@ -117,6 +117,11 @@ class CenteredObservable:
     def declared_norm(self) -> Optional[float]:
         return self.base.declared_norm
 
+    @property
+    def antithetic(self) -> bool:
+        """The base's: subtracting a constant keeps a statistic odd or affine."""
+        return self.base.antithetic
+
     def values(self, seg_values: np.ndarray) -> np.ndarray:
         return self.base.values(seg_values) - self.mu_f
 

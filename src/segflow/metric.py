@@ -62,12 +62,17 @@ class Observable:
 
     ``eval_batch`` evaluates an ``(n, m+1, d)`` array of segments to an
     ``(n,)`` vector.  ``declared_norm`` is the claimed Lipschitz-class norm
-    bound.
+    bound.  ``antithetic`` declares that the statistic is odd or affine in
+    the current state, or near enough that a path and its mirror (the path
+    driven by the negated noise) vary against each other: semigroup
+    profiles then average such pairs.  It stays off for even statistics
+    such as a norm, where a pair varies more than two independent paths.
     """
 
     name: str
     eval_batch: Callable[[np.ndarray], np.ndarray]
     declared_norm: Optional[float] = None
+    antithetic: bool = False
 
     def values(self, seg_values: np.ndarray) -> np.ndarray:
         """Evaluate on a batch of segment value arrays (n, m+1, d)."""

@@ -119,6 +119,7 @@ def _eval0(coord: int = 0) -> Observable:
     return Observable(
         name=f"eval0[{coord}]" if coord else "eval0",
         eval_batch=lambda vals: np.array(vals[:, -1, coord]),
+        antithetic=True,
     )
 
 
@@ -139,6 +140,7 @@ def _sin_eval0(coord: int = 0) -> Observable:
         name="sin_eval0",
         declared_norm=None,
         eval_batch=lambda vals: np.sin(np.array(vals[:, -1, coord])),
+        antithetic=True,
     )
 
 
@@ -148,6 +150,7 @@ def _zero() -> Observable:
         name="zero",
         declared_norm=0.0,
         eval_batch=lambda vals: np.zeros(vals.shape[0]),
+        antithetic=True,
     )
 
 
@@ -155,7 +158,8 @@ def _linear_combo(terms=None) -> Observable:
     """Weighted sum of other registry observables.
 
     ``terms`` is a list of objects ``{"coef": c, "name": obs, "params":
-    {...}}``; ``coef`` defaults to 1 and must be a finite number.
+    {...}}``; ``coef`` defaults to 1 and must be a finite number.  The sum
+    is antithetic when every term is.
     """
     if not terms:
         raise ValueError("linear_combo needs a non-empty 'terms' list")
@@ -177,7 +181,9 @@ def _linear_combo(terms=None) -> Observable:
             out += c * o.values(vals)
         return out
 
-    return Observable(name=f"combo({label})", eval_batch=ev_batch)
+    return Observable(
+        name=f"combo({label})", eval_batch=ev_batch, antithetic=all(o.antithetic for _, o in parts)
+    )
 
 
 OBSERVABLE_BUILDERS: dict[str, Callable[..., Observable]] = {

@@ -21,9 +21,12 @@ node (oldest first), then coordinate.
 
 The Euler loop lives in :func:`step_windows`, the one driver every run
 steps through: it yields each new window batch as a view of a recycled ring
-buffer, which owns the batch from the first yield on.  With
-``shared_noise`` the batch is two equal halves driven by the same Gaussian
-increments, the synchronous coupling of two ensembles.  :func:`record`
+buffer, which owns the batch from the first yield on.  Its ``pairing``
+makes the batch two equal halves that draw one set of Gaussian increments:
+``"shared"`` drives both halves with the same normals, the synchronous
+coupling of two ensembles, and ``"antithetic"`` drives the second half with
+their negation, so each path has a mirror of the same law (antithetic
+variates).  :func:`record`
 steps a batch and returns copies of the windows (or of an observable of
 them) at chosen steps, plus running trapezoid integrals of an observable;
 consumers that reduce each window as it comes, and so hold one at a time,
@@ -79,6 +82,9 @@ _RING_BYTES = 1 << 20
 # Rings from this size up get an anonymous mapping of their own (glibc's
 # initial mmap threshold; smaller blocks come from the heap anyway).
 _OWN_MAPPING_BYTES = 128 << 10
+# Sign of the normals each half of a batch takes, per pairing: one half
+# draws them all, or two halves share one draw, copied or negated.
+_PAIRINGS = {"none": (1.0,), "shared": (1.0, 1.0), "antithetic": (1.0, -1.0)}
 
 
 def grid_steps(t: float, step: float, what: str) -> int:
@@ -337,7 +343,7 @@ def step_windows(
     n_steps: int,
     step: float,
     rng: RngStream,
-    shared_noise: bool = False,
+    pairing: str = "none",
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Drive a batch of trajectories, yielding each new segment window.
 
@@ -346,8 +352,11 @@ def step_windows(
     initial_values: array (n, m+1, d) of initial segments.
     n_steps: number of Euler-Maruyama steps to take.
     rng: stream owning every draw of this batch.
-    shared_noise: the batch is two equal halves, and trajectory ``i`` of each
-        half consumes the same normal draw at every step.
+    pairing: ``"none"``, every trajectory draws its own normals; otherwise
+        the batch is two equal halves and trajectory ``i`` of the second half
+        takes, at every step, the normal draw of trajectory ``i`` of the
+        first: the same draw (``"shared"``) or its negation
+        (``"antithetic"``).  Either draws half the normals.
 
     Yields
     ------
@@ -362,8 +371,9 @@ def step_windows(
     ------
     ShapeError: initial values that are not an (n, m+1, d) batch, windows
         whose dim is not the model's, or whose node count is not
-        ``delay/step + 1``; ``shared_noise`` with an odd batch width.
-    ValueError: ``step`` does not divide the model's delay.
+        ``delay/step + 1``; a pairing with an odd batch width.
+    ValueError: ``step`` does not divide the model's delay, or an unknown
+        ``pairing``.
     NumericBlowupError: the first time a state goes non-finite, with the time.
     """
     init = np.asarray(initial_values, dtype=float)
@@ -378,8 +388,11 @@ def step_windows(
         raise ShapeError(
             f"initial segments have {nodes} nodes; delay {model.delay!r} at step {step!r} needs {want}"
         )
-    if shared_noise and n % 2:
-        raise ShapeError(f"a shared-noise batch needs two equal halves, got width {n}")
+    if pairing not in _PAIRINGS:
+        raise ValueError(f"pairing must be one of {sorted(_PAIRINGS)}, got {pairing!r}")
+    halves = len(_PAIRINGS[pairing])
+    if n % halves:
+        raise ShapeError(f"a {pairing} batch needs two equal halves, got width {n}")
     gen = rng.generator()
     sq = math.sqrt(step)
 
@@ -407,12 +420,18 @@ def step_windows(
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is the same at any block length (values come off the stream
     # in order)
-    nz = n // 2 if shared_noise else n
+    nz = n // halves
     zbuf = np.empty((max(1, _ZBLOCK // max(1, nz * d)), nz, d))
     zoff = zbuf.shape[0]  # force a refill on first use
-    # per-step scratch: scaled normals (both halves under shared noise), the
+    # per-step scratch: scaled normals (both halves under a pairing), the
     # noise term and drift * step
     zs, noise_out, drift_step = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+    # a pairing is one broadcast multiply of the draw by each half's signed
+    # sqrt(step), so no step branches on it (z * -sq is exactly -(z * sq));
+    # one half keeps the cheaper scalar multiply
+    scale, zs_halves = (sq, zs) if halves == 1 else (
+        np.array(_PAIRINGS[pairing]).reshape(halves, 1, 1) * sq, zs.reshape(halves, nz, d)
+    )
 
     ro = buf.view()  # read-only alias the yielded windows are sliced from
     ro.flags.writeable = False
@@ -428,10 +447,8 @@ def step_windows(
         if zoff == zbuf.shape[0]:
             gen.standard_normal(zbuf.shape, out=zbuf)
             zoff = 0
-        np.multiply(zbuf[zoff], sq, out=zs[:nz])
+        np.multiply(zbuf[zoff], scale, out=zs_halves)
         zoff += 1
-        if shared_noise:
-            zs[nz:] = zs[:nz]
         nxt = buf[head + 1]
         noise = noise_map(segs, zs, noise_out)
         np.add(window[-1], noise, out=nxt)

@@ -11,7 +11,10 @@ has closed-form action too and is injectable in their place, so the
 correction/variance machinery can be tested against exact values.  State
 batches have shape ``(n, m+1, d)``, and every estimate at several times
 reuses common paths (common random numbers), which makes time-quadratures
-of semigroup values cheap and smooth.
+of semigroup values cheap and smooth.  For an observable declared
+``antithetic`` the paths come in mirrored pairs, driven by the normals ``z``
+and ``-z`` (antithetic variates): a pair's mean is unbiased, it varies far
+less than two independent paths, and the pair draws one set of normals.
 """
 
 from __future__ import annotations
@@ -74,9 +77,12 @@ class SemigroupEvaluator(ABC):
 class MonteCarloSemigroup(SemigroupEvaluator):
     """The SDE's unit-time chain and its semigroup, both by simulation.
 
-    Profiles run ``replicas`` paths per state, one batch giving every time,
-    with across-replica standard errors.  Only the unit-time methods need
-    ``dt`` to divide the unit time, so any ``dt`` constructs.
+    Profiles run ``replicas`` paths per state, one batch giving every time:
+    ``replicas/2`` mirrored pairs for an antithetic observable and an even
+    count of at least 4, with standard errors from the pair means, and
+    otherwise independent paths with across-replica standard errors.  Only
+    the unit-time methods need ``dt`` to divide the unit time, so any
+    ``dt`` constructs.
     """
 
     def __init__(self, model: ModelSpec, dt: float):
@@ -124,25 +130,41 @@ class MonteCarloSemigroup(SemigroupEvaluator):
     def _profile(self, f, states, sample_at, replicas, rng, h, ses):
         """Per-state mean and SE over replicas of a running profile, a row at a time.
 
-        ``f`` is sampled at the steps ``sample_at``; each sampled row becomes
-        its running trapezoid with spacing ``h`` (from 0.0) or, with ``h``
-        None, its running sum as it arrives, and is reduced over the replica
-        axis, bitwise as the whole (n_rec, g, replicas) array would be.
+        The batch lays each state's ``replicas`` paths out in one block or,
+        for an antithetic ``f`` with an even count of at least 4, in two
+        mirrored blocks of ``replicas/2``: the second block's paths take the
+        negated normals of the first's (``step_windows``' antithetic
+        pairing).  ``f`` is sampled at the steps ``sample_at``; each sampled
+        row is summed over the blocks into one value per pair (per path with
+        one block), which becomes its running trapezoid with spacing ``h``
+        (from 0.0) or, with ``h`` None, its running sum as it arrives.  The
+        mean is over all ``replicas`` paths.  Its SE comes from the
+        ``replicas/2`` pair means, not from the paths, because a path and
+        its mirror vary against each other.  With one block both are bitwise
+        the across-replica reduction of the whole (n_rec, g, replicas) array.
         """
-        cum = np.empty((states.shape[0], replicas))
-        last = np.empty(cum.shape)  # f at the previous node
-        panel = np.empty(cum.shape)
+        blocks = 2 if f.antithetic and replicas % 2 == 0 and replicas >= 4 else 1
+        g, rest = states.shape[0], states.shape[1:]
+        shape = (g, replicas // blocks)
+        se_scale = blocks * math.sqrt(shape[1])  # sqrt(replicas) with one block
+        cum = np.empty(shape)
+        node = np.empty(shape)  # f of the current row, summed over the blocks
+        last = np.empty(shape)  # the same at the previous row
+        panel = np.empty(shape)
         i = 0  # sampled rows so far
         # step_windows is looked up as a module global on each call, so
         # a wrapper installed on this module sees every step; the repeated
-        # states are not kept here, so the ring alone holds them
+        # states (one copy, block-major) are not kept here, so the ring
+        # alone holds them
         windows = step_windows(
-            self.model, np.repeat(states, replicas, axis=0), sample_at[-1], self.dt, rng
+            self.model,
+            np.broadcast_to(states[None, :, None], (blocks,) + shape + rest).reshape((-1,) + rest),
+            sample_at[-1], self.dt, rng, pairing="antithetic" if blocks == 2 else "none",
         )
         for j, window in windows:
             if j != sample_at[i]:
                 continue
-            node = f.values(window).reshape(cum.shape)  # may alias the ring buffer
+            np.add.reduce(f.values(window).reshape((blocks,) + shape), axis=0, out=node)
             if i == 0:
                 cum[...] = node if h is None else 0.0
             elif h is None:
@@ -153,13 +175,12 @@ class MonteCarloSemigroup(SemigroupEvaluator):
                 panel *= 0.5
                 panel *= h
                 cum += panel
-            if h is not None:
-                last[...] = node
+            last, node = node, last
             i += 1
             # ndarray.mean's sum and division, without its Python wrapper
             mean = np.add.reduce(cum, axis=-1)
             mean /= replicas
-            yield mean, cum.std(axis=-1, ddof=1) / math.sqrt(replicas) if ses else None
+            yield mean, cum.std(axis=-1, ddof=1) / se_scale if ses else None
 
 
 def _one_group(grid: np.ndarray, values: np.ndarray, ses: bool) -> tuple[np.ndarray, list[ProfileGroup]]:

@@ -5,7 +5,8 @@ is a classical method-of-steps RK4 integrator with dense cubic-Hermite
 history, the transport oracle enumerates permutations, and the quadratures
 are plain cumulative sums.  The linear delay model's Euler chain is a
 Gaussian VAR(1) on its order-(m+1) companion form, so its moments come from
-linear algebra alone.  ``collect_profile`` only gathers a streamed
+linear algebra alone, and its conditional mean is the noise-free Euler
+recursion, run on Python floats.  ``collect_profile`` only gathers a streamed
 semigroup profile into whole arrays, and ``scaled`` only multiplies a
 centered observable by a constant.
 """
@@ -100,6 +101,7 @@ def scaled(f: CenteredObservable, factor: float) -> CenteredObservable:
         name=f"{base.name}_x{factor:g}",
         eval_batch=lambda v, _b=base.eval_batch, _c=factor: _c * _b(v),
         declared_norm=None if base.declared_norm is None else abs(factor) * base.declared_norm,
+        antithetic=base.antithetic,
     )
     return CenteredObservable(scaled_base, factor * f.mu_f, abs(factor) * f.mu_f_se, f.n_sample)
 
@@ -142,6 +144,23 @@ def euler_companion(a: float, b: float, sigma: float, m: int, dt: float):
     kick = np.zeros(m + 1)
     kick[0] = sigma * math.sqrt(dt)
     return companion, kick
+
+
+def noise_free_euler(a: float, b: float, history, dt: float, n_steps: int) -> np.ndarray:
+    """Current values x_0 .. x_n of the noise-free Euler recursion
+    x_{k+1} = x_k + dt(-a x_k + b x_{k-m}) from the segment ``history``
+    (its m+1 values, oldest first), in Python floats.
+
+    The linear delay model's Euler chain is this recursion plus a linear
+    function of the normals, so it is ``E[x_k | history]``: the exact
+    semigroup ``P_k`` of an affine observable of the current state.
+    """
+    path = [float(v) for v in np.ravel(history)]
+    m = len(path) - 1
+    for _ in range(n_steps):
+        x, oldest = path[-1], path[-1 - m]
+        path.append(x + dt * (-a * x + b * oldest))
+    return np.array(path[m:])
 
 
 def euler_chain_rate(a: float, b: float, m: int, dt: float) -> float:

@@ -161,7 +161,7 @@ def collected_curve_distances(model, initial_a, initial_b, times, mp, n_traj, rn
     a = np.broadcast_to(initial_a.values, (n_traj,) + initial_a.values.shape)
     b = np.tile(initial_b.values, (-(-n_traj // initial_b.n), 1, 1))[:n_traj]
     both = np.concatenate([a, b])
-    windows = step_windows(model, both, indices[-1], step, rng.child(1), shared_noise=True)
+    windows = step_windows(model, both, indices[-1], step, rng.child(1), pairing="shared")
     snaps = [window.copy() for j, window in windows if j in indices]
     return np.array([rho_pairs(snap[:n_traj], snap[n_traj:], mp).mean() for snap in snaps])
 

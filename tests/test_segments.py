@@ -421,17 +421,18 @@ class TestRecord:
         assert alive() is None
         assert sum(1 for _ in windows) == 5
 
-    @pytest.mark.parametrize("shared_noise", [False, True])
-    def test_batched_windows_are_read_only(self, any_model, shared_noise, monkeypatch):
+    @pytest.mark.parametrize("two_halves", [False, True])
+    def test_batched_windows_are_read_only(self, any_model, two_halves, monkeypatch):
         # a ring of 2(m+1) = 34 rows, so 100 steps wrap it twice
         monkeypatch.setattr(segments, "_RING_BYTES", 8 * 64 * 34)
         init = spread_initials(64)
-        windows = step_windows(any_model, init, 100, DT, RngStream(0), shared_noise=shared_noise)
-        assert not next(windows)[1].flags.writeable
-        for _, window in windows:
-            assert not window.flags.writeable
-        with pytest.raises(ValueError):
-            window[0, 0, 0] = 1.0
+        for pairing in ("shared", "antithetic") if two_halves else ("none",):
+            windows = step_windows(any_model, init, 100, DT, RngStream(0), pairing=pairing)
+            assert not next(windows)[1].flags.writeable
+            for _, window in windows:
+                assert not window.flags.writeable
+            with pytest.raises(ValueError):
+                window[0, 0, 0] = 1.0
 
 
 class TestWindowMustSpanDelay:
@@ -489,10 +490,70 @@ class TestSharedNoise:
         assert not np.array_equal(windows[0], windows[-1])
 
     def test_odd_width_rejected(self):
-        with pytest.raises(ShapeError):
+        for pairing in ("shared", "antithetic"):
+            with pytest.raises(ShapeError, match="two equal halves"):
+                next(step_windows(
+                    build_model("linear_delay_ou"), spread_initials(3), 4, DT, RngStream(0), pairing=pairing
+                ))
+
+    def test_unknown_pairing_rejected(self):
+        with pytest.raises(ValueError, match="pairing must be one of"):
             next(step_windows(
-                build_model("linear_delay_ou"), spread_initials(3), 4, DT, RngStream(0), shared_noise=True
+                build_model("linear_delay_ou"), spread_initials(4), 4, DT, RngStream(0), pairing="mirror"
             ))
+
+
+class TestAntitheticPairing:
+    @pytest.mark.parametrize("half", [1, 300])
+    def test_zero_start_mirror_is_the_negation(self, half):
+        # from 0 the linear drift and constant noise are odd maps, and z * -sq
+        # is exactly -(z * sq), so the second half is the first negated, bit
+        # for bit, at every step
+        init = np.zeros((2 * half, 17, 1))
+        windows = step_windows(build_model("linear_delay_ou"), init, 200, DT, RngStream(8), pairing="antithetic")
+        n_windows = 0
+        for _, window in windows:
+            assert np.array_equal(window[half:], -window[:half])
+            n_windows += 1
+        assert n_windows == 201
+        assert np.all(window[:, -1] != 0.0)
+
+    def test_first_half_draws_as_a_shared_batch_does(self, any_model):
+        # one draw per pair: the first half's paths are those of a shared
+        # batch, and of a plain batch of that half alone
+        a = spread_initials(4, seed=9)
+        both = np.concatenate([a, a])
+        runs = [
+            [w.copy() for _, w in step_windows(any_model, both, 60, DT, RngStream(12), pairing=p)]
+            for p in ("shared", "antithetic")
+        ]
+        plain = [w.copy() for _, w in step_windows(any_model, a, 60, DT, RngStream(12))]
+        for shared, anti, alone in zip(*runs, plain):
+            assert np.array_equal(anti[:4], shared[:4])
+            assert np.array_equal(anti[:4], alone)
+        assert not np.array_equal(runs[1][-1][4:], runs[0][-1][4:])
+
+
+def mirror_blocks(f, replicas):
+    """Blocks of a profile batch: two mirrored ones, each with the state's
+    ``replicas/2`` paths, for an antithetic ``f`` and an even replica count
+    of at least 4; else one."""
+    return 2 if f.antithetic and replicas % 2 == 0 and replicas >= 4 else 1
+
+
+def paired_batch(states, blocks, replicas):
+    """Each state repeated ``replicas/blocks`` times, the whole tiled
+    ``blocks`` times (block-major), and the pairing that drives it."""
+    batch = np.tile(np.repeat(states, replicas // blocks, axis=0), (blocks, 1, 1))
+    return batch, "antithetic" if blocks == 2 else "none"
+
+
+def pair_stats(cums, blocks, replicas):
+    """Mean over all paths and SE of the mean of the pair (or path) values,
+    reduced over the last axis of the whole (..., g, replicas/blocks) array
+    of running pair sums."""
+    per = replicas // blocks
+    return cums.sum(axis=-1) / replicas, cums.std(axis=-1, ddof=1) / (blocks * math.sqrt(per))
 
 
 class TestIntegralProfile:
@@ -500,34 +561,37 @@ class TestIntegralProfile:
     def old_trapezoid_profile(model, f, states, t_max, quad_step, replicas, rng):
         """The per-step trapezoid accumulator the semigroup profile used to keep,
         run per group of at most 4096 paths on ``rng.child(g0)`` and reduced
-        over the last axis of the whole (n_rec, g, replicas) array."""
+        over the last axis of the whole (n_rec, g, replicas/blocks) array; each
+        step's f-values are first summed over the mirror blocks."""
         stride = int(round(quad_step / DT))
         n_steps = int(round(t_max / DT))
         n_steps -= n_steps % stride
         n = states.shape[0]
         group = max(1, 4096 // replicas)
+        blocks = mirror_blocks(f, replicas)
         values, ses = [], []
         for g0 in range(0, n, group):
-            init = np.repeat(states[g0 : g0 + group], replicas, axis=0)
-            partial = np.zeros(init.shape[0])
+            init, pairing = paired_batch(states[g0 : g0 + group], blocks, replicas)
+            partial = np.zeros(init.shape[0] // blocks)
             prev = None
             cums = []
-            for j, window in step_windows(model, init, n_steps, DT, rng.child(g0)):
-                vals = f.values(window)
+            for j, window in step_windows(model, init, n_steps, DT, rng.child(g0), pairing=pairing):
+                vals = f.values(window).reshape(blocks, -1).sum(axis=0)
                 if j % stride:
                     continue
                 if prev is not None:
                     partial += 0.5 * (prev + vals) * (stride * DT)
                 prev = vals.copy()
                 cums.append(partial.copy())
-            cums = np.array(cums).reshape(len(cums), -1, replicas)
-            values.append(cums.mean(axis=-1).T)
-            ses.append((cums.std(axis=-1, ddof=1) / math.sqrt(replicas)).T)
+            mean, se = pair_stats(np.array(cums).reshape(len(cums), -1, replicas // blocks), blocks, replicas)
+            values.append(mean.T)
+            ses.append(se.T)
         return np.concatenate(values), np.concatenate(ses)
 
+    # eval0 takes the paired layout, sup_norm_pow the plain one
     @pytest.mark.parametrize("quad_steps", [1, 2, 3])
-    def test_matches_old_accumulator(self, any_model, quad_steps):
-        f = build_observable("eval0")
+    def test_matches_old_accumulator(self, any_model, quad_steps, obs="eval0"):
+        f = build_observable(obs)
         states = spread_initials(4, seed=5)
         quad = quad_steps * DT
         rng = RngStream(23)
@@ -540,10 +604,10 @@ class TestIntegralProfile:
         assert np.array_equal(prof.ses, ref_ses)
         assert prof.grid[1] == quad
 
-    def test_blocks_and_groups_match_old_accumulator(self, any_model):
+    def test_blocks_and_groups_match_old_accumulator(self, any_model, obs="eval0"):
         # 193 profile rows are reduced in blocks of 64, 64, 64 and 1; 70 x 64
         # > 4096 paths run as groups of 64 and 6 states
-        f = build_observable("eval0")
+        f = build_observable(obs)
         states = spread_initials(70, seed=7)
         rng = RngStream(31)
         ref_values, ref_ses = self.old_trapezoid_profile(any_model, f, states, 6.0, DT, 64, rng)
@@ -554,32 +618,42 @@ class TestIntegralProfile:
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
 
+    @pytest.mark.parametrize("quad_steps", [1, 3])
+    def test_plain_layout_matches_old_accumulator(self, any_model, quad_steps):
+        self.test_matches_old_accumulator(any_model, quad_steps, obs="sup_norm_pow")
+
+    def test_plain_layout_blocks_and_groups(self, any_model):
+        self.test_blocks_and_groups_match_old_accumulator(any_model, obs="sup_norm_pow")
+
 
 class TestDiscreteProfile:
     @staticmethod
     def old_discrete_profile(model, f, states, k_from, k_max, replicas, rng):
         """The semigroup's former ``_run``-based profile: replica groups filled a
-        state-major (n, n_rec, replicas) array, summed along the lag axis."""
+        state-major (n, n_rec, replicas/blocks) array of f-values summed over
+        the mirror blocks, summed along the lag axis."""
         per_unit = int(round(1.0 / DT))
         record_steps = [k * per_unit for k in range(k_from, k_max + 1)]
         n = states.shape[0]
         group = max(1, 4096 // replicas)
-        out = np.empty((n, len(record_steps), replicas))
+        blocks = mirror_blocks(f, replicas)
+        per = replicas // blocks
+        out = np.empty((n, len(record_steps), per))
         for g0 in range(0, n, group):
             g1 = min(n, g0 + group)
-            init = np.repeat(states[g0:g1], replicas, axis=0)
-            vals, _ = record(
-                model, init, k_max * per_unit, DT, rng.child(g0),
-                sample_at=record_steps, sample=f.values,
-            )
-            out[g0:g1] = vals.reshape(len(record_steps), g1 - g0, replicas).transpose(1, 0, 2)
-        cums = out.cumsum(axis=1)
-        return cums.mean(axis=2), cums.std(axis=2, ddof=1) / math.sqrt(replicas)
+            init, pairing = paired_batch(states[g0:g1], blocks, replicas)
+            vals = [
+                f.values(window).reshape(blocks, -1).sum(axis=0)
+                for j, window in step_windows(model, init, k_max * per_unit, DT, rng.child(g0), pairing=pairing)
+                if j in record_steps
+            ]
+            out[g0:g1] = np.array(vals).reshape(len(record_steps), g1 - g0, per).transpose(1, 0, 2)
+        return pair_stats(out.cumsum(axis=1), blocks, replicas)
 
     # 4 x 6 paths run as one group; 70 x 64 > 4096 splits into groups of 64 and 6
     @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
-    def test_matches_old_profile(self, any_model, n_states, replicas, k_from, k_max=2):
-        f = build_observable("eval0")
+    def test_matches_old_profile(self, any_model, n_states, replicas, k_from, obs="eval0", k_max=2):
+        f = build_observable(obs)
         states = spread_initials(n_states, seed=6)
         rng = RngStream(29)
         ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, k_max, replicas, rng)
@@ -593,6 +667,10 @@ class TestDiscreteProfile:
     def test_blocks_match_old_profile(self, any_model):
         # lags 1..130 are reduced in blocks of 64, 64 and 2 rows
         self.test_matches_old_profile(any_model, 70, 64, 1, k_max=130)
+
+    @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
+    def test_plain_layout_matches_old_profile(self, any_model, n_states, replicas, k_from):
+        self.test_matches_old_profile(any_model, n_states, replicas, k_from, obs="sup_norm_pow", k_max=2)
 
 
 # -- the width-1 float kernel -------------------------------------------------

@@ -1,18 +1,27 @@
 """Semigroup evaluator and synthetic kernel tests."""
 
+import dataclasses
+import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import collect_profile
+from oracles import collect_profile, noise_free_euler
 from segflow import (
+    CenteredObservable,
+    CorrectorConfig,
+    DiscreteCorrectorConfig,
     ExpDecayKernel,
     IidChain,
     MonteCarloSemigroup,
+    RateFit,
     RngStream,
+    Segment,
     constant_segment,
+    corrector,
     semigroup,
 )
 from segflow.registry import build_model, build_observable
@@ -120,9 +129,13 @@ class TestMonteCarloSemigroup:
             [constant_segment(v, R0, 1.0 / 128.0).values for v in (0.0, 2.0)]
         )
         prof = collect_profile(*mc.profile_groups(eval0, states, 1, 256, RngStream(3), k_from=1))
-        # decay of the conditional mean: E X_1 from 2 is near 2 e^-? > from 0
-        assert prof.values[1, 0] > prof.values[0, 0]
-        assert np.all(prof.ses > 0)
+        # each state's column is its own conditional mean E X_1: the mirror
+        # pairs make it exact, 0 from 0 and about 2 e^-2 from 2
+        exact = [noise_free_euler(2.0, 0.1, seg, 1.0 / 128.0, 128)[-1] for seg in states]
+        assert prof.values[0, 0] == 0.0
+        assert prof.values[1, 0] == pytest.approx(exact[1], rel=0, abs=1e-12)
+        assert 0.3 < exact[1] < 0.35
+        assert np.all(prof.ses < 1e-12)
 
     def test_integral_profile_streams(self, eval0):
         # 769 profile rows of 128 states x 32 replicas: the whole node cube
@@ -142,6 +155,107 @@ class TestMonteCarloSemigroup:
             tracemalloc.stop()
         assert prof.values.shape == (128, 769)
         assert peak < 12e6
+
+
+class TestAntitheticPairs:
+    """Profiles of an antithetic observable average each path with its
+    mirror, the path driven by the negated normals."""
+
+    dt = 1.0 / 128.0
+
+    @pytest.fixture
+    def states(self):
+        return np.random.default_rng(21).normal(size=(5, 65, 1))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            build_observable("eval0"),
+            CenteredObservable(build_observable("eval0"), 0.3, 0.01, 10),
+            build_observable("linear_combo", {"terms": [{"coef": -1.5, "name": "eval0"}, {"name": "zero"}]}),
+        ],
+        ids=["eval0", "centered", "combo"],
+    )
+    @pytest.mark.parametrize("kind", [{"k_from": 0}, {"k_from": 1}, {"quad_step": 1.0 / 64.0}])
+    def test_linear_profiles_are_the_noise_free_recursion(self, ref_model, states, f, kind):
+        # linear drift, additive noise and an affine f: a pair's mean is the
+        # noise-free Euler recursion, up to rounding
+        horizon = 3 if "k_from" in kind else 2.0
+        prof = collect_profile(*MonteCarloSemigroup(ref_model, self.dt).profile_groups(
+            f, states, horizon, 64, RngStream(5), **kind
+        ))
+        paths = np.array([noise_free_euler(2.0, 0.1, seg, self.dt, 3 * 128) for seg in states])
+        f_paths = f.values(paths[:, :, None, None].reshape(-1, 1, 1)).reshape(paths.shape)
+        if "k_from" in kind:
+            exact = np.cumsum(f_paths[:, kind["k_from"] * 128 :: 128], axis=1)
+        else:
+            nodes, h = f_paths[:, : 2 * 128 + 1 : 2], 2 * self.dt
+            panels = 0.5 * (nodes[:, :-1] + nodes[:, 1:]) * h
+            exact = np.concatenate([np.zeros((5, 1)), np.cumsum(panels, axis=1)], axis=1)
+        assert prof.values.shape == exact.shape
+        assert np.abs(prof.values - exact).max() <= 1e-12
+        assert prof.ses.max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["eval0", "sin_eval0"])
+    def test_tanh_pairs_agree_with_plain_paths(self, states, name):
+        # an unbiased estimate with a much smaller SE: the pairs vary against
+        # each other on the state-dependent diffusion too
+        paired = build_observable(name)
+        plain = dataclasses.replace(paired, antithetic=False)
+        sg = MonteCarloSemigroup(build_model("tanh_diffusion"), self.dt)
+        got = [
+            collect_profile(*sg.profile_groups(g, states, 2.0, 64, RngStream(6).child(i), quad_step=self.dt))
+            for i, g in enumerate((paired, plain))
+        ]
+        cols = slice(32, None, 32)
+        z = (got[0].values - got[1].values)[:, cols] / np.hypot(got[0].ses, got[1].ses)[:, cols]
+        assert np.abs(z).max() <= 4.0
+        assert np.all(got[0].ses[:, -1] < 0.5 * got[1].ses[:, -1])
+
+    def test_sup_norm_pow_profiles_keep_their_values(self, states):
+        # an even observable takes the one-block layout: its profiles are
+        # bitwise those before pairs existed (digest of that code's output)
+        f = build_observable("sup_norm_pow", {"q": 2.0})
+        digest = hashlib.sha256()
+        for name in ("linear_delay_ou", "tanh_diffusion"):
+            sg = MonteCarloSemigroup(build_model(name), self.dt)
+            for kind in ({"quad_step": 2 * self.dt}, {"k_from": 1}):
+                horizon = 2.0 if "quad_step" in kind else 3
+                prof = collect_profile(*sg.profile_groups(f, states, horizon, 16, RngStream(77), **kind))
+                digest.update(prof.values.tobytes())
+                digest.update(prof.ses.tobytes())
+        assert digest.hexdigest()[:16] == "884f173719be49a0"
+
+    @pytest.mark.parametrize("replicas", [2, 3, 4, 5])
+    def test_fewer_than_two_pairs_take_one_block(self, states, replicas):
+        # 2 and 3 paths (and an odd 5) leave under two pairs, or a path
+        # without a mirror: the plain layout, with its across-path SE
+        f = build_observable("eval0")
+        plain = dataclasses.replace(f, antithetic=False)
+        sg = MonteCarloSemigroup(build_model("tanh_diffusion"), self.dt)
+        got, ref = (
+            collect_profile(*sg.profile_groups(g, states, 2, replicas, RngStream(4), k_from=1)) for g in (f, plain)
+        )
+        assert np.array_equal(got.values, ref.values) == (replicas != 4)
+        assert np.all(np.isfinite(got.ses)) and np.all(got.ses > 0)
+
+    @pytest.mark.parametrize("inner", [4, 6, 8])
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_small_inner_replicas_have_finite_ses(self, inner, discrete):
+        # the config's smallest budgets: 2 and 3 paths per half take one
+        # block, 4 two blocks of two pairs; no degrees-of-freedom warning
+        fit = RateFit(c_hat=1.0, beta_hat=1.7, r_squared=1.0, times=np.array([]), values=np.array([]))
+        cfg = (
+            DiscreteCorrectorConfig(rate_fit=fit, k_max=4, replicas=inner)
+            if discrete else CorrectorConfig(rate_fit=fit, t_max=2.0, replicas=inner)
+        )
+        f = CenteredObservable(build_observable("eval0"), 0.0, 0.0, 1)
+        xi = Segment(np.random.default_rng(inner).normal(size=(65, 1)), R0, self.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = corrector(MonteCarloSemigroup(build_model("tanh_diffusion"), self.dt), f, xi, cfg, RngStream(9))
+        assert math.isfinite(est.value)
+        assert math.isfinite(est.se) and est.se > 0
 
 
 class TestIidChain:
