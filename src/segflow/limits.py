@@ -778,9 +778,14 @@ def clt_statistic(samples: np.ndarray, d_f: float) -> float:
     ``d_f > 0``: exact Kolmogorov distance to the centered normal with
     standard deviation ``d_f``.  ``d_f = 0``: the weighted sup-distance
     ``sup_z (1 and |z|) |F_emp(z) - 1_{z>=0}(z)|`` to the point mass at zero.
+    NaN when any sample is NaN or infinite, so a decay check on it fails
+    closed.
     """
     if not d_f >= 0:
         raise ValueError("d_f must be non-negative")
+    samples = np.asarray(samples, dtype=float)
+    if not np.isfinite(samples).all():
+        return math.nan
     if d_f == 0.0:
         return weighted_degenerate_statistic(samples)
     return kolmogorov_statistic(samples, d_f)

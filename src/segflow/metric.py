@@ -14,6 +14,12 @@ two aligned batches, the coupled pairs of a mixing-rate fit, and equals the
 diagonal of ``rho_matrix`` bitwise.  The transport distance between two
 equal-size empirical measures reduces to a minimum-cost assignment, solved
 exactly.
+
+Only two functions use scipy, and each imports it when called, so importing
+this module loads no scipy module: ``rho_matrix`` (for d = 1, the Chebyshev
+``scipy.spatial.distance.cdist``) and ``wasserstein``
+(``scipy.optimize.linear_sum_assignment``, imported after its shape and cap
+checks).  No pipeline calls either; the mixing-rate fit uses ``rho_pairs``.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import CapacityError, ShapeError
 from .segments import batch_sup_norms
@@ -138,6 +142,8 @@ def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.n
     """
     _compatible(a_vals, b_vals)
     if a_vals.shape[2] == 1:
+        from scipy.spatial.distance import cdist
+
         out = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
         out **= mp.gamma
         np.minimum(1.0, out, out=out)
@@ -201,6 +207,8 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, mp: MetricParams) -> f
             f"{a.n} atoms exceed the exact-solver cap {DEFAULT_ASSIGNMENT_CAP}; "
             "resample the measures"
         )
+    from scipy.optimize import linear_sum_assignment
+
     cost = rho_matrix(a.values, b.values, mp)
     rows, cols = linear_sum_assignment(cost)
     chosen = np.sort(cost[rows, cols])

@@ -1,4 +1,9 @@
-"""Small statistical helpers shared by the estimation modules."""
+"""Small statistical helpers shared by the estimation modules.
+
+Only ``normal_cdf`` uses scipy (``scipy.special.ndtr``), and it imports it
+when called: of the run kinds only clt reaches it, through
+``kolmogorov_statistic``, so importing this module loads no scipy module.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "LinearFit",
@@ -55,6 +59,8 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> LinearFit:
 
 def normal_cdf(z, sd: float = 1.0):
     """CDF of a centered normal with standard deviation ``sd``."""
+    from scipy.special import ndtr
+
     return ndtr(np.asarray(z, dtype=float) / sd)
 
 
@@ -79,28 +85,24 @@ def weighted_degenerate_statistic(samples: np.ndarray) -> float:
 
     Both CDFs are step functions, so on each interval between breakpoints the
     difference is constant and the weight is monotone toward the interval's
-    outer end; the sup is attained at breakpoints (one-sided limits).
+    outer end; the sup is attained at breakpoints (one-sided limits).  One
+    ``searchsorted`` per side gives every breakpoint's one-sided empirical
+    CDF values at once.
     """
     z = np.sort(np.asarray(samples, dtype=float))
     n = z.size
     points = np.unique(np.concatenate([z, [0.0]]))
-    best = 0.0
-    for idx, zp in enumerate(points):
-        femp_left = float(np.searchsorted(z, zp, side="left")) / n
-        femp_right = float(np.searchsorted(z, zp, side="right")) / n
-        ref_left = 0.0 if zp <= 0 else 1.0
-        ref_right = 0.0 if zp < 0 else 1.0
-        w = min(1.0, abs(zp))
-        best = max(best, w * abs(femp_left - ref_left), w * abs(femp_right - ref_right))
-        # interior of the gap up to the next breakpoint: constant difference,
-        # weight maximal at the outer end (0 is itself a breakpoint, so no
-        # gap straddles it)
-        if idx + 1 < len(points):
-            zn = points[idx + 1]
-            w_gap = min(1.0, max(abs(zp), abs(zn)))
-            ref_gap = 0.0 if zn <= 0 else 1.0
-            best = max(best, w_gap * abs(femp_right - ref_gap))
-    return best
+    femp_left = np.searchsorted(z, points, side="left") / n
+    femp_right = np.searchsorted(z, points, side="right") / n
+    w = np.minimum(1.0, np.abs(points))
+    at_left = w * np.abs(femp_left - (points > 0))
+    at_right = w * np.abs(femp_right - (points >= 0))
+    # interior of each gap up to the next breakpoint: constant difference,
+    # weight maximal at the outer end (0 is itself a breakpoint, so no gap
+    # straddles it)
+    w_gap = np.minimum(1.0, np.maximum(np.abs(points[:-1]), np.abs(points[1:])))
+    in_gap = w_gap * np.abs(femp_right[:-1] - (points[1:] > 0))
+    return float(max(at_left.max(), at_right.max(), in_gap.max(initial=0.0)))
 
 
 def bootstrap_se(samples: np.ndarray, statistic, n_boot: int, gen: np.random.Generator) -> float:

@@ -2,12 +2,16 @@
 
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segflow
 from segflow import cli
 from segflow.cli import (
     EXIT_BLOWUP,
@@ -20,6 +24,7 @@ from segflow.cli import (
 from segflow.config import _SCHEMAS, EXPERIMENT_KINDS, parse_config_dict
 from segflow.errors import ConfigError, EllipticityViolationError, NumericBlowupError
 from segflow.limits import CltReport
+from segflow.metric import MetricParams, rho_matrix
 from segflow.registry import registry_list
 
 
@@ -378,3 +383,56 @@ def test_every_numerics_key_is_read(monkeypatch):
     unread = {f"{kind}.{key}" for kind in EXPERIMENT_KINDS for key in _SCHEMAS[kind]} - read
     assert unread - set(UNREAD_KEYS) == set()
     assert set(UNREAD_KEYS) <= unread  # a kept key that gains a reader leaves UNREAD_KEYS
+
+
+# Run in a fresh interpreter: this process has scipy loaded already.  It
+# prints the scipy modules loaded after importing segflow, after each tiny
+# run, and the values of the two metric functions that import scipy.
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import segflow
+from segflow.cli import run_experiment
+from segflow.config import parse_config_dict
+from segflow.errors import ShapeError
+from segflow.metric import EmpiricalMeasure, MetricParams, rho_matrix, wasserstein
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+tiny, a, b = json.loads(sys.argv[1])
+out = {"import": loaded()}
+for kind in ("lil", "ergodicity", "slln", "assumptions", "clt"):
+    cfg = {"kind": kind, "seed": 7, "model": {"name": "linear_delay_ou"}, "numerics": tiny[kind]}
+    run_experiment(parse_config_dict(cfg))
+    out[kind] = loaded()
+a, b, mp = np.array(a), np.array(b), MetricParams()
+try:
+    wasserstein(EmpiricalMeasure(a, 0.5, 0.0625), EmpiricalMeasure(b[:-1], 0.5, 0.0625), mp)
+except ShapeError:
+    out["bad_call"] = loaded()
+out["rho"] = rho_matrix(a, b, mp).tolist()
+out["wasserstein"] = wasserstein(EmpiricalMeasure(a, 0.5, 0.0625), EmpiricalMeasure(b, 0.5, 0.0625), mp)
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loaded_only_where_called():
+    a = (np.arange(45).reshape(5, 9, 1) % 7 - 3) / 8.0
+    b = (np.arange(45).reshape(5, 9, 1) % 5 - 2) / 4.0
+    src = str(Path(segflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps([TINY_NUMERICS, a.tolist(), b.tolist()])],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    for stage in ("import", "lil", "ergodicity", "slln", "assumptions"):
+        assert out[stage] == [], stage
+    assert "scipy.special" in out["clt"]
+    assert not [m for m in out["clt"] if m.startswith(("scipy.optimize", "scipy.spatial"))]
+    # a malformed transport call fails before it imports the solver
+    assert out["bad_call"] == out["clt"]
+    # the lazily imported solvers give the values they gave as module imports
+    assert np.array_equal(np.array(out["rho"]), rho_matrix(a, b, MetricParams()))
+    assert out["wasserstein"] == float.fromhex("0x1.978c48bd1d032p-1")

@@ -257,7 +257,45 @@ class TestMartingaleIidChain:
         assert np.allclose(seq.partial_sums, np.cumsum(seq.f_values[1:]))
 
 
+def loop_weighted_degenerate_statistic(samples):
+    """The breakpoint-by-breakpoint loop that the vectorized statistic replaced."""
+    z = np.sort(np.asarray(samples, dtype=float))
+    n = z.size
+    points = np.unique(np.concatenate([z, [0.0]]))
+    best = 0.0
+    for idx, zp in enumerate(points):
+        femp_left = float(np.searchsorted(z, zp, side="left")) / n
+        femp_right = float(np.searchsorted(z, zp, side="right")) / n
+        ref_left = 0.0 if zp <= 0 else 1.0
+        ref_right = 0.0 if zp < 0 else 1.0
+        w = min(1.0, abs(zp))
+        best = max(best, w * abs(femp_left - ref_left), w * abs(femp_right - ref_right))
+        if idx + 1 < len(points):
+            zn = points[idx + 1]
+            w_gap = min(1.0, max(abs(zp), abs(zn)))
+            ref_gap = 0.0 if zn <= 0 else 1.0
+            best = max(best, w_gap * abs(femp_right - ref_gap))
+    return best
+
+
 class TestCltStatistics:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_statistic_equals_loop(self, seed):
+        # ties, exact zeros, both signs, and values past the weight cap of 1
+        gen = RngStream(40 + seed).generator()
+        n = int(gen.integers(1, 60))
+        samples = np.round(gen.normal(0.0, 1.5, size=n), 1)
+        samples[gen.random(n) < 0.3] = 0.0
+        for s in (samples, np.abs(samples), -np.abs(samples), np.zeros(n)):
+            assert weighted_degenerate_statistic(s) == loop_weighted_degenerate_statistic(s)
+
+    @pytest.mark.parametrize("d_f", [0.0, 0.7])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_gives_nan(self, d_f, bad):
+        # fails the decay check closed instead of reading as a small distance
+        samples = np.array([0.0, bad, 0.0, 0.0])
+        assert math.isnan(clt_statistic(samples, d_f))
+
     def test_degenerate_zero_samples(self):
         samples = np.zeros(500)
         assert clt_statistic(samples, 0.0) == 0.0
