@@ -19,11 +19,10 @@ Estimator conventions
   truncation point is the earliest checkpoint where that bound drops below a
   fraction of the running estimate (capped by the configured maximum).
 * Discrete increments.  The unit-time martingale difference is
-  ``Z_k = f(X_k) + Q(X_k) - Q(X_{k-1})`` with the shifted corrector
-  ``Q = sum_{j>=1} P_j f``; equivalently ``f(X_{k-1}) + Rhat(X_k) -
-  Rhat(X_{k-1})`` with the full sum ``Rhat = sum_{j>=0} P_j f``.  This is the
-  form under which the one-step conditional mean vanishes and the squared
-  increment reproduces the discrete variance functional.
+  ``Z_k = f(X_{k-1}) + R(X_k) - R(X_{k-1})`` with the corrector
+  ``R = sum_{j>=0} P_j f``, the one every discrete pipeline estimates.  Its
+  one-step conditional mean vanishes and its square reproduces the discrete
+  variance functional.
 """
 
 from __future__ import annotations
@@ -134,13 +133,13 @@ class CorrectorConfig:
     """Continuous-time corrector quadrature knobs.
 
     ``replicas`` is the total inner Monte Carlo budget per state; it is split
-    into two independent halves.  ``rate_fit`` is required: the tail bound
-    and the automatic truncation rule both come from it.
+    into two independent halves.  ``rate_fit`` must be a usable fit: the tail
+    bound and the automatic truncation rule both come from it.
     """
 
-    rate_fit: Optional[RateFit] = None
-    t_max: float = 8.0
-    replicas: int = 64
+    rate_fit: Optional[RateFit]
+    t_max: float
+    replicas: int
     auto_truncate: bool = True
     tail_fraction: float = 0.1
 
@@ -149,9 +148,9 @@ class CorrectorConfig:
 class DiscreteCorrectorConfig:
     """Unit-lag corrector summation knobs (discrete analogue of the above)."""
 
-    rate_fit: Optional[RateFit] = None
-    k_max: int = 8
-    replicas: int = 64
+    rate_fit: Optional[RateFit]
+    k_max: int
+    replicas: int
     auto_truncate: bool = True
     tail_fraction: float = 0.1
 
@@ -274,16 +273,15 @@ class _HalfValues:
 
 def _halves(
     f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
-    dt: float, rng: RngStream, k_from: int = 0, first_horizon: Optional[float] = None,
-    ses: bool = True,
+    dt: float, rng: RngStream, first_horizon: Optional[float] = None, ses: bool = True,
 ) -> _HalfValues:
     """Corrector values at ``states`` from two independent half budgets.
 
     The type of ``cfg`` picks the scheme.  A :class:`CorrectorConfig`
     integrates ``t -> P_t f`` by trapezoid quadrature at step ``dt`` up to
     ``cfg.t_max`` with the :meth:`RateFit.tail_integral_bound`; a
-    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = ``k_from`` ..
-    ``cfg.k_max`` with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
+    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = 0 .. ``cfg.k_max``
+    with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
 
@@ -310,10 +308,10 @@ def _halves(
     half = cfg.replicas // 2
     discrete = isinstance(cfg, DiscreteCorrectorConfig)
     if discrete:
-        full, tail, kind = cfg.k_max, fit.tail_sum_bound, {"k_from": k_from}
+        full, tail, quad_step = cfg.k_max, fit.tail_sum_bound, None
     else:
-        full, tail, kind = cfg.t_max, fit.tail_integral_bound, {"quad_step": dt}
-    stream = lambda r: sg.profile_groups(f, states, full, half, r, ses=ses, **kind)
+        full, tail, quad_step = cfg.t_max, fit.tail_integral_bound, dt
+    stream = lambda r: sg.profile_groups(f, states, full, half, r, quad_step=quad_step, ses=ses)
     scale = _norm_hint(f)
     bound = lambda x: scale * tail(x.item())
 
@@ -346,7 +344,7 @@ def _halves(
         # steps; rounding first keeps a grid time like 300 * 0.01 at 3
         first = math.ceil(round(first_horizon, 6))
         if first < full:
-            limit = (first - k_from if discrete else grid_steps(first, dt, "first horizon")) + 1
+            limit = (first if discrete else grid_steps(first, dt, "first horizon")) + 1
     for pair in earlier:
         for _ in read(*pair, limit):
             pass
@@ -835,7 +833,7 @@ class MartingaleSequence:
 
     ``z`` averages the two half-sequences; products ``z_a * z_b`` provide
     noise-unbiased squares.  ``f_values`` are f at the visited integer-time
-    states, ``shifted_a/b`` the half-estimates of the shifted corrector.
+    states.
     """
 
     z: np.ndarray
@@ -843,8 +841,6 @@ class MartingaleSequence:
     z_b: np.ndarray
     partial_sums: np.ndarray
     f_values: np.ndarray
-    shifted_a: np.ndarray
-    shifted_b: np.ndarray
     truncation: float
     tail_bound: float
 
@@ -860,8 +856,8 @@ def martingale_increments(
 ) -> MartingaleSequence:
     """Simulate one path to integer time ``n`` and form its increments.
 
-    ``Z_k = f(X_k) + Q(X_k) - Q(X_{k-1})`` with the shifted corrector
-    ``Q = sum_{j>=1} P_j f`` estimated by nested Monte Carlo with independent
+    ``Z_k = f(X_{k-1}) + R(X_k) - R(X_{k-1})`` with the corrector
+    ``R = sum_{j>=0} P_j f`` estimated by nested Monte Carlo with independent
     half-streams at every visited state.
     """
     if n < 1:
@@ -870,9 +866,9 @@ def martingale_increments(
     sg = sg if sg is not None else chain
     states = chain.unit_states(xi.values[None], n, rng.child(0))[:, 0]  # (n+1, m+1, d)
     f_vals = f.values(states)
-    q = _halves(f, states, cfg, sg, xi.step, rng.child(1), k_from=1, ses=False)
-    z_a = f_vals[1:] + q.a[1:] - q.a[:-1]
-    z_b = f_vals[1:] + q.b[1:] - q.b[:-1]
+    r = _halves(f, states, cfg, sg, xi.step, rng.child(1), ses=False)
+    z_a = f_vals[:-1] + r.a[1:] - r.a[:-1]
+    z_b = f_vals[:-1] + r.b[1:] - r.b[:-1]
     z = 0.5 * (z_a + z_b)
     return MartingaleSequence(
         z=z,
@@ -880,10 +876,8 @@ def martingale_increments(
         z_b=z_b,
         partial_sums=np.cumsum(z),
         f_values=f_vals,
-        shifted_a=q.a,
-        shifted_b=q.b,
-        truncation=q.truncation,
-        tail_bound=q.tail_bound,
+        truncation=r.truncation,
+        tail_bound=r.tail_bound,
     )
 
 
@@ -1118,8 +1112,11 @@ def rescaled_path_nodes(f_partial_sums: np.ndarray, n: int, d_hat: float) -> np.
 
     The path is affine between nodes, so its sup norm is attained here.  The
     node at ``k`` carries the sum of the first ``k-1`` values, and the node at
-    ``k = n`` (t = 1) is exactly the normalized endpoint sum.
+    ``k = n`` (t = 1) is exactly the normalized endpoint sum.  ``d_hat`` must
+    be positive, as in :func:`lil_run`.
     """
+    if not d_hat > 0:
+        raise ValueError("d_hat must be positive")
     if n < 16:
         raise ValueError("n must be at least 16")
     denom = d_hat * float(_loglog_denominator(np.asarray([float(n)]))[0])

@@ -5,21 +5,21 @@ The distance used throughout is
     rho(x, y) = (1 and ||x - y||_inf^gamma) * sqrt(1 + ||x||_inf^p + ||y||_inf^p)
 
 with grid-level uniform norms.  It is symmetric and separates points but does
-*not* satisfy the triangle inequality, so nothing here assumes one.  For
-d = 1 the uniform distance is the exact max of ``|x_k - y_k|`` over the
-nodes, so distinct atoms keep a positive distance however close they are;
-for d > 1 the node norms ``sqrt(sum of squares)`` underflow to 0 once the
-differences fall below ~1e-162.  ``rho_pairs`` evaluates rho row by row on
-two aligned batches, the coupled pairs of a mixing-rate fit, and equals the
-diagonal of ``rho_matrix`` bitwise.  The transport distance between two
-equal-size empirical measures reduces to a minimum-cost assignment, solved
-exactly.
+*not* satisfy the triangle inequality, so nothing here assumes one.  One
+private kernel evaluates rho on broadcastable batches: for d = 1 the uniform
+distance is the exact max of ``|x_k - y_k|`` over the nodes, so distinct
+atoms keep a positive distance however close they are; for d > 1 the node
+norms ``sqrt(sum of squares)`` underflow to 0 once the differences fall below
+~1e-162.  ``rho_pairs`` runs it on two aligned batches, the coupled pairs of a
+mixing-rate fit, and ``rho_matrix`` on every pair of two batches, so the
+first is the diagonal of the second bitwise.  The transport distance between
+two equal-size empirical measures reduces to a minimum-cost assignment,
+solved exactly.
 
-Only two functions use scipy, and each imports it when called, so importing
-this module loads no scipy module: ``rho_matrix`` (for d = 1, the Chebyshev
-``scipy.spatial.distance.cdist``) and ``wasserstein``
-(``scipy.optimize.linear_sum_assignment``, imported after its shape and cap
-checks).  No pipeline calls either; the mixing-rate fit uses ``rho_pairs``.
+Only ``wasserstein`` uses scipy (``scipy.optimize.linear_sum_assignment``),
+and it imports it after its shape and cap checks, so importing this module
+loads no scipy module.  No pipeline calls it; the mixing-rate fit uses
+``rho_pairs``.
 """
 
 from __future__ import annotations
@@ -120,69 +120,62 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.values[indices], self.delay, self.step, g)
 
 
-def _compatible(a_vals: np.ndarray, b_vals: np.ndarray):
-    if a_vals.shape[1:] != b_vals.shape[1:]:
-        raise ShapeError(
-            f"incompatible segment shapes {a_vals.shape[1:]} vs {b_vals.shape[1:]}"
-        )
+def _rho(a: np.ndarray, b: np.ndarray, pow_a: np.ndarray, pow_b: np.ndarray, mp: MetricParams) -> np.ndarray:
+    """The one rho kernel: quasi-distances between broadcastable segment
+    batches ``a`` and ``b`` of shape (..., m+1, d), given their moment terms
+    ``|a|^p`` and ``|b|^p`` broadcastable to the batch shape.
+
+    For d = 1 the uniform distance is the exact max of ``|a_k - b_k|``; for
+    d > 1 the node norms are ``sqrt(sum of squares)`` over the last axis.
+    The weight is summed as ``1 + (|a|^p + |b|^p)``.
+    """
+    diff = a - b
+    if diff.shape[-1] == 1:
+        out = np.abs(diff[..., 0], out=diff[..., 0]).max(axis=-1)
+    else:
+        diff *= diff
+        out = np.sqrt(diff.sum(axis=-1)).max(axis=-1)
+    out **= mp.gamma
+    np.minimum(1.0, out, out=out)
+    weight = pow_a + pow_b
+    weight += 1.0
+    out *= np.sqrt(weight, out=weight)
+    return out
 
 
 def rho_matrix(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
     """Pairwise quasi-distances between two batches of segments.
 
-    Returns the (na, nb) matrix rho(a_i, b_j), built in place in the
-    returned array and one weight matrix, so a call forms two (na, nb)
-    arrays whatever the exponents.  For d = 1 the uniform distance is one
-    Chebyshev ``cdist`` over the nodes, raised and clipped where it lies.
-    For d > 1 rows are chunked so the transient (chunk, nb, m+1, d)
-    difference array stays small; a per-node Euclidean ``cdist`` would sum
-    the d squares in another order from d = 8 on and move results by an
-    ulp.  The weight is summed as ``1 + (|a|^p + |b|^p)``, so
-    ``rho_matrix(a, b)`` is exactly ``rho_matrix(b, a).T``.
+    Returns the (na, nb) matrix rho(a_i, b_j), filled a block of rows at a
+    time so the transient (rows, nb, m+1, d) difference array holds at most
+    2^22 elements (or one row).  ``rho_matrix(a, b)`` is exactly
+    ``rho_matrix(b, a).T``.
     """
-    _compatible(a_vals, b_vals)
-    if a_vals.shape[2] == 1:
-        from scipy.spatial.distance import cdist
-
-        out = cdist(a_vals[:, :, 0], b_vals[:, :, 0], "chebyshev")
-        out **= mp.gamma
-        np.minimum(1.0, out, out=out)
-    else:
-        na, nb = a_vals.shape[0], b_vals.shape[0]
-        out = np.empty((na, nb))
-        chunk = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
-        for lo in range(0, na, chunk):
-            hi = min(na, lo + chunk)
-            diff = a_vals[lo:hi, None] - b_vals[None, :]  # (c, nb, m+1, d)
-            dist = np.sqrt((diff**2).sum(axis=3)).max(axis=2)
-            out[lo:hi] = np.minimum(1.0, dist**mp.gamma)
-    weight = np.add.outer(batch_sup_norms(a_vals) ** mp.p, batch_sup_norms(b_vals) ** mp.p)
-    weight += 1.0
-    out *= np.sqrt(weight, out=weight)
+    if a_vals.shape[1:] != b_vals.shape[1:]:
+        raise ShapeError(
+            f"incompatible segment shapes {a_vals.shape[1:]} vs {b_vals.shape[1:]}"
+        )
+    na, nb = a_vals.shape[0], b_vals.shape[0]
+    pow_a, pow_b = batch_sup_norms(a_vals) ** mp.p, batch_sup_norms(b_vals) ** mp.p
+    out = np.empty((na, nb))
+    rows = max(1, int(2**22 // max(1, nb * a_vals.shape[1] * a_vals.shape[2])))
+    for lo in range(0, na, rows):
+        hi = min(na, lo + rows)
+        out[lo:hi] = _rho(a_vals[lo:hi, None], b_vals[None, :], pow_a[lo:hi, None], pow_b[None, :], mp)
     return out
 
 
 def rho_pairs(a_vals: np.ndarray, b_vals: np.ndarray, mp: MetricParams) -> np.ndarray:
     """Quasi-distances ``rho(a_i, b_i)`` between aligned rows of two batches.
 
-    Returns the (n,) vector with the node norms and the weight order
-    ``1 + (|a|^p + |b|^p)`` of ``rho_matrix``, so it equals
-    ``np.diag(rho_matrix(a_vals, b_vals, mp))`` bitwise at O(n) cost.
+    Returns the (n,) vector through the kernel of ``rho_matrix``, so it
+    equals ``np.diag(rho_matrix(a_vals, b_vals, mp))`` bitwise at O(n) cost.
     Both batches must have the same shape: a single segment is not
     broadcast against a batch.
     """
     if a_vals.shape != b_vals.shape:
         raise ShapeError(f"paired batches differ in shape: {a_vals.shape} vs {b_vals.shape}")
-    if a_vals.shape[2] == 1:
-        out = np.abs(a_vals[:, :, 0] - b_vals[:, :, 0]).max(axis=1)
-    else:
-        out = np.sqrt(((a_vals - b_vals) ** 2).sum(axis=2)).max(axis=1)
-    out **= mp.gamma
-    np.minimum(1.0, out, out=out)
-    weight = batch_sup_norms(a_vals) ** mp.p + batch_sup_norms(b_vals) ** mp.p
-    weight += 1.0
-    out *= np.sqrt(weight, out=weight)
-    return out
+    return _rho(a_vals, b_vals, batch_sup_norms(a_vals) ** mp.p, batch_sup_norms(b_vals) ** mp.p, mp)
 
 
 def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, mp: MetricParams) -> float:

@@ -36,12 +36,8 @@ def jsonable(obj: Any) -> Any:
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()  # a numpy scalar as its Python value, then the rules below
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # JSON has no NaN/Inf; keep a readable token
     return obj

@@ -2,9 +2,10 @@
 
 Everything downstream of simulation that needs ``P_t f(xi) = E f(X_t^xi)``
 asks a :class:`SemigroupEvaluator`, through its one method
-``profile_groups``, for running time quadratures or unit-lag sums of
-``P_t f`` at a batch of states.  A chain is the evaluator of its own
-semigroup: :class:`MonteCarloSemigroup` samples the SDE at integer times and
+``profile_groups``, for running time quadratures of ``P_t f`` or unit-lag
+sums ``sum_{k=0}^K P_k f`` at a batch of states: the corrector has this one
+form.  A chain is the evaluator of its own semigroup:
+:class:`MonteCarloSemigroup` samples the SDE at integer times and
 estimates ``P_t`` by simulation, :class:`IidChain` resamples independent
 segments and knows its semigroup in closed form.  :class:`ExpDecayKernel`
 has closed-form action too and is injectable in their place, so the
@@ -58,7 +59,6 @@ class SemigroupEvaluator(ABC):
         replicas: int,
         rng: RngStream,
         quad_step: Optional[float] = None,
-        k_from: int = 0,
         ses: bool = True,
     ) -> tuple[np.ndarray, list[ProfileGroup]]:
         """A profile as state groups whose checkpoints arrive one at a time.
@@ -66,9 +66,9 @@ class SemigroupEvaluator(ABC):
         Given ``quad_step`` it is the cumulative trapezoid of ``t -> P_t f``
         on the grid of step ``quad_step`` up to ``t_max = horizon`` (a
         discrete-time kernel raises :class:`NotImplementedError`), otherwise
-        the cumulative sums ``sum_{k=k_from}^K P_k f`` for K = ``k_from`` ..
-        ``horizon``.  Returns the checkpoint grid and the groups, each
-        ``(g0, g1, columns)``: ``columns`` yields, for checkpoint 0, 1, ...
+        the cumulative sums ``sum_{k=0}^K P_k f`` for K = 0 .. ``horizon``.
+        Returns the checkpoint grid and the groups, each ``(g0, g1,
+        columns)``: ``columns`` yields, for checkpoint 0, 1, ...
         in turn, the values of states ``g0:g1`` and, with ``ses``, their
         standard errors over ``replicas``.
         """
@@ -101,16 +101,14 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         )
         return states
 
-    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, ses=True):
         """Each group of g states that fits one batch of ``replicas`` paths
         per state runs on ``rng.child(g0)`` when its columns are read, and
         steps only as far as they are read."""
         if quad_step is None:
-            if k_from < 0 or horizon < k_from:
-                raise ValueError("need 0 <= k_from <= k_max")
             per_unit = grid_steps(1.0, self.dt, "unit time")
-            grid = np.arange(k_from, horizon + 1)
-            sample_at = range(k_from * per_unit, horizon * per_unit + 1, per_unit)
+            grid = np.arange(horizon + 1)
+            sample_at = range(0, horizon * per_unit + 1, per_unit)
             h = None
         else:
             stride = grid_steps(quad_step, self.dt, "quad_step")
@@ -199,9 +197,9 @@ class ExpDecayKernel(SemigroupEvaluator):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, ses=True):
         if quad_step is None:
-            grid = np.arange(k_from, horizon + 1)
+            grid = np.arange(horizon + 1)
             cum = np.cumsum(np.exp(-self.rate * grid))
         else:
             grid = np.arange(grid_steps(horizon, quad_step, "t_max") + 1) * quad_step
@@ -215,21 +213,19 @@ class IidChain(SemigroupEvaluator):
     """Degenerate chain that resamples an independent segment every unit step.
 
     Its semigroup, on the centered observables it serves, has closed-form
-    action: ``P_0 f = f`` and ``P_k f = 0`` for k >= 1, so the shifted
-    corrector vanishes identically.  It has no continuous-time action.
+    action: ``P_0 f = f`` and ``P_k f = 0`` for k >= 1, so every partial sum
+    of the corrector is ``f`` itself.  It has no continuous-time action.
     """
 
     def __init__(self, sampler: Callable[[np.random.Generator, int], np.ndarray]):
         """``sampler(gen, n)`` must return n fresh segment value arrays (n, m+1, d)."""
         self.sampler = sampler
 
-    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, ses=True):
         if quad_step is not None:
             raise NotImplementedError(f"{type(self).__name__} has no continuous-time action")
-        ks = np.arange(k_from, horizon + 1)
-        vals = np.zeros((states.shape[0], ks.size))
-        if k_from == 0:
-            vals += f.values(np.asarray(states, dtype=float))[:, None]
+        ks = np.arange(horizon + 1)
+        vals = np.repeat(f.values(np.asarray(states, dtype=float))[:, None], ks.size, axis=1)
         return _one_group(ks, vals, ses)
 
     def unit_states(self, start_values: np.ndarray, n_units: int, rng: RngStream) -> np.ndarray:

@@ -232,6 +232,28 @@ def smoke_suite(seed=20240817):
     }
 
 
+@pytest.mark.parametrize("scale", sorted(cli._SUITE_PRESETS))
+@pytest.mark.parametrize("model_name", registry_list().models)
+def test_every_suite_preset_parses(monkeypatch, scale, model_name):
+    # each sub-run config the suite builds from a preset parses and resolves
+    # its numerics on every registry model; the sub-runs themselves are not run
+    built = {}
+
+    def capture(tasks, threads):
+        built.update(tasks)
+        return [({}, {}, [])] * len(tasks)
+
+    monkeypatch.setattr(cli, "_run_sub_runs", capture)
+    cfg = parse_config_dict({"kind": "full-suite", "seed": 1, "model": {"name": model_name},
+                             "numerics": {"scale": scale}})
+    model = cfg.build_model()
+    cli._run_full_suite(cfg, model, cfg.resolved_numerics(model), threads=1)
+    assert list(built) == SUITE_ORDER
+    for kind, sub_cfg in built.items():
+        assert sub_cfg.kind == kind
+        sub_cfg.resolved_numerics(sub_cfg.build_model())
+
+
 @pytest.fixture(scope="module")
 def serial_suite():
     return run_experiment(parse_config_dict(smoke_suite()), threads=1)
@@ -412,6 +434,7 @@ try:
 except ShapeError:
     out["bad_call"] = loaded()
 out["rho"] = rho_matrix(a, b, mp).tolist()
+out["rho_matrix"] = loaded()
 out["wasserstein"] = wasserstein(EmpiricalMeasure(a, 0.5, 0.0625), EmpiricalMeasure(b, 0.5, 0.0625), mp)
 print(json.dumps(out))
 """
@@ -433,6 +456,8 @@ def test_scipy_loaded_only_where_called():
     assert not [m for m in out["clt"] if m.startswith(("scipy.optimize", "scipy.spatial"))]
     # a malformed transport call fails before it imports the solver
     assert out["bad_call"] == out["clt"]
+    # the distance kernel is numpy alone, for d = 1 too
+    assert out["rho_matrix"] == out["clt"]
     # the lazily imported solvers give the values they gave as module imports
     assert np.array_equal(np.array(out["rho"]), rho_matrix(a, b, MetricParams()))
     assert out["wasserstein"] == float.fromhex("0x1.978c48bd1d032p-1")

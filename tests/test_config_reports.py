@@ -24,6 +24,7 @@ from segflow.reports import (
     CSV_SCHEMAS,
     ReportRecord,
     emit_plot_data,
+    jsonable,
     payload_digest,
     write_report,
 )
@@ -343,6 +344,16 @@ class TestReportRecord:
     def test_nonfinite_floats_tokenized(self):
         digest = payload_digest({"v": float("nan")})
         assert isinstance(digest, str) and len(digest) == 64
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nonfinite_numpy_scalars_tokenized(self, value, dtype):
+        # a numpy scalar takes the same token as the Python float it holds
+        scalar = dtype(value)
+        assert jsonable(scalar) == jsonable(value) == repr(value)
+        assert payload_digest({"v": scalar}) == payload_digest({"v": value})
+        blob = json.dumps(self.make_record({"v": scalar, "arr": np.array([scalar])}).to_json(), allow_nan=False)
+        assert json.loads(blob)["payload"] == {"v": repr(value), "arr": [repr(value)]}
 
 
 class TestCsvEmission:

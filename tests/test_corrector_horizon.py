@@ -52,26 +52,27 @@ R0 = 0.5
 SEED = 909
 
 
-# ``limits._halves`` as it was before first horizons, verbatim: both profiles
-# to the configured horizon, then the truncation rule.
+# ``limits._halves`` as it was before first horizons, verbatim but for the
+# sums' first lag, now always 0: both profiles to the configured horizon,
+# then the truncation rule.
 def _reference_halves(
     f: AnyObservable, states: np.ndarray, cfg: AnyCorrectorConfig, sg: SemigroupEvaluator,
-    dt: float, rng: RngStream, k_from: int = 0,
+    dt: float, rng: RngStream,
 ) -> _HalfValues:
     """Corrector values at ``states`` from two independent half budgets.
 
     The type of ``cfg`` picks the scheme.  A :class:`CorrectorConfig`
     integrates ``t -> P_t f`` by trapezoid quadrature at step ``dt`` up to
     ``cfg.t_max`` with the :meth:`RateFit.tail_integral_bound`; a
-    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = ``k_from`` ..
-    ``cfg.k_max`` with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
+    :class:`DiscreteCorrectorConfig` sums ``P_k f`` for k = 0 .. ``cfg.k_max``
+    with the :meth:`RateFit.tail_sum_bound`.  Both are truncated at the earliest
     checkpoint where that tail, scaled by the observable's norm hint, falls
     below ``cfg.tail_fraction`` of the running value (median across states).
     """
     fit = cfg.rate_fit
     half = max(1, cfg.replicas // 2)
     if isinstance(cfg, DiscreteCorrectorConfig):
-        profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.k_max, half, r, k_from=k_from))
+        profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.k_max, half, r))
         tail = fit.tail_sum_bound
     else:
         profile = lambda r: collect_profile(*sg.profile_groups(f, states, cfg.t_max, half, r, quad_step=dt))
@@ -209,7 +210,7 @@ class TestMatchesReference:
             cfg = dataclasses.replace(cfg, auto_truncate=False)
         elif case == "failing-first-horizon":
             cfg = dataclasses.replace(cfg, tail_fraction=0.01)  # pushes the rule past 1
-        sg = NanKernel(True) if case == "nan" else MonteCarloSemigroup(model, DT)
+        sg = NanKernel() if case == "nan" else MonteCarloSemigroup(model, DT)
         states = start_states()
         rng = RngStream(SEED).child(20)
         want = _reference_halves(f, states, cfg, sg, DT, rng)
@@ -402,32 +403,36 @@ class TestProfilePrefix:
         assert np.array_equal(short.ses, full.ses[:, :cols])
 
     @pytest.mark.parametrize("n_states, replicas", [(3, 8), (1024, 8)], ids=["narrow-24", "wide-2x4096"])
-    @pytest.mark.parametrize("k_from", [0, 1])
-    def test_discrete_profile(self, model, f, n_states, replicas, k_from):
+    @pytest.mark.parametrize("mirrored", [0, 1])
+    def test_discrete_profile(self, model, f, n_states, replicas, mirrored):
+        # the one-block layout (0) and the mirror pairs of an antithetic f (1)
+        g = dataclasses.replace(f, base=dataclasses.replace(f.base, antithetic=bool(mirrored)))
         sg = MonteCarloSemigroup(model, DT)
         states = np.resize(start_states(4), (n_states,) + start_states(1).shape[1:])
         rng = RngStream(SEED).child(11)
-        full = collect_profile(*sg.profile_groups(f, states, 8, replicas, rng, k_from=k_from))
-        short = collect_profile(*sg.profile_groups(f, states, 3, replicas, rng, k_from=k_from))
+        full = collect_profile(*sg.profile_groups(g, states, 8, replicas, rng))
+        short = collect_profile(*sg.profile_groups(g, states, 3, replicas, rng))
         cols = len(short.grid)
-        assert cols == 4 - k_from
+        assert cols == 4
         assert np.array_equal(short.grid, full.grid[:cols])
         assert np.array_equal(short.values, full.values[:, :cols])
         assert np.array_equal(short.ses, full.ses[:, :cols])
 
 
 class NanKernel(SemigroupEvaluator):
-    """Stub evaluator returning NaN profiles: all of them with
-    ``nan_from_zero``, else only sums from ``k_from`` >= 1 (zeros otherwise)."""
+    """Stub evaluator whose first ``nan_profiles`` profiles are NaN and the
+    rest zeros."""
 
-    def __init__(self, nan_from_zero: bool):
-        self.nan_from_zero = nan_from_zero
+    def __init__(self, nan_profiles: float = math.inf):
+        self.nan_profiles = nan_profiles
 
-    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, k_from=0, ses=True):
+    def profile_groups(self, f, states, horizon, replicas, rng, quad_step=None, ses=True):
         if quad_step is None:
-            grid, nan = np.arange(k_from, horizon + 1), self.nan_from_zero or k_from > 0
+            grid = np.arange(horizon + 1)
         else:
-            grid, nan = np.arange(round(horizon / quad_step) + 1) * quad_step, self.nan_from_zero
+            grid = np.arange(round(horizon / quad_step) + 1) * quad_step
+        nan = self.nan_profiles > 0
+        self.nan_profiles -= 1
         n = np.asarray(states).shape[0]
         columns = ((np.full(n, math.nan if nan else 0.0), np.zeros(n) if ses else None) for _ in grid)
         return grid, [(0, n, columns)]
@@ -448,16 +453,18 @@ class TestFailClosedOnNan:
         atoms = EmpiricalMeasure(start_states(4), R0, DT)
         cfg = CorrectorConfig(rate_fit=fit, t_max=2.0, replicas=4)
         with pytest.raises(EstimatorInconsistencyError, match="NaN"):
-            variance_D(model, f, atoms, cfg, RngStream(SEED).child(12), outer_replicas=4, sg=NanKernel(True))
+            variance_D(model, f, atoms, cfg, RngStream(SEED).child(12), outer_replicas=4, sg=NanKernel())
 
     def test_nan_increments_are_not_zero_signal(self, fit):
         shape = constant_segment(0.0, R0, DT).values.shape
         chain = IidChain(lambda gen, n: np.zeros((n,) + shape))
         f = CenteredObservable(build_observable("zero"), 0.0, 0.0, 1)
         cfg = DiscreteCorrectorConfig(rate_fit=fit, k_max=3, replicas=4)
+        # the increments' two half profiles come first: NaN; the two
+        # telescoped corrector pairs after them are zeros
         rep = qv_lln_check(
             chain, f, constant_segment(0.0, R0, DT), 8, cfg, RngStream(SEED).child(13),
-            d_hat_sq=0.0, replicas=8, sg=NanKernel(False),
+            d_hat_sq=0.0, replicas=8, sg=NanKernel(nan_profiles=2),
         )
         assert rep.w0_ratio == 0.0
         assert math.isnan(rep.w4_ratio)

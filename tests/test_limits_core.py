@@ -80,7 +80,7 @@ class TestCorrectorSynthetic:
         assert est.tail_bound <= 0.1 * abs(est.value) * 1.5
 
     def test_missing_rate_fit(self):
-        cfg = CorrectorConfig(rate_fit=None)
+        cfg = CorrectorConfig(rate_fit=None, t_max=8.0, replicas=8)
         with pytest.raises(ValueError):
             corrector(ExpDecayKernel(1.0), eval0_obs(), constant_segment(1.0, R0, DT), cfg, RngStream(4))
 
@@ -248,7 +248,7 @@ class TestMartingaleIidChain:
         assert np.all(seq.z == 0.0)
 
     def test_increments_reduce_to_f_values(self):
-        # shifted corrector vanishes under the forgetful kernel: Z_k = f(X_k)
+        # the corrector is f itself under the forgetful kernel: Z_k = f(X_k)
         cfg = DiscreteCorrectorConfig(rate_fit=unit_rate_fit(), k_max=4, replicas=8)
         seq = martingale_increments(
             self.make_chain(), eval0_obs(), constant_segment(0.0, R0, DT), 12, cfg, RngStream(10)
@@ -333,3 +333,9 @@ class TestRescaledPathNodes:
         denom = math.sqrt(2.0 * 20 * math.log(math.log(20.0)))
         assert nodes[2] == pytest.approx(1.0 / denom)
         assert nodes[20] == pytest.approx(19.0 / denom)
+
+    @pytest.mark.parametrize("d_hat", [math.nan, 0.0, -1.0])
+    def test_unusable_d_hat_raises(self, d_hat):
+        # NaN, infinite or sign-flipped nodes otherwise
+        with pytest.raises(ValueError, match="d_hat must be positive"):
+            rescaled_path_nodes(np.arange(1.0, 40.0), 20, d_hat)

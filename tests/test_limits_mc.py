@@ -123,15 +123,15 @@ class TestMartingaleIncrements:
         replicas = 192
         starts = np.broadcast_to(eta.values, (replicas,) + eta.values.shape).copy()
         ends = sg.unit_states(starts, 1, rng.child(0))[1]
-        q_eta = collect_profile(
-            *sg.profile_groups(f_centered, eta.values[None], discrete_cfg.k_max, 64, rng.child(1), k_from=1)
+        r_eta = collect_profile(
+            *sg.profile_groups(f_centered, eta.values[None], discrete_cfg.k_max, 64, rng.child(1))
         )
-        q_end = collect_profile(
-            *sg.profile_groups(f_centered, ends, discrete_cfg.k_max, 32, rng.child(2), k_from=1)
+        r_end = collect_profile(
+            *sg.profile_groups(f_centered, ends, discrete_cfg.k_max, 32, rng.child(2))
         )
-        z = f_centered.values(ends) + q_end.values[:, -1] - q_eta.values[0, -1]
+        z = f_centered.values(eta.values[None])[0] + r_end.values[:, -1] - r_eta.values[0, -1]
         se = z.std(ddof=1) / math.sqrt(replicas)
-        se = math.hypot(se, float(q_eta.ses[0, -1]))
+        se = math.hypot(se, float(r_eta.ses[0, -1]))
         assert abs(z.mean()) <= 3.0 * se
 
     def test_sequence_shapes_and_partial_sums(self, ref_model, f_centered, discrete_cfg):

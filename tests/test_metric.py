@@ -190,6 +190,21 @@ class TestRhoKernel:
         with pytest.raises(ShapeError):
             rho_pairs(gen.standard_normal((5, 9, 1)), gen.standard_normal(b_shape), MetricParams())
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_pairs_are_the_matrix_diagonal(self, d):
+        # d = 8 is where a Euclidean cdist would sum the squares in another order
+        gen = RngStream(48).generator()
+        a, b = 1.5 * gen.standard_normal((2, 40, 17, d))
+        mp = MetricParams(3.0, 0.5)
+        assert np.array_equal(rho_pairs(a, b, mp), np.diag(rho_matrix(a, b, mp)))
+
+    def test_scalar_pair_keeps_a_tiny_difference(self):
+        a = np.zeros((1, 9, 1))
+        b = a.copy()
+        b[0, 4, 0] = 1e-200
+        mp = MetricParams()
+        assert rho_pairs(a, b, mp)[0] == rho_matrix(a, b, mp)[0, 0] == 1e-200
+
     def test_scalar_distance_exact_below_square_underflow(self):
         # for d = 1 the node distance is |x| itself, not sqrt(x**2), which
         # underflows to 0 here and would make distinct atoms coincide

@@ -18,6 +18,7 @@ from oracles import (
     method_of_steps,
 )
 from segflow import (
+    CenteredObservable,
     ModelSpec,
     NumericBlowupError,
     RngStream,
@@ -628,12 +629,12 @@ class TestIntegralProfile:
 
 class TestDiscreteProfile:
     @staticmethod
-    def old_discrete_profile(model, f, states, k_from, k_max, replicas, rng):
+    def old_discrete_profile(model, f, states, k_max, replicas, rng):
         """The semigroup's former ``_run``-based profile: replica groups filled a
         state-major (n, n_rec, replicas/blocks) array of f-values summed over
         the mirror blocks, summed along the lag axis."""
         per_unit = int(round(1.0 / DT))
-        record_steps = [k * per_unit for k in range(k_from, k_max + 1)]
+        record_steps = [k * per_unit for k in range(k_max + 1)]
         n = states.shape[0]
         group = max(1, 4096 // replicas)
         blocks = mirror_blocks(f, replicas)
@@ -651,26 +652,27 @@ class TestDiscreteProfile:
         return pair_stats(out.cumsum(axis=1), blocks, replicas)
 
     # 4 x 6 paths run as one group; 70 x 64 > 4096 splits into groups of 64 and 6
-    @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
-    def test_matches_old_profile(self, any_model, n_states, replicas, k_from, obs="eval0", k_max=2):
-        f = build_observable(obs)
+    # mu: the stationary mean the observable is centered by, as in every pipeline
+    @pytest.mark.parametrize("n_states, replicas, mu", [(4, 6, 0), (70, 64, 1)])
+    def test_matches_old_profile(self, any_model, n_states, replicas, mu, obs="eval0", k_max=2):
+        f = CenteredObservable(build_observable(obs), mu, 0.0, 1)
         states = spread_initials(n_states, seed=6)
         rng = RngStream(29)
-        ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_from, k_max, replicas, rng)
+        ref_values, ref_ses = self.old_discrete_profile(any_model, f, states, k_max, replicas, rng)
         prof = collect_profile(
-            *MonteCarloSemigroup(any_model, DT).profile_groups(f, states, k_max, replicas, rng, k_from=k_from)
+            *MonteCarloSemigroup(any_model, DT).profile_groups(f, states, k_max, replicas, rng)
         )
         assert np.array_equal(prof.values, ref_values)
         assert np.array_equal(prof.ses, ref_ses)
-        assert prof.grid.tolist() == list(range(k_from, k_max + 1))
+        assert prof.grid.tolist() == list(range(k_max + 1))
 
     def test_blocks_match_old_profile(self, any_model):
-        # lags 1..130 are reduced in blocks of 64, 64 and 2 rows
+        # lags 0..130, over groups of 64 and 6 states
         self.test_matches_old_profile(any_model, 70, 64, 1, k_max=130)
 
-    @pytest.mark.parametrize("n_states, replicas, k_from", [(4, 6, 0), (70, 64, 1)])
-    def test_plain_layout_matches_old_profile(self, any_model, n_states, replicas, k_from):
-        self.test_matches_old_profile(any_model, n_states, replicas, k_from, obs="sup_norm_pow", k_max=2)
+    @pytest.mark.parametrize("n_states, replicas, mu", [(4, 6, 0), (70, 64, 1)])
+    def test_plain_layout_matches_old_profile(self, any_model, n_states, replicas, mu):
+        self.test_matches_old_profile(any_model, n_states, replicas, mu, obs="sup_norm_pow", k_max=2)
 
 
 # -- the width-1 float kernel -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -77,18 +78,6 @@ class TestGeometricKernel:
         prof = collect_profile(*k.profile_groups(eval0, xi.values[None], 10, 4, RngStream(0)))
         assert prof.values[0, -1] == pytest.approx(2.0 - 2.0 * 0.5**11, rel=1e-12)
 
-    def test_shifted_tail_sum(self, eval0):
-        # one exact step applied to the truncated sum: sum_{k=1}^{K+1} ratio^k;
-        # the identity holds up to the geometric truncation tail ratio^(K+1)
-        k = ExpDecayKernel(math.log(2.0))
-        xi = constant_segment(1.0, R0, DT)
-        shifted = collect_profile(*k.profile_groups(eval0, xi.values[None], 11, 4, RngStream(0), k_from=1))
-        full = collect_profile(*k.profile_groups(eval0, xi.values[None], 10, 4, RngStream(0)))
-        f_xi = 1.0
-        assert full.values[0, -1] == pytest.approx(
-            f_xi + shifted.values[0, -1], abs=2.0 * 0.5**11
-        )
-
 
 class TestMonteCarloSemigroup:
     def test_decay_model_matches_kernel(self, eval0):
@@ -128,12 +117,13 @@ class TestMonteCarloSemigroup:
         states = np.stack(
             [constant_segment(v, R0, 1.0 / 128.0).values for v in (0.0, 2.0)]
         )
-        prof = collect_profile(*mc.profile_groups(eval0, states, 1, 256, RngStream(3), k_from=1))
-        # each state's column is its own conditional mean E X_1: the mirror
-        # pairs make it exact, 0 from 0 and about 2 e^-2 from 2
+        prof = collect_profile(*mc.profile_groups(eval0, states, 1, 256, RngStream(3)))
+        # each state's lag-1 term is its own conditional mean E X_1: the
+        # mirror pairs make it exact, 0 from 0 and about 2 e^-2 from 2
         exact = [noise_free_euler(2.0, 0.1, seg, 1.0 / 128.0, 128)[-1] for seg in states]
-        assert prof.values[0, 0] == 0.0
-        assert prof.values[1, 0] == pytest.approx(exact[1], rel=0, abs=1e-12)
+        lag1 = prof.values[:, 1] - prof.values[:, 0]
+        assert lag1[0] == 0.0
+        assert lag1[1] == pytest.approx(exact[1], rel=0, abs=1e-12)
         assert 0.3 < exact[1] < 0.35
         assert np.all(prof.ses < 1e-12)
 
@@ -176,20 +166,21 @@ class TestAntitheticPairs:
         ],
         ids=["eval0", "centered", "combo"],
     )
-    @pytest.mark.parametrize("kind", [{"k_from": 0}, {"k_from": 1}, {"quad_step": 1.0 / 64.0}])
+    @pytest.mark.parametrize("kind", [{}, {"quad_step": 1.0 / 128.0}, {"quad_step": 1.0 / 64.0}])
     def test_linear_profiles_are_the_noise_free_recursion(self, ref_model, states, f, kind):
         # linear drift, additive noise and an affine f: a pair's mean is the
         # noise-free Euler recursion, up to rounding
-        horizon = 3 if "k_from" in kind else 2.0
+        horizon = 2.0 if kind else 3
         prof = collect_profile(*MonteCarloSemigroup(ref_model, self.dt).profile_groups(
             f, states, horizon, 64, RngStream(5), **kind
         ))
         paths = np.array([noise_free_euler(2.0, 0.1, seg, self.dt, 3 * 128) for seg in states])
         f_paths = f.values(paths[:, :, None, None].reshape(-1, 1, 1)).reshape(paths.shape)
-        if "k_from" in kind:
-            exact = np.cumsum(f_paths[:, kind["k_from"] * 128 :: 128], axis=1)
+        if not kind:
+            exact = np.cumsum(f_paths[:, ::128], axis=1)
         else:
-            nodes, h = f_paths[:, : 2 * 128 + 1 : 2], 2 * self.dt
+            stride = round(kind["quad_step"] / self.dt)
+            nodes, h = f_paths[:, : 2 * 128 + 1 : stride], stride * self.dt
             panels = 0.5 * (nodes[:, :-1] + nodes[:, 1:]) * h
             exact = np.concatenate([np.zeros((5, 1)), np.cumsum(panels, axis=1)], axis=1)
         assert prof.values.shape == exact.shape
@@ -219,12 +210,12 @@ class TestAntitheticPairs:
         digest = hashlib.sha256()
         for name in ("linear_delay_ou", "tanh_diffusion"):
             sg = MonteCarloSemigroup(build_model(name), self.dt)
-            for kind in ({"quad_step": 2 * self.dt}, {"k_from": 1}):
+            for kind in ({"quad_step": 2 * self.dt}, {}):
                 horizon = 2.0 if "quad_step" in kind else 3
                 prof = collect_profile(*sg.profile_groups(f, states, horizon, 16, RngStream(77), **kind))
                 digest.update(prof.values.tobytes())
                 digest.update(prof.ses.tobytes())
-        assert digest.hexdigest()[:16] == "884f173719be49a0"
+        assert digest.hexdigest()[:16] == "ad17a96267796259"
 
     @pytest.mark.parametrize("replicas", [2, 3, 4, 5])
     def test_fewer_than_two_pairs_take_one_block(self, states, replicas):
@@ -234,10 +225,11 @@ class TestAntitheticPairs:
         plain = dataclasses.replace(f, antithetic=False)
         sg = MonteCarloSemigroup(build_model("tanh_diffusion"), self.dt)
         got, ref = (
-            collect_profile(*sg.profile_groups(g, states, 2, replicas, RngStream(4), k_from=1)) for g in (f, plain)
+            collect_profile(*sg.profile_groups(g, states, 2, replicas, RngStream(4))) for g in (f, plain)
         )
         assert np.array_equal(got.values, ref.values) == (replicas != 4)
-        assert np.all(np.isfinite(got.ses)) and np.all(got.ses > 0)
+        # lag 0 is f at the state itself, the same on every path: no noise
+        assert np.all(np.isfinite(got.ses)) and np.all(got.ses[:, 1:] > 0)
 
     @pytest.mark.parametrize("inner", [4, 6, 8])
     @pytest.mark.parametrize("discrete", [False, True])
@@ -272,11 +264,6 @@ class TestIidChain:
         # consecutive draws differ
         assert not np.allclose(states[1], states[2])
 
-    def test_shifted_corrector_vanishes(self, eval0):
-        xi = constant_segment(3.0, R0, DT)
-        prof = collect_profile(*iid_chain().profile_groups(eval0, xi.values[None], 6, 4, RngStream(0), k_from=1))
-        assert np.all(prof.values == 0.0)
-
     def test_full_corrector_is_f(self, eval0):
         xi = constant_segment(3.0, R0, DT)
         prof = collect_profile(*iid_chain().profile_groups(eval0, xi.values[None], 6, 4, RngStream(0)))
@@ -301,6 +288,12 @@ class TestOneProfileMethod:
     def test_only_abstract_method(self):
         assert SemigroupEvaluator.__abstractmethods__ == {"profile_groups"}
 
+    @pytest.mark.parametrize("cls", [SemigroupEvaluator, MonteCarloSemigroup, ExpDecayKernel, IidChain])
+    def test_one_profile_form(self, cls):
+        # every unit-lag profile sums from lag 0: no parameter picks another start
+        params = list(inspect.signature(cls.profile_groups).parameters)
+        assert params == ["self", "f", "states", "horizon", "replicas", "rng", "quad_step", "ses"]
+
     def test_no_whole_array_profiles(self):
         classes = [c for c in vars(semigroup).values() if isinstance(c, type)]
         assert SemigroupEvaluator in classes
@@ -312,11 +305,10 @@ class TestOneProfileMethod:
         "sg, kind",
         [
             (ExpDecayKernel(0.7), {"quad_step": 0.125}),
-            (ExpDecayKernel(0.7), {"k_from": 1}),
+            (ExpDecayKernel(0.7), {}),
             (iid_chain(), {}),
-            (iid_chain(), {"k_from": 1}),
         ],
-        ids=["exp-integral", "exp-discrete", "iid-from-0", "iid-from-1"],
+        ids=["exp-integral", "exp-discrete", "iid-from-0"],
     )
     def test_closed_form_ses_only_when_asked(self, eval0, sg, kind):
         states = np.stack([constant_segment(v, R0, DT).values for v in (1.0, -2.5)])
