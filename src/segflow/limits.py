@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -1058,7 +1059,9 @@ def lil_run(
     integer times of one long path of ``model`` from ``xi``, on its grid.
 
     ``d_hat`` must be the positive discrete variance constant; ``n_min >= 16``
-    keeps the double logarithm comfortably positive.
+    keeps the double logarithm comfortably positive.  ``checkpoints`` is a
+    non-empty collection of integers (numpy integers too) within
+    ``[n_min, n_max]``; anything else raises ValueError.
     """
     if not d_hat > 0:
         raise ValueError("d_hat must be positive")
@@ -1066,7 +1069,12 @@ def lil_run(
         raise ValueError("n_max must be at least 16")
     if n_min < 16:
         raise ValueError("n_min must be at least 16")
-    checkpoints = np.asarray(sorted(set(int(c) for c in checkpoints)), dtype=int)
+    try:
+        checkpoints = np.asarray(sorted({operator.index(c) for c in checkpoints}), dtype=int)
+    except TypeError:
+        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}") from None
+    if not checkpoints.size:
+        raise ValueError("checkpoints must not be empty")
     if checkpoints[0] < n_min or checkpoints[-1] > n_max:
         raise ValueError("checkpoints must lie within [n_min, n_max]")
 

@@ -30,13 +30,18 @@ variates).  :func:`record`
 steps a batch and returns copies of the windows (or of an observable of
 them) at chosen steps, plus running trapezoid integrals of an observable;
 consumers that reduce each window as it comes, and so hold one at a time,
-read :func:`step_windows` directly.  A single one-dimensional path runs on
-Python floats with the same operation order, so it is bit-identical to the
-batched loop at width 1 and several times faster; it serves models whose
+read :func:`step_windows` directly.
+
+A single one-dimensional path runs in :func:`_scalar_blocks`, a block
+producer on Python floats: it fills the ring a block of steps at a time,
+with the batched loop's operation order, so it is bit-identical to the
+batched loop at width 1 and several times faster.  It serves models whose
 drift is written as elementwise ``drift_ends`` and whose diffusion is a
-constant ``sigma`` or ``diffusion_ends``, and every other single path takes
-the batched loop.
-:func:`_noise_map` picks the diffusion's form once per run.
+constant ``sigma`` or ``diffusion_ends``; every other single path takes the
+batched loop.  :func:`step_windows` hands its blocks out a step at a time,
+and :func:`record` without an integrand reads them directly, taking windows
+at its sampled steps only.  :func:`_noise_map` picks a batch's diffusion
+form once per run.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
 time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
@@ -51,7 +56,9 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -337,6 +344,63 @@ def _ring(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(owned, dtype=float).reshape(shape)
 
 
+def _step_count(n_steps) -> int:
+    """``n_steps`` as a non-negative int (numpy integers too), else ValueError."""
+    try:
+        k = operator.index(n_steps)
+    except TypeError:
+        k = -1
+    if k < 0:
+        raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+    return k
+
+
+def _fill_ring(
+    model: ModelSpec, initial_values: np.ndarray, n_steps: int, step: float, pairing: str
+) -> tuple[np.ndarray, int]:
+    """Check a batch against the model and copy it into a fresh ring buffer.
+
+    Returns the time-major (rows, n, d) ring, whose first ``m+1`` rows hold
+    the initial segments, and ``m``; raises as :func:`step_windows` does.
+    """
+    init = np.asarray(initial_values, dtype=float)
+    if init.ndim != 3:
+        raise ShapeError(f"initial segments must be a batch (n, m+1, d), got shape {init.shape}")
+    n, nodes, d = init.shape
+    m = nodes - 1
+    if d != model.dim:
+        raise ShapeError(f"initial segments have dim {d}, model has {model.dim}")
+    want = _history_nodes(model.delay, step) + 1
+    if nodes != want:
+        raise ShapeError(
+            f"initial segments have {nodes} nodes; delay {model.delay!r} at step {step!r} needs {want}"
+        )
+    if pairing not in _PAIRINGS:
+        raise ValueError(f"pairing must be one of {sorted(_PAIRINGS)}, got {pairing!r}")
+    if n % len(_PAIRINGS[pairing]):
+        raise ShapeError(f"a {pairing} batch needs two equal halves, got width {n}")
+
+    # Rows are grid times, so windows are contiguous views.  A single path's
+    # ring stays short (the float kernel keeps one view per row); a wider one
+    # holds about _RING_BYTES, never under a window's 2(m+1).
+    cap = _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d)
+    rows = max(2 * (m + 1), min(cap, n_steps + m + 1))
+    buf = _ring((rows + m + 1, n, d))
+    buf[: m + 1] = init.transpose(1, 0, 2)
+    if not np.isfinite(buf[: m + 1]).all():
+        raise NumericBlowupError("non-finite initial segment", 0.0)
+    return buf, m
+
+
+def _on_floats(model: ModelSpec) -> bool:
+    """Whether a single path of ``model`` runs in :func:`_scalar_blocks`."""
+    return (
+        model.dim == 1
+        and model.drift_ends is not None
+        and (isinstance(model.sigma, float) or model.diffusion_ends is not None)
+    )
+
+
 def step_windows(
     model: ModelSpec,
     initial_values: np.ndarray,
@@ -350,7 +414,7 @@ def step_windows(
     Parameters
     ----------
     initial_values: array (n, m+1, d) of initial segments.
-    n_steps: number of Euler-Maruyama steps to take.
+    n_steps: number of Euler-Maruyama steps to take, a non-negative integer.
     rng: stream owning every draw of this batch.
     pairing: ``"none"``, every trajectory draws its own normals; otherwise
         the batch is two equal halves and trajectory ``i`` of the second half
@@ -372,54 +436,29 @@ def step_windows(
     ShapeError: initial values that are not an (n, m+1, d) batch, windows
         whose dim is not the model's, or whose node count is not
         ``delay/step + 1``; a pairing with an odd batch width.
-    ValueError: ``step`` does not divide the model's delay, or an unknown
-        ``pairing``.
-    NumericBlowupError: the first time a state goes non-finite, with the time.
+    ValueError: ``n_steps`` is not a non-negative integer, ``step`` does
+        not divide the model's delay, or an unknown ``pairing``.
+    NumericBlowupError: the first time a state goes non-finite, with the
+        time, after yielding every window before it.
     """
-    init = np.asarray(initial_values, dtype=float)
-    if init.ndim != 3:
-        raise ShapeError(f"initial segments must be a batch (n, m+1, d), got shape {init.shape}")
-    n, nodes, d = init.shape
-    m = nodes - 1
-    if d != model.dim:
-        raise ShapeError(f"initial segments have dim {d}, model has {model.dim}")
-    want = _history_nodes(model.delay, step) + 1
-    if nodes != want:
-        raise ShapeError(
-            f"initial segments have {nodes} nodes; delay {model.delay!r} at step {step!r} needs {want}"
-        )
-    if pairing not in _PAIRINGS:
-        raise ValueError(f"pairing must be one of {sorted(_PAIRINGS)}, got {pairing!r}")
-    halves = len(_PAIRINGS[pairing])
-    if n % halves:
-        raise ShapeError(f"a {pairing} batch needs two equal halves, got width {n}")
-    gen = rng.generator()
-    sq = math.sqrt(step)
-
-    # Time-major ring buffer: rows are grid times, windows are contiguous views.
-    # A single path's ring stays short (the float kernel keeps one view per
-    # row); a wider one holds about _RING_BYTES, never under a window's 2(m+1).
-    cap = _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d)
-    rows = max(2 * (m + 1), min(cap, n_steps + m + 1))
-    buf = _ring((rows + m + 1, n, d))
-    buf[: m + 1] = init.transpose(1, 0, 2)
+    n_steps = _step_count(n_steps)
+    buf, m = _fill_ring(model, initial_values, n_steps, step, pairing)
     # the ring owns the batch from here: a caller that kept no reference
     # frees it while the run goes on
-    del initial_values, init
-    head = m  # buffer row of the current state
-
-    if not np.isfinite(buf[: m + 1]).all():
-        raise NumericBlowupError("non-finite initial segment", 0.0)
-    c = model.sigma if isinstance(model.sigma, float) else None
-    sig_ends = model.diffusion_ends
-    if n * d == 1 and model.drift_ends is not None and (c is not None or sig_ends is not None):
-        yield from _scalar_windows(model.drift_ends, c, sig_ends, buf, m, n_steps, step, gen)
+    del initial_values
+    gen = rng.generator()
+    _, n, d = buf.shape
+    if n == 1 and _on_floats(model):
+        for first, windows in _scalar_blocks(model, buf, m, n_steps, step, gen):
+            yield from enumerate(windows, first)
         return
     drift_map, noise_map = model.drift_batch, _noise_map(model)
+    head = m  # buffer row of the current state
 
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is the same at any block length (values come off the stream
     # in order)
+    halves = len(_PAIRINGS[pairing])
     nz = n // halves
     zbuf = np.empty((max(1, _ZBLOCK // max(1, nz * d)), nz, d))
     zoff = zbuf.shape[0]  # force a refill on first use
@@ -429,6 +468,7 @@ def step_windows(
     # a pairing is one broadcast multiply of the draw by each half's signed
     # sqrt(step), so no step branches on it (z * -sq is exactly -(z * sq));
     # one half keeps the cheaper scalar multiply
+    sq = math.sqrt(step)
     scale, zs_halves = (sq, zs) if halves == 1 else (
         np.array(_PAIRINGS[pairing]).reshape(halves, 1, 1) * sq, zs.reshape(halves, nz, d)
     )
@@ -462,68 +502,100 @@ def step_windows(
         yield j, ro[head - m : head + 1].transpose(1, 0, 2)
 
 
-def _scalar_windows(
-    ends: Callable,
-    c: Optional[float],
-    sig_ends: Optional[Callable],
+def _scalar_blocks(
+    model: ModelSpec,
     buf: np.ndarray,
     m: int,
     n_steps: int,
     step: float,
     gen: np.random.Generator,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """:func:`step_windows` for a single one-dimensional path, on Python floats.
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Step a single one-dimensional path on Python floats, a block at a time.
 
-    The state update keeps the batched loop's operation order,
-    ``x = (x + c*(z*sqrt(dt))) + drift*dt``, and the normals come off the
-    stream in the same blocks, so every state is bit-identical to the
-    batched loop at width 1.  The drift is ``ends(now, oldest)`` and the
-    diffusion the constant scalar ``c`` or, given ``sig_ends``,
-    ``float(sig_ends(now, oldest))``.  ``buf`` is the (rows, 1, 1) ring
-    buffer whose first ``m+1`` rows hold the initial segment; the windows
-    yielded are precomputed read-only views of it.
+    ``buf`` is the (rows, 1, 1) ring buffer of :func:`_fill_ring`.  Each
+    yield is ``(first, windows)``: the read-only window views of the
+    consecutive steps ``first, first + 1, ...``, precomputed, one per ring
+    row.  The first block is the initial window alone.  A block ends at the
+    ring's last row, at the end of the current draw of ``_ZBLOCK`` normals
+    or at the last step, and the ring holds all of it when it is yielded.
+
+    Every state is bit-identical to the batched loop at width 1: the
+    normals come off the stream in the same blocks, numpy scales a draw at
+    once to ``c*(z*sqrt(dt))`` (``z*sqrt(dt)`` with a ``diffusion_ends``),
+    and the update keeps the batched operation order,
+    ``x = (x + noise) + drift*dt``, with the drift ``drift_ends(now,
+    oldest)`` and the diffusion the constant scalar ``sigma`` or
+    ``float(diffusion_ends(now, oldest))``.  On a non-finite drift,
+    diffusion or state the blocks stop at the steps before it, and the
+    error follows them.
     """
+    ends, c, sig_ends = model.drift_ends, model.sigma, model.diffusion_ends
     flat = buf.reshape(-1)
-    path = flat.tolist()  # float copy of the ring, read by the *_ends callbacks
     views = [buf[h - m : h + 1].transpose(1, 0, 2) for h in range(m, flat.size)]
     for view in views:
         view.flags.writeable = False
     sq = math.sqrt(step)
-    zs, zoff = [], _ZBLOCK
-    head = m
-    x = path[head]
+    isfinite = math.isfinite
+    head, done, zoff = m, 0, _ZBLOCK
+    yield 0, views[:1]
 
-    yield 0, views[0]
-
-    for j in range(1, n_steps + 1):
+    while done < n_steps:
         if head + 1 == flat.size:
             flat[: m + 1] = flat[head - m : head + 1]
-            path[: m + 1] = path[head - m : head + 1]
             head = m
         if zoff == _ZBLOCK:
-            zs = gen.standard_normal(_ZBLOCK).tolist()
+            z = gen.standard_normal(_ZBLOCK)
+            z *= sq
+            if sig_ends is None:
+                z *= c
+            noises = z.tolist()
             zoff = 0
-        z = zs[zoff]
-        zoff += 1
-        oldest = path[head - m]
-        try:
-            drift = ends(x, oldest)
-            if sig_ends is not None:
-                # numpy ufuncs return numpy scalars; float() is exact and
-                # keeps x a Python float
-                drift, c = float(drift), float(sig_ends(x, oldest))
-        except ArithmeticError:  # where numpy returns inf or nan
-            raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
-        noise = c * (z * sq)
-        x = (x + noise) + drift * step
-        head += 1
-        flat[head] = x
-        path[head] = x
-        if not math.isfinite(x):
-            if not (math.isfinite(drift) and math.isfinite(noise)):
-                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
-            raise NumericBlowupError("state became non-finite", j * step)
-        yield j, views[head - m]
+        size = min(flat.size - 1 - head, _ZBLOCK - zoff, n_steps - done)
+        known = flat[head - m : head + 1].tolist()
+        x = known[-1]
+        # the new states; the oldest node of a step more than m steps into
+        # the block is one of them, read as it is appended
+        new = []
+        append = new.append
+        fault = None
+        if sig_ends is None:
+            for noise, oldest in zip(noises[zoff : zoff + size], chain(known, new)):
+                try:
+                    drift = ends(x, oldest)
+                except ArithmeticError:  # where numpy returns inf or nan
+                    fault = "drift/diffusion produced non-finite output"
+                    break
+                x = (x + noise) + drift * step
+                if not isfinite(x):
+                    break
+                append(x)
+        else:
+            for zsq, oldest in zip(noises[zoff : zoff + size], chain(known, new)):
+                try:
+                    # numpy ufuncs return numpy scalars; float() is exact
+                    # and keeps x a Python float
+                    drift = float(ends(x, oldest))
+                    noise = float(sig_ends(x, oldest)) * zsq
+                except ArithmeticError:
+                    fault = "drift/diffusion produced non-finite output"
+                    break
+                x = (x + noise) + drift * step
+                if not isfinite(x):
+                    break
+                append(x)
+        count = len(new)
+        if fault is None and count < size:  # the state went non-finite
+            fault = (
+                "state became non-finite" if isfinite(drift) and isfinite(noise)
+                else "drift/diffusion produced non-finite output"
+            )
+        flat[head + 1 : head + 1 + count] = new
+        yield done + 1, views[head + 1 - m : head + 1 - m + count]
+        head += count
+        done += count
+        zoff += count
+        if fault is not None:
+            raise NumericBlowupError(fault, (done + 1) * step)
 
 
 def record(
@@ -560,10 +632,11 @@ def record(
 
     Raises
     ------
-    ValueError: a requested step outside ``[0, n_steps]``, or
-        ``integrate_at`` without an integrand.
+    ValueError: ``n_steps`` is not a non-negative integer, a requested step
+        lies outside ``[0, n_steps]``, or ``integrate_at`` has no integrand.
     NumericBlowupError: as for :func:`step_windows`.
     """
+    n_steps = _step_count(n_steps)
     sample_at = [int(k) for k in sample_at]
     integrate_at = [int(k) for k in integrate_at]
     if any(not 0 <= k <= n_steps for k in sample_at + integrate_at):
@@ -577,9 +650,31 @@ def record(
     for i, k in enumerate(integrate_at):
         integral_rows.setdefault(k, []).append(i)
 
-    samples = integrals = partial = prev = panel = None
+    samples = integrals = None
+
+    def keep(j: int, window: np.ndarray) -> None:
+        nonlocal samples
+        value = window if sample is None else sample(window)
+        if samples is None:
+            samples = np.empty((len(sample_at),) + np.shape(value))
+        for i in sample_rows[j]:
+            samples[i] = value
+
+    if integrand is None and np.shape(initial_values)[:1] == (1,) and _on_floats(model):
+        # a single path on floats: read the kernel's blocks and take windows
+        # at the sampled steps only
+        buf, m = _fill_ring(model, initial_values, n_steps, step, "none")
+        todo = sorted(sample_rows, reverse=True)
+        for first, windows in _scalar_blocks(model, buf, m, n_steps, step, rng.generator()):
+            end = first + len(windows)
+            while todo and todo[-1] < end:
+                j = todo.pop()
+                keep(j, windows[j - first])
+        return (np.empty(0) if samples is None else samples), integrals
+
+    partial = prev = panel = None
     # step_windows is looked up as a module global on each call, so a wrapper
-    # installed on this module sees every step
+    # installed on this module sees every step it drives
     for j, window in step_windows(model, initial_values, n_steps, step, rng):
         if integrand is not None:
             vals = integrand(window)  # may alias the ring buffer
@@ -597,11 +692,7 @@ def record(
             for i in integral_rows.get(j, ()):
                 integrals[i] = partial
         if j in sample_rows:
-            value = window if sample is None else sample(window)
-            if samples is None:
-                samples = np.empty((len(sample_at),) + np.shape(value))
-            for i in sample_rows[j]:
-                samples[i] = value
+            keep(j, window)
     return (np.empty(0) if samples is None else samples), integrals
 
 

@@ -72,6 +72,23 @@ class TestLilDomainErrors:
         with pytest.raises(ValueError):
             lil_run(ref_model, f_centered, constant_segment(0.0, R0, DT), 8, 0.5, [16], RngStream(6))
 
+    def test_empty_checkpoints_rejected(self, ref_model, f_centered):
+        with pytest.raises(ValueError, match="checkpoints must not be empty"):
+            lil_run(ref_model, f_centered, constant_segment(0.0, R0, DT), 64, 0.5, [], RngStream(7))
+
+    @pytest.mark.parametrize("entry", [16.7, 32.0, math.nan])
+    def test_non_integer_checkpoint_rejected(self, ref_model, f_centered, entry):
+        # 16.7 used to run silently at 16
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            lil_run(ref_model, f_centered, constant_segment(0.0, R0, DT), 64, 0.5, [entry, 64], RngStream(7))
+
+    def test_numpy_integer_checkpoints_accepted(self, ref_model, f_centered):
+        xi = constant_segment(0.0, R0, DT)
+        ours = lil_run(ref_model, f_centered, xi, 32, 0.5, np.array([16, 32]), RngStream(7))
+        ref = lil_run(ref_model, f_centered, xi, 32, 0.5, [32, 16], RngStream(7))
+        assert np.array_equal(ours.n_grid, [16, 32])
+        assert np.array_equal(ours.f_cumsum, ref.f_cumsum)
+
 
 class TestEngineReproducibility:
     def test_sample_invariant_bitwise(self, ref_model, xi_zero):

@@ -807,10 +807,13 @@ def run_windows(driver, *args, **kwargs):
 
 
 def blowup(driver, *args, **kwargs):
+    """The error a driver raises: its message, its time and copies of the
+    windows it yielded before it."""
+    yielded = []
     with pytest.raises(NumericBlowupError) as err:
-        for _ in driver(*args, **kwargs):
-            pass
-    return str(err.value), err.value.time
+        for j, window in driver(*args, **kwargs):
+            yielded.append((j, window.copy()))
+    return str(err.value), err.value.time, yielded
 
 
 class TestScalarKernel:
@@ -877,14 +880,85 @@ class TestScalarKernel:
         ids=["nan-drift", "state-overflow", "cube-overflow", "nan-diffusion", "cube-diffusion"],
     )
     def test_blowup_matches_batched_loop(
-        self, drift_ends, diffusion_ends, delay, step, oldest, now, message
+        self, drift_ends, diffusion_ends, delay, step, oldest, now, message, monkeypatch
     ):
         model = ends_model(drift_ends, delay, diffusion_ends)
         init = np.linspace(oldest, now, int(round(delay / step)) + 1)[None, :, None]
-        ours = blowup(step_windows, model, init, 2000, step, RngStream(0))
-        ref = blowup(batched_windows, model, init, 2000, step, RngStream(0))
-        assert ours == ref
-        assert ours[0].startswith(message + " (at t=") and ours[1] > step
+        ref_text, ref_time, ref_yielded = blowup(batched_windows, model, init, 2000, step, RngStream(0))
+        fault = int(round(ref_time / step))
+        assert ref_text.startswith(message + " (at t=") and fault > 1
+        assert [j for j, _ in ref_yielded] == list(range(fault))
+        # the first block holds every fault here by default; blocks of 3
+        # steps put each after the first step of a later block
+        for zblock in (segments._ZBLOCK, 3):
+            monkeypatch.setattr(segments, "_ZBLOCK", zblock)
+            assert (fault - 1) % zblock != 0
+            text, time, yielded = blowup(step_windows, model, init, 2000, step, RngStream(0))
+            assert (text, time) == (ref_text, ref_time)
+            assert [j for j, _ in yielded] == list(range(fault))
+            for (_, a), (_, b) in zip(yielded, ref_yielded):
+                assert np.array_equal(a, b)
+            # record, which reads the kernel's blocks, fails at the same step
+            with pytest.raises(NumericBlowupError) as err:
+                record(model, init, 2000, step, RngStream(0), sample_at=[0, 2000])
+            assert (str(err.value), err.value.time) == (ref_text, ref_time)
+
+
+class TestScalarBlocks:
+    """record reads the width-1 kernel's blocks without step_windows; what it
+    keeps must be the batched loop's windows bit for bit."""
+
+    SAMPLE_AT = [700, 0, 23, 23, 96, 97, 1000, 5, 0, 194]
+
+    @pytest.mark.parametrize("name", ["linear_delay_ou", "tanh_diffusion"])
+    @pytest.mark.parametrize("sampled", ["windows", "eval0"])
+    # 40 ring rows with 17 nodes wrap every 23 steps; 97 normals a draw
+    # divide neither that nor the 1000 steps
+    @pytest.mark.parametrize("rows, zblock", [(None, None), (40, None), (None, 97), (40, 97)])
+    def test_record_matches_batched_loop(self, name, sampled, rows, zblock, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(segments, "_SCALAR_ROWS", rows)
+        if zblock is not None:
+            monkeypatch.setattr(segments, "_ZBLOCK", zblock)
+        model = build_model(name)
+        init = spread_initials(1, seed=4)
+        rng = RngStream(17, 3)
+        sample = None if sampled == "windows" else build_observable("eval0").values
+        ref = run_windows(batched_windows, model, init, 1000, DT, rng)
+        samples, integrals = record(model, init, 1000, DT, rng, sample_at=self.SAMPLE_AT, sample=sample)
+        assert integrals is None
+        assert len(samples) == len(self.SAMPLE_AT)
+        for value, k in zip(samples, self.SAMPLE_AT):
+            assert np.array_equal(value, ref[k] if sample is None else sample(ref[k]))
+
+    def test_record_reads_blocks_directly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("record stepped a single float path through step_windows")
+
+        monkeypatch.setattr(segments, "step_windows", refuse)
+        model = build_model("linear_delay_ou")
+        samples, _ = record(model, spread_initials(1), 300, DT, RngStream(1), sample_at=[300, 0])
+        assert samples.shape == (2, 1, 17, 1)
+        with pytest.raises(AssertionError):  # an integrand needs every step
+            record(model, spread_initials(1), 300, DT, RngStream(1), integrate_at=[300],
+                   integrand=lambda w: w[:, -1, 0])
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, math.nan])
+    def test_bad_step_count_rejected(self, width, n_steps):
+        model = build_model("linear_delay_ou")
+        with pytest.raises(ValueError, match="n_steps"):
+            next(step_windows(model, spread_initials(width), n_steps, DT, RngStream(0)))
+        with pytest.raises(ValueError, match="n_steps"):
+            record(model, spread_initials(width), n_steps, DT, RngStream(0))
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_numpy_step_count_accepted(self, width):
+        model = build_model("linear_delay_ou")
+        ours = run_windows(step_windows, model, spread_initials(width), np.int64(30), DT, RngStream(0))
+        ref = run_windows(step_windows, model, spread_initials(width), 30, DT, RngStream(0))
+        assert len(ours) == 31
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
 # -- two-dimensional states ----------------------------------------------------
