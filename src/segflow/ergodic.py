@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ShapeError
 from .metric import EmpiricalMeasure, MetricParams, rho_pairs
 from .rng import RngStream
-from .segments import ModelSpec, Segment, grid_steps, record, step_windows
+from .segments import ModelSpec, Segment, _step_list, grid_steps, record, step_windows
 from .stats import ols_line
 
 __all__ = [
@@ -132,35 +132,30 @@ def coupled_snapshots(
     Trajectory i of each ensemble consumes the same noise, realizing the
     synchronous coupling: each marginal stays exact while paired states
     contract under the dissipative drift.  Both ensembles run as one
-    batch with ``step_windows``' shared pairing.  The returned iterator yields the (A, B) windows at
-    the sorted distinct step indices, one pair at a time; they are read-only
-    views of the ring buffer, valid until the next pair is requested, so a
-    consumer that keeps a pair copies it.  The stepping pauses while a pair
-    is in use: one pair of windows is alive however many steps are wanted,
-    and the initial batches are not kept once the ring holds them.  The two
-    shapes and the steps are checked on the call, the batch against the
-    model when the first pair is requested.
+    batch with ``step_windows``' shared pairing, stepped in blocks that end
+    at the wanted steps.  The returned iterator yields the (A, B) windows
+    at the sorted distinct step indices, one pair at a time; they are
+    read-only views of the ring buffer, valid until the next pair is
+    requested, so a consumer that keeps a pair copies it.  The stepping
+    pauses while a pair is in use, and no step past it has been taken: one
+    pair of windows is alive however many steps are wanted, and the initial
+    batches are not kept once the ring holds them.  The two shapes and the
+    steps (integers, numpy integers too, and non-negative) are checked on
+    the call, the batch against the model when the first pair is requested.
     """
     a = np.asarray(initial_a, dtype=float)
     b = np.asarray(initial_b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError("coupled ensembles must have identical shapes")
-    wanted = {int(k) for k in step_indices}
+    wanted = _step_list(step_indices, "snapshot steps")
     if min(wanted, default=0) < 0:
         raise ValueError("snapshot steps must be non-negative")
     windows = step_windows(
-        model, np.concatenate([a, b]), max(wanted, default=0), step, rng, pairing="shared"
+        model, np.concatenate([a, b]), max(wanted, default=0), step, rng, pairing="shared",
+        at=wanted,
     )
-    return _halves_at(windows, wanted, a.shape[0])
-
-
-def _halves_at(
-    windows: Iterator[tuple[int, np.ndarray]], wanted: set[int], n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The first ``n`` windows and the rest, at the steps ``wanted``."""
-    for j, window in windows:
-        if j in wanted:
-            yield window[:n], window[n:]
+    n = a.shape[0]
+    return ((window[:n], window[n:]) for _, window in windows)
 
 
 def ergodicity_curve(

@@ -39,7 +39,7 @@ from .errors import EstimatorInconsistencyError
 from .ergodic import RateFit
 from .metric import EmpiricalMeasure, Observable
 from .rng import RngStream
-from .segments import ModelSpec, Segment, grid_steps, record
+from .segments import ModelSpec, Segment, _step_list, grid_steps, record
 from .semigroup import MonteCarloSemigroup, ProfileGroup, SemigroupEvaluator
 from .stats import (
     batch_means_se,
@@ -413,7 +413,7 @@ def _unit_run(
     """One unit of time for a batch: returns (unit integrals of f, final
     states, snapshots at requested intermediate steps)."""
     per_unit = grid_steps(1.0, dt, "unit time")
-    wanted = sorted(set(int(s) for s in snapshot_steps))
+    wanted = sorted(set(_step_list(snapshot_steps, "snapshot_steps")))
     windows, integrals = record(
         model, start_values, per_unit, dt, rng,
         sample_at=wanted + [per_unit], integrate_at=[per_unit], integrand=f.values,

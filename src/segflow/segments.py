@@ -19,29 +19,28 @@ statistical estimators in the rest of the package affordable.  Batched
 arrays of segments always have shape ``(n, m+1, d)``: batch index, then time
 node (oldest first), then coordinate.
 
-The Euler loop lives in :func:`step_windows`, the one driver every run
-steps through: it yields each new window batch as a view of a recycled ring
-buffer, which owns the batch from the first yield on.  Its ``pairing``
-makes the batch two equal halves that draw one set of Gaussian increments:
-``"shared"`` drives both halves with the same normals, the synchronous
-coupling of two ensembles, and ``"antithetic"`` drives the second half with
-their negation, so each path has a mirror of the same law (antithetic
-variates).  :func:`record`
-steps a batch and returns copies of the windows (or of an observable of
-them) at chosen steps, plus running trapezoid integrals of an observable;
-consumers that reduce each window as it comes, and so hold one at a time,
-read :func:`step_windows` directly.
+The Euler loop is one block protocol at every width (:func:`_blocks`): a
+producer fills a ring buffer a block of steps at a time and yields each
+block as a read-only slab of ring rows, in which every window is a view.
+A block ends at the ring's last row, at the end of the current draw of
+normals, at the last step, or at the next step its consumer reads, so no
+step past a window the consumer holds has been computed.  A batch steps in
+:func:`_batch_blocks`, which scales a draw of normals at once and checks
+a block's states once; a single one-dimensional path with per-end coefficients
+steps in :func:`_scalar_blocks` on Python floats, bit-identical to the
+batched loop at width 1 and several times faster.  :func:`_noise_map`
+picks a batch's diffusion form once per run.
 
-A single one-dimensional path runs in :func:`_scalar_blocks`, a block
-producer on Python floats: it fills the ring a block of steps at a time,
-with the batched loop's operation order, so it is bit-identical to the
-batched loop at width 1 and several times faster.  It serves models whose
-drift is written as elementwise ``drift_ends`` and whose diffusion is a
-constant ``sigma`` or ``diffusion_ends``; every other single path takes the
-batched loop.  :func:`step_windows` hands its blocks out a step at a time,
-and :func:`record` without an integrand reads them directly, taking windows
-at its sampled steps only.  :func:`_noise_map` picks a batch's diffusion
-form once per run.
+:func:`step_windows` is the driver for consumers that reduce each window as
+it comes, and so hold one at a time: it yields every step's window, or only
+those of the steps ``at`` names.  Its ``pairing`` makes the batch two equal
+halves that draw one set of Gaussian increments: ``"shared"`` drives both
+halves with the same normals, the synchronous coupling of two ensembles,
+and ``"antithetic"`` drives the second half with their negation, so each
+path has a mirror of the same law (antithetic variates).  :func:`record`
+reads the blocks itself: it returns copies of the windows (or of an
+observable of them) at chosen steps, plus running trapezoid integrals of an
+observable evaluated at every step from the slabs.
 
 Two grid rules live here, each in one place.  :func:`grid_steps` is the one
 time-grid rule: every time a pipeline steps to (a horizon, a checkpoint, a
@@ -59,7 +58,7 @@ import mmap
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,9 +77,9 @@ __all__ = [
 
 # Relative slack when testing that step divides delay (one representable unit).
 _GRID_RTOL = 1e-9
-# Normal draws per generator call on narrow batches.
+# Normals per generator call on narrow batches, the most a block reads.
 _ZBLOCK = 4096
-# Ring-buffer rows of a single path: one precomputed window view per row.
+# Ring-buffer rows of a single path.
 _SCALAR_ROWS = 4096
 # Byte budget of a wider batch's ring rows: a run faults in and zeroes only
 # this much fresh memory, and the rows it steps through stay in cache.  A
@@ -157,7 +156,8 @@ def constant_segment(value, delay: float, step: float, dim: Optional[int] = None
 
 def batch_sup_norms(values: np.ndarray) -> np.ndarray:
     """Uniform norms of a batch of segment value arrays, shape (n, m+1, d) -> (n,)."""
-    return np.sqrt((values**2).sum(axis=2)).max(axis=1)
+    # sqrt is monotone, so taking it after the max is bitwise the same
+    return np.sqrt((values**2).sum(axis=2).max(axis=1))
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -306,24 +306,26 @@ class Trajectory:
 
 
 def _noise_map(model: ModelSpec):
-    """The run's noise map ``noise(segs, z, out)``.
+    """The run's noise map ``noise(segs, zs, out)``, or None for a constant
+    scalar ``sigma``, which :func:`_batch_blocks` applies to a whole draw
+    of normals at once instead.
 
-    It takes an (n, m+1, d) window batch and scaled normals ``z`` (n, d) and
-    returns the (n, d) noise term, written into the scratch array ``out``
-    where its form is elementwise: a constant scalar ``sigma``, a constant
-    matrix, or ``diffusion_batch`` (diagonal or full).
+    It takes an (n, m+1, d) window batch and the normals ``zs`` (n, d)
+    scaled by their signed ``sqrt(dt)`` and returns the (n, d) noise term,
+    written into the scratch array ``out`` where its form is elementwise: a
+    constant matrix, or ``diffusion_batch`` (diagonal or full).
     """
     sig = model.sigma
     if isinstance(sig, float):
-        return lambda segs, z, out: np.multiply(sig, z, out=out)
+        return None
     if sig is not None:
-        return lambda segs, z, out: z @ sig.T
+        return lambda segs, zs, out: zs @ sig.T
 
-    def noise(segs, z, out):
+    def noise(segs, zs, out):
         s = np.asarray(model.diffusion_batch(segs))
         if s.ndim == 2:  # diagonal convention
-            return np.multiply(s, z, out=out)
-        return np.einsum("nij,nj->ni", s, z)
+            return np.multiply(s, zs, out=out)
+        return np.einsum("nij,nj->ni", s, zs)
 
     return noise
 
@@ -355,6 +357,14 @@ def _step_count(n_steps) -> int:
     return k
 
 
+def _step_list(steps: Iterable, what: str) -> list[int]:
+    """``steps`` as a list of ints (numpy integers too), else ValueError naming ``what``."""
+    try:
+        return [operator.index(k) for k in steps]
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {steps!r}") from None
+
+
 def _fill_ring(
     model: ModelSpec, initial_values: np.ndarray, n_steps: int, step: float, pairing: str
 ) -> tuple[np.ndarray, int]:
@@ -381,8 +391,8 @@ def _fill_ring(
         raise ShapeError(f"a {pairing} batch needs two equal halves, got width {n}")
 
     # Rows are grid times, so windows are contiguous views.  A single path's
-    # ring stays short (the float kernel keeps one view per row); a wider one
-    # holds about _RING_BYTES, never under a window's 2(m+1).
+    # ring stays short; a wider one holds about _RING_BYTES, never under a
+    # window's 2(m+1).
     cap = _SCALAR_ROWS if n * d == 1 else _RING_BYTES // (8 * n * d)
     rows = max(2 * (m + 1), min(cap, n_steps + m + 1))
     buf = _ring((rows + m + 1, n, d))
@@ -401,6 +411,38 @@ def _on_floats(model: ModelSpec) -> bool:
     )
 
 
+def _blocks(
+    model: ModelSpec,
+    initial_values: np.ndarray,
+    n_steps: int,
+    step: float,
+    rng: RngStream,
+    pairing: str = "none",
+    stops: Iterable[int] = (),
+) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """The run's block producer, after checking the batch as
+    :func:`step_windows` does; returns ``(m, blocks)``.
+
+    Each block is ``(first, rows)``: a read-only slab of ring rows holding
+    the windows of the consecutive steps ``first, first + 1, ...``, window
+    ``i`` being ``rows[i : i + m + 1].transpose(1, 0, 2)``.  The first block
+    is the initial window alone.  A block ends at the ring's last row, at
+    the end of the current draw of about ``_ZBLOCK`` normals, at the last
+    step, or at the next of the ascending ``stops``, the steps a consumer
+    reads: when that step is yielded no later step has been computed.  The
+    slab is valid until the next block is requested.  A single path on
+    floats (:func:`_on_floats`) runs in :func:`_scalar_blocks`, every other
+    batch in :func:`_batch_blocks`.  On a non-finite drift, diffusion or
+    state, the block holding it is not yielded: NumericBlowupError, with
+    the time of the first such step, is raised in its place.
+    """
+    buf, m = _fill_ring(model, initial_values, n_steps, step, pairing)
+    gen = rng.generator()
+    if buf.shape[1] == 1 and _on_floats(model):
+        return m, _scalar_blocks(model, buf, m, n_steps, step, gen, iter(stops))
+    return m, _batch_blocks(model, buf, m, n_steps, step, gen, pairing, iter(stops))
+
+
 def step_windows(
     model: ModelSpec,
     initial_values: np.ndarray,
@@ -408,6 +450,8 @@ def step_windows(
     step: float,
     rng: RngStream,
     pairing: str = "none",
+    *,
+    at: Optional[Iterable[int]] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Drive a batch of trajectories, yielding each new segment window.
 
@@ -421,6 +465,9 @@ def step_windows(
         takes, at every step, the normal draw of trajectory ``i`` of the
         first: the same draw (``"shared"``) or its negation
         (``"antithetic"``).  Either draws half the normals.
+    at: the steps to yield, integers in ``[0, n_steps]`` in any order and
+        with repeats; each distinct one is yielded once, in ascending
+        order.  Default: every step.
 
     Yields
     ------
@@ -429,77 +476,129 @@ def step_windows(
     Consumers must not hold references across iterations: the buffer is
     recycled.  The initial batch is copied into the buffer before the first
     yield and no reference to it is kept, so a caller that passes it
-    without keeping one of its own frees it for the rest of the run.
+    without keeping one of its own frees it for the rest of the run.  The
+    steps between the yielded ones are computed in blocks (see
+    :func:`_blocks`), which end at each step to yield, so a caller that
+    closes the driver after a window has stepped no further than it.
+    The run still takes all ``n_steps`` steps when read to the end.
 
     Raises
     ------
     ShapeError: initial values that are not an (n, m+1, d) batch, windows
         whose dim is not the model's, or whose node count is not
         ``delay/step + 1``; a pairing with an odd batch width.
-    ValueError: ``n_steps`` is not a non-negative integer, ``step`` does
+    ValueError: ``n_steps`` is not a non-negative integer, an ``at`` step
+        is not an integer or lies outside ``[0, n_steps]``, ``step`` does
         not divide the model's delay, or an unknown ``pairing``.
     NumericBlowupError: the first time a state goes non-finite, with the
-        time, after yielding every window before it.
+        time, after yielding every window asked for before it.
     """
     n_steps = _step_count(n_steps)
-    buf, m = _fill_ring(model, initial_values, n_steps, step, pairing)
+    if at is None:
+        stops = range(1, n_steps + 1)  # every step is read: one-step blocks
+    else:
+        stops = sorted(set(_step_list(at, "at")))
+        if stops and not 0 <= stops[0] <= stops[-1] <= n_steps:
+            raise ValueError(f"at steps must lie in [0, {n_steps}]")
+    m, blocks = _blocks(model, initial_values, n_steps, step, rng, pairing, stops)
     # the ring owns the batch from here: a caller that kept no reference
     # frees it while the run goes on
     del initial_values
-    gen = rng.generator()
-    _, n, d = buf.shape
-    if n == 1 and _on_floats(model):
-        for first, windows in _scalar_blocks(model, buf, m, n_steps, step, gen):
-            yield from enumerate(windows, first)
-        return
-    drift_map, noise_map = model.drift_batch, _noise_map(model)
-    head = m  # buffer row of the current state
+    wanted = None if at is None else set(stops)
+    for first, rows in blocks:
+        last = first + len(rows) - m - 1  # a block ends at each step to yield
+        if wanted is None or last in wanted:
+            yield last, rows[len(rows) - m - 1 :].transpose(1, 0, 2)
 
+
+def _batch_blocks(
+    model: ModelSpec,
+    buf: np.ndarray,
+    m: int,
+    n_steps: int,
+    step: float,
+    gen: np.random.Generator,
+    pairing: str,
+    stops: Iterator[int],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Step a batch on numpy rows, a block at a time (see :func:`_blocks`).
+
+    ``buf`` is the (rows, n, d) ring buffer of :func:`_fill_ring`.  Each
+    draw of normals is scaled once, by each half's signed ``sqrt(step)``
+    and then by a constant scalar ``sigma``, and a block never outruns it;
+    each step calls ``drift_batch`` on its window and sets the next row to
+    ``(x + noise) + drift*step``.
+    The states are checked once per block, on its last row: a non-finite
+    coordinate stays non-finite under that update, so the check misses
+    nothing.  Only on a fault is the first bad row looked up, and its
+    drift and noise evaluated again to name the fault.
+    """
+    n_rows, n, d = buf.shape
+    drift_map, noise_map, sig = model.drift_batch, _noise_map(model), model.sigma
+    signs = _PAIRINGS[pairing]
+    nz = n // len(signs)
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is the same at any block length (values come off the stream
     # in order)
-    halves = len(_PAIRINGS[pairing])
-    nz = n // halves
-    zbuf = np.empty((max(1, _ZBLOCK // max(1, nz * d)), nz, d))
-    zoff = zbuf.shape[0]  # force a refill on first use
-    # per-step scratch: scaled normals (both halves under a pairing), the
-    # noise term and drift * step
-    zs, noise_out, drift_step = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
-    # a pairing is one broadcast multiply of the draw by each half's signed
-    # sqrt(step), so no step branches on it (z * -sq is exactly -(z * sq));
-    # one half keeps the cheaper scalar multiply
+    zbuf = np.empty((max(1, _ZBLOCK // (nz * d)), nz, d))
+    scaled = np.empty((zbuf.shape[0], n, d))  # the draw, scaled
+    scaled_halves = scaled.reshape(zbuf.shape[0], len(signs), nz, d)
+    first_half = scaled_halves[:, 0]
     sq = math.sqrt(step)
-    scale, zs_halves = (sq, zs) if halves == 1 else (
-        np.array(_PAIRINGS[pairing]).reshape(halves, 1, 1) * sq, zs.reshape(halves, nz, d)
-    )
-
-    ro = buf.view()  # read-only alias the yielded windows are sliced from
+    noise_out, drift_step = np.empty((n, d)), np.empty((n, d))
+    add, multiply = np.add, np.multiply
+    ro = buf.view()  # read-only alias the yielded slabs are sliced from
     ro.flags.writeable = False
-    yield 0, ro[head - m : head + 1].transpose(1, 0, 2)
+    head, done, zoff, stop = m, 0, zbuf.shape[0], 0
+    yield 0, ro[: m + 1]
 
-    for j in range(1, n_steps + 1):
-        if head + 1 >= buf.shape[0]:
+    while done < n_steps:
+        if head + 1 == n_rows:
             buf[: m + 1] = buf[head - m : head + 1]
             head = m
-        window = buf[head - m : head + 1]
-        segs = window.transpose(1, 0, 2)
-        drift = drift_map(segs)
         if zoff == zbuf.shape[0]:
             gen.standard_normal(zbuf.shape, out=zbuf)
+            # z * sqrt(step) for the first half, times a constant scalar
+            # sigma; a second half copies it or, antithetic, negates it:
+            # bitwise (z * -sqrt(step)) * sigma
+            multiply(zbuf, sq, out=first_half)
+            if noise_map is None:
+                first_half *= sig
+            if len(signs) == 2:
+                multiply(first_half, signs[1], out=scaled_halves[:, 1])
             zoff = 0
-        np.multiply(zbuf[zoff], scale, out=zs_halves)
-        zoff += 1
-        nxt = buf[head + 1]
-        noise = noise_map(segs, zs, noise_out)
-        np.add(window[-1], noise, out=nxt)
-        nxt += np.multiply(drift, step, out=drift_step)
-        head += 1
-        total = float(nxt.sum())
-        if not math.isfinite(total):  # NaN/Inf propagate through the sum
-            if not np.isfinite(drift).all() or not np.isfinite(noise).all():
-                raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
-            raise NumericBlowupError("state became non-finite", j * step)
-        yield j, ro[head - m : head + 1].transpose(1, 0, 2)
+        while stop <= done:
+            stop = next(stops, n_steps)
+        size = min(n_rows - 1 - head, zbuf.shape[0] - zoff, stop - done)
+        first = head
+        try:
+            for zs in scaled[zoff : zoff + size]:
+                window = buf[head - m : head + 1]
+                segs = window.transpose(1, 0, 2)
+                drift = drift_map(segs)
+                noise = zs if noise_map is None else noise_map(segs, zs, noise_out)
+                nxt = buf[head + 1]
+                add(window[-1], noise, out=nxt)
+                nxt += multiply(drift, step, out=drift_step)
+                head += 1
+        except Exception:
+            # past a non-finite state (a warning raised as an error, say),
+            # that fault is the run's error
+            if np.isfinite(buf[first + 1 : head + 1]).all():
+                raise
+        if head - first < size or not np.isfinite(buf[head]).all():
+            count = int(np.argmin(np.isfinite(buf[first + 1 : head + 1]).all(axis=(1, 2))))
+            segs = buf[first + count - m : first + count + 1].transpose(1, 0, 2)
+            zs = scaled[zoff + count]
+            noise = zs if noise_map is None else noise_map(segs, zs, noise_out)
+            if np.isfinite(drift_map(segs)).all() and np.isfinite(noise).all():
+                fault = "state became non-finite"
+            else:
+                fault = "drift/diffusion produced non-finite output"
+            raise NumericBlowupError(fault, (done + count + 1) * step)
+        yield done + 1, ro[first + 1 - m : head + 1]
+        done += size
+        zoff += size
 
 
 def _scalar_blocks(
@@ -509,35 +608,28 @@ def _scalar_blocks(
     n_steps: int,
     step: float,
     gen: np.random.Generator,
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Step a single one-dimensional path on Python floats, a block at a time.
+    stops: Iterator[int],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Step a single one-dimensional path on Python floats, a block at a
+    time (see :func:`_blocks`).
 
-    ``buf`` is the (rows, 1, 1) ring buffer of :func:`_fill_ring`.  Each
-    yield is ``(first, windows)``: the read-only window views of the
-    consecutive steps ``first, first + 1, ...``, precomputed, one per ring
-    row.  The first block is the initial window alone.  A block ends at the
-    ring's last row, at the end of the current draw of ``_ZBLOCK`` normals
-    or at the last step, and the ring holds all of it when it is yielded.
-
-    Every state is bit-identical to the batched loop at width 1: the
-    normals come off the stream in the same blocks, numpy scales a draw at
-    once to ``c*(z*sqrt(dt))`` (``z*sqrt(dt)`` with a ``diffusion_ends``),
-    and the update keeps the batched operation order,
-    ``x = (x + noise) + drift*dt``, with the drift ``drift_ends(now,
-    oldest)`` and the diffusion the constant scalar ``sigma`` or
-    ``float(diffusion_ends(now, oldest))``.  On a non-finite drift,
-    diffusion or state the blocks stop at the steps before it, and the
-    error follows them.
+    ``buf`` is the (rows, 1, 1) ring buffer of :func:`_fill_ring`.  Every
+    state is bit-identical to :func:`_batch_blocks` at width 1: the normals
+    come off the stream in the same draws, numpy scales a draw at once to
+    ``c*(z*sqrt(dt))`` (``z*sqrt(dt)`` with a ``diffusion_ends``), and the
+    update keeps the batched operation order, ``x = (x + noise) +
+    drift*dt``, with the drift ``drift_ends(now, oldest)`` and the diffusion
+    the constant scalar ``sigma`` or ``float(diffusion_ends(now, oldest))``.
+    One slice store per block writes the ring.
     """
     ends, c, sig_ends = model.drift_ends, model.sigma, model.diffusion_ends
     flat = buf.reshape(-1)
-    views = [buf[h - m : h + 1].transpose(1, 0, 2) for h in range(m, flat.size)]
-    for view in views:
-        view.flags.writeable = False
+    ro = buf.view()  # read-only alias the yielded slabs are sliced from
+    ro.flags.writeable = False
     sq = math.sqrt(step)
     isfinite = math.isfinite
-    head, done, zoff = m, 0, _ZBLOCK
-    yield 0, views[:1]
+    head, done, zoff, stop = m, 0, _ZBLOCK, 0
+    yield 0, ro[: m + 1]
 
     while done < n_steps:
         if head + 1 == flat.size:
@@ -550,7 +642,9 @@ def _scalar_blocks(
                 z *= c
             noises = z.tolist()
             zoff = 0
-        size = min(flat.size - 1 - head, _ZBLOCK - zoff, n_steps - done)
+        while stop <= done:
+            stop = next(stops, n_steps)
+        size = min(flat.size - 1 - head, _ZBLOCK - zoff, stop - done)
         known = flat[head - m : head + 1].tolist()
         x = known[-1]
         # the new states; the oldest node of a step more than m steps into
@@ -589,13 +683,13 @@ def _scalar_blocks(
                 "state became non-finite" if isfinite(drift) and isfinite(noise)
                 else "drift/diffusion produced non-finite output"
             )
+        if fault is not None:
+            raise NumericBlowupError(fault, (done + count + 1) * step)
         flat[head + 1 : head + 1 + count] = new
-        yield done + 1, views[head + 1 - m : head + 1 - m + count]
+        yield done + 1, ro[head + 1 - m : head + 1 + count]
         head += count
         done += count
         zoff += count
-        if fault is not None:
-            raise NumericBlowupError(fault, (done + 1) * step)
 
 
 def record(
@@ -633,12 +727,13 @@ def record(
     Raises
     ------
     ValueError: ``n_steps`` is not a non-negative integer, a requested step
-        lies outside ``[0, n_steps]``, or ``integrate_at`` has no integrand.
+        is not an integer or lies outside ``[0, n_steps]``, or
+        ``integrate_at`` has no integrand.
     NumericBlowupError: as for :func:`step_windows`.
     """
     n_steps = _step_count(n_steps)
-    sample_at = [int(k) for k in sample_at]
-    integrate_at = [int(k) for k in integrate_at]
+    sample_at = _step_list(sample_at, "sample_at")
+    integrate_at = _step_list(integrate_at, "integrate_at")
     if any(not 0 <= k <= n_steps for k in sample_at + integrate_at):
         raise ValueError(f"recorded steps must lie in [0, {n_steps}]")
     if integrate_at and integrand is None:
@@ -650,49 +745,37 @@ def record(
     for i, k in enumerate(integrate_at):
         integral_rows.setdefault(k, []).append(i)
 
-    samples = integrals = None
-
-    def keep(j: int, window: np.ndarray) -> None:
-        nonlocal samples
-        value = window if sample is None else sample(window)
-        if samples is None:
-            samples = np.empty((len(sample_at),) + np.shape(value))
-        for i in sample_rows[j]:
-            samples[i] = value
-
-    if integrand is None and np.shape(initial_values)[:1] == (1,) and _on_floats(model):
-        # a single path on floats: read the kernel's blocks and take windows
-        # at the sampled steps only
-        buf, m = _fill_ring(model, initial_values, n_steps, step, "none")
-        todo = sorted(sample_rows, reverse=True)
-        for first, windows in _scalar_blocks(model, buf, m, n_steps, step, rng.generator()):
-            end = first + len(windows)
-            while todo and todo[-1] < end:
-                j = todo.pop()
-                keep(j, windows[j - first])
-        return (np.empty(0) if samples is None else samples), integrals
-
-    partial = prev = panel = None
-    # step_windows is looked up as a module global on each call, so a wrapper
-    # installed on this module sees every step it drives
-    for j, window in step_windows(model, initial_values, n_steps, step, rng):
+    # the blocks run on to the last step; windows are read from each slab:
+    # every step's by an integrand, the sampled steps' otherwise
+    m, blocks = _blocks(model, initial_values, n_steps, step, rng)
+    todo = sorted(sample_rows, reverse=True)
+    samples = integrals = partial = prev = panel = None
+    for first, rows in blocks:
+        end = first + len(rows) - m
         if integrand is not None:
-            vals = integrand(window)  # may alias the ring buffer
-            if prev is None:
-                prev = np.array(vals, dtype=float)
-                partial, panel = np.zeros(prev.shape), np.empty(prev.shape)
-                integrals = np.empty((len(integrate_at),) + prev.shape)
-            else:
-                # partial += 0.5 * (prev + vals) * step, in that order, in place
-                np.add(prev, vals, out=panel)
-                panel *= 0.5
-                panel *= step
-                partial += panel
-                prev[...] = vals
-            for i in integral_rows.get(j, ()):
-                integrals[i] = partial
-        if j in sample_rows:
-            keep(j, window)
+            for j in range(first, end):
+                vals = integrand(rows[j - first : j - first + m + 1].transpose(1, 0, 2))
+                if prev is None:  # may alias the ring buffer
+                    prev = np.array(vals, dtype=float)
+                    partial, panel = np.zeros(prev.shape), np.empty(prev.shape)
+                    integrals = np.empty((len(integrate_at),) + prev.shape)
+                else:
+                    # partial += 0.5 * (prev + vals) * step, in that order, in place
+                    np.add(prev, vals, out=panel)
+                    panel *= 0.5
+                    panel *= step
+                    partial += panel
+                    prev[...] = vals
+                for i in integral_rows.get(j, ()):
+                    integrals[i] = partial
+        while todo and todo[-1] < end:
+            j = todo.pop()
+            window = rows[j - first : j - first + m + 1].transpose(1, 0, 2)
+            value = window if sample is None else sample(window)
+            if samples is None:
+                samples = np.empty((len(sample_at),) + np.shape(value))
+            for i in sample_rows[j]:
+                samples[i] = value
     return (np.empty(0) if samples is None else samples), integrals
 
 

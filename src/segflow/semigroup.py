@@ -132,9 +132,11 @@ class MonteCarloSemigroup(SemigroupEvaluator):
         for an antithetic ``f`` with an even count of at least 4, in two
         mirrored blocks of ``replicas/2``: the second block's paths take the
         negated normals of the first's (``step_windows``' antithetic
-        pairing).  ``f`` is sampled at the steps ``sample_at``; each sampled
-        row is summed over the blocks into one value per pair (per path with
-        one block), which becomes its running trapezoid with spacing ``h``
+        pairing).  ``f`` is sampled at the steps ``sample_at``, the only
+        steps the driver yields, and no step past the last row read is
+        taken; each sampled row is summed over the blocks into one value
+        per pair (per path with one block), which becomes its running
+        trapezoid with spacing ``h``
         (from 0.0) or, with ``h`` None, its running sum as it arrives.  The
         mean is over all ``replicas`` paths.  Its SE comes from the
         ``replicas/2`` pair means, not from the paths, because a path and
@@ -158,10 +160,9 @@ class MonteCarloSemigroup(SemigroupEvaluator):
             self.model,
             np.broadcast_to(states[None, :, None], (blocks,) + shape + rest).reshape((-1,) + rest),
             sample_at[-1], self.dt, rng, pairing="antithetic" if blocks == 2 else "none",
+            at=sample_at,
         )
-        for j, window in windows:
-            if j != sample_at[i]:
-                continue
+        for _, window in windows:
             np.add.reduce(f.values(window).reshape((blocks,) + shape), axis=0, out=node)
             if i == 0:
                 cum[...] = node if h is None else 0.0

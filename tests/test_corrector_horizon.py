@@ -125,15 +125,15 @@ class SpySemigroup(MonteCarloSemigroup):
 @pytest.fixture
 def step_log(monkeypatch):
     """Steps taken by each ``step_windows`` call of the semigroup, logged as
-    each driver is closed."""
+    each driver is closed: the index of the last step it yielded, as a
+    driver computes no step past it."""
     log = []
 
     def counting(*args, **kwargs):
-        steps = -1  # the first yield is the initial state
+        steps = 0
         try:
-            for item in step_windows(*args, **kwargs):
-                steps += 1
-                yield item
+            for steps, window in step_windows(*args, **kwargs):
+                yield steps, window
         finally:
             log.append(steps)
 

@@ -30,6 +30,7 @@ from segflow import (
 from segflow import segments
 from segflow.assumptions import _diffusion_matrix
 from segflow.ergodic import coupled_snapshots
+from segflow.limits import _unit_run
 from segflow.registry import MODEL_BUILDERS, build_model, build_observable
 from segflow.segments import _ring, batch_sup_norms, record, step_windows
 from segflow.semigroup import MonteCarloSemigroup
@@ -678,10 +679,11 @@ class TestDiscreteProfile:
 # -- the width-1 float kernel -------------------------------------------------
 
 
-def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
-    """step_windows' batched Euler loop without shared noise, run at any width:
-    the reference the width-1 float kernel and the d = 2 forms must match bit
-    for bit."""
+def batched_windows(model, initial_values, n_steps, step, rng, chunk=None, pairing="none"):
+    """step_windows' batched Euler loop, one step at a time, run at any width
+    and pairing: the reference every block producer must match bit for bit.
+    Under a pairing the second half takes the first half's draw scaled by
+    ``-sqrt(step)`` (antithetic) or ``sqrt(step)`` (shared)."""
     init = np.asarray(initial_values, dtype=float)
     if init.ndim == 2:
         init = init[None]
@@ -690,6 +692,7 @@ def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
     coeffs = _BatchCoefficients(model)
     gen = rng.generator()
     sq = math.sqrt(step)
+    signs = {"none": (1.0,), "shared": (1.0, 1.0), "antithetic": (1.0, -1.0)}[pairing]
 
     # Time-major ring buffer: rows are grid times, windows are contiguous views.
     if chunk is None:
@@ -704,12 +707,11 @@ def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
 
     # narrow batches amortize the generator call over many steps; the draw
     # sequence is identical either way (values come off the stream in order)
-    nz = n
+    nz = n // len(signs)
     zblock = max(1, 4096 // max(1, nz * d)) if nz * d <= 256 else 1
     zbuf = np.empty((zblock, nz, d)) if zblock > 1 else None
     zoff = zblock  # force a refill on first use
     zdraw = np.empty((nz, d))
-    scalar_state = n * d == 1
 
     yield 0, buf[head - m : head + 1].transpose(1, 0, 2)
 
@@ -729,12 +731,11 @@ def batched_windows(model, initial_values, n_steps, step, rng, chunk=None):
             z = zbuf[zoff]
             zoff += 1
         nxt = buf[head + 1]
-        noise = coeffs.noise(segs, z * sq)
+        noise = coeffs.noise(segs, np.concatenate([z * (sign * sq) for sign in signs]))
         np.add(window[-1], noise, out=nxt)
         nxt += drift * step
         head += 1
-        total = nxt[0, 0] if scalar_state else float(nxt.sum())
-        if not math.isfinite(total):  # NaN/Inf propagate through the sum
+        if not np.isfinite(nxt).all():
             if not np.isfinite(drift).all() or not np.isfinite(noise).all():
                 raise NumericBlowupError("drift/diffusion produced non-finite output", j * step)
             raise NumericBlowupError("state became non-finite", j * step)
@@ -932,16 +933,28 @@ class TestScalarBlocks:
             assert np.array_equal(value, ref[k] if sample is None else sample(ref[k]))
 
     def test_record_reads_blocks_directly(self, monkeypatch):
+        # at every width, with or without an integrand, record reads the
+        # block producer's slabs and never steps through step_windows
+        model = build_model("linear_delay_ou")
+        integrand = build_observable("eval0").values
+        runs = {}
+        for width in (1, 4, 300):
+            ref_s, ref_i = ref_record(model, spread_initials(width), 300, RngStream(1), [300, 0], np.copy,
+                                      [7, 300], integrand)
+            runs[width] = [ref_s[300], ref_s[0]], [ref_i[7], ref_i[300]]
+
         def refuse(*args, **kwargs):
-            raise AssertionError("record stepped a single float path through step_windows")
+            raise AssertionError("record stepped through step_windows")
 
         monkeypatch.setattr(segments, "step_windows", refuse)
-        model = build_model("linear_delay_ou")
-        samples, _ = record(model, spread_initials(1), 300, DT, RngStream(1), sample_at=[300, 0])
-        assert samples.shape == (2, 1, 17, 1)
-        with pytest.raises(AssertionError):  # an integrand needs every step
-            record(model, spread_initials(1), 300, DT, RngStream(1), integrate_at=[300],
-                   integrand=lambda w: w[:, -1, 0])
+        for width, (want_s, want_i) in runs.items():
+            samples, integrals = record(
+                model, spread_initials(width), 300, DT, RngStream(1),
+                sample_at=[300, 0], integrate_at=[7, 300], integrand=integrand,
+            )
+            assert samples.shape == (2, width, 17, 1)
+            assert all(np.array_equal(a, b) for a, b in zip(samples, want_s))
+            assert all(np.array_equal(a, b) for a, b in zip(integrals, want_i))
 
     @pytest.mark.parametrize("width", [1, 4])
     @pytest.mark.parametrize("n_steps", [-1, 2.5, math.nan])
@@ -959,6 +972,232 @@ class TestScalarBlocks:
         ref = run_windows(step_windows, model, spread_initials(width), 30, DT, RngStream(0))
         assert len(ours) == 31
         assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+
+
+# -- the batched block producer -------------------------------------------------
+
+
+# one model per noise form, each stepped as a batch: a constant scalar sigma,
+# a constant dim-2 matrix, diffusion_ends, a full diffusion_batch, and a
+# model given by drift_batch alone
+NOISE_FORMS = {
+    "scalar-sigma": lambda: build_model("linear_delay_ou", {"sigma": 0.7}),
+    "matrix-sigma": lambda: replace(
+        build_model("linear_delay_ou", {"dim": 2}), sigma=np.array([[0.7, 0.3], [-0.2, 1.1]])
+    ),
+    "diffusion_ends": lambda: build_model("tanh_diffusion"),
+    "full-diffusion_batch": lambda: plane_model(),  # defined below
+    "drift_batch-only": callback_model,
+}
+
+
+def counted(model):
+    """``model`` with its drift_ends, and the drift_batch derived from it,
+    logging each call in the returned list: one call per step taken, on
+    floats or on a batch."""
+    calls = []
+    ends = model.drift_ends
+
+    def counting(now, oldest):
+        calls.append(1)
+        return ends(now, oldest)
+
+    return replace(model, drift_ends=counting, drift_batch=None), calls
+
+
+class TestBatchBlocks:
+    """step_windows and record read one block producer at every width; what
+    they yield must be the one-step batched loop's windows bit for bit."""
+
+    @pytest.mark.parametrize("form", sorted(NOISE_FORMS))
+    @pytest.mark.parametrize("pairing", ["none", "shared", "antithetic"])
+    # a ring of 40 rows with 17 nodes wraps every 23 steps; 3 draws of 7
+    # normals a step (width 6 and 10 at dim 1 and 2) end blocks at odd steps
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "wrap-and-budget"])
+    def test_matches_batched_loop(self, form, pairing, small, monkeypatch):
+        model = NOISE_FORMS[form]()
+        width = 6 if model.dim == 1 else 10
+        init = np.random.default_rng(21).normal(size=(width, 17, model.dim))
+        rng = RngStream(53, 2)
+        chunk = None
+        if small:
+            chunk = 40
+            monkeypatch.setattr(segments, "_RING_BYTES", 40 * 8 * width * model.dim)
+            monkeypatch.setattr(segments, "_ZBLOCK", 3 * (width // (1 if pairing == "none" else 2)) * model.dim)
+        ref = run_windows(batched_windows, model, init, 150, DT, rng, chunk=chunk, pairing=pairing)
+        ours = run_windows(step_windows, model, init, 150, DT, rng, pairing=pairing)
+        assert len(ours) == len(ref) == 151
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+        at = [150, 0, 44, 44, 1, 23, 149, 97]
+        picked = [(j, w.copy()) for j, w in step_windows(model, init, 150, DT, rng, pairing=pairing, at=at)]
+        assert [j for j, _ in picked] == sorted(set(at))
+        assert all(np.array_equal(w, ref[j]) for j, w in picked)
+        if pairing == "none":
+            samples, _ = record(model, init, 150, DT, rng, sample_at=at)
+            assert all(np.array_equal(w, ref[j]) for w, j in zip(samples, at))
+
+    @pytest.mark.parametrize("width", [1, 4, 64])
+    def test_at_yields_only_the_asked_steps(self, width):
+        model = build_model("linear_delay_ou")
+        init = spread_initials(width, seed=3)
+        ref = run_windows(step_windows, model, init, 60, DT, RngStream(4))
+        assert [j for j, _ in step_windows(model, init, 60, DT, RngStream(4), at=[])] == []
+        got = [(j, w.copy()) for j, w in step_windows(model, init, 60, DT, RngStream(4), at=np.array([60, 0, 0]))]
+        assert [j for j, _ in got] == [0, 60]
+        assert all(np.array_equal(w, ref[j]) for j, w in got)
+
+    @pytest.mark.parametrize("at, error", [([61], "lie in"), ([-1, 3], "lie in"), ([2.5], "integers"),
+                                           ([np.nan], "integers")])
+    def test_bad_at_rejected(self, at, error):
+        with pytest.raises(ValueError, match=error):
+            next(step_windows(build_model("linear_delay_ou"), spread_initials(4), 60, DT, RngStream(0), at=at))
+
+    @pytest.mark.parametrize("width", [1, 4, 300])
+    @pytest.mark.parametrize("at", [None, [0, 5, 77, 200, 333, 500]])
+    def test_a_closed_driver_stepped_no_further(self, width, at):
+        # the drift is evaluated once per step taken: closing the driver
+        # after step j has taken exactly j steps
+        model, calls = counted(build_model("linear_delay_ou"))
+        for stop_after in (0, 5, 77, 333):
+            calls.clear()
+            windows = step_windows(model, spread_initials(width), 500, DT, RngStream(6), at=at)
+            for j, _ in windows:
+                if j == stop_after:
+                    break
+            windows.close()
+            assert len(calls) == stop_after
+
+    def test_coupled_snapshots_stop_at_the_pair_read(self):
+        model, calls = counted(build_model("linear_delay_ou"))
+        a, b = spread_initials(300, seed=1), spread_initials(300, seed=2)
+        pairs = coupled_snapshots(model, a, b, [400, 64, 128], DT, RngStream(7))
+        next(pairs)
+        next(pairs)
+        pairs.close()
+        assert len(calls) == 128
+
+    def test_profile_steps_only_to_the_read_columns(self):
+        model, calls = counted(build_model("linear_delay_ou"))
+        f = build_observable("eval0")
+        _, groups = MonteCarloSemigroup(model, DT).profile_groups(f, spread_initials(4), 8, 16, RngStream(9))
+        (_, _, columns), = groups
+        for _ in range(3):  # lags 0, 1 and 2
+            next(columns)
+        columns.close()
+        assert len(calls) == 2 * 32
+
+    @pytest.mark.parametrize("width", [2, 4096])
+    def test_finite_states_whose_sum_overflows_run(self, width):
+        # 4096 states of 1e305 sum past the largest float; every state stays
+        # finite, as in the same run at width 1
+        model = build_model("deterministic_decay")
+        init = np.full((width, 17, 1), 1e305)
+        samples, _ = record(model, init, 64, DT, RngStream(0), sample_at=[64])
+        single, _ = record(model, init[:1], 64, DT, RngStream(0), sample_at=[64])
+        assert np.isfinite(samples).all()
+        assert np.array_equal(samples[0], np.broadcast_to(single[0], samples[0].shape))
+        *_, (j, window) = step_windows(model, init, 64, DT, RngStream(0))
+        assert j == 64 and np.array_equal(window, samples[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize(
+        "drift, message",
+        [
+            # x <- 3x at step 2: the state overflows while the drift stays finite
+            (lambda segs: segs[:, -1, :], "state became non-finite"),
+            # a cube that overflows in the drift
+            (lambda segs: segs[:, -1, :] ** 3 * 1e3, "drift/diffusion produced non-finite output"),
+        ],
+        ids=["state-overflow", "drift-overflow"],
+    )
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_blowup_in_mid_block(self, drift, message, width):
+        # a batched drift keeps even a single path on the batched loop; one
+        # path of the batch starts high, so the fault lies inside a block
+        model = replace(ends_model(lambda now, oldest: now, delay=4.0), drift_ends=None, drift_batch=drift)
+        init = np.ones((width, 3, 1))
+        init[width // 2] = 1e30 if message.startswith("state") else 5.0
+        ref_text, ref_time, ref_yielded = blowup(batched_windows, model, init, 2000, 2.0, RngStream(0))
+        fault = int(round(ref_time / 2.0))
+        assert ref_text.startswith(message + " (at t=") and fault > 2
+        everything = [0, 1, fault - 1, fault, 2000]
+        for at in (None, everything, [2000]):
+            text, time, yielded = blowup(step_windows, model, init, 2000, 2.0, RngStream(0), at=at)
+            assert (text, time) == (ref_text, ref_time)
+            want = [j for j in (range(fault) if at is None else sorted(at)) if j < fault]
+            assert [j for j, _ in yielded] == want
+            assert all(np.array_equal(w, ref_yielded[j][1]) for j, w in yielded)
+        with pytest.raises(NumericBlowupError) as err:
+            record(model, init, 2000, 2.0, RngStream(0), sample_at=[0, 2000])
+        assert (str(err.value), err.value.time) == (ref_text, ref_time)
+
+    def test_a_warning_past_the_fault_gives_way_to_it(self):
+        # the drift jumps to inf above 10 without a warning; the steps after
+        # it would warn (inf - inf), and under this suite's RuntimeWarning
+        # filter that warning is an error: the blowup is raised instead
+        def drift(segs):
+            now = segs[:, -1, :]
+            return np.where(now > 10.0, np.inf, now) - now + now
+
+        model = replace(ends_model(lambda now, oldest: now), drift_ends=None, drift_batch=drift)
+        init = np.ones((4, 17, 1))
+        init[1] = 9.0
+        ref_text, ref_time, _ = blowup(batched_windows, model, init, 400, DT, RngStream(0))
+        assert ref_text.startswith("drift/diffusion produced non-finite output")
+        with pytest.raises(NumericBlowupError) as err:
+            record(model, init, 400, DT, RngStream(0), sample_at=[400])
+        assert (str(err.value), err.value.time) == (ref_text, ref_time)
+
+
+class TestStepIndices:
+    """Requested steps must be integers (numpy integers pass); a float is
+    refused, not truncated."""
+
+    @pytest.mark.parametrize("key, steps", [("sample_at", [2.5]), ("integrate_at", [7.9]),
+                                            ("sample_at", [np.float64(3.0)])])
+    def test_record_refuses_non_integer_steps(self, key, steps):
+        kwargs = {key: steps, "integrand": lambda w: w[:, -1, 0]}
+        with pytest.raises(ValueError, match=f"{key} must be integers"):
+            record(build_model("linear_delay_ou"), spread_initials(2), 10, DT, RngStream(0), **kwargs)
+
+    def test_record_takes_numpy_integers(self):
+        model = build_model("linear_delay_ou")
+        ours, _ = record(model, spread_initials(2), 10, DT, RngStream(0), sample_at=np.array([7, 3]))
+        ref, _ = record(model, spread_initials(2), 10, DT, RngStream(0), sample_at=[7, 3])
+        assert np.array_equal(ours, ref)
+
+    def test_coupled_snapshots_refuse_non_integer_steps(self):
+        a = spread_initials(2)
+        with pytest.raises(ValueError, match="snapshot steps must be integers"):
+            coupled_snapshots(build_model("linear_delay_ou"), a, a, [3.7], DT, RngStream(0))
+        pairs = list(coupled_snapshots(build_model("linear_delay_ou"), a, a, [np.int64(3)], DT, RngStream(0)))
+        assert len(pairs) == 1
+
+    def test_unit_run_refuses_non_integer_snapshot_steps(self):
+        model, f = build_model("linear_delay_ou"), build_observable("eval0")
+        with pytest.raises(ValueError, match="snapshot_steps must be integers"):
+            _unit_run(model, f, spread_initials(2), DT, RngStream(0), snapshot_steps=[2.5])
+        *_, snaps = _unit_run(model, f, spread_initials(2), DT, RngStream(0), snapshot_steps=[np.int64(3)])
+        assert list(snaps) == [3]
+
+
+def test_sup_norms_take_the_root_after_the_max():
+    # sqrt is monotone, so the root of the largest squared norm is the
+    # largest root, bit for bit, also with NaN, inf, underflow and overflow
+    gen = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        values = gen.normal(size=(40, 9, d)) * 10.0 ** gen.integers(-200, 200, size=(40, 9, d))
+        values[3, 4, 0] = np.nan
+        values[5, :, :] = np.inf
+        values[6, 2, -1] = -np.inf
+        values[7] = 1e-170
+        values[8, 0, 0] = 1e200
+        values[9] = 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            old = np.sqrt((values**2).sum(axis=2)).max(axis=1)
+            new = batch_sup_norms(values)
+        assert new.tobytes() == old.tobytes()
 
 
 # -- two-dimensional states ----------------------------------------------------
