@@ -311,16 +311,12 @@ def _run_sub_runs(tasks: dict, threads: int) -> list:
     """``_run_sub`` of each ``(kind, config)`` item of ``tasks``, in its order.
 
     With ``threads`` > 1 and the ``fork`` start method available, the tasks
-    run in up to ``threads`` forked workers (spawn would re-import numpy in
-    every child).  Either way the first task, in task order, that raised
-    re-raises its own exception here."""
+    run in up to ``threads`` forked workers (spawn would re-import numpy,
+    the only library a sub-run loads, in every child).  Either way the first
+    task, in task order, that raised re-raises its own exception here."""
     workers = min(threads, len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [_run_sub(task) for task in tasks.items()]
-    # the clt task's normal CDF imports scipy.special on first use; imported
-    # once here, every forked worker inherits it instead of importing it again
-    import scipy.special  # noqa: F401
-
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         futures = {kind: pool.submit(_run_sub, (kind, tasks[kind])) for kind in _SUBMIT_ORDER}

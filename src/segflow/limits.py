@@ -42,10 +42,12 @@ from .rng import RngStream
 from .segments import ModelSpec, Segment, _step_list, grid_steps, record
 from .semigroup import MonteCarloSemigroup, ProfileGroup, SemigroupEvaluator
 from .stats import (
+    _kolmogorov_sorted,
     batch_means_se,
     bootstrap_se,
     grouped_mean_se,
     kolmogorov_statistic,
+    normal_cdf,
     ols_line,
     weighted_degenerate_statistic,
 )
@@ -790,6 +792,25 @@ def clt_statistic(samples: np.ndarray, d_f: float) -> float:
     return kolmogorov_statistic(samples, d_f)
 
 
+def _clt_statistic_of_ranks(samples: np.ndarray, d_f: float):
+    """``(rank, statistic)``: each sample's position in the sorted samples,
+    and ``clt_statistic`` of a resample as a function of its samples' ranks.
+
+    A resample sorts to the sorted samples read at its sorted ranks, so the
+    normal CDF is evaluated once, on the sorted samples, and every resample
+    reads its values from that one table.  A non-finite sample's CDF value is
+    NaN, so a resample that holds one gives NaN, as ``clt_statistic`` does.
+    """
+    order = np.argsort(samples)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    z = samples[order]
+    if d_f == 0.0:
+        return rank, lambda r: clt_statistic(z[np.sort(r)], 0.0)
+    cdf = np.where(np.isfinite(z), normal_cdf(z, d_f), math.nan)
+    return rank, lambda r: _kolmogorov_sorted(cdf[np.sort(r)])
+
+
 def clt_test(
     model: ModelSpec,
     f: CenteredObservable,
@@ -815,11 +836,12 @@ def clt_test(
     # replica samples of sqrt(t) * A_t at each checkpoint, shape (n_t, R)
     averages = _time_average_checkpoints(model, xi, f, times, replicas, rng.child(0))
     samples = averages * np.sqrt(times)[:, None]
-    stats = np.array([clt_statistic(samples[i], d_f) for i in range(times.size)])
     gen = rng.child(1).generator()
-    ses = np.array(
-        [bootstrap_se(samples[i], lambda s: clt_statistic(s, d_f), n_boot, gen) for i in range(times.size)]
-    )
+    stats, ses = np.empty(times.size), np.empty(times.size)
+    for i, row in enumerate(samples):
+        rank, statistic = _clt_statistic_of_ranks(row, d_f)
+        stats[i] = statistic(rank)
+        ses[i] = bootstrap_se(rank, statistic, n_boot, gen)
     return CltReport(times, stats, ses, d_f, replicas, degenerate=(d_f == 0.0))
 
 

@@ -1,8 +1,8 @@
 """Small statistical helpers shared by the estimation modules.
 
-Only ``normal_cdf`` uses scipy (``scipy.special.ndtr``), and it imports it
-when called: of the run kinds only clt reaches it, through
-``kolmogorov_statistic``, so importing this module loads no scipy module.
+Numpy and the standard library only: ``normal_cdf`` is a port of the Cephes
+``ndtr`` that scipy ships, bit-identical to ``scipy.special.ndtr``, so no
+run kind loads scipy through this module.
 """
 
 from __future__ import annotations
@@ -57,11 +57,108 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(slope, intercept, r2, se_slope, n)
 
 
-def normal_cdf(z, sd: float = 1.0):
-    """CDF of a centered normal with standard deviation ``sd``."""
-    from scipy.special import ndtr
+# Cephes ndtr (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), as scipy ships it: erf on |x| < 1, erfc's rational fits on [1, 8) and
+# [8, inf), exp(-x^2) underflowing to 0 past MAXLOG = log(DBL_MAX).
+_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (  # leading coefficient 1
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (  # leading coefficient 1
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (  # leading coefficient 1
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_SQRT1_2 = 0.70710678118654752440
 
-    return ndtr(np.asarray(z, dtype=float) / sd)
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule for the polynomial with coefficients ``coef``, highest first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """``_polevl`` with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes ``erf`` for |x| < 1, the only range ``_ndtr`` asks of it."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes ``erfc`` for x >= 0, the only sign ``_ndtr`` asks of it."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+    return (z * p) / q
+
+
+def _ndtr(a: float) -> float:
+    """Cephes ``ndtr``: the standard normal CDF at ``a``."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def normal_cdf(z, sd: float = 1.0):
+    """CDF of a centered normal with standard deviation ``sd > 0``.
+
+    A port of the Cephes ``ndtr`` on Python floats, bit-identical to
+    ``scipy.special.ndtr(z / sd)`` and loading no scipy.  A Python loop costs
+    about a hundred times numpy's per-value time, so callers evaluate it once
+    per sample.  The result has the shape of ``z``; a scalar gives a numpy
+    scalar.
+    """
+    if not sd > 0:
+        raise ValueError(f"sd must be positive, got {sd}")
+    x = np.asarray(z, dtype=float) / sd
+    return np.fromiter(map(_ndtr, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)[()]
+
+
+def _kolmogorov_sorted(cdf: np.ndarray) -> float:
+    """The Kolmogorov distance of sorted samples from their CDF values ``cdf``."""
+    n = cdf.size
+    i = np.arange(1, n + 1)
+    return float(np.maximum(i / n - cdf, cdf - (i - 1) / n).max())
 
 
 def kolmogorov_statistic(samples: np.ndarray, sd: float) -> float:
@@ -74,10 +171,7 @@ def kolmogorov_statistic(samples: np.ndarray, sd: float) -> float:
     if not sd > 0:
         raise ValueError("sd must be positive; use the weighted statistic for sd=0")
     z = np.sort(np.asarray(samples, dtype=float))
-    n = z.size
-    cdf = normal_cdf(z, sd)
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - cdf, cdf - (i - 1) / n).max())
+    return _kolmogorov_sorted(normal_cdf(z, sd))
 
 
 def weighted_degenerate_statistic(samples: np.ndarray) -> float:
@@ -106,8 +200,12 @@ def weighted_degenerate_statistic(samples: np.ndarray) -> float:
 
 
 def bootstrap_se(samples: np.ndarray, statistic, n_boot: int, gen: np.random.Generator) -> float:
-    """Nonparametric bootstrap standard error of ``statistic(samples)``."""
-    samples = np.asarray(samples, dtype=float)
+    """Nonparametric bootstrap standard error of ``statistic(samples)``, from
+    ``n_boot >= 2`` resamples of the 1-d array ``samples``, which may hold
+    values or indices into them."""
+    if not n_boot >= 2:
+        raise ValueError(f"a bootstrap standard error needs n_boot >= 2, got {n_boot}")
+    samples = np.asarray(samples)
     n = samples.size
     vals = np.empty(n_boot)
     for b in range(n_boot):

@@ -409,7 +409,10 @@ def test_every_numerics_key_is_read(monkeypatch):
 
 # Run in a fresh interpreter: this process has scipy loaded already.  It
 # prints the scipy modules loaded after importing segflow, after each tiny
-# run, and the values of the two metric functions that import scipy.
+# run, after a 2-thread smoke full-suite, and around the metric functions.
+# The runs go under an import hook that fails any scipy import, which the
+# forked pool workers inherit, so a worker that imported scipy would fail
+# the suite.
 _SCIPY_PROBE = """
 import json, sys
 import numpy as np
@@ -422,12 +425,23 @@ from segflow.metric import EmpiricalMeasure, MetricParams, rho_matrix, wasserste
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("a run imported " + name)
+        return None
+
 tiny, a, b = json.loads(sys.argv[1])
 out = {"import": loaded()}
+sys.meta_path.insert(0, NoScipy())
 for kind in ("lil", "ergodicity", "slln", "assumptions", "clt"):
     cfg = {"kind": kind, "seed": 7, "model": {"name": "linear_delay_ou"}, "numerics": tiny[kind]}
     run_experiment(parse_config_dict(cfg))
     out[kind] = loaded()
+cfg = {"kind": "full-suite", "seed": 7, "model": {"name": "linear_delay_ou"}, "numerics": {"scale": "smoke"}}
+run_experiment(parse_config_dict(cfg), threads=2)
+out["full-suite"] = loaded()
+del sys.meta_path[0]
 a, b, mp = np.array(a), np.array(b), MetricParams()
 try:
     wasserstein(EmpiricalMeasure(a, 0.5, 0.0625), EmpiricalMeasure(b[:-1], 0.5, 0.0625), mp)
@@ -436,11 +450,14 @@ except ShapeError:
 out["rho"] = rho_matrix(a, b, mp).tolist()
 out["rho_matrix"] = loaded()
 out["wasserstein"] = wasserstein(EmpiricalMeasure(a, 0.5, 0.0625), EmpiricalMeasure(b, 0.5, 0.0625), mp)
+out["wasserstein_loaded"] = loaded()
 print(json.dumps(out))
 """
 
 
 def test_scipy_loaded_only_where_called():
+    # no run kind loads scipy, a 2-thread full-suite included; only
+    # wasserstein does, after its checks
     a = (np.arange(45).reshape(5, 9, 1) % 7 - 3) / 8.0
     b = (np.arange(45).reshape(5, 9, 1) % 5 - 2) / 4.0
     src = str(Path(segflow.__file__).resolve().parents[1])
@@ -450,14 +467,13 @@ def test_scipy_loaded_only_where_called():
         capture_output=True, text=True, timeout=300, env=env, check=True,
     )
     out = json.loads(done.stdout.strip().splitlines()[-1])
-    for stage in ("import", "lil", "ergodicity", "slln", "assumptions"):
+    for stage in ("import", "lil", "ergodicity", "slln", "assumptions", "clt", "full-suite"):
         assert out[stage] == [], stage
-    assert "scipy.special" in out["clt"]
-    assert not [m for m in out["clt"] if m.startswith(("scipy.optimize", "scipy.spatial"))]
     # a malformed transport call fails before it imports the solver
-    assert out["bad_call"] == out["clt"]
+    assert out["bad_call"] == []
     # the distance kernel is numpy alone, for d = 1 too
-    assert out["rho_matrix"] == out["clt"]
+    assert out["rho_matrix"] == []
+    assert "scipy.optimize" in out["wasserstein_loaded"]
     # the lazily imported solvers give the values they gave as module imports
     assert np.array_equal(np.array(out["rho"]), rho_matrix(a, b, MetricParams()))
     assert out["wasserstein"] == float.fromhex("0x1.978c48bd1d032p-1")

@@ -29,8 +29,17 @@ from segflow import (
     variance_D,
     vph_residual,
 )
+from scipy.special import ndtr
+
+from segflow import limits
 from segflow.registry import build_model, build_observable
-from segflow.stats import batch_means_se, kolmogorov_statistic, weighted_degenerate_statistic
+from segflow.stats import (
+    batch_means_se,
+    bootstrap_se,
+    kolmogorov_statistic,
+    normal_cdf,
+    weighted_degenerate_statistic,
+)
 
 DT = 1.0 / 128.0
 R0 = 0.5
@@ -323,6 +332,105 @@ class TestCltStatistics:
             clt_statistic(np.zeros(10), math.nan)
         with pytest.raises(ValueError):
             kolmogorov_statistic(np.zeros(10), math.nan)
+
+
+def _ulp_window(x, k=1):
+    """``x`` with its ``k`` nearest floats on either side."""
+    below, above, out = x, x, [x]
+    for _ in range(k):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestNormalCdf:
+    # the branch edges of Cephes ndtr in its argument a: |a| / sqrt(2) against
+    # 1 / sqrt(2), 1 and 8, and erfc's exp(-a^2 / 2) underflow past MAXLOG
+    EDGES = [1.0, 1.4142135623730951, 11.313708498984761, math.sqrt(2 * 7.09782712893383996843e2)]
+
+    def test_bitwise_scipy_ndtr(self):
+        grid = [v for e in self.EDGES[:3] for s in (1, -1) for v in _ulp_window(s * e)]
+        grid += [v for s in (1, -1) for v in _ulp_window(s * self.EDGES[3], 64)]
+        grid += [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+        gen = RngStream(77).generator()
+        for x in (np.array(grid), np.linspace(-40.0, 40.0, 80001), gen.normal(0.0, 6.0, size=100_000)):
+            assert np.array_equal(normal_cdf(x).view(np.uint64), ndtr(x).view(np.uint64))
+
+    def test_scaled_and_shaped_like_scipy(self):
+        gen = RngStream(78).generator()
+        for z in (np.float64(0.3), gen.normal(size=7), gen.normal(size=(3, 4)), np.empty((0, 2))):
+            ours, theirs = normal_cdf(z, 0.7), ndtr(z / 0.7)
+            assert type(ours) is type(theirs)
+            assert np.shape(ours) == np.shape(theirs)
+            assert np.array_equal(np.asarray(ours).view(np.uint64), np.asarray(theirs).view(np.uint64))
+
+    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_sd(self, sd):
+        with pytest.raises(ValueError):
+            normal_cdf(np.zeros(3), sd)
+
+
+def scipy_clt_statistic(samples, d_f):
+    """clt_statistic as it stood on scipy's ndtr."""
+    if not np.isfinite(samples).all():
+        return math.nan
+    if d_f == 0.0:
+        return weighted_degenerate_statistic(samples)
+    z = np.sort(samples)
+    n = z.size
+    cdf = ndtr(z / d_f)
+    i = np.arange(1, n + 1)
+    return float(np.maximum(i / n - cdf, cdf - (i - 1) / n).max())
+
+
+def loop_clt_bootstrap_se(samples, d_f, n_boot, gen):
+    """The bootstrap clt_test ran before it read resamples off one CDF table:
+    the statistic recomputed on every resample."""
+    n = samples.size
+    vals = np.empty(n_boot)
+    for b in range(n_boot):
+        vals[b] = scipy_clt_statistic(samples[gen.integers(0, n, size=n)], d_f)
+    return float(vals.std(ddof=1))
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float), equal_nan=True)
+
+
+class TestCltBootstrap:
+    TIMES = [1.0, 4.0]
+
+    def run(self, monkeypatch, averages, d_f, n_boot=100):
+        """clt_test on given replica averages, the ensemble left out."""
+        monkeypatch.setattr(limits, "_time_average_checkpoints", lambda *args: averages)
+        model = build_model("linear_delay_ou", {})
+        xi = constant_segment(0.0, R0, DT)
+        return limits.clt_test(model, eval0_obs(), xi, self.TIMES, averages.shape[1], d_f, RngStream(5), n_boot)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    @pytest.mark.parametrize("d_f", [0.0, 0.53])
+    @pytest.mark.parametrize("case", ["plain", "ties", "nan", "+inf", "-inf"])
+    def test_equals_resampled_statistic(self, monkeypatch, n, d_f, case):
+        gen = RngStream(90 + n).generator()
+        averages = gen.normal(0.0, 0.53, size=(len(self.TIMES), n)) / np.sqrt(self.TIMES)[:, None]
+        if case == "ties":
+            averages[:, :50] = averages[:, :1]
+        elif case != "plain":
+            averages[1, 17] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}[case]
+        rep = self.run(monkeypatch, averages, d_f)
+        samples = averages * np.sqrt(self.TIMES)[:, None]
+        boot = RngStream(5).child(1).generator()
+        for i, row in enumerate(samples):
+            assert _same(rep.statistics[i], scipy_clt_statistic(row, d_f))
+            assert _same(rep.ses[i], loop_clt_bootstrap_se(row, d_f, 100, boot))
+        if case in ("nan", "+inf", "-inf"):
+            assert math.isnan(rep.statistics[1]) and math.isnan(rep.ses[1])
+            assert np.isfinite(rep.ses[0])
+
+    @pytest.mark.parametrize("n_boot", [1, 0, math.nan])
+    def test_bootstrap_needs_two_resamples(self, n_boot):
+        with pytest.raises(ValueError):
+            bootstrap_se(np.arange(10.0), np.mean, n_boot, RngStream(6).generator())
 
 
 class TestRescaledPathNodes:
